@@ -27,7 +27,14 @@ from .hedging import (
     write_hedge_csv,
     write_sweep_csv,
 )
-from .model import GenOffer, LoadUtility, PriceCap, validate_market_data, validate_network
+from .model import (
+    GenOffer,
+    LoadUtility,
+    PriceCap,
+    validate_market_data,
+    validate_network,
+    validate_price_cap,
+)
 from .opf import OpfHourInput, build_opf, write_dispatch_csv
 from .scenario import (
     FINITE_LIMIT_MW,
@@ -160,7 +167,8 @@ def cmd_run(args) -> int:
     except (ValueError, ScenarioError, OSError) as exc:
         return _fail(str(exc))
 
-    problems = validate_network(net)
+    cap = PriceCap(args.bus, pi_des)
+    problems = validate_network(net) + validate_price_cap(net, cap)
     for data in hours:
         problems += validate_market_data(net, data)
     if problems:
@@ -168,7 +176,6 @@ def cmd_run(args) -> int:
             print(f"error: {p}", file=sys.stderr)
         return 1
 
-    cap = PriceCap(args.bus, pi_des)
     run = run_hedge(net, hours, cap)
     report = run.report
 

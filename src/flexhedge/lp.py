@@ -35,7 +35,8 @@ class MalformedProgramError(ValueError):
 
 
 class SolverFailureError(RuntimeError):
-    """The simplex hit its iteration cap; should never happen with Bland's rule."""
+    """The simplex hit its iteration cap (never expected with Bland's rule) or a
+    singular basis."""
 
 
 class UnknownRowError(KeyError):

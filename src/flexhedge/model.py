@@ -253,8 +253,10 @@ def validate_price_cap(net: Network, cap: PriceCap) -> list[str]:
     if isinstance(values, tuple):
         if len(values) != 24:
             problems.append(f"price cap at bus {cap.bus}: need 24 hourly values, got {len(values)}")
-        if any(v < 0 for v in values):
-            problems.append(f"price cap at bus {cap.bus}: negative cap value")
-    elif values < 0:
+    else:
+        values = (values,)
+    if not all(math.isfinite(v) for v in values):
+        problems.append(f"price cap at bus {cap.bus}: non-finite cap value")
+    elif any(v < 0 for v in values):
         problems.append(f"price cap at bus {cap.bus}: negative cap value")
     return problems

@@ -10,9 +10,16 @@ feasible basis.  Entering and leaving variables are chosen by Bland's rule
 (lowest eligible index), which rules out cycling; the iteration cap is only a
 circuit breaker.
 
-Basic values and simplex multipliers are recomputed from the factored basis at
-every iteration.  Problems in this package are desk-scale (tens of rows), so
-the dense refactorization costs nothing and buys exact, reproducible duals.
+Each phase inverts the basis once and then keeps ``B^-1`` current with a
+rank-1 product-form update per pivot (Bartels-Golub; Forrest-Tomlin 1972), so a
+pivot costs O(m*n) array work instead of three fresh O(m^3) solves.
+Multipliers are ``c_B B^-1``, the entering column is ``B^-1 a_q``, and basic
+values are updated in place on every pivot and bound flip.  To bound drift the
+basis is inverted afresh, and basic values are recomputed in full, every
+``_REFACTOR_EVERY`` pivots.  The updated quantities only steer pivot choices
+and the phase-1 feasibility test (against ``FEAS_TOL``): the reported solution
+is always computed from a fresh solve with the final basis, so a given final
+basis gives bitwise the same primal values, duals, reduced costs and objective.
 """
 
 from __future__ import annotations
@@ -32,6 +39,21 @@ from .lp import (
 )
 
 _RATIO_TIE = 1e-9
+_REFACTOR_EVERY = 50  # pivots between fresh inversions of the basis
+
+
+def _solve(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    try:
+        return np.linalg.solve(M, rhs)
+    except np.linalg.LinAlgError:
+        raise SolverFailureError("singular basis: basic columns are linearly dependent") from None
+
+
+def _inverse(B: np.ndarray) -> np.ndarray:
+    try:
+        return np.linalg.inv(B)
+    except np.linalg.LinAlgError:
+        raise SolverFailureError("singular basis: basic columns are linearly dependent") from None
 
 
 class _Internal:
@@ -102,17 +124,18 @@ class _State:
             return self.lo[j]
         return 0.0
 
+    def nonbasic_values(self) -> np.ndarray:
+        """``nonbasic_value`` of every column at once."""
+        return np.where(self.at_upper, self.up, np.where(self.lo > -INF, self.lo, 0.0))
+
     def refresh_basics(self) -> None:
-        nonbasic = [j for j in range(self.n_total) if not self.in_basis[j]]
-        for j in nonbasic:
-            self.x[j] = self.nonbasic_value(j)
+        nonbasic = ~self.in_basis
+        self.x[nonbasic] = self.nonbasic_values()[nonbasic]
         rhs = self.b - self.A[:, nonbasic] @ self.x[nonbasic]
-        B = self.A[:, self.basis]
-        self.x[self.basis] = np.linalg.solve(B, rhs)
+        self.x[self.basis] = _solve(self.A[:, self.basis], rhs)
 
     def multipliers(self, cost: np.ndarray) -> np.ndarray:
-        B = self.A[:, self.basis]
-        return np.linalg.solve(B.T, cost[self.basis])
+        return _solve(self.A[:, self.basis].T, cost[self.basis])
 
 
 def _setup(internal: _Internal) -> _State:
@@ -121,9 +144,8 @@ def _setup(internal: _Internal) -> _State:
 
     # rest every column at a bound: finite lower preferred, else finite upper,
     # else free at zero
-    for j in range(st.n_total):
-        st.at_upper[j] = st.lo[j] == -INF and st.up[j] < INF
-        st.x[j] = st.nonbasic_value(j)
+    st.at_upper[:] = (st.lo == -INF) & (st.up < INF)
+    st.x[:] = st.nonbasic_values()
 
     residual = st.b - st.A[:, :n] @ st.x[:n]
 
@@ -165,85 +187,92 @@ def _setup(internal: _Internal) -> _State:
     st.basis = basis
     st.in_basis[:] = False
     st.in_basis[st.basis] = True
-    st.refresh_basics()
     return st
 
 
 def _iterate(st: _State, cost: np.ndarray) -> str:
-    """Run simplex iterations on the current phase cost; returns optimal|unbounded."""
+    """Run simplex iterations on the current phase cost; returns optimal|unbounded.
+
+    ``B^-1`` is inverted when the phase starts and after every
+    ``_REFACTOR_EVERY`` pivots (basic values are then recomputed in full); in
+    between, each pivot applies a rank-1 update and basic values move by the
+    step taken.
+    """
+    A, lo, up = st.A, st.lo, st.up
+    movable = lo != up
+    free = (lo == -INF) & (up == INF)
+    basis = np.array(st.basis, dtype=np.intp)
+    Binv = None
     while True:
         if st.iterations >= MAX_ITERATIONS:
             raise SolverFailureError(f"iteration cap {MAX_ITERATIONS} exceeded")
         st.iterations += 1
 
-        y = st.multipliers(cost)
-        d = cost - y @ st.A
+        if Binv is None:
+            Binv = _inverse(A[:, basis])
+            st.refresh_basics()
+            pivots = 0
 
-        entering = -1
-        direction = 0.0
-        for j in range(st.n_total):
-            if st.in_basis[j] or st.lo[j] == st.up[j]:
-                continue
-            free = st.lo[j] == -INF and st.up[j] == INF
-            if free:
-                if d[j] < -PIVOT_TOL:
-                    entering, direction = j, 1.0
-                    break
-                if d[j] > PIVOT_TOL:
-                    entering, direction = j, -1.0
-                    break
-            elif st.at_upper[j]:
-                if d[j] > PIVOT_TOL:
-                    entering, direction = j, -1.0
-                    break
-            else:
-                if d[j] < -PIVOT_TOL:
-                    entering, direction = j, 1.0
-                    break
-        if entering < 0:
+        d = cost - (cost[basis] @ Binv) @ A
+
+        # Bland: lowest-index nonbasic column whose move from its bound improves
+        increase = (d < -PIVOT_TOL) & ~st.at_upper
+        decrease = (d > PIVOT_TOL) & (st.at_upper | free)
+        eligible = (increase | decrease) & movable & ~st.in_basis
+        if not eligible.any():
             return "optimal"
+        entering = int(eligible.argmax())
+        direction = 1.0 if d[entering] < -PIVOT_TOL else -1.0
 
-        B = st.A[:, st.basis]
-        w = np.linalg.solve(B, st.A[:, entering])
+        w = Binv @ A[:, entering]
+        delta = direction * w
 
         t_flip = INF
-        if st.lo[entering] > -INF and st.up[entering] < INF:
-            t_flip = st.up[entering] - st.lo[entering]
+        if lo[entering] > -INF and up[entering] < INF:
+            t_flip = up[entering] - lo[entering]
 
+        x_B = st.x[basis]
+        lo_B, up_B = lo[basis], up[basis]
+        falling = (delta > PIVOT_TOL) & (lo_B > -INF)
+        rising = (delta < -PIVOT_TOL) & (up_B < INF)
+        candidates = (falling | rising).nonzero()[0]
+        gaps = np.where(falling, x_B - lo_B, up_B - x_B)[candidates]
+        steps = np.maximum(0.0, gaps / np.abs(delta[candidates]))
+
+        # sequential ratio test: ties within _RATIO_TIE go to the lowest basic index
         t_best = INF
         leave_pos = -1
-        for pos, bi in enumerate(st.basis):
-            delta = direction * w[pos]
-            if delta > PIVOT_TOL:
-                if st.lo[bi] == -INF:
-                    continue
-                t = max(0.0, (st.x[bi] - st.lo[bi]) / delta)
-            elif delta < -PIVOT_TOL:
-                if st.up[bi] == INF:
-                    continue
-                t = max(0.0, (st.up[bi] - st.x[bi]) / (-delta))
-            else:
-                continue
+        for pos, t in zip(candidates.tolist(), steps.tolist()):
             if t < t_best - _RATIO_TIE:
                 t_best, leave_pos = t, pos
-            elif t <= t_best + _RATIO_TIE and (leave_pos < 0 or bi < st.basis[leave_pos]):
+            elif t <= t_best + _RATIO_TIE and (leave_pos < 0 or st.basis[pos] < st.basis[leave_pos]):
                 t_best, leave_pos = min(t, t_best), pos
 
         if t_flip == INF and t_best == INF:
             return "unbounded"
 
         if t_flip <= t_best:
+            st.x[basis] = x_B - t_flip * delta
             st.at_upper[entering] = not st.at_upper[entering]
-        else:
-            bi = st.basis[leave_pos]
-            delta = direction * w[leave_pos]
-            st.at_upper[bi] = delta < 0  # increased to its upper bound
-            st.in_basis[bi] = False
-            st.basis[leave_pos] = entering
-            st.in_basis[entering] = True
-            start = st.nonbasic_value(entering)
-            st.x[entering] = start + direction * t_best
-        st.refresh_basics()
+            st.x[entering] = st.nonbasic_value(entering)
+            continue
+
+        st.x[basis] = x_B - t_best * delta
+        st.x[entering] = st.nonbasic_value(entering) + direction * t_best
+        bi = st.basis[leave_pos]
+        st.at_upper[bi] = delta[leave_pos] < 0  # increased to its upper bound
+        st.in_basis[bi] = False
+        st.x[bi] = st.nonbasic_value(bi)
+        st.basis[leave_pos] = entering
+        basis[leave_pos] = entering
+        st.in_basis[entering] = True
+
+        pivot_row = Binv[leave_pos] / w[leave_pos]
+        Binv -= w[:, None] * pivot_row
+        Binv[leave_pos] = pivot_row
+        pivots += 1
+        if pivots == _REFACTOR_EVERY:
+            Binv = None
 
 
 def _expel_artificials(st: _State) -> None:
@@ -256,7 +285,7 @@ def _expel_artificials(st: _State) -> None:
         B = st.A[:, st.basis]
         e = np.zeros(m)
         e[pos] = 1.0
-        u = np.linalg.solve(B.T, e)
+        u = _solve(B.T, e)
         replacement = -1
         for j in range(st.artificial_from):
             if st.in_basis[j]:
@@ -269,7 +298,6 @@ def _expel_artificials(st: _State) -> None:
             st.at_upper[bi] = False
             st.basis[pos] = replacement
             st.in_basis[replacement] = True
-            st.refresh_basics()
 
 
 def _extract(internal: _Internal, st: _State, status: str) -> LpSolution:
@@ -282,6 +310,7 @@ def _extract(internal: _Internal, st: _State, status: str) -> LpSolution:
                           nonbasic_at_upper=(), degenerate=False,
                           iterations=st.iterations)
 
+    st.refresh_basics()
     cost = np.zeros(st.n_total)
     cost[: n + m] = internal.c_int
     y_int = st.multipliers(cost)
@@ -356,5 +385,4 @@ def solution_from_basis(lp: LinearProgram, basis: tuple[str, ...],
     st.in_basis[st.basis] = True
     for name in nonbasic_at_upper:
         st.at_upper[index[name]] = True
-    st.refresh_basics()
     return _extract(internal, st, "optimal")

@@ -104,6 +104,32 @@ def test_run_infeasible_hours_exit_code(tmp_path, capsys):
     assert rc == 0
 
 
+def test_run_nan_cap_is_an_error(tmp_path, capsys):
+    rc = main(["run", "--preset", "paper-3bus", "--pi-des", "nan",
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "non-finite" in err and "bus 3" in err
+    assert "Traceback" not in err
+
+
+def test_run_infinite_cap_is_an_error(tmp_path, capsys):
+    rc = main(["run", "--preset", "paper-3bus", "--pi-des", "inf",
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "non-finite" in err and "bus 3" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_cap_at_unconstrained_bus_is_an_error(tmp_path, capsys):
+    rc = main(["run", "--preset", "paper-3bus", "--bus", "2",
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "bus 2" in err and "not price constrained" in err
+
+
 def test_run_env_var_output_dir(tmp_path, monkeypatch):
     monkeypatch.setenv("FLEXHEDGE_OUT", str(tmp_path / "from-env"))
     rc = main(["run", "--preset", "paper-3bus", "--pi-des", "70", "--seed", "1"])

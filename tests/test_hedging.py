@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from flexhedge import simplex
 from flexhedge.hedging import (
     DsoComputation,
     FlexRequest,
@@ -117,6 +118,28 @@ def test_revenue_upper_bound_is_bus_load():
             bound = (hour.lambda_unconstrained - 70.0) * load
             assert hour.revenue_eur <= bound + 1e-9, f"hour {hour.hour}"
     assert settlement_bound_notes(run.report, scenario.hours) == []
+
+
+def test_paper_study_pivot_path_is_pinned(monkeypatch):
+    # a change in a pivot rule or in the basis arithmetic shows up here first
+    solutions = []
+    original = simplex.solve_program
+
+    def recording(lp):
+        solutions.append(original(lp))
+        return solutions[-1]
+
+    monkeypatch.setattr(simplex, "solve_program", recording)
+    scenario = generate_scenario(ScenarioSpec(seed=7, line_limit_case="finite"))
+    run_hedge(scenario.network, scenario.hours, PriceCap(3, 70.0))
+    assert len(solutions) == 48
+    assert sum(s.iterations for s in solutions[:24]) == 168
+    assert sum(s.iterations for s in solutions[24:]) == 191
+    # the row order of the final basis records which tied row left at each pivot
+    assert solutions[0].basis == (
+        "theta_1", "theta_2", "theta_3", "pg_2",
+        "slack:flow_hi_1_2", "slack:flow_lo_1_2", "slack:flow_hi_1_3",
+        "slack:flow_lo_1_3", "slack:flow_hi_2_3", "slack:flow_lo_2_3")
 
 
 def test_two_pass_consistency():

@@ -9,6 +9,7 @@ from flexhedge.lp import (
     INF,
     LinearProgram,
     MalformedProgramError,
+    SolverFailureError,
     dual_of,
     dual_program,
     rebuild_solution,
@@ -185,6 +186,43 @@ def test_rebuild_solution_reproduces_vertex():
     assert rebuilt.primal == sol.primal
     assert rebuilt.duals == sol.duals
     assert rebuilt.objective_value == sol.objective_value
+
+
+def test_singular_basis_is_named_error():
+    lp = LinearProgram("maximize")
+    lp.add_column("x", 0.0, 1.0, objective=1.0)
+    lp.add_column("y", 0.0, 1.0, objective=1.0)
+    lp.add_row("a", {"x": 1.0, "y": 2.0}, "<=", 3.0)
+    lp.add_row("b", {"x": 2.0, "y": 4.0}, "<=", 6.0)
+    with pytest.raises(SolverFailureError, match="singular basis"):
+        rebuild_solution(lp, ("x", "y"), ())
+
+
+def dense_lp(seed, rows=60, cols=60):
+    """Seeded dense LP: every fourth row a >= row that phase 1 must repair."""
+    rng = random.Random(seed)
+    lp = LinearProgram("maximize", name=f"dense{seed}")
+    for j in range(cols):
+        lp.add_column(f"x{j}", 0.0, rng.uniform(1.0, 10.0), objective=rng.uniform(-2.0, 10.0))
+    for i in range(rows):
+        coeffs = {f"x{j}": rng.uniform(0.1, 1.0) for j in range(cols)}
+        if i % 4 == 0:
+            lp.add_row(f"r{i}", coeffs, ">=", rng.uniform(5.0, 15.0))
+        else:
+            lp.add_row(f"r{i}", coeffs, "<=", rng.uniform(20.0, 60.0))
+    return lp
+
+
+def test_long_solve_past_refactorisation_is_exact():
+    # several times the pivots between fresh basis inversions: drift in the
+    # updated inverse must neither move the vertex nor reach the outputs
+    lp = dense_lp(2)
+    sol = solve(lp)
+    assert sol.status == "optimal"
+    assert sol.iterations == 246
+    assert verify_kkt(lp, sol).within(1e-9)
+    rebuilt = rebuild_solution(lp, sol.basis, sol.nonbasic_at_upper)
+    assert rebuilt == dataclasses.replace(sol, iterations=0)
 
 
 # ---------------------------------------------------------------------------

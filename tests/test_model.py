@@ -146,6 +146,11 @@ def test_price_cap_validation():
     assert any("negative" in p for p in validate_price_cap(net, PriceCap(3, -1.0)))
     short = PriceCap(3, tuple(70.0 for _ in range(23)))
     assert any("24 hourly values" in p for p in validate_price_cap(net, short))
+    for value in (math.nan, math.inf, -math.inf):
+        assert validate_price_cap(net, PriceCap(3, value)) == [
+            "price cap at bus 3: non-finite cap value"]
+    hourly = PriceCap(3, tuple(math.nan if h == 5 else 70.0 for h in range(24)))
+    assert validate_price_cap(net, hourly) == ["price cap at bus 3: non-finite cap value"]
 
 
 def test_price_cap_broadcast():
