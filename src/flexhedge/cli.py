@@ -35,7 +35,7 @@ from .model import (
     validate_network,
     validate_price_cap,
 )
-from .opf import OpfHourInput, build_opf, write_dispatch_csv
+from .opf import write_dispatch_csv
 from .scenario import (
     FINITE_LIMIT_MW,
     PRESET_NAMES,
@@ -259,13 +259,6 @@ def cmd_validate(args) -> int:
     problems = validate_network(net)
     for data in hours:
         problems += validate_market_data(net, data)
-    if not problems:
-        # dry build: every hour must assemble into a well-formed program
-        for data in hours:
-            try:
-                build_opf(OpfHourInput(net=net, data=data))
-            except ValueError as exc:
-                problems.append(f"hour {data.hour}: {exc}")
 
     for p in problems:
         print(p)
@@ -339,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--cases", help="comma list among infinite,finite")
     p_sweep.set_defaults(func=cmd_sweep)
 
-    p_val = sub.add_parser("validate", help="check a scenario file and dry-build its hours")
+    p_val = sub.add_parser("validate", help="check a scenario file")
     p_val.add_argument("path")
     p_val.set_defaults(func=cmd_validate)
 

@@ -144,15 +144,10 @@ def build_ed_dual(inst: EdInstance) -> LinearProgram:
 def build_ed_flex_primal(inst: EdInstance) -> LinearProgram:
     """Dispatch with a flexibility injection priced at the cap."""
     _check(inst, need_cap=True)
-    prog = LinearProgram("maximize", name="ed_flex")
-    prog.add_column("p_g", 0.0, INF, objective=-inst.offer.marginal_cost)
-    prog.add_column("p_l", inst.utility.p_min_mw, inst.utility.p_max_mw,
-                    objective=inst.utility.marginal_utility)
+    prog = build_ed_primal(inst)
+    prog.name = "ed_flex"
     prog.add_column("p_flexreq", 0.0, INF, objective=-inst.cap)
-    prog.add_row(BALANCE_ROW, {"p_g": 1.0, "p_l": -1.0, "p_flexreq": 1.0}, "=", 0.0)
-    if inst.offer.capacity_mw < INF:
-        prog.add_row(CAPACITY_ROW, {"p_g": 1.0}, "<=", inst.offer.capacity_mw)
-    prog.constant = inst.utility.constant_utility - inst.offer.constant_cost
+    prog.rows[BALANCE_ROW].coeffs["p_flexreq"] = 1.0
     return prog
 
 

@@ -57,11 +57,6 @@ class HedgeReport:
     pi_des: float | tuple[float, ...]
     hours: tuple[HedgeHour, ...]
 
-    def cap_for_hour(self, hour: int) -> float:
-        if isinstance(self.pi_des, tuple):
-            return self.pi_des[hour - 1]
-        return self.pi_des
-
     @property
     def total_revenue_eur(self) -> float:
         return sum(h.revenue_eur for h in self.hours if h.included)
@@ -135,11 +130,12 @@ def settlement_bound_notes(report: HedgeReport, series) -> list[str]:
     for data in series:
         util = data.utility_at(report.bus)
         loads[data.hour] = util.p_max_mw if util is not None else 0.0
+    cap = PriceCap(report.bus, report.pi_des)
     notes = []
     for h in report.hours:
         if not h.included or h.p_flexreq_mw <= ACTIVE_TOL:
             continue
-        ceiling = (h.lambda_unconstrained - report.cap_for_hour(h.hour)) * loads[h.hour]
+        ceiling = (h.lambda_unconstrained - cap.cap_for_hour(h.hour)) * loads[h.hour]
         if h.revenue_eur > ceiling + 1e-9:
             notes.append(
                 f"hour {h.hour}: settlement {h.revenue_eur:.6f} EUR exceeds the "

@@ -105,12 +105,6 @@ class LinearProgram:
                 problems.append(f"row {row.name!r}: NaN right-hand side")
         return problems
 
-    def column_names(self) -> list[str]:
-        return list(self.columns)
-
-    def row_names(self) -> list[str]:
-        return list(self.rows)
-
 
 @dataclass(frozen=True)
 class LpSolution:

@@ -223,9 +223,15 @@ def validate_market_data(net: Network, data: HourlyMarketData) -> list[str]:
         if o.bus in offer_buses:
             problems.append(f"{tag}: more than one offer at bus {o.bus}")
         offer_buses.append(o.bus)
-        if o.marginal_cost < 0:
+        if not math.isfinite(o.marginal_cost):
+            problems.append(f"{tag}: offer at bus {o.bus} has non-finite marginal cost")
+        elif o.marginal_cost < 0:
             problems.append(f"{tag}: offer at bus {o.bus} has negative marginal cost")
-        if o.capacity_mw < 0:
+        if not math.isfinite(o.constant_cost):
+            problems.append(f"{tag}: offer at bus {o.bus} has non-finite constant cost")
+        if math.isnan(o.capacity_mw):
+            problems.append(f"{tag}: offer at bus {o.bus} has NaN capacity")
+        elif o.capacity_mw < 0:
             problems.append(f"{tag}: offer at bus {o.bus} has negative capacity")
 
     utility_buses: list[int] = []
@@ -235,6 +241,10 @@ def validate_market_data(net: Network, data: HourlyMarketData) -> list[str]:
         if u.bus in utility_buses:
             problems.append(f"{tag}: more than one utility at bus {u.bus}")
         utility_buses.append(u.bus)
+        if not math.isfinite(u.marginal_utility):
+            problems.append(f"{tag}: utility at bus {u.bus} has non-finite marginal utility")
+        if not math.isfinite(u.constant_utility):
+            problems.append(f"{tag}: utility at bus {u.bus} has non-finite constant utility")
         if not 0 <= u.p_min_mw <= u.p_max_mw:
             problems.append(
                 f"{tag}: load bounds at bus {u.bus} must satisfy 0 <= min <= max, "

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .economic_dispatch import price_paid_by_load
 from .lp import INF, LinearProgram, dual_of, solve
@@ -48,7 +49,7 @@ class OpfHourInput:
     flexibility_enabled: bool = False
 
     def validate(self) -> list[str]:
-        problems = validate_network(self.net)
+        problems = list(_compile(self.net)[0])
         problems += validate_market_data(self.net, self.data)
         for cap in self.caps:
             problems += validate_price_cap(self.net, cap)
@@ -81,6 +82,29 @@ def _column(prefix: str, bus: int) -> str:
     return f"{prefix}_{bus}"
 
 
+@lru_cache(maxsize=8)  # a sweep compiles one network per line-limit case
+def _compile(net: Network) -> tuple[tuple[str, ...], tuple, tuple]:
+    """``validate_network``'s problems and, for a valid network, each bus's
+    angle terms (accumulated in line order) and the line-limit rows."""
+    problems = tuple(validate_network(net))
+    if problems:
+        return problems, (), ()
+    terms: dict[str, dict[str, float]] = {_column("theta", bus.id): {} for bus in net.buses}
+    limits = []
+    for line in net.lines:
+        b = 1.0 / line.reactance_pu
+        theta_from = _column("theta", line.from_bus)
+        theta_to = _column("theta", line.to_bus)
+        for theta_i, theta_j in ((theta_from, theta_to), (theta_to, theta_from)):
+            coeffs = terms[theta_i]
+            coeffs[theta_i] = coeffs.get(theta_i, 0.0) - b
+            coeffs[theta_j] = coeffs.get(theta_j, 0.0) + b
+        if line.flow_limit_mw != INF:
+            limits.append((f"{line.from_bus}_{line.to_bus}",
+                           {theta_from: b, theta_to: -b}, line.flow_limit_mw))
+    return problems, tuple(tuple(t.items()) for t in terms.values()), tuple(limits)
+
+
 def build_opf(inp: OpfHourInput) -> LinearProgram:
     """Assemble the hour's LP: balance rows, angle reference, line-limit pairs."""
     problems = inp.validate()
@@ -88,6 +112,7 @@ def build_opf(inp: OpfHourInput) -> LinearProgram:
         raise ValueError("; ".join(problems))
 
     net, data = inp.net, inp.data
+    _, angle_terms, limits = _compile(net)
     prog = LinearProgram("maximize", name=f"opf_h{data.hour}")
     constant = 0.0
 
@@ -102,49 +127,29 @@ def build_opf(inp: OpfHourInput) -> LinearProgram:
         prog.add_column(_column("pl", util.bus), util.p_min_mw, util.p_max_mw,
                         objective=util.marginal_utility)
         constant += util.constant_utility
-    if inp.flexibility_enabled:
-        for cap in inp.caps:
-            prog.add_column(_column("pflex", cap.bus), 0.0, INF,
-                            objective=-cap.cap_for_hour(data.hour))
+    for cap in inp.caps:  # validated: caps imply flexibility_enabled
+        prog.add_column(_column("pflex", cap.bus), 0.0, INF,
+                        objective=-cap.cap_for_hour(data.hour))
 
-    susceptance = {}
-    for line in net.lines:
-        susceptance[line.key] = 1.0 / line.reactance_pu
-
-    for bus in net.buses:
+    offer_buses = {offer.bus for offer in data.offers}
+    utility_buses = {util.bus for util in data.utilities}
+    flex_buses = {cap.bus for cap in inp.caps}
+    for bus, bus_terms in zip(net.buses, angle_terms):
         coeffs: dict[str, float] = {}
-        if data.offer_at(bus.id) is not None:
+        if bus.id in offer_buses:
             coeffs[_column("pg", bus.id)] = 1.0
-        if data.utility_at(bus.id) is not None:
+        if bus.id in utility_buses:
             coeffs[_column("pl", bus.id)] = -1.0
-        if inp.flexibility_enabled and any(c.bus == bus.id for c in inp.caps):
+        if bus.id in flex_buses:
             coeffs[_column("pflex", bus.id)] = 1.0
-        for line in net.lines:
-            if bus.id == line.from_bus:
-                other = line.to_bus
-            elif bus.id == line.to_bus:
-                other = line.from_bus
-            else:
-                continue
-            b = susceptance[line.key]
-            theta_i = _column("theta", bus.id)
-            theta_j = _column("theta", other)
-            coeffs[theta_i] = coeffs.get(theta_i, 0.0) - b
-            coeffs[theta_j] = coeffs.get(theta_j, 0.0) + b
+        coeffs.update(bus_terms)
         prog.add_row(f"balance_{bus.id}", coeffs, "=", 0.0)
 
     prog.add_row("angle_ref", {_column("theta", net.slack_bus()): 1.0}, "=", 0.0)
 
-    for line in net.lines:
-        if line.flow_limit_mw == INF:
-            continue
-        b = susceptance[line.key]
-        coeffs = {_column("theta", line.from_bus): b,
-                  _column("theta", line.to_bus): -b}
-        prog.add_row(f"flow_hi_{line.from_bus}_{line.to_bus}", coeffs, "<=",
-                     line.flow_limit_mw)
-        prog.add_row(f"flow_lo_{line.from_bus}_{line.to_bus}", coeffs, ">=",
-                     -line.flow_limit_mw)
+    for key, coeffs, limit in limits:
+        prog.add_row(f"flow_hi_{key}", coeffs, "<=", limit)
+        prog.add_row(f"flow_lo_{key}", coeffs, ">=", -limit)
 
     prog.constant = constant
     return prog
@@ -177,9 +182,7 @@ def solve_opf_hour(inp: OpfHourInput) -> DispatchResult:
             mu_lo = dual_of(sol, f"flow_lo_{line.from_bus}_{line.to_bus}")
             congestion[line.key] = mu_hi - mu_lo
 
-    flex = {}
-    if inp.flexibility_enabled:
-        flex = {c.bus: sol.primal[_column("pflex", c.bus)] for c in inp.caps}
+    flex = {c.bus: sol.primal[_column("pflex", c.bus)] for c in inp.caps}
 
     return DispatchResult(
         hour=data.hour,

@@ -301,6 +301,13 @@ def _parse_float(token: str, lineno: int) -> float:
         raise ScenarioError(f"line {lineno}: not a number: {token!r}") from None
 
 
+def _parse_int(token: str, lineno: int) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ScenarioError(f"line {lineno}: not an integer: {token!r}") from None
+
+
 def load_scenario_file(fobj) -> tuple[Network, tuple[HourlyMarketData, ...]]:
     """Parse a scenario file; semantic validation is the caller's job."""
     buses: list[Bus] = []
@@ -324,7 +331,7 @@ def load_scenario_file(fobj) -> tuple[Network, tuple[HourlyMarketData, ...]]:
         if section == "buses":
             if len(fields) != 2:
                 raise ScenarioError(f"line {lineno}: [buses] rows need 'id flags'")
-            bus_id = int(fields[0])
+            bus_id = _parse_int(fields[0], lineno)
             flags = set() if fields[1] == "-" else set(fields[1].split(","))
             unknown = flags - {"slack", "k"}
             if unknown:
@@ -335,24 +342,24 @@ def load_scenario_file(fobj) -> tuple[Network, tuple[HourlyMarketData, ...]]:
             if len(fields) != 4:
                 raise ScenarioError(
                     f"line {lineno}: [lines] rows need 'from to reactance limit'")
-            lines.append(Line(int(fields[0]), int(fields[1]),
+            lines.append(Line(_parse_int(fields[0], lineno), _parse_int(fields[1], lineno),
                               _parse_float(fields[2], lineno),
                               _parse_float(fields[3], lineno)))
         elif section == "offers":
             if len(fields) != 5:
                 raise ScenarioError(
                     f"line {lineno}: [offers] rows need 'hour bus a c capacity'")
-            hour = int(fields[0])
+            hour = _parse_int(fields[0], lineno)
             offers.setdefault(hour, []).append(GenOffer(
-                int(fields[1]), _parse_float(fields[2], lineno),
+                _parse_int(fields[1], lineno), _parse_float(fields[2], lineno),
                 _parse_float(fields[3], lineno), _parse_float(fields[4], lineno)))
         else:
             if len(fields) != 6:
                 raise ScenarioError(
                     f"line {lineno}: [utilities] rows need 'hour bus b c min max'")
-            hour = int(fields[0])
+            hour = _parse_int(fields[0], lineno)
             utilities.setdefault(hour, []).append(LoadUtility(
-                int(fields[1]), _parse_float(fields[2], lineno),
+                _parse_int(fields[1], lineno), _parse_float(fields[2], lineno),
                 _parse_float(fields[3], lineno), _parse_float(fields[4], lineno),
                 _parse_float(fields[5], lineno)))
 

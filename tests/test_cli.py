@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from flexhedge.cli import main
 from flexhedge.hedging import read_hedge_csv
 from flexhedge.opf import read_dispatch_csv
@@ -220,6 +222,42 @@ def test_validate_unparsable_file(tmp_path, capsys):
     rc = main(["validate", str(path)])
     assert rc == 1
     assert "line 2" in capsys.readouterr().err
+
+
+def rewrite_field(path, section, row, field, token):
+    """Replace one field of the ``row``-th data row of a section; returns its
+    line number (each section header is followed by one comment line)."""
+    rows = path.read_text().splitlines()
+    lineno = rows.index(section) + 3 + row
+    fields = rows[lineno - 1].split()
+    fields[field] = token
+    rows[lineno - 1] = " ".join(fields)
+    path.write_text("\n".join(rows) + "\n")
+    return lineno
+
+
+@pytest.mark.parametrize("section, field", [
+    ("[buses]", 0), ("[lines]", 1), ("[offers]", 0), ("[utilities]", 1)])
+def test_non_integer_field_names_its_line(tmp_path, capsys, section, field):
+    path = tmp_path / "bad.txt"
+    write_preset_file(path)
+    lineno = rewrite_field(path, section, 0, field, "x")
+    expected = f"error: line {lineno}: not an integer: 'x'\n"
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr().err == expected
+    assert main(["run", "--input", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == expected
+
+
+def test_non_finite_cost_is_a_violation(tmp_path, capsys):
+    path = tmp_path / "bad.txt"
+    write_preset_file(path)
+    rewrite_field(path, "[offers]", 1, 2, "nan")  # hour 1, bus 2
+    problem = "hour 1: offer at bus 2 has non-finite marginal cost"
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr().out == f"{problem}\n1 violation(s)\n"
+    assert main(["run", "--input", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {problem}\n"
 
 
 def test_duality_demo(capsys):

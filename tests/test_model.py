@@ -136,6 +136,19 @@ def test_market_data_validation():
     bad_hour = HourlyMarketData(25)
     assert any("1..24" in p for p in validate_market_data(net, bad_hour))
 
+    for value in (math.nan, math.inf, -math.inf):
+        offer = HourlyMarketData(2, offers=[GenOffer(1, value, value)])
+        assert validate_market_data(net, offer) == [
+            "hour 2: offer at bus 1 has non-finite marginal cost",
+            "hour 2: offer at bus 1 has non-finite constant cost"]
+        util = HourlyMarketData(3, utilities=[LoadUtility(3, value, value)])
+        assert validate_market_data(net, util) == [
+            "hour 3: utility at bus 3 has non-finite marginal utility",
+            "hour 3: utility at bus 3 has non-finite constant utility"]
+    nan_capacity = HourlyMarketData(4, offers=[GenOffer(2, 50.0, 0.0, math.nan)])
+    assert validate_market_data(net, nan_capacity) == [
+        "hour 4: offer at bus 2 has NaN capacity"]
+
 
 def test_price_cap_validation():
     net = triangle()

@@ -6,8 +6,10 @@ import random
 
 import pytest
 
+from flexhedge import opf
 from flexhedge.economic_dispatch import EdInstance, solve_ed_chain
-from flexhedge.lp import solve, verify_kkt
+from flexhedge.hedging import run_hedge
+from flexhedge.lp import solve, to_lp_format, verify_kkt
 from flexhedge.model import (
     Bus,
     GenOffer,
@@ -16,6 +18,7 @@ from flexhedge.model import (
     LoadUtility,
     Network,
     PriceCap,
+    validate_network,
 )
 from flexhedge.opf import (
     HourInfeasibleError,
@@ -26,6 +29,7 @@ from flexhedge.opf import (
     solve_opf_series,
     write_dispatch_csv,
 )
+from flexhedge.scenario import ScenarioSpec, generate_scenario
 
 from oracles import brute_force_optimum, oracle_row_dual
 
@@ -324,3 +328,62 @@ def test_dispatch_csv_skips_infeasible_hours():
     buf.seek(0)
     parsed = read_dispatch_csv(buf)
     assert {r["hour"] for r in parsed["buses"]} == {2}
+
+
+def test_network_validated_once_per_run(monkeypatch):
+    calls = []
+
+    def counting_validate_network(net):
+        calls.append(net)
+        return validate_network(net)
+
+    scenario = generate_scenario(ScenarioSpec(seed=7, line_limit_case="finite"))
+    opf._compile.cache_clear()
+    monkeypatch.setattr(opf, "validate_network", counting_validate_network)
+    cap = PriceCap(3, 70.0)
+    first = run_hedge(scenario.network, scenario.hours, cap)
+    assert calls == [scenario.network]
+    assert run_hedge(scenario.network, scenario.hours, cap) == first
+    assert len(calls) == 1
+
+
+def test_mesh_program_text_is_pinned():
+    # bus 3 touches three lines, as the to-end of 2-3 and the from-end of 3-1
+    # and 3-4, so its angle terms pin accumulation and insertion order.
+    net = Network(
+        buses=[Bus(1, is_slack=True), Bus(2), Bus(3), Bus(4, price_constrained=True)],
+        lines=[Line(1, 2, 0.1), Line(2, 3, 0.3, 0.8), Line(3, 1, 0.7), Line(3, 4, 0.6)],
+    )
+    data = HourlyMarketData(
+        5, offers=[GenOffer(1, 70.0, 2.0, 4.0), GenOffer(3, 30.0, 0.0, 0.5)],
+        utilities=[LoadUtility(4, 90.0, 1.0, 0.5, 1.5), LoadUtility(2, 80.0, 0.0, 0.2, 0.4)])
+    prog = build_opf(OpfHourInput(net, data, caps=(PriceCap(4, 65.0),),
+                                  flexibility_enabled=True))
+    assert to_lp_format(prog) == """\\ opf_h5
+Maximize
+ obj: - 70 pg_1 - 30 pg_3 + 90 pl_4 + 80 pl_2 - 65 pflex_4
+Subject To
+ balance_1: 1 pg_1 - 11.4285714286 theta_1 + 10 theta_2 + 1.42857142857 theta_3 = 0
+ balance_2: - 1 pl_2 - 13.3333333333 theta_2 + 10 theta_1 + 3.33333333333 theta_3 = 0
+ balance_3: 1 pg_3 - 6.42857142857 theta_3 + 3.33333333333 theta_2 + 1.42857142857 theta_1 + 1.66666666667 theta_4 = 0
+ balance_4: - 1 pl_4 + 1 pflex_4 - 1.66666666667 theta_4 + 1.66666666667 theta_3 = 0
+ angle_ref: 1 theta_1 = 0
+ flow_hi_2_3: 3.33333333333 theta_2 - 3.33333333333 theta_3 <= 0.8
+ flow_lo_2_3: 3.33333333333 theta_2 - 3.33333333333 theta_3 >= -0.8
+Bounds
+ theta_1 free
+ theta_2 free
+ theta_3 free
+ theta_4 free
+ 0 <= pg_1 <= 4
+ 0 <= pg_3 <= 0.5
+ 0.5 <= pl_4 <= 1.5
+ 0.2 <= pl_2 <= 0.4
+ 0 <= pflex_4 <= +inf
+End
+"""
+    b23, b31, b34 = 1.0 / 0.3, 1.0 / 0.7, 1.0 / 0.6
+    assert list(prog.rows["balance_3"].coeffs.items()) == [
+        ("pg_3", 1.0), ("theta_3", 0.0 - b23 - b31 - b34),
+        ("theta_2", b23), ("theta_1", b31), ("theta_4", b34)]
+    assert prog.constant == 1.0 - 2.0
