@@ -16,18 +16,20 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
-from decimal import ROUND_HALF_UP, Decimal
+from decimal import ROUND_HALF_UP, Context, Decimal
 
 from .model import Network, PriceCap
 from .opf import DispatchResult, solve_opf_series
 from .scenario import apply_line_limits
 
 ACTIVE_TOL = 1e-9
+# the largest float has 309 integer digits; the default 28 digits overflow at 1e26
+_CENTS = Context(prec=320, rounding=ROUND_HALF_UP)
 
 
 def format_eur(value: float) -> str:
     """Display rounding to cents, half-up; storage keeps full precision."""
-    return str(Decimal(repr(value)).quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
+    return str(Decimal(repr(value)).quantize(Decimal("0.01"), context=_CENTS))
 
 
 def hourly_revenue(lambda_unconstrained: float, pi_des: float,
@@ -91,8 +93,10 @@ class HedgeRun:
 
 def run_hedge(net: Network, series, cap: PriceCap) -> HedgeRun:
     series = list(series)
-    pass1 = solve_opf_series(net, series, caps=(), flexibility_enabled=False)
-    pass2 = solve_opf_series(net, series, caps=(cap,), flexibility_enabled=True)
+    # pass 1's optimal basis, with pflex nonbasic at 0, is feasible for pass 2
+    bases: list = []
+    pass1 = solve_opf_series(net, series, caps=(), flexibility_enabled=False, bases=bases)
+    pass2 = solve_opf_series(net, series, caps=(cap,), flexibility_enabled=True, starts=bases)
 
     hours = []
     for data, unc, hed in zip(series, pass1, pass2):

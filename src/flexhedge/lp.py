@@ -64,6 +64,10 @@ class LinearProgram:
 
     The objective carries an optional constant term so fixed cost/utility
     offsets shift the objective value without touching the optimizer.
+    ``start``, if set, is a ``(basis, nonbasic_at_upper)`` pair of name tuples,
+    as an ``LpSolution`` reports them, that the simplex tries before a cold
+    start; it never changes the program, so ``validate``, ``to_lp_format``
+    and ``dual_program`` ignore it.
     """
 
     def __init__(self, sense: str = "maximize", name: str = "lp"):
@@ -74,6 +78,7 @@ class LinearProgram:
         self.columns: dict[str, _Column] = {}
         self.rows: dict[str, _Row] = {}
         self.constant = 0.0
+        self.start: tuple[tuple[str, ...], tuple[str, ...]] | None = None
 
     def add_column(self, name: str, lower: float = 0.0, upper: float = INF,
                    objective: float = 0.0) -> None:

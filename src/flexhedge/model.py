@@ -181,6 +181,9 @@ def validate_network(net: Network) -> list[str]:
         seen_pairs.add(pair)
         if not line.reactance_pu > 0:
             problems.append(f"{tag}: reactance_pu must be > 0, got {line.reactance_pu}")
+        elif not math.isfinite(1.0 / line.reactance_pu):
+            problems.append(f"{tag}: reactance_pu {line.reactance_pu} is so small that "
+                            f"its susceptance overflows")
         if not line.flow_limit_mw > 0:
             problems.append(f"{tag}: flow_limit_mw must be > 0, got {line.flow_limit_mw}")
 

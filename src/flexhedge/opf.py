@@ -155,14 +155,20 @@ def build_opf(inp: OpfHourInput) -> LinearProgram:
     return prog
 
 
-def solve_opf_hour(inp: OpfHourInput) -> DispatchResult:
+def solve_opf_hour(inp: OpfHourInput, start=None, bases: list | None = None) -> DispatchResult:
+    """Solve one hour.  ``start`` is an optional ``(basis, nonbasic_at_upper)``
+    pair the simplex tries first (``LinearProgram.start``); if ``bases`` is
+    given, the optimal basis is appended to it as such a pair."""
     prog = build_opf(inp)
+    prog.start = start
     sol = solve(prog)
     if sol.status == "infeasible":
         raise HourInfeasibleError(inp.data.hour,
                                   "load bounds unreachable under line limits")
     if sol.status != "optimal":
         raise ValueError(f"hour {inp.data.hour}: solver returned {sol.status}")
+    if bases is not None:
+        bases.append((sol.basis, sol.nonbasic_at_upper))
 
     net, data = inp.net, inp.data
     theta = {b.id: sol.primal[_column("theta", b.id)] for b in net.buses}
@@ -201,20 +207,29 @@ def solve_opf_hour(inp: OpfHourInput) -> DispatchResult:
 def solve_opf_series(net: Network, series: list[HourlyMarketData],
                      caps: tuple[PriceCap, ...] = (),
                      flexibility_enabled: bool = False,
+                     starts: list | None = None,
+                     bases: list | None = None,
                      ) -> list[DispatchResult | None]:
     """Solve each hour independently; infeasible hours yield ``None``.
 
     Hours share no constraints, so results are identical whatever the
     evaluation order; the returned list is keyed by position in ``series``.
+    ``starts`` optionally gives each hour's warm start (``None`` for a cold
+    one) and ``bases``, if given, receives each hour's optimal basis in the
+    same form (``None`` for an infeasible hour).
     """
+    if starts is None:
+        starts = [None] * len(series)
     results: list[DispatchResult | None] = []
-    for data in series:
+    for data, start in zip(series, starts):
         inp = OpfHourInput(net=net, data=data, caps=tuple(caps),
                            flexibility_enabled=flexibility_enabled)
         try:
-            results.append(solve_opf_hour(inp))
+            results.append(solve_opf_hour(inp, start, bases))
         except HourInfeasibleError:
             results.append(None)
+            if bases is not None:
+                bases.append(None)
     return results
 
 

@@ -20,6 +20,18 @@ basis is inverted afresh, and basic values are recomputed in full, every
 and the phase-1 feasibility test (against ``FEAS_TOL``): the reported solution
 is always computed from a fresh solve with the final basis, so a given final
 basis gives bitwise the same primal values, duals, reduced costs and objective.
+
+A program may carry a warm start (``LinearProgram.start``): a named basis and
+the nonbasic columns at their upper bounds, such as an earlier solve reports.
+The solve then skips phase 1 and runs phase 2 from that basis under the same
+Bland rule.  It falls back to the cold path above when the start names a
+column or slack the program lacks (an ``artificial:`` entry included), is
+singular (a basis of the wrong size included), or is not primal-feasible
+within ``FEAS_TOL``; and also when the warm optimum is degenerate, so a
+program whose duals are not unique reports the cold solve's vertex.  A warm
+solve that ends on the cold solve's basis set can list it in another row
+order; the fresh solves then factor the basis in that order, and the outputs
+can differ from the cold solve's in the last few ulps.
 """
 
 from __future__ import annotations
@@ -349,8 +361,43 @@ def _extract(internal: _Internal, st: _State, status: str) -> LpSolution:
     )
 
 
+def _state_at(internal: _Internal, basis: tuple[str, ...],
+              nonbasic_at_upper: tuple[str, ...]) -> _State:
+    """State resting on a named basis; raises KeyError for a name the program lacks."""
+    index = {name: j for j, name in enumerate(internal.names())}
+    st = _State(internal)
+    st.basis = [index[name] for name in basis]
+    st.in_basis[st.basis] = True
+    for name in nonbasic_at_upper:
+        st.at_upper[index[name]] = True
+    return st
+
+
+def _solve_warm(internal: _Internal, start) -> LpSolution | None:
+    """Phase 2 from ``start``; None where the start or its optimum is unusable."""
+    basis, nonbasic_at_upper = start
+    try:
+        st = _state_at(internal, basis, nonbasic_at_upper)
+    except KeyError:  # unknown column or slack, artificials included
+        return None
+    try:
+        st.refresh_basics()
+    except SolverFailureError:  # singular, or not one basic column per row
+        return None
+    if not (np.isfinite(st.x).all()
+            and (st.x >= st.lo - FEAS_TOL).all() and (st.x <= st.up + FEAS_TOL).all()):
+        return None
+    sol = _extract(internal, st, _iterate(st, internal.c_int))
+    return None if sol.degenerate else sol
+
+
 def solve_program(lp: LinearProgram) -> LpSolution:
     internal = _Internal(lp)
+    if lp.start is not None:
+        sol = _solve_warm(internal, lp.start)
+        if sol is not None:
+            return sol
+
     st = _setup(internal)
 
     if st.n_total > st.artificial_from:
@@ -378,11 +425,4 @@ def solution_from_basis(lp: LinearProgram, basis: tuple[str, ...],
                         nonbasic_at_upper: tuple[str, ...]) -> LpSolution:
     """Rebuild the solution a given basis identifies; audits solver output."""
     internal = _Internal(lp)
-    names = internal.names()
-    index = {name: j for j, name in enumerate(names)}
-    st = _State(internal)
-    st.basis = [index[name] for name in basis]
-    st.in_basis[st.basis] = True
-    for name in nonbasic_at_upper:
-        st.at_upper[index[name]] = True
-    return _extract(internal, st, "optimal")
+    return _extract(internal, _state_at(internal, basis, nonbasic_at_upper), "optimal")

@@ -283,3 +283,15 @@ def test_pi_des_wrong_vector_length(tmp_path, capsys):
                "--out", str(tmp_path / "out")])
     assert rc == 1
     assert "1 or 24 values" in capsys.readouterr().err
+
+
+def test_overflowing_susceptance_is_a_violation(tmp_path, capsys):
+    # 1 / 5e-324 is inf: the solver used to stop with a traceback
+    path = tmp_path / "bad.txt"
+    write_preset_file(path)
+    rewrite_field(path, "[lines]", 1, 2, "5e-324")
+    problem = "line 1-3: reactance_pu 5e-324 is so small that its susceptance overflows"
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr().out == f"{problem}\n1 violation(s)\n"
+    assert main(["run", "--input", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {problem}\n"

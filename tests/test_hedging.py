@@ -57,6 +57,9 @@ def test_display_rounding_half_up():
     assert format_eur(0.0) == "0.00"
     assert format_eur(0.005) == "0.01"
     assert format_eur(2.675) == "2.68"
+    # past 28 significant digits: a scenario file can price an hour at 2e27
+    assert format_eur(2e27) == "2" + "0" * 27 + ".00"
+    assert format_eur(1.7976931348623157e308) == "17976931348623157" + "0" * 292 + ".00"
 
 
 def test_import_priced_hour_settles_to_cents():
@@ -122,10 +125,11 @@ def test_revenue_upper_bound_is_bus_load():
 
 def test_paper_study_pivot_path_is_pinned(monkeypatch):
     # a change in a pivot rule or in the basis arithmetic shows up here first
-    solutions = []
+    programs, solutions = [], []
     original = simplex.solve_program
 
     def recording(lp):
+        programs.append(lp)
         solutions.append(original(lp))
         return solutions[-1]
 
@@ -134,7 +138,14 @@ def test_paper_study_pivot_path_is_pinned(monkeypatch):
     run_hedge(scenario.network, scenario.hours, PriceCap(3, 70.0))
     assert len(solutions) == 48
     assert sum(s.iterations for s in solutions[:24]) == 168
-    assert sum(s.iterations for s in solutions[24:]) == 191
+    # pass 2 starts each hour from pass 1's optimal basis
+    assert all(p.start is None for p in programs[:24])
+    assert all(p.start == (s.basis, s.nonbasic_at_upper)
+               for p, s in zip(programs[24:], solutions[:24]))
+    assert sum(s.iterations for s in solutions[24:]) == 47
+    for prog in programs[24:]:
+        prog.start = None
+    assert sum(original(p).iterations for p in programs[24:]) == 191
     # the row order of the final basis records which tied row left at each pivot
     assert solutions[0].basis == (
         "theta_1", "theta_2", "theta_3", "pg_2",

@@ -226,6 +226,82 @@ def test_long_solve_past_refactorisation_is_exact():
 
 
 # ---------------------------------------------------------------------------
+# Warm starts
+
+def _bounded_x_lp():
+    lp = LinearProgram("maximize")
+    lp.add_column("x", 0.0, 3.0, objective=1.0)
+    lp.add_column("y", 0.0, INF, objective=-1.0)
+    lp.add_row("r", {"x": 1.0, "y": -1.0}, "<=", 5.0)
+    return lp
+
+
+def _singular_lp():
+    lp = LinearProgram("maximize")
+    lp.add_column("x", 0.0, 1.0, objective=1.0)
+    lp.add_column("y", 0.0, 1.0, objective=1.0)
+    lp.add_row("a", {"x": 1.0, "y": 2.0}, "<=", 3.0)
+    lp.add_row("b", {"x": 2.0, "y": 4.0}, "<=", 6.0)
+    return lp
+
+
+def _degenerate_lp():
+    # the same bound twice: one of the two slacks stays basic at zero
+    lp = LinearProgram("maximize")
+    lp.add_column("x", 0.0, INF, objective=1.0)
+    lp.add_row("r1", {"x": 1.0}, "<=", 1.0)
+    lp.add_row("r2", {"x": 1.0}, "<=", 1.0)
+    return lp
+
+
+@pytest.mark.parametrize("make, start", [
+    (_bounded_x_lp, (("z",), ())),                       # unknown column
+    (_bounded_x_lp, (("slack:q",), ())),                 # unknown slack
+    (_bounded_x_lp, (("artificial:r",), ())),            # artificial entry
+    (_bounded_x_lp, (("x", "y"), ())),                   # two basics for one row
+    (_bounded_x_lp, (("slack:r",), ("y",))),             # y rests at an infinite bound
+    (_bounded_x_lp, (("x",), ())),                       # x = 5 > 3: primal-infeasible
+    (_singular_lp, (("x", "y"), ())),                    # singular
+    (_degenerate_lp, (("x", "slack:r2"), ())),           # degenerate warm optimum
+], ids=["unknown-column", "unknown-slack", "artificial", "basis-size", "infinite-bound",
+        "infeasible", "singular", "degenerate"])
+def test_unusable_warm_start_falls_back_to_cold(make, start):
+    cold = solve(make())
+    warm_lp = make()
+    warm_lp.start = start
+    assert solve(warm_lp) == cold
+
+
+def test_degenerate_fallback_is_not_the_warm_vertex():
+    # without the fallback this start would be accepted after one pricing pass
+    lp = _degenerate_lp()
+    cold = solve(lp)
+    assert cold.degenerate and cold.basis == ("x", "slack:r2")
+    assert cold.iterations > 1
+
+
+def test_optimal_start_takes_one_iteration():
+    lp = dense_lp(2)
+    cold = solve(lp)
+    assert not cold.degenerate
+    lp.start = (cold.basis, cold.nonbasic_at_upper)
+    warm = solve(lp)
+    assert warm.iterations == 1
+    rebuilt = rebuild_solution(lp, cold.basis, cold.nonbasic_at_upper)
+    assert warm == dataclasses.replace(rebuilt, iterations=1)
+    assert verify_kkt(lp, warm).within(1e-9)
+
+
+def test_start_is_not_part_of_the_program():
+    lp = ed_lp(a=50.0, b=90.0)
+    text, dual_text = to_lp_format(lp), to_lp_format(dual_program(lp))
+    lp.start = (("nope",), ())
+    assert lp.validate() == []
+    assert to_lp_format(lp) == text
+    assert to_lp_format(dual_program(lp)) == dual_text
+
+
+# ---------------------------------------------------------------------------
 # KKT verifier
 
 def test_kkt_clean_on_optimal_solves():

@@ -1,0 +1,139 @@
+"""Differential oracle past three buses: seeded meshes against HiGHS and cold solves.
+
+The brute-force oracle only reaches the 3-bus study.  Here each hour of a
+seeded 10- or 30-bus mesh is checked twice: both passes' objectives against
+``scipy.optimize.linprog(method="highs")``, and every warm-started pass-2 hour
+against a cold solve of the same program (same basis set, same objective and
+prices).
+"""
+
+from __future__ import annotations
+
+import random
+import statistics
+
+import numpy as np
+import pytest
+
+from flexhedge import simplex
+from flexhedge.hedging import run_hedge
+from flexhedge.lp import INF
+from flexhedge.model import Bus, GenOffer, HourlyMarketData, Line, LoadUtility, Network, PriceCap
+from flexhedge.opf import solve_opf_series
+from flexhedge.scenario import DEFAULT_LOAD_PROFILE_MW, DEFAULT_WHOLESALE_EUR_MWH
+
+linprog = pytest.importorskip("scipy.optimize").linprog
+
+HIGHS_RTOL = 1e-6
+COLD_RTOL = 1e-9
+
+
+def seeded_mesh(n_buses: int, seed: int):
+    """Network, 24 hours and a cap binding in about half of them.
+
+    A random spanning tree rooted at slack bus 1 plus ``n_buses // 2`` chords,
+    a third of the lines limited.  Elastic loads may fall to zero and the
+    capped bus has a peaker covering its firm load, so zero flow on every line
+    is always feasible.
+    """
+    rng = random.Random(seed)
+    edges = [(rng.randrange(1, b), b) for b in range(2, n_buses + 1)]
+    while len(edges) < n_buses - 1 + n_buses // 2:
+        a, b = sorted(rng.sample(range(1, n_buses + 1), 2))
+        if (a, b) not in edges:
+            edges.append((a, b))
+    lines = [Line(a, b, rng.uniform(0.05, 0.3),
+                  rng.uniform(0.2, 1.2) if rng.random() < 1 / 3 else INF)
+             for a, b in edges]
+    capped = n_buses
+    buses = [Bus(b, is_slack=b == 1, price_constrained=b == capped)
+             for b in range(1, n_buses + 1)]
+    net = Network(buses, lines)
+
+    others = list(range(2, n_buses))
+    gens = {b: (rng.uniform(0.6, 1.1), rng.uniform(0.5, 2.0))
+            for b in rng.sample(others, len(others) // 2)}
+    loads = {b: (rng.uniform(1.2, 1.6), rng.uniform(0.3, 1.2))
+             for b in rng.sample(others, 2 * len(others) // 3)}
+    firm_peak = rng.uniform(1.5, 2.5)
+    hours = []
+    for hour in range(1, 25):
+        w = DEFAULT_WHOLESALE_EUR_MWH[hour - 1]
+        shape = DEFAULT_LOAD_PROFILE_MW[hour - 1]
+        offers = [GenOffer(1, w, 0.0, 1000.0)]
+        offers += [GenOffer(b, w * f * rng.uniform(0.9, 1.1), 0.0, cap)
+                   for b, (f, cap) in sorted(gens.items())]
+        offers.append(GenOffer(capped, w * 1.8, 0.0, firm_peak))
+        utilities = [LoadUtility(b, w * f * rng.uniform(0.9, 1.1), 0.0, 0.0,
+                                 peak * shape * rng.uniform(0.9, 1.1))
+                     for b, (f, peak) in sorted(loads.items())]
+        utilities.append(LoadUtility(capped, w * 2.7, 0.0, firm_peak * shape, firm_peak * shape))
+        hours.append(HourlyMarketData(hour, offers, utilities))
+
+    prices = [r.lmp_eur_mwh[capped] for r in solve_opf_series(net, hours)]
+    return net, hours, PriceCap(capped, statistics.median(prices))
+
+
+def highs_objective(prog) -> float:
+    names = list(prog.columns)
+    index = {name: j for j, name in enumerate(names)}
+    sign = -1.0 if prog.sense == "maximize" else 1.0
+    c = np.array([sign * prog.columns[n].objective for n in names])
+    a_eq, b_eq, a_ub, b_ub = [], [], [], []
+    for row in prog.rows.values():
+        dense = np.zeros(len(names))
+        for name, coef in row.coeffs.items():
+            dense[index[name]] += coef
+        if row.relation == "=":
+            a_eq.append(dense)
+            b_eq.append(row.rhs)
+        else:
+            flip = 1.0 if row.relation == "<=" else -1.0
+            a_ub.append(flip * dense)
+            b_ub.append(flip * row.rhs)
+    bounds = [(None if col.lower == -INF else col.lower, None if col.upper == INF else col.upper)
+              for col in prog.columns.values()]
+    res = linprog(c, A_ub=np.array(a_ub) if a_ub else None, b_ub=b_ub or None,
+                  A_eq=np.array(a_eq) if a_eq else None, b_eq=b_eq or None,
+                  bounds=bounds, method="highs")
+    assert res.status == 0, res.message
+    return sign * res.fun + prog.constant
+
+
+def close(a: float, b: float, rtol: float) -> bool:
+    return abs(a - b) <= rtol * (1 + abs(b))
+
+
+@pytest.mark.parametrize("n_buses, seed", [(10, 3), (10, 4), (30, 5)])
+def test_mesh_day_matches_highs_and_cold_solves(monkeypatch, n_buses, seed):
+    net, hours, cap = seeded_mesh(n_buses, seed)
+    solved = []
+    original = simplex.solve_program
+
+    def recording(lp):
+        solved.append((lp, original(lp)))
+        return solved[-1][1]
+
+    monkeypatch.setattr(simplex, "solve_program", recording)
+    run = run_hedge(net, hours, cap)
+    monkeypatch.undo()
+    assert len(solved) == 48
+    assert 0 < run.report.hours_active < 24
+
+    for prog, sol in solved:
+        assert sol.status == "optimal"
+        assert close(sol.objective_value, highs_objective(prog), HIGHS_RTOL), prog.name
+
+    warm_iterations = cold_iterations = 0
+    for prog, warm in solved[24:]:
+        assert prog.start is not None
+        prog.start = None
+        cold = simplex.solve_program(prog)
+        assert set(warm.basis) == set(cold.basis), prog.name
+        assert close(warm.objective_value, cold.objective_value, COLD_RTOL), prog.name
+        for bus in net.buses:
+            row = f"balance_{bus.id}"
+            assert close(warm.duals[row], cold.duals[row], COLD_RTOL), (prog.name, row)
+        warm_iterations += warm.iterations
+        cold_iterations += cold.iterations
+    assert warm_iterations < cold_iterations

@@ -60,6 +60,11 @@ def test_planted_violations_always_found():
                     lines=[Line(1, 2, -0.1, 1.0), Line(1, 3, 0.1, 1.0), Line(2, 3, 0.1, 1.0)])
     assert any("reactance" in p for p in validate_network(bad_x))
 
+    tiny_x = Network(buses=triangle().buses,
+                     lines=[Line(1, 2, 5e-324, 1.0), Line(1, 3, 0.1, 1.0), Line(2, 3, 0.1, 1.0)])
+    assert validate_network(tiny_x) == [
+        "line 1-2: reactance_pu 5e-324 is so small that its susceptance overflows"]
+
     bad_limit = Network(buses=triangle().buses,
                         lines=[Line(1, 2, 0.1, 0.0), Line(1, 3, 0.1, 1.0), Line(2, 3, 0.1, 1.0)])
     assert any("flow_limit" in p for p in validate_network(bad_limit))
