@@ -9,12 +9,17 @@ the cap times the flexibility it provided.
 
 Hours that are infeasible without flexibility have no defined unconstrained
 price, so they are flagged and left out of the settlement.
+
+The first pass does not depend on the cap.  ``sweep_pi_des`` therefore solves
+it once per line-limit case and every cap of that case reuses it; outside a
+sweep each ``run_hedge`` solves both passes.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+from contextvars import ContextVar
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Context, Decimal
 
@@ -91,11 +96,28 @@ class HedgeRun:
     hedged: tuple[DispatchResult | None, ...]
 
 
+# pass-1 results by (network, hours) while a sweep runs; None outside one
+_SWEEP_PASS1: ContextVar[dict | None] = ContextVar("_SWEEP_PASS1", default=None)
+
+
+def _price_discovery(net: Network, series: list) -> tuple[tuple, tuple]:
+    """Pass 1 and each hour's optimal basis, memoised within a sweep."""
+    memo = _SWEEP_PASS1.get()
+    key = (net, tuple(series))
+    if memo is not None and key in memo:
+        return memo[key]
+    bases: list = []
+    pass1 = solve_opf_series(net, series, caps=(), flexibility_enabled=False, bases=bases)
+    result = (tuple(pass1), tuple(bases))
+    if memo is not None:
+        memo[key] = result
+    return result
+
+
 def run_hedge(net: Network, series, cap: PriceCap) -> HedgeRun:
     series = list(series)
     # pass 1's optimal basis, with pflex nonbasic at 0, is feasible for pass 2
-    bases: list = []
-    pass1 = solve_opf_series(net, series, caps=(), flexibility_enabled=False, bases=bases)
+    pass1, bases = _price_discovery(net, series)
     pass2 = solve_opf_series(net, series, caps=(cap,), flexibility_enabled=True, starts=bases)
 
     hours = []
@@ -122,7 +144,7 @@ def run_hedge(net: Network, series, cap: PriceCap) -> HedgeRun:
         ))
 
     report = HedgeReport(bus=cap.bus, pi_des=cap.cap_eur_per_mwh, hours=tuple(hours))
-    return HedgeRun(report=report, unconstrained=tuple(pass1), hedged=tuple(pass2))
+    return HedgeRun(report=report, unconstrained=pass1, hedged=tuple(pass2))
 
 
 def settlement_bound_notes(report: HedgeReport, series) -> list[str]:
@@ -169,6 +191,10 @@ def sweep_pi_des(net: Network, series, bus: int, pi_values,
     of ``net`` (``None`` leaves the network untouched).  For a fixed scenario
     the total revenue can only shrink as the cap rises; any violation is
     reported as a warning because it indicates a solver or settlement bug.
+
+    Pass 1 (price discovery) is solved once per line-limit scenario: each cap
+    is still a full ``run_hedge`` call, which reuses that scenario's pass 1
+    and its bases for the duration of the sweep.
     """
     pi_values = list(pi_values)
     if not pi_values:
@@ -178,19 +204,23 @@ def sweep_pi_des(net: Network, series, bus: int, pi_values,
 
     rows = []
     warnings = []
-    for label, overrides in scenarios.items():
-        scenario_net = net if not overrides else apply_line_limits(net, overrides)
-        previous = None
-        for pi in pi_values:
-            run = run_hedge(scenario_net, series, PriceCap(bus, float(pi)))
-            total = run.report.total_revenue_eur
-            rows.append(SweepRow(pi_des=float(pi), scenario=label,
-                                 total_revenue_eur=total))
-            if previous is not None and total > previous + 1e-9:
-                warnings.append(
-                    f"scenario {label!r}: revenue rose from {previous} to {total} "
-                    f"as the cap increased to {pi}")
-            previous = total
+    token = _SWEEP_PASS1.set({})
+    try:
+        for label, overrides in scenarios.items():
+            scenario_net = net if not overrides else apply_line_limits(net, overrides)
+            previous = None
+            for pi in pi_values:
+                run = run_hedge(scenario_net, series, PriceCap(bus, float(pi)))
+                total = run.report.total_revenue_eur
+                rows.append(SweepRow(pi_des=float(pi), scenario=label,
+                                     total_revenue_eur=total))
+                if previous is not None and total > previous + 1e-9:
+                    warnings.append(
+                        f"scenario {label!r}: revenue rose from {previous} to {total} "
+                        f"as the cap increased to {pi}")
+                previous = total
+    finally:
+        _SWEEP_PASS1.reset(token)
     return SweepResult(rows=tuple(rows), monotonicity_warnings=tuple(warnings))
 
 

@@ -199,28 +199,30 @@ def _setup(internal: _Internal) -> _State:
     st.basis = basis
     st.in_basis[:] = False
     st.in_basis[st.basis] = True
+    st.refresh_basics()
     return st
 
 
 def _iterate(st: _State, cost: np.ndarray) -> str:
     """Run simplex iterations on the current phase cost; returns optimal|unbounded.
 
-    ``B^-1`` is inverted when the phase starts and after every
-    ``_REFACTOR_EVERY`` pivots (basic values are then recomputed in full); in
-    between, each pivot applies a rank-1 update and basic values move by the
-    step taken.
+    Basic values must be current on entry (``refresh_basics``).  ``B^-1`` is
+    inverted when the phase starts and after every ``_REFACTOR_EVERY`` pivots
+    (basic values are then recomputed in full); in between, each pivot applies
+    a rank-1 update and basic values move by the step taken.
     """
     A, lo, up = st.A, st.lo, st.up
     movable = lo != up
     free = (lo == -INF) & (up == INF)
     basis = np.array(st.basis, dtype=np.intp)
-    Binv = None
+    Binv = _inverse(A[:, basis])
+    pivots = 0
     while True:
         if st.iterations >= MAX_ITERATIONS:
             raise SolverFailureError(f"iteration cap {MAX_ITERATIONS} exceeded")
         st.iterations += 1
 
-        if Binv is None:
+        if pivots == _REFACTOR_EVERY:
             Binv = _inverse(A[:, basis])
             st.refresh_basics()
             pivots = 0
@@ -283,8 +285,6 @@ def _iterate(st: _State, cost: np.ndarray) -> str:
         Binv -= w[:, None] * pivot_row
         Binv[leave_pos] = pivot_row
         pivots += 1
-        if pivots == _REFACTOR_EVERY:
-            Binv = None
 
 
 def _expel_artificials(st: _State) -> None:
@@ -412,6 +412,7 @@ def solve_program(lp: LinearProgram) -> LpSolution:
         st.lo[st.artificial_from:] = 0.0
         st.up[st.artificial_from:] = 0.0
         _expel_artificials(st)
+        st.refresh_basics()
 
     cost = np.zeros(st.n_total)
     cost[: internal.n_struct + internal.n_rows] = internal.c_int

@@ -2,11 +2,13 @@
 
 import io
 import json
+import math
 
 import pytest
 
 from flexhedge import simplex
 from flexhedge.hedging import (
+    _SWEEP_PASS1,
     DsoComputation,
     FlexRequest,
     PriceRequest,
@@ -31,7 +33,13 @@ from flexhedge.model import (
     Network,
     PriceCap,
 )
-from flexhedge.scenario import ScenarioSpec, build_3bus_network, generate_scenario
+from flexhedge.scenario import (
+    FINITE_LIMIT_MW,
+    ScenarioSpec,
+    apply_line_limits,
+    build_3bus_network,
+    generate_scenario,
+)
 
 
 def firm_hour(hour, a_trans, a_dist=29.0, dist_cap=0.85, load=1.0):
@@ -257,6 +265,49 @@ def test_sweep_loose_limit_equals_unlimited():
     )
     base, loose = result.rows[0], result.rows[1]
     assert loose.total_revenue_eur == pytest.approx(base.total_revenue_eur, abs=1e-12)
+
+
+def count_solves(monkeypatch) -> list:
+    calls = []
+    original = simplex.solve_program
+
+    def counting(lp):
+        calls.append(lp)
+        return original(lp)
+
+    monkeypatch.setattr(simplex, "solve_program", counting)
+    return calls
+
+
+def test_sweep_solves_pass1_once_per_case(monkeypatch):
+    scenario = generate_scenario(ScenarioSpec(seed=7))
+    cases = {"infinite": None, "finite": {(2, 3): FINITE_LIMIT_MW}}
+    caps = [60.0, 70.0, 80.0]
+    calls = count_solves(monkeypatch)
+    result = sweep_pi_des(scenario.network, scenario.hours, 3, caps, cases)
+    # one 24-hour pass 1 per case, one 24-hour pass 2 per (case, cap)
+    assert len(calls) == 2 * 24 + 6 * 24
+    for row in result.rows:
+        overrides = cases[row.scenario]
+        net = scenario.network if overrides is None else \
+            apply_line_limits(scenario.network, overrides)
+        alone = run_hedge(net, scenario.hours, PriceCap(3, row.pi_des))
+        assert row.total_revenue_eur == alone.report.total_revenue_eur, row
+
+
+def test_pass1_reuse_is_scoped_to_one_sweep(monkeypatch):
+    scenario = generate_scenario(ScenarioSpec(seed=7))
+    calls = count_solves(monkeypatch)
+    run_hedge(scenario.network, scenario.hours, PriceCap(3, 70.0))
+    assert len(calls) == 48
+    run_hedge(scenario.network, scenario.hours, PriceCap(3, 70.0))
+    assert len(calls) == 96
+    # a sweep that fails part-way still drops its pass-1 results
+    with pytest.raises(ValueError, match="non-finite"):
+        sweep_pi_des(scenario.network, scenario.hours, 3, [70.0, math.inf], {"base": None})
+    assert _SWEEP_PASS1.get() is None
+    run_hedge(scenario.network, scenario.hours, PriceCap(3, 70.0))
+    assert len(calls) == 96 + 48 + 48
 
 
 def test_sweep_zero_cap_counts_full_price():
