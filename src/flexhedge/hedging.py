@@ -196,7 +196,7 @@ def sweep_pi_des(net: Network, series, bus: int, pi_values,
     is still a full ``run_hedge`` call, which reuses that scenario's pass 1
     and its bases for the duration of the sweep.
     """
-    pi_values = list(pi_values)
+    series, pi_values = tuple(series), list(pi_values)  # every cap reads every hour
     if not pi_values:
         raise ValueError("pi_values must be non-empty")
     if sorted(pi_values) != pi_values:

@@ -83,12 +83,13 @@ def _column(prefix: str, bus: int) -> str:
 
 
 @lru_cache(maxsize=8)  # a sweep compiles one network per line-limit case
-def _compile(net: Network) -> tuple[tuple[str, ...], tuple, tuple]:
+def _compile(net: Network) -> tuple[tuple[str, ...], tuple, tuple, tuple]:
     """``validate_network``'s problems and, for a valid network, each bus's
-    angle terms (accumulated in line order) and the line-limit rows."""
+    angle terms (accumulated in line order), the line-limit rows and the
+    crash basis less its import column: every angle, then every limit slack."""
     problems = tuple(validate_network(net))
     if problems:
-        return problems, (), ()
+        return problems, (), (), ()
     terms: dict[str, dict[str, float]] = {_column("theta", bus.id): {} for bus in net.buses}
     limits = []
     for line in net.lines:
@@ -102,7 +103,25 @@ def _compile(net: Network) -> tuple[tuple[str, ...], tuple, tuple]:
         if line.flow_limit_mw != INF:
             limits.append((f"{line.from_bus}_{line.to_bus}",
                            {theta_from: b, theta_to: -b}, line.flow_limit_mw))
-    return problems, tuple(tuple(t.items()) for t in terms.values()), tuple(limits)
+    slacks = tuple(f"slack:flow_{side}_{key}" for key, _, _ in limits for side in ("hi", "lo"))
+    return problems, tuple(tuple(t.items()) for t in terms.values()), tuple(limits), \
+        (tuple(terms), slacks)
+
+
+def crash_start(net: Network, data: HourlyMarketData):
+    """The network's crash basis (Bixby 1992) as a ``LinearProgram.start``.
+
+    Every angle and the slack bus's import column (else the first offer's)
+    span the balance and reference rows, because the reduced susceptance
+    matrix of a connected network is nonsingular; each limit row keeps its
+    slack.  None for an hour without offers.
+    """
+    buses = [offer.bus for offer in data.offers]
+    if not buses:
+        return None
+    angles, slacks = _compile(net)[3]
+    bus = net.slack_bus()
+    return angles + (_column("pg", bus if bus in buses else buses[0]),) + slacks, ()
 
 
 def build_opf(inp: OpfHourInput) -> LinearProgram:
@@ -112,7 +131,7 @@ def build_opf(inp: OpfHourInput) -> LinearProgram:
         raise ValueError("; ".join(problems))
 
     net, data = inp.net, inp.data
-    _, angle_terms, limits = _compile(net)
+    _, angle_terms, limits, _ = _compile(net)
     prog = LinearProgram("maximize", name=f"opf_h{data.hour}")
     constant = 0.0
 
@@ -157,10 +176,11 @@ def build_opf(inp: OpfHourInput) -> LinearProgram:
 
 def solve_opf_hour(inp: OpfHourInput, start=None, bases: list | None = None) -> DispatchResult:
     """Solve one hour.  ``start`` is an optional ``(basis, nonbasic_at_upper)``
-    pair the simplex tries first (``LinearProgram.start``); if ``bases`` is
-    given, the optimal basis is appended to it as such a pair."""
+    pair the simplex tries first (``LinearProgram.start``), the network's
+    ``crash_start`` by default; if ``bases`` is given, the optimal basis is
+    appended to it as such a pair."""
     prog = build_opf(inp)
-    prog.start = start
+    prog.start = start if start is not None else crash_start(inp.net, inp.data)
     sol = solve(prog)
     if sol.status == "infeasible":
         raise HourInfeasibleError(inp.data.hour,

@@ -1,14 +1,32 @@
-"""Dense bounded-variable simplex with Bland's rule and basis-based duals.
+"""Dense bounded-variable simplex with Dantzig pricing and basis-based duals.
 
 The solver works on an internal minimize form: one slack column per row turns
 every relation into an equality, so the working system is ``[A | I] x = b``
 with individual bounds on all columns (``<=`` rows get slack bounds [0, inf),
-``>=`` rows (-inf, 0], equalities [0, 0]).  Feasibility is reached in a first
-phase that adds one signed artificial column per initially violated row and
-minimizes their sum; the second phase optimizes the true objective from the
-feasible basis.  Entering and leaving variables are chosen by Bland's rule
-(lowest eligible index), which rules out cycling; the iteration cap is only a
-circuit breaker.
+``>=`` rows (-inf, 0], equalities [0, 0]).
+
+Every solve starts from a basis and the bounds the other columns rest at:
+the program's ``LinearProgram.start`` if it has one, else the slack basis
+with every other column at a finite bound.  One routine (``_start``) computes
+the basic values; each basic slack that breaks its bounds rests at the
+violated bound instead and a signed artificial column carries the gap in its
+row.  A first phase minimizes the artificials' sum; the second phase
+optimizes the true objective from the feasible basis.  A start falls back to
+the slack basis when it names a column or slack the program lacks (an
+``artificial:`` entry included), is singular (a basis of the wrong size
+included), rests a column at an infinite bound or puts a basic structural
+column out of bounds; and also when it ends anywhere but on a
+non-degenerate optimum, so a program whose duals are not unique reports the
+slack-basis solve's vertex.  The OPF hands each hour a crash basis
+(``opf.crash_start``) or an earlier optimal basis this way.
+
+The entering column is the eligible one with the largest reduced cost in
+absolute value (Dantzig), ties going to the lowest index.  Dantzig's rule
+alone can cycle on degenerate pivots, so after ``_BLAND_AFTER`` consecutive
+pivots that leave the basic values where they were, pricing turns to the
+lowest eligible index (Bland 1977) until a pivot moves them again; Bland's
+rule cannot cycle, so the iteration cap is only a circuit breaker.  The
+ratio test breaks ties by the lowest basic column index.
 
 Each phase inverts the basis once and then keeps ``B^-1`` current with a
 rank-1 product-form update per pivot (Bartels-Golub; Forrest-Tomlin 1972), so a
@@ -20,18 +38,9 @@ basis is inverted afresh, and basic values are recomputed in full, every
 and the phase-1 feasibility test (against ``FEAS_TOL``): the reported solution
 is always computed from a fresh solve with the final basis, so a given final
 basis gives bitwise the same primal values, duals, reduced costs and objective.
-
-A program may carry a warm start (``LinearProgram.start``): a named basis and
-the nonbasic columns at their upper bounds, such as an earlier solve reports.
-The solve then skips phase 1 and runs phase 2 from that basis under the same
-Bland rule.  It falls back to the cold path above when the start names a
-column or slack the program lacks (an ``artificial:`` entry included), is
-singular (a basis of the wrong size included), or is not primal-feasible
-within ``FEAS_TOL``; and also when the warm optimum is degenerate, so a
-program whose duals are not unique reports the cold solve's vertex.  A warm
-solve that ends on the cold solve's basis set can list it in another row
-order; the fresh solves then factor the basis in that order, and the outputs
-can differ from the cold solve's in the last few ulps.
+Two starts that end on the same basis set can list it in different row
+orders; the fresh solves then factor the basis in that order, and the outputs
+can differ in the last few ulps.
 """
 
 from __future__ import annotations
@@ -52,6 +61,7 @@ from .lp import (
 
 _RATIO_TIE = 1e-9
 _REFACTOR_EVERY = 50  # pivots between fresh inversions of the basis
+_BLAND_AFTER = 10  # consecutive degenerate pivots before pricing turns to Bland
 
 
 def _solve(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -127,6 +137,7 @@ class _State:
         self.at_upper = np.zeros(self.n_total, dtype=bool)
         self.x = np.zeros(self.n_total)
         self.artificial_from = self.n_total  # columns >= this index are artificial
+        self.art_rows = np.zeros(0, dtype=np.intp)  # the row each artificial serves
         self.iterations = 0
 
     def nonbasic_value(self, j: int) -> float:
@@ -150,56 +161,50 @@ class _State:
         return _solve(self.A[:, self.basis].T, cost[self.basis])
 
 
-def _setup(internal: _Internal) -> _State:
+def _rest(internal: _Internal, basis: list[int], at_upper: np.ndarray) -> _State:
+    """State with ``basis`` basic and every other column at the bound ``at_upper`` picks."""
     st = _State(internal)
-    n, m = internal.n_struct, internal.n_rows
+    st.basis = basis
+    st.in_basis[basis] = True
+    st.at_upper[:] = at_upper
+    return st
 
-    # rest every column at a bound: finite lower preferred, else finite upper,
-    # else free at zero
-    st.at_upper[:] = (st.lo == -INF) & (st.up < INF)
-    st.x[:] = st.nonbasic_values()
 
-    residual = st.b - st.A[:, :n] @ st.x[:n]
-
-    art_cols = []
-    art_rows = []
-    basis = []
-    for i in range(m):
-        s = n + i
-        if st.lo[s] - FEAS_TOL <= residual[i] <= st.up[s] + FEAS_TOL:
-            basis.append(s)
-        else:
-            # slack pinned nonbasic at its nearest bound, a signed artificial
-            # carries the remaining gap
-            st.at_upper[s] = residual[i] > st.up[s]
-            sigma = 1.0 if residual[i] > st.nonbasic_value(s) else -1.0
-            art_cols.append(sigma)
-            art_rows.append(i)
-            basis.append(-len(art_cols))  # placeholder, resolved below
-
-    if art_cols:
-        k = len(art_cols)
+def _start(st: _State) -> _State | None:
+    """Basic values of a resting state, and one signed phase-1 artificial per
+    row whose basic slack breaks its bounds (the slack rests at the violated
+    bound).  None where the basis is singular or a value is infinite or a
+    basic structural column is out of bounds."""
+    n, m = st.prob.n_struct, st.prob.n_rows
+    try:
+        st.refresh_basics()
+    except SolverFailureError:  # singular, or not one basic column per row
+        return None
+    if not np.isfinite(st.x).all():
+        return None
+    out = (st.x < st.lo - FEAS_TOL) | (st.x > st.up + FEAS_TOL)
+    if out[:n].any():
+        return None
+    art_rows = out[n:].nonzero()[0]
+    if art_rows.size:
+        k = art_rows.size
         block = np.zeros((m, k))
-        for t, (i, sigma) in enumerate(zip(art_rows, art_cols)):
-            block[i, t] = sigma
+        for t, i in enumerate(art_rows.tolist()):
+            s = n + i
+            st.at_upper[s] = st.x[s] > st.up[s]
+            block[i, t] = 1.0 if st.x[s] > st.nonbasic_value(s) else -1.0
+            st.basis[st.basis.index(s)] = st.n_total + t
         st.A = np.hstack([st.A, block])
         st.lo = np.concatenate([st.lo, np.zeros(k)])
         st.up = np.concatenate([st.up, np.full(k, INF)])
         st.x = np.concatenate([st.x, np.zeros(k)])
         st.at_upper = np.concatenate([st.at_upper, np.zeros(k, dtype=bool)])
         st.artificial_from = st.n_total
+        st.art_rows = art_rows
         st.n_total += k
         st.in_basis = np.zeros(st.n_total, dtype=bool)
-        next_art = st.artificial_from
-        for pos, entry in enumerate(basis):
-            if entry < 0:
-                basis[pos] = next_art
-                next_art += 1
-
-    st.basis = basis
-    st.in_basis[:] = False
-    st.in_basis[st.basis] = True
-    st.refresh_basics()
+        st.in_basis[st.basis] = True
+        st.refresh_basics()
     return st
 
 
@@ -217,6 +222,7 @@ def _iterate(st: _State, cost: np.ndarray) -> str:
     basis = np.array(st.basis, dtype=np.intp)
     Binv = _inverse(A[:, basis])
     pivots = 0
+    stalled = 0  # consecutive pivots that left the basic values where they were
     while True:
         if st.iterations >= MAX_ITERATIONS:
             raise SolverFailureError(f"iteration cap {MAX_ITERATIONS} exceeded")
@@ -229,13 +235,16 @@ def _iterate(st: _State, cost: np.ndarray) -> str:
 
         d = cost - (cost[basis] @ Binv) @ A
 
-        # Bland: lowest-index nonbasic column whose move from its bound improves
+        # eligible: a nonbasic column whose move from its bound improves
         increase = (d < -PIVOT_TOL) & ~st.at_upper
         decrease = (d > PIVOT_TOL) & (st.at_upper | free)
         eligible = (increase | decrease) & movable & ~st.in_basis
         if not eligible.any():
             return "optimal"
-        entering = int(eligible.argmax())
+        if stalled < _BLAND_AFTER:  # Dantzig: largest |d|, ties to the lowest index
+            entering = int(np.where(eligible, np.abs(d), -1.0).argmax())
+        else:  # Bland: lowest index
+            entering = int(eligible.argmax())
         direction = 1.0 if d[entering] < -PIVOT_TOL else -1.0
 
         w = Binv @ A[:, entering]
@@ -269,8 +278,10 @@ def _iterate(st: _State, cost: np.ndarray) -> str:
             st.x[basis] = x_B - t_flip * delta
             st.at_upper[entering] = not st.at_upper[entering]
             st.x[entering] = st.nonbasic_value(entering)
+            stalled = 0
             continue
 
+        stalled = stalled + 1 if t_best == 0.0 else 0
         st.x[basis] = x_B - t_best * delta
         st.x[entering] = st.nonbasic_value(entering) + direction * t_best
         bi = st.basis[leave_pos]
@@ -342,11 +353,12 @@ def _extract(internal: _Internal, st: _State, status: str) -> LpSolution:
             break
 
     basis_names = tuple(
-        names[bi] if bi < n + m else f"artificial:{internal.row_names[bi - st.artificial_from]}"
+        names[bi] if bi < n + m
+        else f"artificial:{internal.row_names[st.art_rows[bi - st.artificial_from]]}"
         for bi in st.basis
     )
-    at_upper = tuple(names[j] for j in range(n + m)
-                     if not st.in_basis[j] and st.at_upper[j])
+    at_upper = tuple(names[j] for j in range(n + m)  # fixed columns rest at either bound
+                     if not st.in_basis[j] and st.at_upper[j] and st.lo[j] < st.up[j])
 
     return LpSolution(
         status="optimal",
@@ -365,41 +377,13 @@ def _state_at(internal: _Internal, basis: tuple[str, ...],
               nonbasic_at_upper: tuple[str, ...]) -> _State:
     """State resting on a named basis; raises KeyError for a name the program lacks."""
     index = {name: j for j, name in enumerate(internal.names())}
-    st = _State(internal)
-    st.basis = [index[name] for name in basis]
-    st.in_basis[st.basis] = True
-    for name in nonbasic_at_upper:
-        st.at_upper[index[name]] = True
-    return st
+    at_upper = np.zeros(internal.A.shape[1], dtype=bool)
+    at_upper[[index[name] for name in nonbasic_at_upper]] = True
+    return _rest(internal, [index[name] for name in basis], at_upper)
 
 
-def _solve_warm(internal: _Internal, start) -> LpSolution | None:
-    """Phase 2 from ``start``; None where the start or its optimum is unusable."""
-    basis, nonbasic_at_upper = start
-    try:
-        st = _state_at(internal, basis, nonbasic_at_upper)
-    except KeyError:  # unknown column or slack, artificials included
-        return None
-    try:
-        st.refresh_basics()
-    except SolverFailureError:  # singular, or not one basic column per row
-        return None
-    if not (np.isfinite(st.x).all()
-            and (st.x >= st.lo - FEAS_TOL).all() and (st.x <= st.up + FEAS_TOL).all()):
-        return None
-    sol = _extract(internal, st, _iterate(st, internal.c_int))
-    return None if sol.degenerate else sol
-
-
-def solve_program(lp: LinearProgram) -> LpSolution:
-    internal = _Internal(lp)
-    if lp.start is not None:
-        sol = _solve_warm(internal, lp.start)
-        if sol is not None:
-            return sol
-
-    st = _setup(internal)
-
+def _solve_from(internal: _Internal, st: _State) -> LpSolution:
+    """Phase 1 if the start needed artificials, then phase 2."""
     if st.n_total > st.artificial_from:
         phase1 = np.zeros(st.n_total)
         phase1[st.artificial_from:] = 1.0
@@ -416,10 +400,25 @@ def solve_program(lp: LinearProgram) -> LpSolution:
 
     cost = np.zeros(st.n_total)
     cost[: internal.n_struct + internal.n_rows] = internal.c_int
-    outcome = _iterate(st, cost)
-    if outcome == "unbounded":
-        return _extract(internal, st, "unbounded")
-    return _extract(internal, st, "optimal")
+    return _extract(internal, st, _iterate(st, cost))
+
+
+def solve_program(lp: LinearProgram) -> LpSolution:
+    internal = _Internal(lp)
+    if lp.start is not None:
+        try:
+            st = _start(_state_at(internal, *lp.start))
+        except KeyError:  # unknown column or slack, artificials included
+            st = None
+        if st is not None:
+            sol = _solve_from(internal, st)
+            if sol.status == "optimal" and not sol.degenerate:
+                return sol
+    n, m = internal.n_struct, internal.n_rows
+    # the slack basis, every other column at its finite lower bound, else its
+    # finite upper bound, else free at zero
+    resting = (internal.lo == -INF) & (internal.up < INF)
+    return _solve_from(internal, _start(_rest(internal, list(range(n, n + m)), resting)))
 
 
 def solution_from_basis(lp: LinearProgram, basis: tuple[str, ...],

@@ -33,6 +33,7 @@ from flexhedge.model import (
     Network,
     PriceCap,
 )
+from flexhedge.opf import crash_start
 from flexhedge.scenario import (
     FINITE_LIMIT_MW,
     ScenarioSpec,
@@ -145,18 +146,22 @@ def test_paper_study_pivot_path_is_pinned(monkeypatch):
     scenario = generate_scenario(ScenarioSpec(seed=7, line_limit_case="finite"))
     run_hedge(scenario.network, scenario.hours, PriceCap(3, 70.0))
     assert len(solutions) == 48
-    assert sum(s.iterations for s in solutions[:24]) == 168
+    # pass 1 starts each hour from the network's crash basis
+    assert all(p.start == crash_start(scenario.network, data)
+               for p, data in zip(programs[:24], scenario.hours))
+    assert sum(s.iterations for s in solutions[:24]) == 48
     # pass 2 starts each hour from pass 1's optimal basis
-    assert all(p.start is None for p in programs[:24])
     assert all(p.start == (s.basis, s.nonbasic_at_upper)
                for p, s in zip(programs[24:], solutions[:24]))
     assert sum(s.iterations for s in solutions[24:]) == 47
     for prog in programs[24:]:
         prog.start = None
-    assert sum(original(p).iterations for p in programs[24:]) == 191
-    # the row order of the final basis records which tied row left at each pivot
-    assert solutions[0].basis == (
-        "theta_1", "theta_2", "theta_3", "pg_2",
+    cold = [original(p) for p in programs[24:]]
+    assert sum(s.iterations for s in cold) == 191
+    # from the slack basis, the row order of the final basis records which
+    # tied row left at each pivot, and which tied column entered
+    assert cold[0].basis == (
+        "theta_3", "theta_1", "theta_2", "pg_2",
         "slack:flow_hi_1_2", "slack:flow_lo_1_2", "slack:flow_hi_1_3",
         "slack:flow_lo_1_3", "slack:flow_hi_2_3", "slack:flow_lo_2_3")
 
@@ -308,6 +313,14 @@ def test_pass1_reuse_is_scoped_to_one_sweep(monkeypatch):
     assert _SWEEP_PASS1.get() is None
     run_hedge(scenario.network, scenario.hours, PriceCap(3, 70.0))
     assert len(calls) == 96 + 48 + 48
+
+
+def test_sweep_reads_an_iterator_like_a_tuple():
+    scenario = generate_scenario(ScenarioSpec(seed=7))
+    args = (3, [60.0, 70.0], {"base": None})
+    from_tuple = sweep_pi_des(scenario.network, tuple(scenario.hours), *args)
+    assert sweep_pi_des(scenario.network, iter(scenario.hours), *args) == from_tuple
+    assert all(row.total_revenue_eur > 0 for row in from_tuple.rows)
 
 
 def test_sweep_zero_cap_counts_full_price():

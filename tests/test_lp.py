@@ -5,8 +5,10 @@ import random
 
 import pytest
 
+from flexhedge import simplex
 from flexhedge.lp import (
     INF,
+    MAX_ITERATIONS,
     LinearProgram,
     MalformedProgramError,
     SolverFailureError,
@@ -213,16 +215,45 @@ def dense_lp(seed, rows=60, cols=60):
     return lp
 
 
-def test_long_solve_past_refactorisation_is_exact():
-    # several times the pivots between fresh basis inversions: drift in the
+def test_long_solve_past_refactorisation_is_exact(monkeypatch):
+    # more pivots than lie between fresh basis inversions: drift in the
     # updated inverse must neither move the vertex nor reach the outputs
-    lp = dense_lp(2)
+    calls = []
+    inverse = simplex._inverse
+    monkeypatch.setattr(simplex, "_inverse", lambda B: calls.append(B) or inverse(B))
+    # one inversion per phase at 60x60; two re-inversions besides at 200x200
+    for size, iterations, inversions in ((60, 43, 2), (200, 110, 4)):
+        calls.clear()
+        lp = dense_lp(2, rows=size, cols=size)
+        sol = solve(lp)
+        assert sol.status == "optimal"
+        assert (sol.iterations, len(calls)) == (iterations, inversions)
+        assert verify_kkt(lp, sol).within(1e-9)
+        rebuilt = rebuild_solution(lp, sol.basis, sol.nonbasic_at_upper)
+        assert rebuilt == dataclasses.replace(sol, iterations=0)
+
+
+def beale_lp():
+    """Beale (1955): Dantzig's rule with lowest-index ratio ties cycles here."""
+    lp = LinearProgram("minimize", name="beale")
+    for name, cost in (("x4", -0.75), ("x5", 20.0), ("x6", -0.5), ("x7", 6.0)):
+        lp.add_column(name, 0.0, INF, objective=cost)
+    lp.add_row("r1", {"x4": 0.25, "x5": -8.0, "x6": -1.0, "x7": 9.0}, "<=", 0.0)
+    lp.add_row("r2", {"x4": 0.5, "x5": -12.0, "x6": -0.5, "x7": 3.0}, "<=", 0.0)
+    lp.add_row("r3", {"x6": 1.0}, "<=", 1.0)
+    return lp
+
+
+def test_bland_fallback_breaks_beales_cycle(monkeypatch):
+    lp = beale_lp()
     sol = solve(lp)
-    assert sol.status == "optimal"
-    assert sol.iterations == 246
+    assert sol.status == "optimal" and sol.objective_value == -1.25
     assert verify_kkt(lp, sol).within(1e-9)
-    rebuilt = rebuild_solution(lp, sol.basis, sol.nonbasic_at_upper)
-    assert rebuilt == dataclasses.replace(sol, iterations=0)
+    # the row order records the entering and leaving tie rules
+    assert (sol.iterations, sol.basis) == (13, ("x6", "slack:r1", "x4"))
+    monkeypatch.setattr(simplex, "_BLAND_AFTER", MAX_ITERATIONS)
+    with pytest.raises(SolverFailureError, match="iteration cap"):
+        solve(lp)
 
 
 # ---------------------------------------------------------------------------

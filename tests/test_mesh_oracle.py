@@ -2,9 +2,10 @@
 
 The brute-force oracle only reaches the 3-bus study.  Here each hour of a
 seeded 10- or 30-bus mesh is checked twice: both passes' objectives against
-``scipy.optimize.linprog(method="highs")``, and every warm-started pass-2 hour
-against a cold solve of the same program (same basis set, same objective and
-prices).
+``scipy.optimize.linprog(method="highs")``, and every hour against a solve of
+the same program from the slack basis (same basis set, same objective and
+prices).  Pass 1 starts from the network's crash basis and pass 2 from pass
+1's optimal basis, and neither start may fall back to the slack basis.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from flexhedge import simplex
 from flexhedge.hedging import run_hedge
 from flexhedge.lp import INF
 from flexhedge.model import Bus, GenOffer, HourlyMarketData, Line, LoadUtility, Network, PriceCap
-from flexhedge.opf import solve_opf_series
+from flexhedge.opf import crash_start, solve_opf_series
 from flexhedge.scenario import DEFAULT_LOAD_PROFILE_MW, DEFAULT_WHOLESALE_EUR_MWH
 
 linprog = pytest.importorskip("scipy.optimize").linprog
@@ -107,33 +108,40 @@ def close(a: float, b: float, rtol: float) -> bool:
 @pytest.mark.parametrize("n_buses, seed", [(10, 3), (10, 4), (30, 5)])
 def test_mesh_day_matches_highs_and_cold_solves(monkeypatch, n_buses, seed):
     net, hours, cap = seeded_mesh(n_buses, seed)
-    solved = []
-    original = simplex.solve_program
+    solved, starts = [], []
+    original, start = simplex.solve_program, simplex._start
 
     def recording(lp):
-        solved.append((lp, original(lp)))
+        starts.clear()
+        solved.append((lp, original(lp), len(starts)))
         return solved[-1][1]
 
     monkeypatch.setattr(simplex, "solve_program", recording)
+    monkeypatch.setattr(simplex, "_start", lambda st: starts.append(st) or start(st))
     run = run_hedge(net, hours, cap)
     monkeypatch.undo()
     assert len(solved) == 48
     assert 0 < run.report.hours_active < 24
+    # one start per solve: the given start was used, the slack basis never
+    assert [n_starts for _, _, n_starts in solved] == [1] * 48
+    assert [prog.start for prog, _, _ in solved[:24]] == [crash_start(net, h) for h in hours]
 
-    for prog, sol in solved:
+    for prog, sol, _ in solved:
         assert sol.status == "optimal"
         assert close(sol.objective_value, highs_objective(prog), HIGHS_RTOL), prog.name
 
-    warm_iterations = cold_iterations = 0
-    for prog, warm in solved[24:]:
-        assert prog.start is not None
-        prog.start = None
-        cold = simplex.solve_program(prog)
-        assert set(warm.basis) == set(cold.basis), prog.name
-        assert close(warm.objective_value, cold.objective_value, COLD_RTOL), prog.name
-        for bus in net.buses:
-            row = f"balance_{bus.id}"
-            assert close(warm.duals[row], cold.duals[row], COLD_RTOL), (prog.name, row)
-        warm_iterations += warm.iterations
-        cold_iterations += cold.iterations
-    assert warm_iterations < cold_iterations
+    for passed in (solved[:24], solved[24:]):
+        started_iterations = cold_iterations = 0
+        for prog, started, _ in passed:
+            assert prog.start is not None
+            prog.start = None
+            cold = simplex.solve_program(prog)
+            assert set(started.basis) == set(cold.basis), prog.name
+            assert set(started.nonbasic_at_upper) == set(cold.nonbasic_at_upper), prog.name
+            assert close(started.objective_value, cold.objective_value, COLD_RTOL), prog.name
+            for bus in net.buses:
+                row = f"balance_{bus.id}"
+                assert close(started.duals[row], cold.duals[row], COLD_RTOL), (prog.name, row)
+            started_iterations += started.iterations
+            cold_iterations += cold.iterations
+        assert started_iterations < cold_iterations
