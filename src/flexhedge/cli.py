@@ -27,6 +27,7 @@ from .hedging import (
     write_hedge_csv,
     write_sweep_csv,
 )
+from .lp import SolverFailureError
 from .model import (
     GenOffer,
     LoadUtility,
@@ -48,11 +49,23 @@ from .scenario import (
 
 DEFAULT_OUT = "flexhedge-out"
 ENV_OUT = "FLEXHEDGE_OUT"
+SWEEP_CASES = {"infinite": None, "finite": {(2, 3): FINITE_LIMIT_MW}}  # line-limit overrides
 
 
-def _fail(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
+def _fail(*problems: str) -> int:
+    for problem in problems:
+        print(f"error: {problem}", file=sys.stderr)
     return 1
+
+
+def _input_problems(net, hours, caps) -> list[str]:
+    """Every violation in the network, the hours and the caps, each stated once."""
+    problems = validate_network(net)
+    for cap in caps:
+        problems += validate_price_cap(net, cap)
+    for data in hours:
+        problems += validate_market_data(net, data)
+    return list(dict.fromkeys(problems))
 
 
 def _atomic_write(path: Path, content: str) -> None:
@@ -129,7 +142,11 @@ def _apply_config_defaults(args: argparse.Namespace, section: str) -> None:
             raise ScenarioError(f"config: unknown key {key!r} in [{section}]")
         attr, convert = mapping[key]
         if getattr(args, attr, None) in (None, False):
-            setattr(args, attr, convert(raw))
+            try:
+                setattr(args, attr, convert(raw))
+            except ValueError:
+                raise ScenarioError(
+                    f"config: bad value {raw!r} for {key!r} in [{section}]") from None
 
 
 def _resolve_defaults(args) -> None:
@@ -161,20 +178,11 @@ def _resolve_scenario(args) -> tuple:
 def cmd_run(args) -> int:
     _apply_config_defaults(args, "run")
     _resolve_defaults(args)
-    try:
-        net, hours = _resolve_scenario(args)
-        pi_des = _parse_pi_des(args.pi_des) if isinstance(args.pi_des, str) else args.pi_des
-    except (ValueError, ScenarioError, OSError) as exc:
-        return _fail(str(exc))
-
-    cap = PriceCap(args.bus, pi_des)
-    problems = validate_network(net) + validate_price_cap(net, cap)
-    for data in hours:
-        problems += validate_market_data(net, data)
+    net, hours = _resolve_scenario(args)
+    cap = PriceCap(args.bus, _parse_pi_des(args.pi_des))
+    problems = _input_problems(net, hours, [cap])
     if problems:
-        for p in problems:
-            print(f"error: {p}", file=sys.stderr)
-        return 1
+        return _fail(*problems)
 
     run = run_hedge(net, hours, cap)
     report = run.report
@@ -209,33 +217,21 @@ def cmd_run(args) -> int:
 def cmd_sweep(args) -> int:
     _apply_config_defaults(args, "sweep")
     _resolve_defaults(args)
-    if not args.pi:
+    pi_values = sorted(float(p) for p in (args.pi or "").split(",") if p.strip())
+    if not pi_values:
         print("error: --pi requires at least one value", file=sys.stderr)
         return 2
-    try:
-        pi_values = sorted(float(p) for p in args.pi.split(",") if p.strip())
-        if not pi_values:
-            print("error: --pi requires at least one value", file=sys.stderr)
-            return 2
-        cases = [c.strip() for c in (args.cases or "infinite,finite").split(",") if c.strip()]
-        args.case = "infinite"  # sweep scenarios override line limits themselves
-        net, hours = _resolve_scenario(args)
-    except (ValueError, ScenarioError, OSError) as exc:
-        return _fail(str(exc))
+    cases = [c.strip() for c in (args.cases or "infinite,finite").split(",") if c.strip()]
+    args.case = "infinite"  # sweep scenarios override line limits themselves
+    net, hours = _resolve_scenario(args)
+    problems = [f"unknown case {case!r}; expected infinite|finite"
+                for case in cases if case not in SWEEP_CASES]
+    problems += _input_problems(net, hours, [PriceCap(args.bus, pi) for pi in pi_values])
+    if problems:
+        return _fail(*problems)
 
-    scenarios: dict[str, dict | None] = {}
-    for case in cases:
-        if case == "infinite":
-            scenarios[case] = None
-        elif case == "finite":
-            scenarios[case] = {(2, 3): FINITE_LIMIT_MW}
-        else:
-            return _fail(f"unknown case {case!r}; expected infinite|finite")
-
-    try:
-        result = sweep_pi_des(net, hours, args.bus, pi_values, scenarios)
-    except ValueError as exc:
-        return _fail(str(exc))
+    result = sweep_pi_des(net, hours, args.bus, pi_values,
+                          {case: SWEEP_CASES[case] for case in cases})
 
     out_dir = Path(args.out or os.environ.get(ENV_OUT, DEFAULT_OUT))
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -250,20 +246,12 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    try:
-        with open(args.path) as fobj:
-            net, hours = load_scenario_file(fobj)
-    except (ScenarioError, OSError) as exc:
-        return _fail(str(exc))
-
-    problems = validate_network(net)
-    for data in hours:
-        problems += validate_market_data(net, data)
-
-    for p in problems:
-        print(p)
+    with open(args.path) as fobj:
+        net, hours = load_scenario_file(fobj)
+    problems = _input_problems(net, hours, ())
     if problems:
-        print(f"{len(problems)} violation(s)")
+        _fail(*problems)
+        print(f"{len(problems)} violation(s)", file=sys.stderr)
         return 1
     print("ok")
     return 0
@@ -276,11 +264,7 @@ def cmd_duality_demo(args) -> int:
                             p_min_mw=args.load_min, p_max_mw=args.load_max),
         cap=args.cap,
     )
-    try:
-        chain = solve_ed_chain(inst)
-    except ValueError as exc:
-        return _fail(str(exc))
-
+    chain = solve_ed_chain(inst)
     res = chain.result
     print(f"unconstrained objective : {chain.objective_unconstrained!r}")
     print(f"capped dual objective   : {chain.objective_capped_dual!r}")
@@ -350,8 +334,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command.  Bad input, an unreadable or unwritable file and a
+    solver failure each end in an ``error:`` line and exit status 1; any
+    other exception is a defect and keeps its traceback."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError, SolverFailureError) as exc:
+        return _fail(str(exc))
 
 
 if __name__ == "__main__":

@@ -51,9 +51,11 @@ class EdInstance:
 
     def validate(self) -> list[str]:
         problems = []
-        if self.offer.marginal_cost < 0:
+        if not math.isfinite(self.offer.marginal_cost):
+            problems.append(f"marginal cost must be finite, got {self.offer.marginal_cost}")
+        elif self.offer.marginal_cost < 0:
             problems.append(f"marginal cost must be >= 0, got {self.offer.marginal_cost}")
-        if self.offer.capacity_mw < 0:
+        if not self.offer.capacity_mw >= 0:
             problems.append(f"capacity must be >= 0, got {self.offer.capacity_mw}")
         if not 0 <= self.utility.p_min_mw <= self.utility.p_max_mw:
             problems.append(
@@ -61,7 +63,12 @@ class EdInstance:
                 f"[{self.utility.p_min_mw}, {self.utility.p_max_mw}]")
         if not math.isfinite(self.utility.p_max_mw):
             problems.append("load upper bound must be finite")
-        if self.cap is not None and self.cap < 0:
+        if not math.isfinite(self.utility.marginal_utility):
+            problems.append(
+                f"marginal utility must be finite, got {self.utility.marginal_utility}")
+        if self.cap is not None and not math.isfinite(self.cap):
+            problems.append(f"price cap must be finite, got {self.cap}")
+        elif self.cap is not None and self.cap < 0:
             problems.append(f"price cap must be >= 0, got {self.cap}")
         return problems
 

@@ -100,25 +100,24 @@ class HedgeRun:
 _SWEEP_PASS1: ContextVar[dict | None] = ContextVar("_SWEEP_PASS1", default=None)
 
 
-def _price_discovery(net: Network, series: list) -> tuple[tuple, tuple]:
-    """Pass 1 and each hour's optimal basis, memoised within a sweep."""
+def _price_discovery(net: Network, series: list) -> tuple[DispatchResult | None, ...]:
+    """Pass 1, memoised within a sweep."""
     memo = _SWEEP_PASS1.get()
     key = (net, tuple(series))
     if memo is not None and key in memo:
         return memo[key]
-    bases: list = []
-    pass1 = solve_opf_series(net, series, caps=(), flexibility_enabled=False, bases=bases)
-    result = (tuple(pass1), tuple(bases))
+    pass1 = tuple(solve_opf_series(net, series))
     if memo is not None:
-        memo[key] = result
-    return result
+        memo[key] = pass1
+    return pass1
 
 
 def run_hedge(net: Network, series, cap: PriceCap) -> HedgeRun:
     series = list(series)
     # pass 1's optimal basis, with pflex nonbasic at 0, is feasible for pass 2
-    pass1, bases = _price_discovery(net, series)
-    pass2 = solve_opf_series(net, series, caps=(cap,), flexibility_enabled=True, starts=bases)
+    pass1 = _price_discovery(net, series)
+    pass2 = solve_opf_series(net, series, caps=(cap,),
+                             starts=[None if r is None else r.basis for r in pass1])
 
     hours = []
     for data, unc, hed in zip(series, pass1, pass2):
@@ -194,7 +193,7 @@ def sweep_pi_des(net: Network, series, bus: int, pi_values,
 
     Pass 1 (price discovery) is solved once per line-limit scenario: each cap
     is still a full ``run_hedge`` call, which reuses that scenario's pass 1
-    and its bases for the duration of the sweep.
+    for the duration of the sweep.
     """
     series, pi_values = tuple(series), list(pi_values)  # every cap reads every hour
     if not pi_values:

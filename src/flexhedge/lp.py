@@ -100,14 +100,16 @@ class LinearProgram:
         for col in self.columns.values():
             if not col.lower <= col.upper:
                 problems.append(f"column {col.name!r}: lower {col.lower} > upper {col.upper}")
-            if math.isnan(col.lower) or math.isnan(col.upper) or math.isnan(col.objective):
-                problems.append(f"column {col.name!r}: NaN in bounds or objective")
+            if math.isnan(col.lower) or math.isnan(col.upper):
+                problems.append(f"column {col.name!r}: NaN in bounds")
+            if not math.isfinite(col.objective):
+                problems.append(f"column {col.name!r}: non-finite objective {col.objective}")
         for row in self.rows.values():
             for cname in row.coeffs:
                 if cname not in self.columns:
                     problems.append(f"row {row.name!r} references unknown column {cname!r}")
-            if math.isnan(row.rhs):
-                problems.append(f"row {row.name!r}: NaN right-hand side")
+            if not math.isfinite(row.rhs):
+                problems.append(f"row {row.name!r}: non-finite right-hand side {row.rhs}")
         return problems
 
 

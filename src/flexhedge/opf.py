@@ -2,10 +2,9 @@
 
 The network is encoded through one angle variable per bus: line flow is the
 angle difference divided by reactance, every bus gets a balance equality (with
-the flexibility column added only at price-capped buses when enabled), the
-slack angle is pinned by an explicit reference row, and each bounded line
-contributes two one-sided limit rows so congestion shadow prices stay
-readable per direction.
+a flexibility column added at each bus given a price cap), the slack angle is
+pinned by an explicit reference row, and each bounded line contributes two
+one-sided limit rows so congestion shadow prices stay readable per direction.
 
 An hour whose firm load cannot be served under the line limits is infeasible
 and is reported as such; the toolkit never sheds firm load, because a shedding
@@ -46,15 +45,12 @@ class OpfHourInput:
     net: Network
     data: HourlyMarketData
     caps: tuple[PriceCap, ...] = ()
-    flexibility_enabled: bool = False
 
     def validate(self) -> list[str]:
         problems = list(_compile(self.net)[0])
         problems += validate_market_data(self.net, self.data)
         for cap in self.caps:
             problems += validate_price_cap(self.net, cap)
-        if self.caps and not self.flexibility_enabled:
-            problems.append("price caps listed while flexibility is disabled")
         seen = set()
         for cap in self.caps:
             if cap.bus in seen:
@@ -65,7 +61,10 @@ class OpfHourInput:
 
 @dataclass(frozen=True)
 class DispatchResult:
-    """One solved hour: dispatch, angles, prices, flows and congestion duals."""
+    """One solved hour: dispatch, angles, prices, flows and congestion duals.
+
+    ``basis`` is the optimal ``(basis, nonbasic_at_upper)`` pair, in the form
+    ``LinearProgram.start`` takes, so a related hour can start from it."""
     hour: int
     p_g_mw: dict[int, float]
     p_l_mw: dict[int, float]
@@ -75,6 +74,7 @@ class DispatchResult:
     congestion_dual_eur_mwh: dict[tuple[int, int], float]
     p_flexreq_mw: dict[int, float]
     objective_eur: float
+    basis: tuple[tuple[str, ...], tuple[str, ...]]
     degenerate: bool = False
 
 
@@ -146,7 +146,7 @@ def build_opf(inp: OpfHourInput) -> LinearProgram:
         prog.add_column(_column("pl", util.bus), util.p_min_mw, util.p_max_mw,
                         objective=util.marginal_utility)
         constant += util.constant_utility
-    for cap in inp.caps:  # validated: caps imply flexibility_enabled
+    for cap in inp.caps:
         prog.add_column(_column("pflex", cap.bus), 0.0, INF,
                         objective=-cap.cap_for_hour(data.hour))
 
@@ -174,11 +174,11 @@ def build_opf(inp: OpfHourInput) -> LinearProgram:
     return prog
 
 
-def solve_opf_hour(inp: OpfHourInput, start=None, bases: list | None = None) -> DispatchResult:
-    """Solve one hour.  ``start`` is an optional ``(basis, nonbasic_at_upper)``
-    pair the simplex tries first (``LinearProgram.start``), the network's
-    ``crash_start`` by default; if ``bases`` is given, the optimal basis is
-    appended to it as such a pair."""
+def solve_opf_hour(inp: OpfHourInput, start=None) -> DispatchResult:
+    """Solve one hour, with flexibility at each of ``inp.caps``.  ``start`` is
+    an optional ``(basis, nonbasic_at_upper)`` pair the simplex tries first
+    (``LinearProgram.start``), the network's ``crash_start`` by default; the
+    result's ``basis`` is the optimal pair in the same form."""
     prog = build_opf(inp)
     prog.start = start if start is not None else crash_start(inp.net, inp.data)
     sol = solve(prog)
@@ -187,8 +187,6 @@ def solve_opf_hour(inp: OpfHourInput, start=None, bases: list | None = None) -> 
                                   "load bounds unreachable under line limits")
     if sol.status != "optimal":
         raise ValueError(f"hour {inp.data.hour}: solver returned {sol.status}")
-    if bases is not None:
-        bases.append((sol.basis, sol.nonbasic_at_upper))
 
     net, data = inp.net, inp.data
     theta = {b.id: sol.primal[_column("theta", b.id)] for b in net.buses}
@@ -220,36 +218,32 @@ def solve_opf_hour(inp: OpfHourInput, start=None, bases: list | None = None) -> 
         congestion_dual_eur_mwh=congestion,
         p_flexreq_mw=flex,
         objective_eur=sol.objective_value,
+        basis=(sol.basis, sol.nonbasic_at_upper),
         degenerate=sol.degenerate,
     )
 
 
 def solve_opf_series(net: Network, series: list[HourlyMarketData],
                      caps: tuple[PriceCap, ...] = (),
-                     flexibility_enabled: bool = False,
                      starts: list | None = None,
-                     bases: list | None = None,
                      ) -> list[DispatchResult | None]:
-    """Solve each hour independently; infeasible hours yield ``None``.
+    """Solve each hour independently, with flexibility at each of ``caps``;
+    infeasible hours yield ``None``.
 
     Hours share no constraints, so results are identical whatever the
     evaluation order; the returned list is keyed by position in ``series``.
     ``starts`` optionally gives each hour's warm start (``None`` for a cold
-    one) and ``bases``, if given, receives each hour's optimal basis in the
-    same form (``None`` for an infeasible hour).
+    one), for example the ``basis`` of each hour's earlier result.
     """
     if starts is None:
         starts = [None] * len(series)
     results: list[DispatchResult | None] = []
     for data, start in zip(series, starts):
-        inp = OpfHourInput(net=net, data=data, caps=tuple(caps),
-                           flexibility_enabled=flexibility_enabled)
+        inp = OpfHourInput(net=net, data=data, caps=tuple(caps))
         try:
-            results.append(solve_opf_hour(inp, start, bases))
+            results.append(solve_opf_hour(inp, start))
         except HourInfeasibleError:
             results.append(None)
-            if bases is not None:
-                bases.append(None)
     return results
 
 

@@ -200,7 +200,7 @@ def test_validate_negative_reactance(tmp_path, capsys):
     )
     rc = main(["validate", str(path)])
     assert rc == 1
-    assert "reactance" in capsys.readouterr().out
+    assert "error: line 1-2: reactance_pu must be > 0" in capsys.readouterr().err
 
 
 def test_validate_inverted_load_bounds(tmp_path, capsys):
@@ -213,7 +213,7 @@ def test_validate_inverted_load_bounds(tmp_path, capsys):
     )
     rc = main(["validate", str(path)])
     assert rc == 1
-    assert "load bounds" in capsys.readouterr().out
+    assert "error: hour 1: load bounds" in capsys.readouterr().err
 
 
 def test_validate_unparsable_file(tmp_path, capsys):
@@ -255,9 +255,70 @@ def test_non_finite_cost_is_a_violation(tmp_path, capsys):
     rewrite_field(path, "[offers]", 1, 2, "nan")  # hour 1, bus 2
     problem = "hour 1: offer at bus 2 has non-finite marginal cost"
     assert main(["validate", str(path)]) == 1
-    assert capsys.readouterr().out == f"{problem}\n1 violation(s)\n"
+    assert capsys.readouterr().err == f"error: {problem}\n1 violation(s)\n"
     assert main(["run", "--input", str(path), "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == f"error: {problem}\n"
+
+
+@pytest.mark.parametrize("text, problem", [
+    ("[run]\nbus = x\n", "config: bad value 'x' for 'bus' in [run]"),
+    ("bus = 3\n", "config line 1: expected 'key = value' inside a section"),
+    ("[run]\nfoo = 1\n", "config: unknown key 'foo' in [run]"),
+])
+def test_bad_config_is_an_error_line(tmp_path, capsys, text, problem):
+    config = tmp_path / "c.cfg"
+    config.write_text(text)
+    rc = main(["run", "--preset", "paper-3bus", "--config", str(config),
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {problem}\n"
+
+
+def test_missing_config_file_is_an_error_line(tmp_path, capsys):
+    missing = tmp_path / "nope.cfg"
+    rc = main(["run", "--preset", "paper-3bus", "--config", str(missing),
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(missing) in err and err.count("\n") == 1
+
+
+def test_unbounded_hour_is_an_error_line(tmp_path, capsys):
+    path = tmp_path / "unbounded.txt"
+    write_preset_file(path, case="infinite")
+    rewrite_field(path, "[offers]", 0, 2, "40")  # hour 1, bus 1: unlimited at 40
+    rewrite_field(path, "[offers]", 0, 4, "inf")
+    rewrite_field(path, "[utilities]", 0, 2, "90")  # hour 1: unlimited load at 90
+    rewrite_field(path, "[utilities]", 0, 5, "inf")
+    for argv in (["run", "--input", str(path)], ["sweep", "--input", str(path), "--pi", "70"]):
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == "error: hour 1: solver returned unbounded\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_lists_each_problem_before_solving(tmp_path, capsys):
+    path = tmp_path / "bad.txt"
+    write_preset_file(path)
+    rewrite_field(path, "[lines]", 0, 2, "-0.1")
+    rc = main(["sweep", "--input", str(path), "--pi=-1,70,-2", "--cases", "finite,weird",
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: unknown case 'weird'; expected infinite|finite\n"
+        "error: line 1-2: reactance_pu must be > 0, got -0.1\n"
+        "error: price cap at bus 3: negative cap value\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flag, problem", [
+    ("--cap", "price cap must be finite, got inf"),
+    ("--utility", "marginal utility must be finite, got inf"),
+    ("--gen-cost", "marginal cost must be finite, got inf"),
+])
+def test_duality_demo_non_finite_input_is_an_error(capsys, flag, problem):
+    assert main(["duality-demo", flag, "inf"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {problem}\n" and captured.out == ""
 
 
 def test_duality_demo(capsys):
@@ -292,6 +353,6 @@ def test_overflowing_susceptance_is_a_violation(tmp_path, capsys):
     rewrite_field(path, "[lines]", 1, 2, "5e-324")
     problem = "line 1-3: reactance_pu 5e-324 is so small that its susceptance overflows"
     assert main(["validate", str(path)]) == 1
-    assert capsys.readouterr().out == f"{problem}\n1 violation(s)\n"
+    assert capsys.readouterr().err == f"error: {problem}\n1 violation(s)\n"
     assert main(["run", "--input", str(path), "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == f"error: {problem}\n"

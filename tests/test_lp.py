@@ -143,6 +143,22 @@ def test_malformed_program_rejected():
         LinearProgram("maximize").add_row("r", {}, "<<", 0.0)
 
 
+@pytest.mark.parametrize("objective, rhs, problem", [
+    (INF, 5.0, "column 'x': non-finite objective inf"),
+    (-INF, 5.0, "column 'x': non-finite objective -inf"),
+    (1.0, INF, "row 'cap': non-finite right-hand side inf"),
+    (1.0, float("nan"), "row 'cap': non-finite right-hand side nan"),
+])
+def test_non_finite_objective_or_rhs_rejected(objective, rhs, problem):
+    # an infinite right-hand side used to reach the simplex and fail there
+    lp = LinearProgram("maximize")
+    lp.add_column("x", 0.0, INF, objective=objective)
+    lp.add_row("cap", {"x": 1.0}, "<=", rhs)
+    with pytest.raises(MalformedProgramError) as exc:
+        solve(lp)
+    assert str(exc.value) == problem
+
+
 def test_duplicate_names_rejected():
     lp = LinearProgram("maximize")
     lp.add_column("x", 0.0, 1.0)

@@ -73,8 +73,7 @@ def test_unlimited_lines_produce_no_flow_rows():
 
 
 def test_flex_column_only_in_cap_bus_balance():
-    inp = OpfHourInput(triangle(), hour_data(), caps=(PriceCap(3, 70.0),),
-                       flexibility_enabled=True)
+    inp = OpfHourInput(triangle(), hour_data(), caps=(PriceCap(3, 70.0),))
     prog = build_opf(inp)
     assert "pflex_3" in prog.columns
     rows_with_flex = [r.name for r in prog.rows.values() if "pflex_3" in r.coeffs]
@@ -82,16 +81,8 @@ def test_flex_column_only_in_cap_bus_balance():
     assert prog.columns["pflex_3"].objective == -70.0
 
 
-def test_cap_without_flexibility_rejected():
-    inp = OpfHourInput(triangle(), hour_data(), caps=(PriceCap(3, 70.0),),
-                       flexibility_enabled=False)
-    with pytest.raises(ValueError, match="flexibility is disabled"):
-        build_opf(inp)
-
-
 def test_cap_on_unconstrained_bus_rejected():
-    inp = OpfHourInput(triangle(), hour_data(), caps=(PriceCap(2, 70.0),),
-                       flexibility_enabled=True)
+    inp = OpfHourInput(triangle(), hour_data(), caps=(PriceCap(2, 70.0),))
     with pytest.raises(ValueError, match="not price constrained"):
         build_opf(inp)
 
@@ -147,7 +138,7 @@ def test_flow_conservation():
 
 def test_flex_run_caps_price_and_balances():
     inp = OpfHourInput(triangle(0.6), hour_data(hour=17, a_trans=77.07, load=1.2),
-                       caps=(PriceCap(3, 70.0),), flexibility_enabled=True)
+                       caps=(PriceCap(3, 70.0),))
     res = solve_opf_hour(inp)
     assert res.lmp_eur_mwh[3] <= 70.0 + 1e-6
     assert res.p_flexreq_mw[3] == pytest.approx(0.35, abs=1e-9)
@@ -159,7 +150,7 @@ def test_single_bus_network_equals_ed_chain():
     net = Network(buses=[Bus(1, is_slack=True, price_constrained=True)], lines=[])
     data = HourlyMarketData(1, offers=[GenOffer(1, 80.0, 0.0, INF)],
                             utilities=[LoadUtility(1, 90.0, 0.0, 1.0, 1.0)])
-    inp = OpfHourInput(net, data, caps=(PriceCap(1, 70.0),), flexibility_enabled=True)
+    inp = OpfHourInput(net, data, caps=(PriceCap(1, 70.0),))
     res = solve_opf_hour(inp)
 
     chain = solve_ed_chain(EdInstance(
@@ -198,8 +189,7 @@ def test_multiple_cap_buses_supported():
         offers=[GenOffer(1, 90.0, 0.0, 5.0)],
         utilities=[LoadUtility(2, 95.0, 0.0, 0.5, 0.5), LoadUtility(3, 95.0, 0.0, 0.5, 0.5)],
     )
-    inp = OpfHourInput(net, data, caps=(PriceCap(2, 60.0), PriceCap(3, 70.0)),
-                       flexibility_enabled=True)
+    inp = OpfHourInput(net, data, caps=(PriceCap(2, 60.0), PriceCap(3, 70.0)))
     res = solve_opf_hour(inp)
     assert res.lmp_eur_mwh[2] <= 60.0 + 1e-6
     assert res.lmp_eur_mwh[3] == pytest.approx(70.0, abs=1e-6)  # own flex marginal
@@ -357,8 +347,7 @@ def test_mesh_program_text_is_pinned():
     data = HourlyMarketData(
         5, offers=[GenOffer(1, 70.0, 2.0, 4.0), GenOffer(3, 30.0, 0.0, 0.5)],
         utilities=[LoadUtility(4, 90.0, 1.0, 0.5, 1.5), LoadUtility(2, 80.0, 0.0, 0.2, 0.4)])
-    prog = build_opf(OpfHourInput(net, data, caps=(PriceCap(4, 65.0),),
-                                  flexibility_enabled=True))
+    prog = build_opf(OpfHourInput(net, data, caps=(PriceCap(4, 65.0),)))
     assert to_lp_format(prog) == """\\ opf_h5
 Maximize
  obj: - 70 pg_1 - 30 pg_3 + 90 pl_4 + 80 pl_2 - 65 pflex_4

@@ -90,8 +90,8 @@ def test_cli_rejects_mutated_files_with_error_lines(tmp_path_factory, text):
 
     rc, out, err = run(["validate", str(path)])
     assert rc in (0, 1)
-    if rc:  # a parse error is named on stderr, a violation report ends with its count
-        assert any(line.startswith("error: ") for line in err) or out.endswith(" violation(s)\n")
+    if rc:
+        assert any(line.startswith("error: ") for line in err)
 
     rc, _, err = run(["run", "--input", str(path), "--allow-infeasible",
                       "--out", str(tmp / "out")])
