@@ -13,6 +13,15 @@ price, so they are flagged and left out of the settlement.
 The first pass does not depend on the cap.  ``sweep_pi_des`` therefore solves
 it once per line-limit case and every cap of that case reuses it; outside a
 sweep each ``run_hedge`` solves both passes.
+
+The second pass adds one column to the first, ``pflex`` at objective -pi, so
+an hour's optimal first-pass basis stays optimal exactly when the column's
+reduced cost lambda_unc - pi is not positive (the test for adding a variable
+to a solved LP).  Where the first-pass price is at or below the cap, the
+second pass therefore keeps that hour's vertex with zero flexibility and
+solves nothing; only the hours priced above the cap are solved, each warm
+from its first-pass basis.  Degenerate and infeasible first-pass hours are
+solved too, because a warm start from them does not end on that vertex.
 """
 
 from __future__ import annotations
@@ -20,10 +29,10 @@ from __future__ import annotations
 import csv
 import json
 from contextvars import ContextVar
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from decimal import ROUND_HALF_UP, Context, Decimal
 
-from .model import Network, PriceCap
+from .model import Network, PriceCap, validate_price_cap
 from .opf import DispatchResult, solve_opf_series
 from .scenario import apply_line_limits
 
@@ -112,12 +121,28 @@ def _price_discovery(net: Network, series: list) -> tuple[DispatchResult | None,
     return pass1
 
 
+def _keeps_vertex(unc: DispatchResult | None, cap: PriceCap) -> bool:
+    """Whether pass 1's optimal basis stays optimal once pass 2 adds ``pflex``:
+    the hour has a non-degenerate basis (a degenerate warm start falls back to
+    the slack basis) and the column's reduced cost lambda_unc - pi is not
+    positive, so the first pricing step of a warm start would reject it."""
+    return unc is not None and not unc.degenerate and \
+        unc.lmp_eur_mwh[cap.bus] <= cap.cap_for_hour(unc.hour)
+
+
 def run_hedge(net: Network, series, cap: PriceCap) -> HedgeRun:
     series = list(series)
-    # pass 1's optimal basis, with pflex nonbasic at 0, is feasible for pass 2
     pass1 = _price_discovery(net, series)
-    pass2 = solve_opf_series(net, series, caps=(cap,),
-                             starts=[None if r is None else r.basis for r in pass1])
+    problems = validate_price_cap(net, cap)  # hours that keep pass 1's vertex build no program
+    if problems:
+        raise ValueError("; ".join(problems))
+    keep = [_keeps_vertex(unc, cap) for unc in pass1]
+    # pass 1's optimal basis, with pflex nonbasic at 0, is feasible for pass 2
+    solved = iter(solve_opf_series(
+        net, [data for data, k in zip(series, keep) if not k], caps=(cap,),
+        starts=[None if unc is None else unc.basis for unc, k in zip(pass1, keep) if not k]))
+    pass2 = [replace(unc, p_flexreq_mw={cap.bus: 0.0}) if k else next(solved)
+             for unc, k in zip(pass1, keep)]
 
     hours = []
     for data, unc, hed in zip(series, pass1, pass2):

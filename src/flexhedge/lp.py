@@ -105,9 +105,12 @@ class LinearProgram:
             if not math.isfinite(col.objective):
                 problems.append(f"column {col.name!r}: non-finite objective {col.objective}")
         for row in self.rows.values():
-            for cname in row.coeffs:
+            for cname, coef in row.coeffs.items():
                 if cname not in self.columns:
                     problems.append(f"row {row.name!r} references unknown column {cname!r}")
+                if not math.isfinite(coef):
+                    problems.append(
+                        f"row {row.name!r}: non-finite coefficient {coef} on column {cname!r}")
             if not math.isfinite(row.rhs):
                 problems.append(f"row {row.name!r}: non-finite right-hand side {row.rhs}")
         return problems

@@ -252,6 +252,8 @@ def validate_market_data(net: Network, data: HourlyMarketData) -> list[str]:
             problems.append(
                 f"{tag}: load bounds at bus {u.bus} must satisfy 0 <= min <= max, "
                 f"got [{u.p_min_mw}, {u.p_max_mw}]")
+        elif not math.isfinite(u.p_max_mw):  # utility above cost would buy without end
+            problems.append(f"{tag}: utility at bus {u.bus} has non-finite max load")
 
     return problems
 

@@ -119,9 +119,7 @@ class _Internal:
 
         # internal objective is always minimized
         self.c_int = -self.c_ext if self.maximizing else self.c_ext.copy()
-
-    def names(self) -> list[str]:
-        return self.col_names + [f"slack:{r}" for r in self.row_names]
+        self.names = self.col_names + [f"slack:{r}" for r in self.row_names]
 
 
 class _State:
@@ -325,7 +323,7 @@ def _expel_artificials(st: _State) -> None:
 
 def _extract(internal: _Internal, st: _State, status: str) -> LpSolution:
     n, m = internal.n_struct, internal.n_rows
-    names = internal.names()
+    names = internal.names
 
     if status != "optimal":
         return LpSolution(status=status, primal={}, duals={}, reduced_costs={},
@@ -343,28 +341,26 @@ def _extract(internal: _Internal, st: _State, status: str) -> LpSolution:
     objective = float(internal.c_ext[:n] @ x_struct) + internal.lp.constant
     reduced_ext = internal.c_ext[:n] - y_ext @ internal.A[:, :n]
 
-    degenerate = False
-    for bi in st.basis:
-        if bi >= st.artificial_from:
-            continue
-        if (st.lo[bi] > -INF and abs(st.x[bi] - st.lo[bi]) <= 1e-9) or \
-           (st.up[bi] < INF and abs(st.x[bi] - st.up[bi]) <= 1e-9):
-            degenerate = True
-            break
+    # a basic column other than an artificial sits at a bound
+    af = st.artificial_from
+    x = st.x[:af]
+    gap = np.minimum(np.abs(x - st.lo[:af]), np.abs(x - st.up[:af]))  # inf at an infinite bound
+    degenerate = bool((gap[st.in_basis[:af]] <= 1e-9).any())
 
     basis_names = tuple(
         names[bi] if bi < n + m
         else f"artificial:{internal.row_names[st.art_rows[bi - st.artificial_from]]}"
         for bi in st.basis
     )
-    at_upper = tuple(names[j] for j in range(n + m)  # fixed columns rest at either bound
-                     if not st.in_basis[j] and st.at_upper[j] and st.lo[j] < st.up[j])
+    lo, up = st.lo[: n + m], st.up[: n + m]  # fixed columns rest at either bound
+    resting_up = ~st.in_basis[: n + m] & st.at_upper[: n + m] & (lo < up)
+    at_upper = tuple(names[j] for j in resting_up.nonzero()[0].tolist())
 
     return LpSolution(
         status="optimal",
-        primal={name: float(x_struct[j]) + 0.0 for j, name in enumerate(internal.col_names)},
-        duals={name: float(y_ext[i]) + 0.0 for i, name in enumerate(internal.row_names)},
-        reduced_costs={name: float(reduced_ext[j]) + 0.0 for j, name in enumerate(internal.col_names)},
+        primal=dict(zip(internal.col_names, (x_struct + 0.0).tolist())),
+        duals=dict(zip(internal.row_names, (y_ext + 0.0).tolist())),
+        reduced_costs=dict(zip(internal.col_names, (reduced_ext + 0.0).tolist())),
         objective_value=objective,
         basis=basis_names,
         nonbasic_at_upper=at_upper,
@@ -376,7 +372,7 @@ def _extract(internal: _Internal, st: _State, status: str) -> LpSolution:
 def _state_at(internal: _Internal, basis: tuple[str, ...],
               nonbasic_at_upper: tuple[str, ...]) -> _State:
     """State resting on a named basis; raises KeyError for a name the program lacks."""
-    index = {name: j for j, name in enumerate(internal.names())}
+    index = {name: j for j, name in enumerate(internal.names)}
     at_upper = np.zeros(internal.A.shape[1], dtype=bool)
     at_upper[[index[name] for name in nonbasic_at_upper]] = True
     return _rest(internal, [index[name] for name in basis], at_upper)
@@ -418,7 +414,10 @@ def solve_program(lp: LinearProgram) -> LpSolution:
     # the slack basis, every other column at its finite lower bound, else its
     # finite upper bound, else free at zero
     resting = (internal.lo == -INF) & (internal.up < INF)
-    return _solve_from(internal, _start(_rest(internal, list(range(n, n + m)), resting)))
+    st = _start(_rest(internal, list(range(n, n + m)), resting))
+    if st is None:  # the slack basis is the identity: only a non-finite value ends here
+        raise SolverFailureError("non-finite value at the slack-basis start")
+    return _solve_from(internal, st)
 
 
 def solution_from_basis(lp: LinearProgram, basis: tuple[str, ...],

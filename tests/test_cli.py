@@ -290,10 +290,14 @@ def test_unbounded_hour_is_an_error_line(tmp_path, capsys):
     rewrite_field(path, "[offers]", 0, 4, "inf")
     rewrite_field(path, "[utilities]", 0, 2, "90")  # hour 1: unlimited load at 90
     rewrite_field(path, "[utilities]", 0, 5, "inf")
+    problem = "hour 1: utility at bus 3 has non-finite max load"  # the cause of the unbounded hour
     for argv in (["run", "--input", str(path)], ["sweep", "--input", str(path), "--pi", "70"]):
         assert main(argv + ["--out", str(tmp_path / "out")]) == 1
-        assert capsys.readouterr().err == "error: hour 1: solver returned unbounded\n"
+        assert capsys.readouterr().err == f"error: {problem}\n"
     assert not (tmp_path / "out").exists()
+    assert main(["validate", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {problem}\n1 violation(s)\n"
 
 
 def test_sweep_lists_each_problem_before_solving(tmp_path, capsys):

@@ -33,7 +33,7 @@ from flexhedge.model import (
     Network,
     PriceCap,
 )
-from flexhedge.opf import crash_start
+from flexhedge.opf import OpfHourInput, build_opf, crash_start, solve_opf_series
 from flexhedge.scenario import (
     FINITE_LIMIT_MW,
     ScenarioSpec,
@@ -144,19 +144,29 @@ def test_paper_study_pivot_path_is_pinned(monkeypatch):
 
     monkeypatch.setattr(simplex, "solve_program", recording)
     scenario = generate_scenario(ScenarioSpec(seed=7, line_limit_case="finite"))
-    run_hedge(scenario.network, scenario.hours, PriceCap(3, 70.0))
-    assert len(solutions) == 48
+    cap = PriceCap(3, 70.0)
+    run = run_hedge(scenario.network, scenario.hours, cap)
+    # pass 2 solves only the 14 hours priced above the cap
+    assert len(solutions) == 24 + 14
     # pass 1 starts each hour from the network's crash basis
     assert all(p.start == crash_start(scenario.network, data)
                for p, data in zip(programs[:24], scenario.hours))
     assert sum(s.iterations for s in solutions[:24]) == 48
-    # pass 2 starts each hour from pass 1's optimal basis
-    assert all(p.start == (s.basis, s.nonbasic_at_upper)
-               for p, s in zip(programs[24:], solutions[:24]))
-    assert sum(s.iterations for s in solutions[24:]) == 47
-    for prog in programs[24:]:
+    # pass 2 starts each hour it solves from pass 1's optimal basis
+    binding = [(data, unc) for data, unc in zip(scenario.hours, run.unconstrained)
+               if unc.lmp_eur_mwh[3] > 70.0]
+    assert [p.name for p in programs[24:]] == [f"opf_h{data.hour}" for data, _ in binding]
+    assert all(p.start == unc.basis for p, (_, unc) in zip(programs[24:], binding))
+    assert sum(s.iterations for s in solutions[24:]) == 37
+    # every hour's pass-2 program solved warm: the 10 hours priced at or below
+    # the cap stop at their first pricing step, one iteration each
+    programs = [build_opf(OpfHourInput(scenario.network, data, (cap,))) for data in scenario.hours]
+    for prog, unc in zip(programs, run.unconstrained):
+        prog.start = unc.basis
+    assert sum(original(p).iterations for p in programs) == 47
+    for prog in programs:
         prog.start = None
-    cold = [original(p) for p in programs[24:]]
+    cold = [original(p) for p in programs]
     assert sum(s.iterations for s in cold) == 191
     # from the slack basis, the row order of the final basis records which
     # tied row left at each pivot, and which tied column entered
@@ -168,7 +178,6 @@ def test_paper_study_pivot_path_is_pinned(monkeypatch):
 
 def test_two_pass_consistency():
     scenario = generate_scenario(ScenarioSpec(seed=21))
-    from flexhedge.opf import solve_opf_series
     once = solve_opf_series(scenario.network, list(scenario.hours))
     again = solve_opf_series(scenario.network, list(scenario.hours))
     assert once == again
@@ -195,6 +204,52 @@ def test_infeasible_first_pass_flagged_and_excluded():
     assert report.excluded_hours == (1,)
     assert report.warning_count == 1
     assert report.total_revenue_eur == pytest.approx(report.hours[1].revenue_eur)
+
+
+def pass2_solved(monkeypatch, net, series, cap) -> list[str]:
+    """Run ``run_hedge``, check that its pass 2 ``==`` every hour solved warm
+    from pass 1's optimal basis, and return the pass-2 programs it solved."""
+    calls = count_solves(monkeypatch)
+    run = run_hedge(net, series, cap)
+    monkeypatch.undo()
+    # builds each hour's program as build_opf(OpfHourInput(net, hour, (cap,)))
+    warm = solve_opf_series(net, series, caps=(cap,),
+                            starts=[None if r is None else r.basis for r in run.unconstrained])
+    assert run.hedged == tuple(warm)
+    return [prog.name for prog in calls[len(series):]]
+
+
+@pytest.mark.parametrize("case", ["infinite", "finite"])
+@pytest.mark.parametrize("seed", [1, 7, 42])
+def test_pass2_keeps_pass1_vertex_only_where_a_solve_would(monkeypatch, seed, case):
+    scenario = generate_scenario(ScenarioSpec(seed=seed, line_limit_case=case))
+    solved = [pass2_solved(monkeypatch, scenario.network, scenario.hours, PriceCap(3, float(pi)))
+              for pi in range(60, 81)]
+    assert 0 < sum(map(len, solved)) < 21 * 24
+
+
+def test_cap_at_the_unconstrained_price(monkeypatch):
+    scenario = generate_scenario(ScenarioSpec(seed=7, line_limit_case="finite"))
+    net, hours = scenario.network, scenario.hours
+    prices = [r.lmp_eur_mwh[3] for r in solve_opf_series(net, hours)]
+    # a cap exactly at the price prices flexibility at zero reduced cost
+    assert pass2_solved(monkeypatch, net, hours, PriceCap(3, prices[16])) == \
+        [f"opf_h{h}" for h, p in enumerate(prices, 1) if p > prices[16]]
+    assert pass2_solved(monkeypatch, net, hours, PriceCap(3, tuple(prices))) == []
+    # per-hour caps: every odd hour's cap sits 5 EUR/MWh below its price
+    caps = tuple(p - 5.0 * (h % 2) for h, p in enumerate(prices, 1))
+    assert pass2_solved(monkeypatch, net, hours, PriceCap(3, caps)) == \
+        [f"opf_h{h}" for h in range(1, 25, 2)]
+
+
+def test_degenerate_first_pass_hour_is_solved(monkeypatch):
+    # hour 1: the cheap source exactly covers the firm load, so pg_1 is basic at 0
+    series = [firm_hour(1, a_trans=50.0, dist_cap=1.0), firm_hour(2, a_trans=50.0)]
+    net = build_3bus_network("infinite")
+    pass1 = solve_opf_series(net, series)
+    assert [r.degenerate for r in pass1] == [True, False]
+    assert all(r.lmp_eur_mwh[3] <= 70.0 for r in pass1)
+    assert pass2_solved(monkeypatch, net, series, PriceCap(3, 70.0)) == ["opf_h1"]
 
 
 # ---------------------------------------------------------------------------
@@ -290,8 +345,9 @@ def test_sweep_solves_pass1_once_per_case(monkeypatch):
     caps = [60.0, 70.0, 80.0]
     calls = count_solves(monkeypatch)
     result = sweep_pi_des(scenario.network, scenario.hours, 3, caps, cases)
-    # one 24-hour pass 1 per case, one 24-hour pass 2 per (case, cap)
-    assert len(calls) == 2 * 24 + 6 * 24
+    # one 24-hour pass 1 per case; pass 2 per (case, cap) only in the hours
+    # priced above the cap (67 of 144)
+    assert len(calls) == 2 * 24 + 67
     for row in result.rows:
         overrides = cases[row.scenario]
         net = scenario.network if overrides is None else \
@@ -303,16 +359,17 @@ def test_sweep_solves_pass1_once_per_case(monkeypatch):
 def test_pass1_reuse_is_scoped_to_one_sweep(monkeypatch):
     scenario = generate_scenario(ScenarioSpec(seed=7))
     calls = count_solves(monkeypatch)
+    # 24 pass-1 solves and 14 pass-2 solves, in the hours priced above 70
     run_hedge(scenario.network, scenario.hours, PriceCap(3, 70.0))
-    assert len(calls) == 48
+    assert len(calls) == 38
     run_hedge(scenario.network, scenario.hours, PriceCap(3, 70.0))
-    assert len(calls) == 96
+    assert len(calls) == 76
     # a sweep that fails part-way still drops its pass-1 results
     with pytest.raises(ValueError, match="non-finite"):
         sweep_pi_des(scenario.network, scenario.hours, 3, [70.0, math.inf], {"base": None})
     assert _SWEEP_PASS1.get() is None
     run_hedge(scenario.network, scenario.hours, PriceCap(3, 70.0))
-    assert len(calls) == 96 + 48 + 48
+    assert len(calls) == 76 + 38 + 38
 
 
 def test_sweep_reads_an_iterator_like_a_tuple():

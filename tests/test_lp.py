@@ -159,6 +159,28 @@ def test_non_finite_objective_or_rhs_rejected(objective, rhs, problem):
     assert str(exc.value) == problem
 
 
+@pytest.mark.parametrize("coef", [INF, float("nan")])
+def test_non_finite_coefficient_rejected(coef):
+    # used to reach the simplex, whose slack-basis start then failed
+    lp = LinearProgram("maximize")
+    lp.add_column("x", 0.0, 1.0, objective=1.0)
+    lp.add_column("y", 0.0, 1.0, objective=1.0)
+    lp.add_row("r", {"x": coef, "y": 1.0}, "<=", 1.0)
+    with pytest.raises(MalformedProgramError) as exc:
+        solve(lp)
+    assert str(exc.value) == f"row 'r': non-finite coefficient {coef} on column 'x'"
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_overflowing_slack_basis_start_is_a_solver_failure():
+    # finite data, but the resting column times its coefficient overflows
+    lp = LinearProgram("maximize")
+    lp.add_column("x", 1e300, INF, objective=-1.0)
+    lp.add_row("r", {"x": 1e300}, "<=", 1.0)
+    with pytest.raises(SolverFailureError, match="non-finite value at the slack-basis start"):
+        solve(lp)
+
+
 def test_duplicate_names_rejected():
     lp = LinearProgram("maximize")
     lp.add_column("x", 0.0, 1.0)

@@ -5,7 +5,9 @@ seeded 10- or 30-bus mesh is checked twice: both passes' objectives against
 ``scipy.optimize.linprog(method="highs")``, and every hour against a solve of
 the same program from the slack basis (same basis set, same objective and
 prices).  Pass 1 starts from the network's crash basis and pass 2 from pass
-1's optimal basis, and neither start may fall back to the slack basis.
+1's optimal basis, and neither start may fall back to the slack basis.  An
+hour priced at or below the cap keeps pass 1's vertex in pass 2; that result
+must equal a warm solve of the hour's pass-2 program.
 """
 
 from __future__ import annotations
@@ -20,8 +22,10 @@ from flexhedge import simplex
 from flexhedge.hedging import run_hedge
 from flexhedge.lp import INF
 from flexhedge.model import Bus, GenOffer, HourlyMarketData, Line, LoadUtility, Network, PriceCap
-from flexhedge.opf import crash_start, solve_opf_series
+from flexhedge.opf import OpfHourInput, build_opf, crash_start, solve_opf_series
 from flexhedge.scenario import DEFAULT_LOAD_PROFILE_MW, DEFAULT_WHOLESALE_EUR_MWH
+
+from test_hedging import pass2_solved
 
 linprog = pytest.importorskip("scipy.optimize").linprog
 
@@ -119,9 +123,21 @@ def test_mesh_day_matches_highs_and_cold_solves(monkeypatch, n_buses, seed):
     monkeypatch.setattr(simplex, "solve_program", recording)
     monkeypatch.setattr(simplex, "_start", lambda st: starts.append(st) or start(st))
     run = run_hedge(net, hours, cap)
+    assert 0 < run.report.hours_active < 24
+    # pass 2 solves only the hours priced above the cap; build and solve the
+    # others here, warm from pass 1's basis, so all 48 programs are checked
+    assert len(solved) == 24 + sum(r.lmp_eur_mwh[cap.bus] > cap.cap_eur_per_mwh
+                                   for r in run.unconstrained)
+    pass2 = {entry[0].name: entry for entry in solved[24:]}
+    for data, unc in zip(hours, run.unconstrained):
+        if f"opf_h{data.hour}" not in pass2:
+            prog = build_opf(OpfHourInput(net, data, (cap,)))
+            prog.start = unc.basis
+            simplex.solve_program(prog)
+            pass2[prog.name] = solved.pop()
+    solved[24:] = [pass2[f"opf_h{data.hour}"] for data in hours]
     monkeypatch.undo()
     assert len(solved) == 48
-    assert 0 < run.report.hours_active < 24
     # one start per solve: the given start was used, the slack basis never
     assert [n_starts for _, _, n_starts in solved] == [1] * 48
     assert [prog.start for prog, _, _ in solved[:24]] == [crash_start(net, h) for h in hours]
@@ -145,3 +161,9 @@ def test_mesh_day_matches_highs_and_cold_solves(monkeypatch, n_buses, seed):
             started_iterations += started.iterations
             cold_iterations += cold.iterations
         assert started_iterations < cold_iterations
+
+
+@pytest.mark.parametrize("n_buses, seed", [(10, 1), (10, 2), (10, 3), (10, 4), (30, 5), (30, 6)])
+def test_mesh_pass2_keeps_pass1_vertex_only_where_a_solve_would(monkeypatch, n_buses, seed):
+    net, hours, cap = seeded_mesh(n_buses, seed)
+    assert 0 < len(pass2_solved(monkeypatch, net, hours, cap)) < 24

@@ -150,6 +150,9 @@ def test_market_data_validation():
         assert validate_market_data(net, util) == [
             "hour 3: utility at bus 3 has non-finite marginal utility",
             "hour 3: utility at bus 3 has non-finite constant utility"]
+    endless = HourlyMarketData(5, utilities=[LoadUtility(3, 60.0, 0.0, 0.1, math.inf)])
+    assert validate_market_data(net, endless) == [
+        "hour 5: utility at bus 3 has non-finite max load"]
     nan_capacity = HourlyMarketData(4, offers=[GenOffer(2, 50.0, 0.0, math.nan)])
     assert validate_market_data(net, nan_capacity) == [
         "hour 4: offer at bus 2 has NaN capacity"]
