@@ -13,7 +13,6 @@ from .economic_dispatch import (
     build_ed_dual,
     build_ed_flex_primal,
     build_ed_primal,
-    price_paid_by_load,
     solve_ed_chain,
 )
 from .hedging import (
@@ -59,6 +58,8 @@ from .opf import (
     HourInfeasibleError,
     OpfHourInput,
     build_opf,
+    capped_dual,
+    price_paid_by_load,
     read_dispatch_csv,
     solve_opf_hour,
     solve_opf_series,

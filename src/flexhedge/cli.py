@@ -180,7 +180,10 @@ def cmd_run(args) -> int:
     _resolve_defaults(args)
     net, hours = _resolve_scenario(args)
     cap = PriceCap(args.bus, _parse_pi_des(args.pi_des))
-    problems = _input_problems(net, hours, [cap])
+    formats = [f.strip() for f in (args.formats or "csv,json").split(",")]
+    problems = [f"unknown format {f!r}; expected csv|json"
+                for f in formats if f not in ("csv", "json")]
+    problems += _input_problems(net, hours, [cap])
     if problems:
         return _fail(*problems)
 
@@ -189,7 +192,6 @@ def cmd_run(args) -> int:
 
     out_dir = Path(args.out or os.environ.get(ENV_OUT, DEFAULT_OUT))
     out_dir.mkdir(parents=True, exist_ok=True)
-    formats = tuple((args.formats or "csv,json").split(","))
 
     if "csv" in formats:
         _atomic_write(out_dir / "hedge_report.csv", _render(write_hedge_csv, report))

@@ -9,16 +9,18 @@ one-sided limit rows so congestion shadow prices stay readable per direction.
 An hour whose firm load cannot be served under the line limits is infeasible
 and is reported as such; the toolkit never sheds firm load, because a shedding
 variable would change the prices.
+
+``capped_dual`` builds the paper's side of the same hour: the dual of the
+program without flexibility, with the price at each capped bus bounded.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
-from .economic_dispatch import price_paid_by_load
-from .lp import INF, LinearProgram, dual_of, solve
+from .lp import INF, LinearProgram, LpSolution, dual_of, dual_program, solve
 from .model import (
     HourlyMarketData,
     Network,
@@ -80,6 +82,14 @@ class DispatchResult:
 
 def _column(prefix: str, bus: int) -> str:
     return f"{prefix}_{bus}"
+
+
+def price_paid_by_load(sol: LpSolution, balance_row: str) -> float:
+    """LMP at a balance row: positive means the load pays.  The package fixes
+    the sign here: a balance row reads generation - load = 0 in a maximize
+    program, so its raw dual is the welfare change per MW of forced extra
+    generation, and the price charged to load is its negation."""
+    return -dual_of(sol, balance_row)
 
 
 @lru_cache(maxsize=8)  # a sweep compiles one network per line-limit case
@@ -172,6 +182,21 @@ def build_opf(inp: OpfHourInput) -> LinearProgram:
 
     prog.constant = constant
     return prog
+
+
+def capped_dual(inp: OpfHourInput) -> LinearProgram:
+    """The dual of the hour's program without flexibility plus, per cap at bus
+    ``k``, a row ``price_cap_k``: ``-y:balance_k <= pi``.  Its optimum equals
+    ``build_opf(inp)``'s; the program minimises, so a cap row's dual is <= 0,
+    and it is minus the flexibility ``build_opf(inp)`` buys at that bus."""
+    problems = inp.validate()
+    if problems:
+        raise ValueError("; ".join(problems))
+    dual = dual_program(build_opf(replace(inp, caps=())))
+    for cap in inp.caps:
+        dual.add_row(f"price_cap_{cap.bus}", {f"y:balance_{cap.bus}": -1.0}, "<=",
+                     cap.cap_for_hour(inp.data.hour))
+    return dual
 
 
 def solve_opf_hour(inp: OpfHourInput, start=None) -> DispatchResult:

@@ -39,6 +39,18 @@ def test_run_finite_case_has_larger_revenue(tmp_path):
     assert fin_doc["totals"]["total_revenue_eur"] > inf_doc["totals"]["total_revenue_eur"]
 
 
+def test_run_formats_are_stripped_and_checked(tmp_path, capsys):
+    args = ["run", "--preset", "paper-3bus", "--seed", "7"]
+    assert main(args + ["--formats", "xml", "--out", str(tmp_path / "bad")]) == 1
+    assert capsys.readouterr().err == "error: unknown format 'xml'; expected csv|json\n"
+    assert main(args + ["--formats", "csv,", "--out", str(tmp_path / "bad")]) == 1
+    assert capsys.readouterr().err == "error: unknown format ''; expected csv|json\n"
+    assert not (tmp_path / "bad").exists()
+    assert main(args + ["--formats", "csv, json", "--out", str(tmp_path / "out")]) == 0
+    for name in ARTIFACTS:
+        assert (tmp_path / "out" / name).exists(), name
+
+
 def test_run_byte_identical_for_same_config(tmp_path):
     args = ["run", "--preset", "paper-3bus", "--case", "finite",
             "--pi-des", "70", "--seed", "7"]
@@ -264,6 +276,7 @@ def test_non_finite_cost_is_a_violation(tmp_path, capsys):
     ("[run]\nbus = x\n", "config: bad value 'x' for 'bus' in [run]"),
     ("bus = 3\n", "config line 1: expected 'key = value' inside a section"),
     ("[run]\nfoo = 1\n", "config: unknown key 'foo' in [run]"),
+    ("[run]\nformats = csv,xml\n", "unknown format 'xml'; expected csv|json"),
 ])
 def test_bad_config_is_an_error_line(tmp_path, capsys, text, problem):
     config = tmp_path / "c.cfg"
@@ -315,10 +328,10 @@ def test_sweep_lists_each_problem_before_solving(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flag, problem", [
-    ("--cap", "price cap must be finite, got inf"),
-    ("--utility", "marginal utility must be finite, got inf"),
-    ("--gen-cost", "marginal cost must be finite, got inf"),
-])
+    ("--cap", "price cap at bus 1: non-finite cap value"),
+    ("--utility", "hour 1: utility at bus 1 has non-finite marginal utility"),
+    ("--gen-cost", "hour 1: offer at bus 1 has non-finite marginal cost"),
+], ids=["--cap", "--utility", "--gen-cost"])
 def test_duality_demo_non_finite_input_is_an_error(capsys, flag, problem):
     assert main(["duality-demo", flag, "inf"]) == 1
     captured = capsys.readouterr()

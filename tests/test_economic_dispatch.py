@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 
 import pytest
 
@@ -10,11 +11,11 @@ from flexhedge.economic_dispatch import (
     build_ed_dual,
     build_ed_flex_primal,
     build_ed_primal,
-    price_paid_by_load,
     solve_ed_chain,
 )
 from flexhedge.lp import solve, verify_kkt
 from flexhedge.model import GenOffer, LoadUtility
+from flexhedge.opf import price_paid_by_load
 
 from oracles import brute_force_optimum
 
@@ -54,28 +55,28 @@ def test_primal_no_trade_instance():
     assert oracle_obj == pytest.approx(0.0, abs=1e-12)
     sol = solve(lp)
     assert sol.objective_value == pytest.approx(oracle_obj, abs=1e-9)
-    assert sol.primal["p_l"] == pytest.approx(oracle_x["p_l"], abs=1e-9)
+    assert sol.primal["pl_1"] == pytest.approx(oracle_x["pl_1"], abs=1e-9)
 
 
 def test_primal_profitable_trade_marginal_generator_sets_price():
     inst = make_instance(a=50.0, b=90.0, p_min=0.2, p_max=1.0, capacity=5.0)
     sol = solve(build_ed_primal(inst))
-    assert sol.primal["p_l"] == pytest.approx(1.0, abs=1e-9)
-    assert sol.primal["p_g"] == pytest.approx(1.0, abs=1e-9)
-    assert price_paid_by_load(sol) == pytest.approx(50.0, abs=1e-9)
+    assert sol.primal["pl_1"] == pytest.approx(1.0, abs=1e-9)
+    assert sol.primal["pg_1"] == pytest.approx(1.0, abs=1e-9)
+    assert price_paid_by_load(sol, "balance_1") == pytest.approx(50.0, abs=1e-9)
 
 
 def test_primal_pinned_zero_load():
     sol = solve(build_ed_primal(make_instance(p_min=0.0, p_max=0.0)))
-    assert sol.primal == {"p_g": 0.0, "p_l": 0.0}
+    assert sol.primal == {"theta_1": 0.0, "pg_1": 0.0, "pl_1": 0.0}
     assert sol.objective_value == 0.0
 
 
-def test_finite_capacity_becomes_row():
+def test_finite_capacity_becomes_column_bound():
     lp = build_ed_primal(make_instance(capacity=2.0))
-    assert "gen_capacity" in lp.rows
+    assert lp.columns["pg_1"].upper == 2.0
     lp_inf = build_ed_primal(make_instance())
-    assert "gen_capacity" not in lp_inf.rows
+    assert lp_inf.columns["pg_1"].upper == math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +93,7 @@ def test_dual_matches_primal_without_cap():
 
 def test_dual_with_loose_cap_unchanged():
     inst = make_instance(a=50.0, b=90.0, p_min=0.2, p_max=1.0)
-    unconstrained_price = price_paid_by_load(solve(build_ed_primal(inst)))
+    unconstrained_price = price_paid_by_load(solve(build_ed_primal(inst)), "balance_1")
     loose = make_instance(a=50.0, b=90.0, p_min=0.2, p_max=1.0,
                           cap=unconstrained_price + 25.0)
     d_plain = solve(build_ed_dual(make_instance(a=50.0, b=90.0, p_min=0.2, p_max=1.0)))
@@ -114,26 +115,26 @@ def test_flex_covers_load_when_generator_above_cap():
     inst = make_instance(a=80.0, b=90.0, p_min=1.0, p_max=1.0, cap=70.0)
     lp = build_ed_flex_primal(inst)
     oracle_obj, oracle_x = brute_force_optimum(lp)
-    assert oracle_x["p_flexreq"] == pytest.approx(1.0, abs=1e-9)
+    assert oracle_x["pflex_1"] == pytest.approx(1.0, abs=1e-9)
     sol = solve(lp)
     assert sol.objective_value == pytest.approx(oracle_obj, abs=1e-9)
-    assert sol.primal["p_flexreq"] == pytest.approx(1.0, abs=1e-9)
-    assert price_paid_by_load(sol) == pytest.approx(70.0, abs=1e-9)
+    assert sol.primal["pflex_1"] == pytest.approx(1.0, abs=1e-9)
+    assert price_paid_by_load(sol, "balance_1") == pytest.approx(70.0, abs=1e-9)
 
 
 def test_flex_idle_when_cap_above_unconstrained_price():
     inst = make_instance(a=50.0, b=90.0, p_min=0.2, p_max=1.0, cap=60.0)
     sol = solve(build_ed_flex_primal(inst))
     plain = solve(build_ed_primal(make_instance(a=50.0, b=90.0, p_min=0.2, p_max=1.0)))
-    assert sol.primal["p_flexreq"] == pytest.approx(0.0, abs=1e-9)
+    assert sol.primal["pflex_1"] == pytest.approx(0.0, abs=1e-9)
     assert sol.objective_value == pytest.approx(plain.objective_value, abs=1e-9)
 
 
 def test_flex_is_only_feasible_supply_with_zero_capacity():
     inst = make_instance(a=80.0, b=90.0, p_min=1.0, p_max=1.0, capacity=0.0, cap=70.0)
     sol = solve(build_ed_flex_primal(inst))
-    assert sol.primal["p_flexreq"] == pytest.approx(1.0, abs=1e-9)
-    assert price_paid_by_load(sol) == pytest.approx(70.0, abs=1e-9)
+    assert sol.primal["pflex_1"] == pytest.approx(1.0, abs=1e-9)
+    assert price_paid_by_load(sol, "balance_1") == pytest.approx(70.0, abs=1e-9)
 
 
 def test_flex_requires_cap():
@@ -216,6 +217,18 @@ def test_constant_terms_shift_objectives_not_dispatch():
     assert chain1.result.p_g_mw == chain0.result.p_g_mw
     assert chain1.result.p_l_mw == chain0.result.p_l_mw
     assert chain1.result.p_flexreq_mw == chain0.result.p_flexreq_mw
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("term, problem", [
+    ("c_gen", "hour 1: offer at bus 1 has non-finite constant cost"),
+    ("c_load", "hour 1: utility at bus 1 has non-finite constant utility"),
+])
+def test_chain_rejects_non_finite_constant_terms(term, problem, value):
+    # these used to give NaN objectives and a NaN gap
+    inst = make_instance(a=50.0, b=90.0, p_min=0.2, p_max=1.0, cap=60.0, **{term: value})
+    with pytest.raises(ValueError, match=re.escape(problem)):
+        solve_ed_chain(inst)
 
 
 def test_tie_between_cap_and_price_flagged_degenerate():

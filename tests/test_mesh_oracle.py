@@ -8,6 +8,10 @@ prices).  Pass 1 starts from the network's crash basis and pass 2 from pass
 1's optimal basis, and neither start may fall back to the slack basis.  An
 hour priced at or below the cap keeps pass 1's vertex in pass 2; that result
 must equal a warm solve of the hour's pass-2 program.
+
+Two more checks reach past three buses: every LMP of a non-degenerate hour
+against HiGHS's equality marginals, and the paper's capped dual
+(``opf.capped_dual``) against every pass-2 hour, objective and flexibility.
 """
 
 from __future__ import annotations
@@ -20,10 +24,15 @@ import pytest
 
 from flexhedge import simplex
 from flexhedge.hedging import run_hedge
-from flexhedge.lp import INF
+from flexhedge.lp import INF, solve
 from flexhedge.model import Bus, GenOffer, HourlyMarketData, Line, LoadUtility, Network, PriceCap
-from flexhedge.opf import OpfHourInput, build_opf, crash_start, solve_opf_series
-from flexhedge.scenario import DEFAULT_LOAD_PROFILE_MW, DEFAULT_WHOLESALE_EUR_MWH
+from flexhedge.opf import OpfHourInput, build_opf, capped_dual, crash_start, solve_opf_series
+from flexhedge.scenario import (
+    DEFAULT_LOAD_PROFILE_MW,
+    DEFAULT_WHOLESALE_EUR_MWH,
+    generate_scenario,
+    preset_spec,
+)
 
 from test_hedging import pass2_solved
 
@@ -31,6 +40,8 @@ linprog = pytest.importorskip("scipy.optimize").linprog
 
 HIGHS_RTOL = 1e-6
 COLD_RTOL = 1e-9
+MARGINAL_RTOL = 1e-9
+CAPPED_DUAL_RTOL = 1e-9
 
 
 def seeded_mesh(n_buses: int, seed: int):
@@ -79,12 +90,15 @@ def seeded_mesh(n_buses: int, seed: int):
     return net, hours, PriceCap(capped, statistics.median(prices))
 
 
-def highs_objective(prog) -> float:
+def highs(prog):
+    """``linprog(method="highs")``'s result for ``prog`` as a minimisation, a
+    maximize program's objective negated, and the names of its equality rows
+    in the order of ``res.eqlin.marginals``."""
     names = list(prog.columns)
     index = {name: j for j, name in enumerate(names)}
     sign = -1.0 if prog.sense == "maximize" else 1.0
     c = np.array([sign * prog.columns[n].objective for n in names])
-    a_eq, b_eq, a_ub, b_ub = [], [], [], []
+    a_eq, b_eq, a_ub, b_ub, eq_rows = [], [], [], [], []
     for row in prog.rows.values():
         dense = np.zeros(len(names))
         for name, coef in row.coeffs.items():
@@ -92,6 +106,7 @@ def highs_objective(prog) -> float:
         if row.relation == "=":
             a_eq.append(dense)
             b_eq.append(row.rhs)
+            eq_rows.append(row.name)
         else:
             flip = 1.0 if row.relation == "<=" else -1.0
             a_ub.append(flip * dense)
@@ -102,7 +117,12 @@ def highs_objective(prog) -> float:
                   A_eq=np.array(a_eq) if a_eq else None, b_eq=b_eq or None,
                   bounds=bounds, method="highs")
     assert res.status == 0, res.message
-    return sign * res.fun + prog.constant
+    return res, eq_rows
+
+
+def highs_objective(prog) -> float:
+    sign = -1.0 if prog.sense == "maximize" else 1.0
+    return sign * highs(prog)[0].fun + prog.constant
 
 
 def close(a: float, b: float, rtol: float) -> bool:
@@ -167,3 +187,42 @@ def test_mesh_day_matches_highs_and_cold_solves(monkeypatch, n_buses, seed):
 def test_mesh_pass2_keeps_pass1_vertex_only_where_a_solve_would(monkeypatch, n_buses, seed):
     net, hours, cap = seeded_mesh(n_buses, seed)
     assert 0 < len(pass2_solved(monkeypatch, net, hours, cap)) < 24
+
+
+@pytest.mark.parametrize("n_buses, seed", [(10, 3), (10, 4), (30, 5)])
+def test_mesh_lmps_match_highs_marginals(n_buses, seed):
+    # HiGHS minimises -welfare, so a balance row's marginal is d(-welfare)/d(rhs):
+    # the cost of one more MW of generation than load there, the price load pays
+    net, hours, _ = seeded_mesh(n_buses, seed)
+    checked = 0
+    for data, res in zip(hours, solve_opf_series(net, hours)):
+        if res.degenerate:
+            continue
+        highs_res, eq_rows = highs(build_opf(OpfHourInput(net, data)))
+        marginals = dict(zip(eq_rows, highs_res.eqlin.marginals))
+        for bus, lmp in res.lmp_eur_mwh.items():
+            assert close(lmp, marginals[f"balance_{bus}"], MARGINAL_RTOL), (data.hour, bus)
+            checked += 1
+    assert checked >= 20 * n_buses
+
+
+@pytest.mark.parametrize("kind, size_or_case, seed",
+                         [("paper-3bus", case, seed) for seed in (1, 7, 42)
+                          for case in ("finite", "infinite")]
+                         + [("mesh", 10, seed) for seed in (1, 2, 3)] + [("mesh", 30, 1)])
+def test_capped_dual_equals_pass2_at_network_scale(kind, size_or_case, seed):
+    # the paper's formulation: cap the price, a dual variable, and read the
+    # flexibility off the cap row's dual; the program minimises, so that dual is <= 0
+    if kind == "mesh":
+        net, hours, cap = seeded_mesh(size_or_case, seed)
+    else:
+        scenario = generate_scenario(preset_spec(kind, case=size_or_case, seed=seed))
+        net, hours, cap = scenario.network, scenario.hours, PriceCap(3, 70.0)
+    run = run_hedge(net, hours, cap)
+    assert run.report.hours_active > 0
+    for data, hedged in zip(hours, run.hedged):
+        sol = solve(capped_dual(OpfHourInput(net, data, (cap,))))
+        assert sol.status == "optimal", data.hour
+        assert close(sol.objective_value, hedged.objective_eur, CAPPED_DUAL_RTOL), data.hour
+        flex = hedged.p_flexreq_mw[cap.bus]
+        assert abs(sol.duals[f"price_cap_{cap.bus}"] + flex) <= CAPPED_DUAL_RTOL, data.hour
