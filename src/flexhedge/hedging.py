@@ -22,6 +22,12 @@ second pass therefore keeps that hour's vertex with zero flexibility and
 solves nothing; only the hours priced above the cap are solved, each warm
 from its first-pass basis.  Degenerate and infeasible first-pass hours are
 solved too, because a warm start from them does not end on that vertex.
+
+In the second pass the cap is only ``pflex``'s objective, so an hour's optimal
+basis at one cap stays feasible at the next (Gass & Saaty 1955): within a
+sweep each hour's second pass starts from its basis at the previous cap that
+solved it.  A start that does not end on a non-degenerate optimum is re-solved
+from the slack basis, so results do not depend on where a solve started.
 """
 
 from __future__ import annotations
@@ -105,20 +111,23 @@ class HedgeRun:
     hedged: tuple[DispatchResult | None, ...]
 
 
-# pass-1 results by (network, hours) while a sweep runs; None outside one
+# by (network, hours) while a sweep runs: the pass-1 results and, per capped
+# bus, each hour's pass-2 start; None outside a sweep
 _SWEEP_PASS1: ContextVar[dict | None] = ContextVar("_SWEEP_PASS1", default=None)
 
 
-def _price_discovery(net: Network, series: list) -> tuple[DispatchResult | None, ...]:
-    """Pass 1, memoised within a sweep."""
+def _price_discovery(net: Network, series: list, bus: int) -> tuple[tuple, list]:
+    """Pass 1 and each hour's pass-2 start at ``bus``: its latest pass-2 basis,
+    else pass 1's (None for an infeasible hour), memoised within a sweep."""
     memo = _SWEEP_PASS1.get()
     key = (net, tuple(series))
     if memo is not None and key in memo:
-        return memo[key]
-    pass1 = tuple(solve_opf_series(net, series))
-    if memo is not None:
-        memo[key] = pass1
-    return pass1
+        pass1, starts = memo[key]
+    else:
+        pass1, starts = tuple(solve_opf_series(net, series)), {}
+        if memo is not None:
+            memo[key] = pass1, starts
+    return pass1, starts.setdefault(bus, [None if unc is None else unc.basis for unc in pass1])
 
 
 def _keeps_vertex(unc: DispatchResult | None, cap: PriceCap) -> bool:
@@ -132,17 +141,21 @@ def _keeps_vertex(unc: DispatchResult | None, cap: PriceCap) -> bool:
 
 def run_hedge(net: Network, series, cap: PriceCap) -> HedgeRun:
     series = list(series)
-    pass1 = _price_discovery(net, series)
+    pass1, starts = _price_discovery(net, series, cap.bus)
     problems = validate_price_cap(net, cap)  # hours that keep pass 1's vertex build no program
     if problems:
         raise ValueError("; ".join(problems))
     keep = [_keeps_vertex(unc, cap) for unc in pass1]
-    # pass 1's optimal basis, with pflex nonbasic at 0, is feasible for pass 2
-    solved = iter(solve_opf_series(
-        net, [data for data, k in zip(series, keep) if not k], caps=(cap,),
-        starts=[None if unc is None else unc.basis for unc, k in zip(pass1, keep) if not k]))
+    to_solve = [h for h, k in enumerate(keep) if not k]
+    # pass 1's optimal basis, with pflex nonbasic at 0, is feasible for pass 2,
+    # and so is pass 2's optimal basis at another cap
+    solved = iter(solve_opf_series(net, [series[h] for h in to_solve], caps=(cap,),
+                                   starts=[starts[h] for h in to_solve]))
     pass2 = [replace(unc, p_flexreq_mw={cap.bus: 0.0}) if k else next(solved)
              for unc, k in zip(pass1, keep)]
+    for h in to_solve:
+        if pass2[h] is not None:
+            starts[h] = pass2[h].basis
 
     hours = []
     for data, unc, hed in zip(series, pass1, pass2):
@@ -218,7 +231,8 @@ def sweep_pi_des(net: Network, series, bus: int, pi_values,
 
     Pass 1 (price discovery) is solved once per line-limit scenario: each cap
     is still a full ``run_hedge`` call, which reuses that scenario's pass 1
-    for the duration of the sweep.
+    for the duration of the sweep and starts each hour's pass 2 from that
+    hour's optimal pass-2 basis at the previous cap that solved it.
     """
     series, pi_values = tuple(series), list(pi_values)  # every cap reads every hour
     if not pi_values:

@@ -36,8 +36,11 @@ values are updated in place on every pivot and bound flip.  To bound drift the
 basis is inverted afresh, and basic values are recomputed in full, every
 ``_REFACTOR_EVERY`` pivots.  The updated quantities only steer pivot choices
 and the phase-1 feasibility test (against ``FEAS_TOL``): the reported solution
-is always computed from a fresh solve with the final basis, so a given final
-basis gives bitwise the same primal values, duals, reduced costs and objective.
+is computed from fresh solves with the final basis, so a given final basis
+gives bitwise the same primal values, duals, reduced costs and objective.
+Where no pivot, bound flip or artificial swap has happened since the basic
+values were last solved afresh (a start at its optimum), ``_extract`` keeps
+them: they are already that fresh solve's, bit for bit.
 Two starts that end on the same basis set can list it in different row
 orders; the fresh solves then factor the basis in that order, and the outputs
 can differ in the last few ulps.
@@ -137,6 +140,7 @@ class _State:
         self.artificial_from = self.n_total  # columns >= this index are artificial
         self.art_rows = np.zeros(0, dtype=np.intp)  # the row each artificial serves
         self.iterations = 0
+        self.fresh = False  # basic values solved afresh since the last pivot, flip or swap
 
     def nonbasic_value(self, j: int) -> float:
         if self.at_upper[j]:
@@ -154,6 +158,7 @@ class _State:
         self.x[nonbasic] = self.nonbasic_values()[nonbasic]
         rhs = self.b - self.A[:, nonbasic] @ self.x[nonbasic]
         self.x[self.basis] = _solve(self.A[:, self.basis], rhs)
+        self.fresh = True
 
     def multipliers(self, cost: np.ndarray) -> np.ndarray:
         return _solve(self.A[:, self.basis].T, cost[self.basis])
@@ -272,6 +277,7 @@ def _iterate(st: _State, cost: np.ndarray) -> str:
         if t_flip == INF and t_best == INF:
             return "unbounded"
 
+        st.fresh = False
         if t_flip <= t_best:
             st.x[basis] = x_B - t_flip * delta
             st.at_upper[entering] = not st.at_upper[entering]
@@ -319,6 +325,7 @@ def _expel_artificials(st: _State) -> None:
             st.at_upper[bi] = False
             st.basis[pos] = replacement
             st.in_basis[replacement] = True
+            st.fresh = False
 
 
 def _extract(internal: _Internal, st: _State, status: str) -> LpSolution:
@@ -331,7 +338,8 @@ def _extract(internal: _Internal, st: _State, status: str) -> LpSolution:
                           nonbasic_at_upper=(), degenerate=False,
                           iterations=st.iterations)
 
-    st.refresh_basics()
+    if not st.fresh:
+        st.refresh_basics()
     cost = np.zeros(st.n_total)
     cost[: n + m] = internal.c_int
     y_int = st.multipliers(cost)

@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from flexhedge import simplex
+from flexhedge import hedging, simplex
 from flexhedge.hedging import (
     _SWEEP_PASS1,
     DsoComputation,
@@ -354,6 +354,45 @@ def test_sweep_solves_pass1_once_per_case(monkeypatch):
             apply_line_limits(scenario.network, overrides)
         alone = run_hedge(net, scenario.hours, PriceCap(3, row.pi_des))
         assert row.total_revenue_eur == alone.report.total_revenue_eur, row
+
+
+@pytest.mark.parametrize("caps", [[float(pi) for pi in range(60, 81)],
+                                  [40.0 + 0.5 * k for k in range(161)]],
+                         ids=["60-80", "40-120-by-0.5"])
+@pytest.mark.parametrize("seed", [1, 7, 42])
+def test_sweep_continues_each_hours_pass2_from_the_previous_cap(monkeypatch, seed, caps):
+    scenario = generate_scenario(ScenarioSpec(seed=seed))
+    cases = {"infinite": None, "finite": {(2, 3): FINITE_LIMIT_MW}}
+    calls = count_solves(monkeypatch)
+    runs = []
+
+    def recording(net, series, cap):
+        first = len(calls)
+        run = run_hedge(net, series, cap)
+        runs.append((net, cap, run, calls[first:]))
+        return run
+
+    monkeypatch.setattr(hedging, "run_hedge", recording)
+    sweep_pi_des(scenario.network, scenario.hours, 3, caps, cases)
+    monkeypatch.undo()
+    assert len(runs) == 2 * len(caps)
+    # an hour's first pass-2 solve in a case starts from its pass-1 basis, or
+    # from the crash basis where pass 1 is infeasible; every later one from the
+    # hour's pass-2 basis at the previous cap that solved it
+    latest, continued = {}, 0
+    for net, cap, run, programs in runs:
+        assert run == run_hedge(net, scenario.hours, cap), cap
+        for prog in programs:
+            if "pflex_3" not in prog.columns:  # pass 1
+                continue
+            h = int(prog.name.removeprefix("opf_h")) - 1
+            unc = run.unconstrained[h]
+            first = crash_start(net, scenario.hours[h]) if unc is None else unc.basis
+            assert prog.start == latest.get((net, h), first), (cap, prog.name)
+            continued += (net, h) in latest
+            if run.hedged[h] is not None:
+                latest[net, h] = run.hedged[h].basis
+    assert continued > len(caps)
 
 
 def test_pass1_reuse_is_scoped_to_one_sweep(monkeypatch):

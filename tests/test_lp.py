@@ -19,8 +19,12 @@ from flexhedge.lp import (
     to_lp_format,
     verify_kkt,
 )
+from flexhedge.model import PriceCap
+from flexhedge.opf import OpfHourInput, build_opf
+from flexhedge.scenario import generate_scenario, preset_spec
 
 from oracles import brute_force_optimum, enumerate_optima, oracle_row_dual
+from test_mesh_oracle import seeded_mesh
 
 
 def simple_cap_lp():
@@ -359,6 +363,37 @@ def test_optimal_start_takes_one_iteration():
     rebuilt = rebuild_solution(lp, cold.basis, cold.nonbasic_at_upper)
     assert warm == dataclasses.replace(rebuilt, iterations=1)
     assert verify_kkt(lp, warm).within(1e-9)
+
+
+def hour_programs(source):
+    """``paper-3bus`` seed 7's pass-2 programs at cap 70 in one line-limit case,
+    or both passes' programs of ``seeded_mesh(10, 1)``; none has a start."""
+    if source == "mesh":
+        net, hours, cap = seeded_mesh(10, 1)
+        return [build_opf(OpfHourInput(net, data, caps)) for caps in ((), (cap,)) for data in hours]
+    scenario = generate_scenario(preset_spec("paper-3bus", case=source, seed=7))
+    return [build_opf(OpfHourInput(scenario.network, data, (PriceCap(3, 70.0),)))
+            for data in scenario.hours]
+
+
+@pytest.mark.parametrize("source", ["infinite", "finite", "mesh"])
+def test_start_at_the_optimum_reports_its_basis_without_a_pivot(source):
+    # a solve that pivots reports values solved afresh with its final basis; one
+    # started at its optimum pivots never and reports its start's values as they are
+    warm_solves = 0
+    for lp in hour_programs(source):
+        cold = solve(lp)
+        assert cold.iterations > 1, lp.name
+        rebuilt = simplex.solution_from_basis(lp, cold.basis, cold.nonbasic_at_upper)
+        assert cold == dataclasses.replace(rebuilt, iterations=cold.iterations), lp.name
+        if cold.degenerate:  # the start would fall back to the slack basis
+            continue
+        lp.start = (cold.basis, cold.nonbasic_at_upper)
+        warm = solve(lp)
+        assert warm.iterations == 1, lp.name  # one pricing step
+        assert warm == dataclasses.replace(rebuilt, iterations=1), lp.name
+        warm_solves += 1
+    assert warm_solves >= 20
 
 
 def test_start_is_not_part_of_the_program():

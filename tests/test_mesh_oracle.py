@@ -36,8 +36,6 @@ from flexhedge.scenario import (
 
 from test_hedging import pass2_solved
 
-linprog = pytest.importorskip("scipy.optimize").linprog
-
 HIGHS_RTOL = 1e-6
 COLD_RTOL = 1e-9
 MARGINAL_RTOL = 1e-9
@@ -93,7 +91,8 @@ def seeded_mesh(n_buses: int, seed: int):
 def highs(prog):
     """``linprog(method="highs")``'s result for ``prog`` as a minimisation, a
     maximize program's objective negated, and the names of its equality rows
-    in the order of ``res.eqlin.marginals``."""
+    in the order of ``res.eqlin.marginals``.  Skips the test without scipy."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
     names = list(prog.columns)
     index = {name: j for j, name in enumerate(names)}
     sign = -1.0 if prog.sense == "maximize" else 1.0
@@ -131,6 +130,7 @@ def close(a: float, b: float, rtol: float) -> bool:
 
 @pytest.mark.parametrize("n_buses, seed", [(10, 3), (10, 4), (30, 5)])
 def test_mesh_day_matches_highs_and_cold_solves(monkeypatch, n_buses, seed):
+    pytest.importorskip("scipy.optimize")
     net, hours, cap = seeded_mesh(n_buses, seed)
     solved, starts = [], []
     original, start = simplex.solve_program, simplex._start
@@ -193,6 +193,7 @@ def test_mesh_pass2_keeps_pass1_vertex_only_where_a_solve_would(monkeypatch, n_b
 def test_mesh_lmps_match_highs_marginals(n_buses, seed):
     # HiGHS minimises -welfare, so a balance row's marginal is d(-welfare)/d(rhs):
     # the cost of one more MW of generation than load there, the price load pays
+    pytest.importorskip("scipy.optimize")
     net, hours, _ = seeded_mesh(n_buses, seed)
     checked = 0
     for data, res in zip(hours, solve_opf_series(net, hours)):
