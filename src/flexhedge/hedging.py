@@ -26,8 +26,12 @@ solved too, because a warm start from them does not end on that vertex.
 In the second pass the cap is only ``pflex``'s objective, so an hour's optimal
 basis at one cap stays feasible at the next (Gass & Saaty 1955): within a
 sweep each hour's second pass starts from its basis at the previous cap that
-solved it.  A start that does not end on a non-degenerate optimum is re-solved
-from the slack basis, so results do not depend on where a solve started.
+solved it.  Such a solve ends on the vertex a run alone reaches: a unique
+optimum is reached from any start, a degenerate one is re-solved from the
+slack basis (``simplex``), and one that ends on a tie, where a nonbasic
+column could move at zero reduced cost, is solved again from pass 1's basis.
+It can list that vertex's basis in another row order than a run alone, and
+its values then differ in the last few ulps.
 """
 
 from __future__ import annotations
@@ -111,23 +115,22 @@ class HedgeRun:
     hedged: tuple[DispatchResult | None, ...]
 
 
-# by (network, hours) while a sweep runs: the pass-1 results and, per capped
-# bus, each hour's pass-2 start; None outside a sweep
-_SWEEP_PASS1: ContextVar[dict | None] = ContextVar("_SWEEP_PASS1", default=None)
+# while a sweep runs, by (network, hours): pass 1's results and, per capped
+# bus, each hour's optimal pass-2 basis at the latest cap that solved it,
+# which run_hedge adds and updates in place; None outside a sweep
+_SWEEP_MEMO: ContextVar[dict | None] = ContextVar("_SWEEP_MEMO", default=None)
 
 
-def _price_discovery(net: Network, series: list, bus: int) -> tuple[tuple, list]:
-    """Pass 1 and each hour's pass-2 start at ``bus``: its latest pass-2 basis,
-    else pass 1's (None for an infeasible hour), memoised within a sweep."""
-    memo = _SWEEP_PASS1.get()
+def _price_discovery(net: Network, series: list) -> tuple[tuple, dict[int, dict]]:
+    """Pass 1 and its pass-2 bases by capped bus, memoised within a sweep."""
+    memo = _SWEEP_MEMO.get()
     key = (net, tuple(series))
     if memo is not None and key in memo:
-        pass1, starts = memo[key]
-    else:
-        pass1, starts = tuple(solve_opf_series(net, series)), {}
-        if memo is not None:
-            memo[key] = pass1, starts
-    return pass1, starts.setdefault(bus, [None if unc is None else unc.basis for unc in pass1])
+        return memo[key]
+    found = tuple(solve_opf_series(net, series)), {}
+    if memo is not None:
+        memo[key] = found
+    return found
 
 
 def _keeps_vertex(unc: DispatchResult | None, cap: PriceCap) -> bool:
@@ -141,21 +144,32 @@ def _keeps_vertex(unc: DispatchResult | None, cap: PriceCap) -> bool:
 
 def run_hedge(net: Network, series, cap: PriceCap) -> HedgeRun:
     series = list(series)
-    pass1, starts = _price_discovery(net, series, cap.bus)
+    pass1, pass2_bases = _price_discovery(net, series)
     problems = validate_price_cap(net, cap)  # hours that keep pass 1's vertex build no program
     if problems:
         raise ValueError("; ".join(problems))
     keep = [_keeps_vertex(unc, cap) for unc in pass1]
-    to_solve = [h for h, k in enumerate(keep) if not k]
-    # pass 1's optimal basis, with pflex nonbasic at 0, is feasible for pass 2,
-    # and so is pass 2's optimal basis at another cap
-    solved = iter(solve_opf_series(net, [series[h] for h in to_solve], caps=(cap,),
-                                   starts=[starts[h] for h in to_solve]))
-    pass2 = [replace(unc, p_flexreq_mw={cap.bus: 0.0}) if k else next(solved)
+    pass2 = [replace(unc, p_flexreq_mw={cap.bus: 0.0}) if k else None
              for unc, k in zip(pass1, keep)]
-    for h in to_solve:
-        if pass2[h] is not None:
-            starts[h] = pass2[h].basis
+
+    def solve(hours: list[int], starts: list) -> None:
+        solved = solve_opf_series(net, [series[h] for h in hours], caps=(cap,), starts=starts)
+        for h, hed in zip(hours, solved):
+            pass2[h] = hed
+
+    # pass 1's optimal basis, with pflex nonbasic at 0, is feasible for pass 2,
+    # and so is an hour's optimal pass-2 basis at an earlier cap of the sweep
+    first = [None if unc is None else unc.basis for unc in pass1]
+    latest = pass2_bases.setdefault(cap.bus, {})
+    to_solve = [h for h, k in enumerate(keep) if not k]
+    solve(to_solve, [latest.get(h, first[h]) for h in to_solve])
+    # where an hour has several optimal vertices the start picks one, so a
+    # continued start that ends on a tie is solved again from pass 1's basis,
+    # the start of a run outside a sweep
+    tied = [h for h in to_solve
+            if h in latest and pass2[h] is not None and pass2[h].dual_degenerate]
+    solve(tied, [first[h] for h in tied])
+    latest.update((h, pass2[h].basis) for h in to_solve if pass2[h] is not None)
 
     hours = []
     for data, unc, hed in zip(series, pass1, pass2):
@@ -242,7 +256,7 @@ def sweep_pi_des(net: Network, series, bus: int, pi_values,
 
     rows = []
     warnings = []
-    token = _SWEEP_PASS1.set({})
+    token = _SWEEP_MEMO.set({})
     try:
         for label, overrides in scenarios.items():
             scenario_net = net if not overrides else apply_line_limits(net, overrides)
@@ -258,7 +272,7 @@ def sweep_pi_des(net: Network, series, bus: int, pi_values,
                         f"as the cap increased to {pi}")
                 previous = total
     finally:
-        _SWEEP_PASS1.reset(token)
+        _SWEEP_MEMO.reset(token)
     return SweepResult(rows=tuple(rows), monotonicity_warnings=tuple(warnings))
 
 

@@ -38,9 +38,9 @@ basis is inverted afresh, and basic values are recomputed in full, every
 and the phase-1 feasibility test (against ``FEAS_TOL``): the reported solution
 is computed from fresh solves with the final basis, so a given final basis
 gives bitwise the same primal values, duals, reduced costs and objective.
-Where no pivot, bound flip or artificial swap has happened since the basic
-values were last solved afresh (a start at its optimum), ``_extract`` keeps
-them: they are already that fresh solve's, bit for bit.
+A solve whose first pricing step, with no phase 1 before it, finds its start
+optimal keeps the basic values its start solved afresh: they are already
+that fresh solve's, bit for bit.
 Two starts that end on the same basis set can list it in different row
 orders; the fresh solves then factor the basis in that order, and the outputs
 can differ in the last few ulps.
@@ -140,7 +140,6 @@ class _State:
         self.artificial_from = self.n_total  # columns >= this index are artificial
         self.art_rows = np.zeros(0, dtype=np.intp)  # the row each artificial serves
         self.iterations = 0
-        self.fresh = False  # basic values solved afresh since the last pivot, flip or swap
 
     def nonbasic_value(self, j: int) -> float:
         if self.at_upper[j]:
@@ -158,7 +157,6 @@ class _State:
         self.x[nonbasic] = self.nonbasic_values()[nonbasic]
         rhs = self.b - self.A[:, nonbasic] @ self.x[nonbasic]
         self.x[self.basis] = _solve(self.A[:, self.basis], rhs)
-        self.fresh = True
 
     def multipliers(self, cost: np.ndarray) -> np.ndarray:
         return _solve(self.A[:, self.basis].T, cost[self.basis])
@@ -277,7 +275,6 @@ def _iterate(st: _State, cost: np.ndarray) -> str:
         if t_flip == INF and t_best == INF:
             return "unbounded"
 
-        st.fresh = False
         if t_flip <= t_best:
             st.x[basis] = x_B - t_flip * delta
             st.at_upper[entering] = not st.at_upper[entering]
@@ -325,7 +322,6 @@ def _expel_artificials(st: _State) -> None:
             st.at_upper[bi] = False
             st.basis[pos] = replacement
             st.in_basis[replacement] = True
-            st.fresh = False
 
 
 def _extract(internal: _Internal, st: _State, status: str) -> LpSolution:
@@ -338,7 +334,8 @@ def _extract(internal: _Internal, st: _State, status: str) -> LpSolution:
                           nonbasic_at_upper=(), degenerate=False,
                           iterations=st.iterations)
 
-    if not st.fresh:
+    # one iteration and no phase 1: no pivot or flip since _start's fresh solve
+    if st.iterations != 1:
         st.refresh_basics()
     cost = np.zeros(st.n_total)
     cost[: n + m] = internal.c_int
@@ -361,8 +358,12 @@ def _extract(internal: _Internal, st: _State, status: str) -> LpSolution:
         for bi in st.basis
     )
     lo, up = st.lo[: n + m], st.up[: n + m]  # fixed columns rest at either bound
-    resting_up = ~st.in_basis[: n + m] & st.at_upper[: n + m] & (lo < up)
-    at_upper = tuple(names[j] for j in resting_up.nonzero()[0].tolist())
+    movable = ~st.in_basis[: n + m] & (lo < up)
+    at_upper = tuple(names[j] for j in (movable & st.at_upper[: n + m]).nonzero()[0].tolist())
+    # a nonbasic column that can move at zero reduced cost (a slack's is minus
+    # its row's dual): other optimal vertices may exist
+    reduced_all = np.concatenate([reduced_ext, -y_ext])
+    dual_degenerate = bool((np.abs(reduced_all[movable]) <= PIVOT_TOL).any())
 
     return LpSolution(
         status="optimal",
@@ -373,6 +374,7 @@ def _extract(internal: _Internal, st: _State, status: str) -> LpSolution:
         basis=basis_names,
         nonbasic_at_upper=at_upper,
         degenerate=degenerate,
+        dual_degenerate=dual_degenerate,
         iterations=st.iterations,
     )
 

@@ -1,5 +1,6 @@
 """Hedge pipeline: settlement arithmetic, trace, sweeps, exports."""
 
+import dataclasses
 import io
 import json
 import math
@@ -8,9 +9,10 @@ import pytest
 
 from flexhedge import hedging, simplex
 from flexhedge.hedging import (
-    _SWEEP_PASS1,
+    _SWEEP_MEMO,
     DsoComputation,
     FlexRequest,
+    HedgeRun,
     PriceRequest,
     Settlement,
     coordination_trace,
@@ -356,6 +358,87 @@ def test_sweep_solves_pass1_once_per_case(monkeypatch):
         assert row.total_revenue_eur == alone.report.total_revenue_eur, row
 
 
+def same_vertex(a: HedgeRun, b: HedgeRun, rtol: float) -> bool:
+    """Every hour on the same basis set, perhaps in another row order, and
+    every value within ``rtol`` relative to 1 + its size: two row orders of
+    one basis factor differently (see ``simplex``)."""
+    def close(x, y) -> bool:
+        if isinstance(x, float):
+            return abs(x - y) <= rtol * (1 + abs(y))
+        if isinstance(x, dict):
+            return x.keys() == y.keys() and all(close(x[k], y[k]) for k in x)
+        if isinstance(x, (list, tuple)):
+            return len(x) == len(y) and all(map(close, x, y))
+        return x == y
+
+    pairs = list(zip(a.unconstrained + a.hedged, b.unconstrained + b.hedged))
+    return close(dataclasses.asdict(a.report), dataclasses.asdict(b.report)) and all(
+        (x is None and y is None) or (
+            x is not None and y is not None
+            and sorted(x.basis[0]) == sorted(y.basis[0]) and x.basis[1] == y.basis[1]
+            and close(dataclasses.asdict(x), dataclasses.asdict(dataclasses.replace(y, basis=x.basis))))
+        for x, y in pairs)
+
+
+def check_sweep_continuation(monkeypatch, net, series, bus, caps, cases, rtol=0.0) -> int:
+    """Sweep ``caps`` over ``cases``, check that every ``run_hedge`` the sweep
+    makes ``==`` one alone at that cap (with ``rtol``, ends on its vertex and
+    within ``rtol`` of it) and that it starts each hour's pass 2 where it
+    should, and return how many pass-2 solves a tie sent back to pass 1's
+    basis."""
+    solves = []
+    original = simplex.solve_program
+
+    def solving(lp):
+        sol = original(lp)
+        solves.append((lp, sol))
+        return sol
+
+    runs = []
+
+    def recording(net, series, cap):
+        first = len(solves)
+        run = run_hedge(net, series, cap)
+        runs.append((net, cap, run, solves[first:]))
+        return run
+
+    monkeypatch.setattr(simplex, "solve_program", solving)
+    monkeypatch.setattr(hedging, "run_hedge", recording)
+    sweep_pi_des(net, series, bus, caps, cases)
+    monkeypatch.undo()
+    assert len(runs) == len(cases) * len(caps)
+    # an hour's first pass-2 solve in a case starts from its pass-1 basis, or
+    # from the crash basis where pass 1 is infeasible; every later one from the
+    # hour's pass-2 basis at the previous cap that solved it, and again from
+    # the first start where that one ends on a tie
+    latest, continued, retried = {}, 0, 0
+    for net, cap, run, programs in runs:
+        alone = run_hedge(net, series, cap)
+        assert run == alone if rtol == 0.0 else same_vertex(run, alone, rtol), cap
+        solved, tied = set(), set()
+        for prog, sol in programs:
+            if f"pflex_{bus}" not in prog.columns:  # pass 1
+                continue
+            h = int(prog.name.removeprefix("opf_h")) - 1
+            solved.add(h)
+            unc = run.unconstrained[h]
+            first = crash_start(net, series[h]) if unc is None else unc.basis
+            if h in tied:
+                assert prog.start == first, (cap, prog.name)
+                retried += 1
+                continue
+            assert prog.start == latest.get((net, h), first), (cap, prog.name)
+            if (net, h) in latest:
+                continued += 1
+                if sol.status == "optimal" and sol.dual_degenerate:
+                    tied.add(h)
+        for h in solved:
+            if run.hedged[h] is not None:
+                latest[net, h] = run.hedged[h].basis
+    assert continued > len(caps)
+    return retried
+
+
 @pytest.mark.parametrize("caps", [[float(pi) for pi in range(60, 81)],
                                   [40.0 + 0.5 * k for k in range(161)]],
                          ids=["60-80", "40-120-by-0.5"])
@@ -363,36 +446,41 @@ def test_sweep_solves_pass1_once_per_case(monkeypatch):
 def test_sweep_continues_each_hours_pass2_from_the_previous_cap(monkeypatch, seed, caps):
     scenario = generate_scenario(ScenarioSpec(seed=seed))
     cases = {"infinite": None, "finite": {(2, 3): FINITE_LIMIT_MW}}
-    calls = count_solves(monkeypatch)
-    runs = []
+    check_sweep_continuation(monkeypatch, scenario.network, scenario.hours, 3, caps, cases)
 
-    def recording(net, series, cap):
-        first = len(calls)
-        run = run_hedge(net, series, cap)
-        runs.append((net, cap, run, calls[first:]))
-        return run
 
-    monkeypatch.setattr(hedging, "run_hedge", recording)
-    sweep_pi_des(scenario.network, scenario.hours, 3, caps, cases)
-    monkeypatch.undo()
-    assert len(runs) == 2 * len(caps)
-    # an hour's first pass-2 solve in a case starts from its pass-1 basis, or
-    # from the crash basis where pass 1 is infeasible; every later one from the
-    # hour's pass-2 basis at the previous cap that solved it
-    latest, continued = {}, 0
-    for net, cap, run, programs in runs:
-        assert run == run_hedge(net, scenario.hours, cap), cap
-        for prog in programs:
-            if "pflex_3" not in prog.columns:  # pass 1
-                continue
-            h = int(prog.name.removeprefix("opf_h")) - 1
-            unc = run.unconstrained[h]
-            first = crash_start(net, scenario.hours[h]) if unc is None else unc.basis
-            assert prog.start == latest.get((net, h), first), (cap, prog.name)
-            continued += (net, h) in latest
-            if run.hedged[h] is not None:
-                latest[net, h] = run.hedged[h].basis
-    assert continued > len(caps)
+@pytest.mark.parametrize("n_buses, seed", [(10, 3), (10, 4), (30, 5)])
+def test_mesh_sweep_continues_each_hours_pass2_from_the_previous_cap(monkeypatch, n_buses, seed):
+    # on a mesh a continued solve often ends on a run alone's basis set in
+    # another row order: up to 7.4e-14 apart on these three
+    from test_mesh_oracle import seeded_mesh  # it imports this module
+
+    net, hours, cap = seeded_mesh(n_buses, seed)
+    caps = [cap.cap_eur_per_mwh * (0.5 + k / 20) for k in range(21)]
+    check_sweep_continuation(monkeypatch, net, hours, cap.bus, caps, {"mesh": None}, rtol=1e-12)
+
+
+def tie_hours():
+    """Bus 3 buys a fixed 2 MW from its own 1 MW offer, priced 60 + h/2 EUR/MWh
+    in hour h, and from bus 1 at 85: at a cap equal to the local price,
+    flexibility and the local offer tie."""
+    return [HourlyMarketData(h, offers=[GenOffer(1, 85.0, 0.0, 5.0),
+                                        GenOffer(3, 60.0 + h / 2, 0.0, 1.0)],
+                             utilities=[LoadUtility(3, 100.0, 0.0, 2.0, 2.0)])
+            for h in range(1, 25)]
+
+
+def test_sweep_over_ties_equals_runs_alone(monkeypatch):
+    # hour 20's offer costs 70: at cap 70, from cap 69.5's basis (2 MW of
+    # flexibility, local offer off) nothing improves, but a run alone starts
+    # from pass 1's basis and ends with 1 MW of each
+    net, series = build_3bus_network("infinite"), tie_hours()
+    alone = run_hedge(net, series, PriceCap(3, 70.0)).report.hours[19]
+    assert (alone.p_flexreq_mw, alone.revenue_eur) == (1.0, 15.0)
+    cases = {"infinite": None, "finite": {(2, 3): FINITE_LIMIT_MW}}
+    for caps in ([69.5, 70.0], [60.0 + 0.5 * k for k in range(41)]):
+        retried = check_sweep_continuation(monkeypatch, net, series, 3, caps, cases)
+        assert retried >= len(caps) // 2, caps
 
 
 def test_pass1_reuse_is_scoped_to_one_sweep(monkeypatch):
@@ -406,7 +494,7 @@ def test_pass1_reuse_is_scoped_to_one_sweep(monkeypatch):
     # a sweep that fails part-way still drops its pass-1 results
     with pytest.raises(ValueError, match="non-finite"):
         sweep_pi_des(scenario.network, scenario.hours, 3, [70.0, math.inf], {"base": None})
-    assert _SWEEP_PASS1.get() is None
+    assert _SWEEP_MEMO.get() is None
     run_hedge(scenario.network, scenario.hours, PriceCap(3, 70.0))
     assert len(calls) == 76 + 38 + 38
 

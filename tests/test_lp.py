@@ -50,6 +50,13 @@ def test_single_variable_cap():
     assert sol.objective_value == pytest.approx(5.0, abs=1e-9)
 
 
+def test_dual_degenerate_marks_a_tie():
+    # where generation costs what the load is worth, every load level is optimal
+    assert solve(ed_lp(a=75.0, b=75.0)).dual_degenerate
+    assert not solve(ed_lp(a=80.0, b=75.0)).dual_degenerate
+    assert not solve(ed_lp(a=50.0, b=90.0)).dual_degenerate
+
+
 def test_unbounded():
     lp = LinearProgram("maximize")
     lp.add_column("x", 0.0, INF, objective=1.0)
