@@ -10,10 +10,6 @@ the cap times the flexibility it provided.
 Hours that are infeasible without flexibility have no defined unconstrained
 price, so they are flagged and left out of the settlement.
 
-The first pass does not depend on the cap.  ``sweep_pi_des`` therefore solves
-it once per line-limit case and every cap of that case reuses it; outside a
-sweep each ``run_hedge`` solves both passes.
-
 The second pass adds one column to the first, ``pflex`` at objective -pi, so
 an hour's optimal first-pass basis stays optimal exactly when the column's
 reduced cost lambda_unc - pi is not positive (the test for adding a variable
@@ -23,30 +19,32 @@ solves nothing; only the hours priced above the cap are solved, each warm
 from its first-pass basis.  Degenerate and infeasible first-pass hours are
 solved too, because a warm start from them does not end on that vertex.
 
-In the second pass the cap is only ``pflex``'s objective, so an hour's optimal
-basis at one cap stays feasible at the next (Gass & Saaty 1955): within a
-sweep each hour's second pass starts from its basis at the previous cap that
-solved it.  Such a solve ends on the vertex a run alone reaches: a unique
-optimum is reached from any start, a degenerate one is re-solved from the
-slack basis (``simplex``), and one that ends on a tie, where a nonbasic
-column could move at zero reduced cost, is solved again from pass 1's basis.
-It can list that vertex's basis in another row order than a run alone, and
-its values then differ in the last few ulps.
+The first pass does not depend on the cap, and in the second the cap is only
+``pflex``'s objective, so an hour's optimal second-pass basis stays optimal
+over an interval of pi (Gass & Saaty 1955), and so does its flexibility.
+``sweep_pi_des`` therefore solves the first pass once per line-limit case
+and reads each hour's flexibility at a cap from the interval of the previous
+cap that solved it (``simplex.cost_range``); it solves the hour, from its
+first-pass basis as a run alone does, only where the cap leaves that
+interval or comes near one of its ends.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from decimal import ROUND_HALF_UP, Context, Decimal
 
+from .lp import INF
 from .model import Network, PriceCap, validate_price_cap
-from .opf import DispatchResult, solve_opf_series
+from .opf import DispatchResult, OpfHourInput, build_opf, solve_opf_hour, solve_opf_series
 from .scenario import apply_line_limits
 
 ACTIVE_TOL = 1e-9
+# a sweep solves an hour at a cap this close to an end of its basis's interval
+# of pi: near an end a run alone may stop on a neighbouring basis
+RANGE_TOL = 1e-6
 # the largest float has 309 integer digits; the default 28 digits overflow at 1e26
 _CENTS = Context(prec=320, rounding=ROUND_HALF_UP)
 
@@ -115,24 +113,6 @@ class HedgeRun:
     hedged: tuple[DispatchResult | None, ...]
 
 
-# while a sweep runs, by (network, hours): pass 1's results and, per capped
-# bus, each hour's optimal pass-2 basis at the latest cap that solved it,
-# which run_hedge adds and updates in place; None outside a sweep
-_SWEEP_MEMO: ContextVar[dict | None] = ContextVar("_SWEEP_MEMO", default=None)
-
-
-def _price_discovery(net: Network, series: list) -> tuple[tuple, dict[int, dict]]:
-    """Pass 1 and its pass-2 bases by capped bus, memoised within a sweep."""
-    memo = _SWEEP_MEMO.get()
-    key = (net, tuple(series))
-    if memo is not None and key in memo:
-        return memo[key]
-    found = tuple(solve_opf_series(net, series)), {}
-    if memo is not None:
-        memo[key] = found
-    return found
-
-
 def _keeps_vertex(unc: DispatchResult | None, cap: PriceCap) -> bool:
     """Whether pass 1's optimal basis stays optimal once pass 2 adds ``pflex``:
     the hour has a non-degenerate basis (a degenerate warm start falls back to
@@ -143,33 +123,18 @@ def _keeps_vertex(unc: DispatchResult | None, cap: PriceCap) -> bool:
 
 
 def run_hedge(net: Network, series, cap: PriceCap) -> HedgeRun:
-    series = list(series)
-    pass1, pass2_bases = _price_discovery(net, series)
-    problems = validate_price_cap(net, cap)  # hours that keep pass 1's vertex build no program
+    problems = validate_price_cap(net, cap)
     if problems:
         raise ValueError("; ".join(problems))
+    series = list(series)
+    pass1 = tuple(solve_opf_series(net, series))
     keep = [_keeps_vertex(unc, cap) for unc in pass1]
-    pass2 = [replace(unc, p_flexreq_mw={cap.bus: 0.0}) if k else None
+    # pass 1's optimal basis, with pflex nonbasic at 0, is feasible for pass 2
+    solved = iter(solve_opf_series(
+        net, [data for data, k in zip(series, keep) if not k], caps=(cap,),
+        starts=[None if unc is None else unc.basis for unc, k in zip(pass1, keep) if not k]))
+    pass2 = [replace(unc, p_flexreq_mw={cap.bus: 0.0}) if k else next(solved)
              for unc, k in zip(pass1, keep)]
-
-    def solve(hours: list[int], starts: list) -> None:
-        solved = solve_opf_series(net, [series[h] for h in hours], caps=(cap,), starts=starts)
-        for h, hed in zip(hours, solved):
-            pass2[h] = hed
-
-    # pass 1's optimal basis, with pflex nonbasic at 0, is feasible for pass 2,
-    # and so is an hour's optimal pass-2 basis at an earlier cap of the sweep
-    first = [None if unc is None else unc.basis for unc in pass1]
-    latest = pass2_bases.setdefault(cap.bus, {})
-    to_solve = [h for h, k in enumerate(keep) if not k]
-    solve(to_solve, [latest.get(h, first[h]) for h in to_solve])
-    # where an hour has several optimal vertices the start picks one, so a
-    # continued start that ends on a tie is solved again from pass 1's basis,
-    # the start of a run outside a sweep
-    tied = [h for h in to_solve
-            if h in latest and pass2[h] is not None and pass2[h].dual_degenerate]
-    solve(tied, [first[h] for h in tied])
-    latest.update((h, pass2[h].basis) for h in to_solve if pass2[h] is not None)
 
     hours = []
     for data, unc, hed in zip(series, pass1, pass2):
@@ -236,44 +201,62 @@ class SweepResult:
 def sweep_pi_des(net: Network, series, bus: int, pi_values,
                  scenarios: dict[str, dict[tuple[int, int], float] | None],
                  ) -> SweepResult:
-    """One hedge run per (cap value, line-limit scenario).
+    """Each cap value's total revenue under each line-limit scenario.
 
     ``scenarios`` maps a label to per-line flow-limit overrides applied on top
     of ``net`` (``None`` leaves the network untouched).  For a fixed scenario
     the total revenue can only shrink as the cap rises; any violation is
     reported as a warning because it indicates a solver or settlement bug.
 
-    Pass 1 (price discovery) is solved once per line-limit scenario: each cap
-    is still a full ``run_hedge`` call, which reuses that scenario's pass 1
-    for the duration of the sweep and starts each hour's pass 2 from that
-    hour's optimal pass-2 basis at the previous cap that solved it.
+    Each total is ``run_hedge(...).report.total_revenue_eur`` at that cap,
+    summed in the same order, but each scenario solves pass 1 once and pass 2
+    only where a cap leaves the interval of pi of the hour's last pass-2 basis.
     """
-    series, pi_values = tuple(series), list(pi_values)  # every cap reads every hour
+    series, pi_values = tuple(series), [float(pi) for pi in pi_values]
     if not pi_values:
         raise ValueError("pi_values must be non-empty")
+    problems = [p for pi in pi_values for p in validate_price_cap(net, PriceCap(bus, pi))]
+    if problems:
+        raise ValueError("; ".join(dict.fromkeys(problems)))
     if sorted(pi_values) != pi_values:
         raise ValueError("pi_values must be sorted ascending")
 
     rows = []
     warnings = []
-    token = _SWEEP_MEMO.set({})
-    try:
-        for label, overrides in scenarios.items():
-            scenario_net = net if not overrides else apply_line_limits(net, overrides)
-            previous = None
-            for pi in pi_values:
-                run = run_hedge(scenario_net, series, PriceCap(bus, float(pi)))
-                total = run.report.total_revenue_eur
-                rows.append(SweepRow(pi_des=float(pi), scenario=label,
-                                     total_revenue_eur=total))
-                if previous is not None and total > previous + 1e-9:
-                    warnings.append(
-                        f"scenario {label!r}: revenue rose from {previous} to {total} "
-                        f"as the cap increased to {pi}")
-                previous = total
-    finally:
-        _SWEEP_MEMO.reset(token)
+    for label, overrides in scenarios.items():
+        scenario_net = net if not overrides else apply_line_limits(net, overrides)
+        previous = None
+        for pi, total in zip(pi_values, _sweep_totals(scenario_net, series, bus, pi_values)):
+            rows.append(SweepRow(pi_des=pi, scenario=label, total_revenue_eur=total))
+            if previous is not None and total > previous + 1e-9:
+                warnings.append(
+                    f"scenario {label!r}: revenue rose from {previous} to {total} "
+                    f"as the cap increased to {pi}")
+            previous = total
     return SweepResult(rows=tuple(rows), monotonicity_warnings=tuple(warnings))
+
+
+def _sweep_totals(net: Network, series: tuple, bus: int, pi_values: list[float]) -> list[float]:
+    """``run_hedge``'s total revenue at each of the ascending caps.  A pass-2
+    solve, from pass 1's basis as in ``run_hedge``, holds at each later cap
+    inside the interval of pi where its basis stays optimal: none at a tie or
+    a degenerate optimum, where a run alone may reach another vertex."""
+    from .simplex import cost_range  # numpy, like lp.solve, loads on a first solve
+    revenues: list[list[float]] = [[] for _ in pi_values]  # included hours, in hour order
+    for data, unc in zip(series, solve_opf_series(net, list(series))):
+        if unc is None:  # excluded at every cap
+            continue
+        lam_unc, flex, lo, hi = unc.lmp_eur_mwh[bus], 0.0, INF, -INF
+        for pi, included in zip(pi_values, revenues):
+            if lam_unc > pi and not lo + RANGE_TOL < pi < hi - RANGE_TOL:
+                inp = OpfHourInput(net=net, data=data, caps=(PriceCap(bus, pi),))
+                hed = solve_opf_hour(inp, unc.basis)
+                flex, lo, hi = hed.p_flexreq_mw[bus], pi, pi
+                if not hed.degenerate:  # pflex's objective is -pi
+                    c_lo, c_hi = cost_range(build_opf(inp), *hed.basis, f"pflex_{bus}")
+                    lo, hi = -c_hi, -c_lo
+            included.append(hourly_revenue(lam_unc, pi, flex))
+    return [sum(included) for included in revenues]
 
 
 # ---------------------------------------------------------------------------

@@ -125,8 +125,7 @@ class LpSolution:
     ``nonbasic_at_upper`` it fully determines the vertex, so the solution can
     be rebuilt from the program alone (see ``rebuild_solution``).
     ``degenerate``: a basic column sits at a bound, so the duals need not be
-    unique.  ``dual_degenerate``: a nonbasic column that can move has a zero
-    reduced cost, so the primal optimum need not be unique.
+    unique.
     """
     status: str  # "optimal" | "infeasible" | "unbounded"
     primal: dict[str, float]
@@ -136,7 +135,6 @@ class LpSolution:
     basis: tuple[str, ...]
     nonbasic_at_upper: tuple[str, ...] = ()
     degenerate: bool = False
-    dual_degenerate: bool = False
     iterations: int = 0
 
 

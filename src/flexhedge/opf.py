@@ -17,7 +17,7 @@ program without flexibility, with the price at each capped bus bounded.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from .lp import INF, LinearProgram, LpSolution, dual_of, dual_program, solve
@@ -66,10 +66,7 @@ class DispatchResult:
     """One solved hour: dispatch, angles, prices, flows and congestion duals.
 
     ``basis`` is the optimal ``(basis, nonbasic_at_upper)`` pair, in the form
-    ``LinearProgram.start`` takes, so a related hour can start from it.
-    ``dual_degenerate`` copies ``LpSolution.dual_degenerate``.  It describes
-    the solve, not the dispatch, so ``==`` and ``repr`` leave it out: pass 1's
-    vertex kept at a cap equal to its price equals a pass-2 solve there."""
+    ``LinearProgram.start`` takes, so a related hour can start from it."""
     hour: int
     p_g_mw: dict[int, float]
     p_l_mw: dict[int, float]
@@ -81,7 +78,6 @@ class DispatchResult:
     objective_eur: float
     basis: tuple[tuple[str, ...], tuple[str, ...]]
     degenerate: bool = False
-    dual_degenerate: bool = field(default=False, compare=False, repr=False)
 
 
 def _column(prefix: str, bus: int) -> str:
@@ -249,7 +245,6 @@ def solve_opf_hour(inp: OpfHourInput, start=None) -> DispatchResult:
         objective_eur=sol.objective_value,
         basis=(sol.basis, sol.nonbasic_at_upper),
         degenerate=sol.degenerate,
-        dual_degenerate=sol.dual_degenerate,
     )
 
 

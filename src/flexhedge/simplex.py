@@ -38,12 +38,12 @@ basis is inverted afresh, and basic values are recomputed in full, every
 and the phase-1 feasibility test (against ``FEAS_TOL``): the reported solution
 is computed from fresh solves with the final basis, so a given final basis
 gives bitwise the same primal values, duals, reduced costs and objective.
-A solve whose first pricing step, with no phase 1 before it, finds its start
-optimal keeps the basic values its start solved afresh: they are already
-that fresh solve's, bit for bit.
 Two starts that end on the same basis set can list it in different row
 orders; the fresh solves then factor the basis in that order, and the outputs
 can differ in the last few ulps.
+
+``cost_range`` ranges one basic column's objective coefficient on a named
+basis: the open interval of it over which that basis stays optimal.
 """
 
 from __future__ import annotations
@@ -334,9 +334,7 @@ def _extract(internal: _Internal, st: _State, status: str) -> LpSolution:
                           nonbasic_at_upper=(), degenerate=False,
                           iterations=st.iterations)
 
-    # one iteration and no phase 1: no pivot or flip since _start's fresh solve
-    if st.iterations != 1:
-        st.refresh_basics()
+    st.refresh_basics()
     cost = np.zeros(st.n_total)
     cost[: n + m] = internal.c_int
     y_int = st.multipliers(cost)
@@ -358,12 +356,8 @@ def _extract(internal: _Internal, st: _State, status: str) -> LpSolution:
         for bi in st.basis
     )
     lo, up = st.lo[: n + m], st.up[: n + m]  # fixed columns rest at either bound
-    movable = ~st.in_basis[: n + m] & (lo < up)
-    at_upper = tuple(names[j] for j in (movable & st.at_upper[: n + m]).nonzero()[0].tolist())
-    # a nonbasic column that can move at zero reduced cost (a slack's is minus
-    # its row's dual): other optimal vertices may exist
-    reduced_all = np.concatenate([reduced_ext, -y_ext])
-    dual_degenerate = bool((np.abs(reduced_all[movable]) <= PIVOT_TOL).any())
+    resting_up = ~st.in_basis[: n + m] & st.at_upper[: n + m] & (lo < up)
+    at_upper = tuple(names[j] for j in resting_up.nonzero()[0].tolist())
 
     return LpSolution(
         status="optimal",
@@ -374,7 +368,6 @@ def _extract(internal: _Internal, st: _State, status: str) -> LpSolution:
         basis=basis_names,
         nonbasic_at_upper=at_upper,
         degenerate=degenerate,
-        dual_degenerate=dual_degenerate,
         iterations=st.iterations,
     )
 
@@ -435,3 +428,33 @@ def solution_from_basis(lp: LinearProgram, basis: tuple[str, ...],
     """Rebuild the solution a given basis identifies; audits solver output."""
     internal = _Internal(lp)
     return _extract(internal, _state_at(internal, basis, nonbasic_at_upper), "optimal")
+
+
+def cost_range(lp: LinearProgram, basis: tuple[str, ...],
+               nonbasic_at_upper: tuple[str, ...], column: str) -> tuple[float, float]:
+    """Open interval of a basic ``column``'s objective coefficient over which a
+    named basis stays optimal with every nonbasic column that can move priced
+    strictly out (cost ranging): with ``column`` basic in row r, changing its
+    minimize-form cost by delta moves each reduced cost by -delta*(B^-1 A)_{r,j}.
+    Empty, ``(c, c)`` at the coefficient ``c``, where the basis is not optimal
+    or a column that can move prices out at zero (a tie)."""
+    internal = _Internal(lp)
+    st = _state_at(internal, basis, nonbasic_at_upper)
+    q = internal.col_names.index(column)
+    if q not in st.basis:
+        raise ValueError(f"column {column!r} is not basic")
+    e = np.zeros(internal.n_rows)
+    e[st.basis.index(q)] = 1.0
+    alpha = _solve(st.A[:, st.basis].T, e) @ st.A
+    d = internal.c_int - st.multipliers(internal.c_int) @ st.A
+    # a column at its lower bound prices out with d > 0, one at its upper with d < 0
+    movable = ~st.in_basis & (st.lo < st.up)
+    side = np.where(st.at_upper, -1.0, 1.0)[movable]
+    d, alpha = side * d[movable], side * alpha[movable]
+    c = lp.columns[column].objective
+    if (d <= PIVOT_TOL).any():
+        return c, c
+    # side * (d - delta * alpha) > 0, for delta on the internal minimize cost
+    above = float(np.min(d[alpha > 0] / alpha[alpha > 0], initial=INF))
+    below = float(np.max(d[alpha < 0] / alpha[alpha < 0], initial=-INF))
+    return (c - above, c - below) if internal.maximizing else (c + below, c + above)

@@ -1,6 +1,5 @@
 """Hedge pipeline: settlement arithmetic, trace, sweeps, exports."""
 
-import dataclasses
 import io
 import json
 import math
@@ -9,10 +8,8 @@ import pytest
 
 from flexhedge import hedging, simplex
 from flexhedge.hedging import (
-    _SWEEP_MEMO,
     DsoComputation,
     FlexRequest,
-    HedgeRun,
     PriceRequest,
     Settlement,
     coordination_trace,
@@ -341,102 +338,33 @@ def count_solves(monkeypatch) -> list:
     return calls
 
 
+def check_sweep_equals_runs_alone(monkeypatch, net, series, bus, caps, cases) -> int:
+    """Sweep ``caps`` over ``cases`` without a ``run_hedge`` call, check that
+    every row's total ``==`` a ``run_hedge`` alone at that cap, and return how
+    many programs the sweep solved."""
+    calls = count_solves(monkeypatch)
+    monkeypatch.setattr(hedging, "run_hedge", None)
+    result = sweep_pi_des(net, series, bus, caps, cases)
+    monkeypatch.undo()
+    assert [(row.scenario, row.pi_des) for row in result.rows] == \
+        [(label, cap) for label in cases for cap in caps]
+    for row in result.rows:
+        overrides = cases[row.scenario]
+        case_net = net if overrides is None else apply_line_limits(net, overrides)
+        alone = run_hedge(case_net, series, PriceCap(bus, row.pi_des))
+        assert row.total_revenue_eur == alone.report.total_revenue_eur, row
+    return len(calls)
+
+
 def test_sweep_solves_pass1_once_per_case(monkeypatch):
     scenario = generate_scenario(ScenarioSpec(seed=7))
     cases = {"infinite": None, "finite": {(2, 3): FINITE_LIMIT_MW}}
-    caps = [60.0, 70.0, 80.0]
-    calls = count_solves(monkeypatch)
-    result = sweep_pi_des(scenario.network, scenario.hours, 3, caps, cases)
-    # one 24-hour pass 1 per case; pass 2 per (case, cap) only in the hours
-    # priced above the cap (67 of 144)
-    assert len(calls) == 2 * 24 + 67
-    for row in result.rows:
-        overrides = cases[row.scenario]
-        net = scenario.network if overrides is None else \
-            apply_line_limits(scenario.network, overrides)
-        alone = run_hedge(net, scenario.hours, PriceCap(3, row.pi_des))
-        assert row.total_revenue_eur == alone.report.total_revenue_eur, row
-
-
-def same_vertex(a: HedgeRun, b: HedgeRun, rtol: float) -> bool:
-    """Every hour on the same basis set, perhaps in another row order, and
-    every value within ``rtol`` relative to 1 + its size: two row orders of
-    one basis factor differently (see ``simplex``)."""
-    def close(x, y) -> bool:
-        if isinstance(x, float):
-            return abs(x - y) <= rtol * (1 + abs(y))
-        if isinstance(x, dict):
-            return x.keys() == y.keys() and all(close(x[k], y[k]) for k in x)
-        if isinstance(x, (list, tuple)):
-            return len(x) == len(y) and all(map(close, x, y))
-        return x == y
-
-    pairs = list(zip(a.unconstrained + a.hedged, b.unconstrained + b.hedged))
-    return close(dataclasses.asdict(a.report), dataclasses.asdict(b.report)) and all(
-        (x is None and y is None) or (
-            x is not None and y is not None
-            and sorted(x.basis[0]) == sorted(y.basis[0]) and x.basis[1] == y.basis[1]
-            and close(dataclasses.asdict(x), dataclasses.asdict(dataclasses.replace(y, basis=x.basis))))
-        for x, y in pairs)
-
-
-def check_sweep_continuation(monkeypatch, net, series, bus, caps, cases, rtol=0.0) -> int:
-    """Sweep ``caps`` over ``cases``, check that every ``run_hedge`` the sweep
-    makes ``==`` one alone at that cap (with ``rtol``, ends on its vertex and
-    within ``rtol`` of it) and that it starts each hour's pass 2 where it
-    should, and return how many pass-2 solves a tie sent back to pass 1's
-    basis."""
-    solves = []
-    original = simplex.solve_program
-
-    def solving(lp):
-        sol = original(lp)
-        solves.append((lp, sol))
-        return sol
-
-    runs = []
-
-    def recording(net, series, cap):
-        first = len(solves)
-        run = run_hedge(net, series, cap)
-        runs.append((net, cap, run, solves[first:]))
-        return run
-
-    monkeypatch.setattr(simplex, "solve_program", solving)
-    monkeypatch.setattr(hedging, "run_hedge", recording)
-    sweep_pi_des(net, series, bus, caps, cases)
-    monkeypatch.undo()
-    assert len(runs) == len(cases) * len(caps)
-    # an hour's first pass-2 solve in a case starts from its pass-1 basis, or
-    # from the crash basis where pass 1 is infeasible; every later one from the
-    # hour's pass-2 basis at the previous cap that solved it, and again from
-    # the first start where that one ends on a tie
-    latest, continued, retried = {}, 0, 0
-    for net, cap, run, programs in runs:
-        alone = run_hedge(net, series, cap)
-        assert run == alone if rtol == 0.0 else same_vertex(run, alone, rtol), cap
-        solved, tied = set(), set()
-        for prog, sol in programs:
-            if f"pflex_{bus}" not in prog.columns:  # pass 1
-                continue
-            h = int(prog.name.removeprefix("opf_h")) - 1
-            solved.add(h)
-            unc = run.unconstrained[h]
-            first = crash_start(net, series[h]) if unc is None else unc.basis
-            if h in tied:
-                assert prog.start == first, (cap, prog.name)
-                retried += 1
-                continue
-            assert prog.start == latest.get((net, h), first), (cap, prog.name)
-            if (net, h) in latest:
-                continued += 1
-                if sol.status == "optimal" and sol.dual_degenerate:
-                    tied.add(h)
-        for h in solved:
-            if run.hedged[h] is not None:
-                latest[net, h] = run.hedged[h].basis
-    assert continued > len(caps)
-    return retried
+    # one 24-hour pass 1 per case; pass 2 in 39 of the 67 (case, cap, hour)
+    # triples priced above the cap: the others lie inside the interval of pi of
+    # the hour's pass-2 basis at a lower cap
+    solved = check_sweep_equals_runs_alone(
+        monkeypatch, scenario.network, scenario.hours, 3, [60.0, 70.0, 80.0], cases)
+    assert solved == 2 * 24 + 39
 
 
 @pytest.mark.parametrize("caps", [[float(pi) for pi in range(60, 81)],
@@ -444,20 +372,19 @@ def check_sweep_continuation(monkeypatch, net, series, bus, caps, cases, rtol=0.
                          ids=["60-80", "40-120-by-0.5"])
 @pytest.mark.parametrize("seed", [1, 7, 42])
 def test_sweep_continues_each_hours_pass2_from_the_previous_cap(monkeypatch, seed, caps):
+    # an hour's pass-2 result at one cap holds at the next caps inside its interval
     scenario = generate_scenario(ScenarioSpec(seed=seed))
     cases = {"infinite": None, "finite": {(2, 3): FINITE_LIMIT_MW}}
-    check_sweep_continuation(monkeypatch, scenario.network, scenario.hours, 3, caps, cases)
+    check_sweep_equals_runs_alone(monkeypatch, scenario.network, scenario.hours, 3, caps, cases)
 
 
-@pytest.mark.parametrize("n_buses, seed", [(10, 3), (10, 4), (30, 5)])
+@pytest.mark.parametrize("n_buses, seed", [(10, 3), (10, 4), (30, 5), (30, 1)])
 def test_mesh_sweep_continues_each_hours_pass2_from_the_previous_cap(monkeypatch, n_buses, seed):
-    # on a mesh a continued solve often ends on a run alone's basis set in
-    # another row order: up to 7.4e-14 apart on these three
     from test_mesh_oracle import seeded_mesh  # it imports this module
 
     net, hours, cap = seeded_mesh(n_buses, seed)
     caps = [cap.cap_eur_per_mwh * (0.5 + k / 20) for k in range(21)]
-    check_sweep_continuation(monkeypatch, net, hours, cap.bus, caps, {"mesh": None}, rtol=1e-12)
+    check_sweep_equals_runs_alone(monkeypatch, net, hours, cap.bus, caps, {"mesh": None})
 
 
 def tie_hours():
@@ -471,16 +398,17 @@ def tie_hours():
 
 
 def test_sweep_over_ties_equals_runs_alone(monkeypatch):
-    # hour 20's offer costs 70: at cap 70, from cap 69.5's basis (2 MW of
-    # flexibility, local offer off) nothing improves, but a run alone starts
-    # from pass 1's basis and ends with 1 MW of each
+    # hour 20's offer costs 70: at cap 70 a run alone, from pass 1's basis, ends
+    # with 1 MW of flexibility and 1 MW of that offer, though at cap 69.5 the
+    # hour buys 2 MW of flexibility
     net, series = build_3bus_network("infinite"), tie_hours()
     alone = run_hedge(net, series, PriceCap(3, 70.0)).report.hours[19]
     assert (alone.p_flexreq_mw, alone.revenue_eur) == (1.0, 15.0)
     cases = {"infinite": None, "finite": {(2, 3): FINITE_LIMIT_MW}}
-    for caps in ([69.5, 70.0], [60.0 + 0.5 * k for k in range(41)]):
-        retried = check_sweep_continuation(monkeypatch, net, series, 3, caps, cases)
-        assert retried >= len(caps) // 2, caps
+    # every offer cost, and the caps one ulp either side of it
+    near = [math.nextafter(60.0 + h / 2, to) for h in range(1, 25) for to in (0.0, math.inf)]
+    for caps in ([69.5, 70.0], sorted([60.0 + 0.5 * k for k in range(41)] + near)):
+        check_sweep_equals_runs_alone(monkeypatch, net, series, 3, caps, cases)
 
 
 def test_pass1_reuse_is_scoped_to_one_sweep(monkeypatch):
@@ -491,12 +419,24 @@ def test_pass1_reuse_is_scoped_to_one_sweep(monkeypatch):
     assert len(calls) == 38
     run_hedge(scenario.network, scenario.hours, PriceCap(3, 70.0))
     assert len(calls) == 76
-    # a sweep that fails part-way still drops its pass-1 results
-    with pytest.raises(ValueError, match="non-finite"):
-        sweep_pi_des(scenario.network, scenario.hours, 3, [70.0, math.inf], {"base": None})
-    assert _SWEEP_MEMO.get() is None
+    # a run after a sweep solves its own pass 1
+    sweep_pi_des(scenario.network, scenario.hours, 3, [70.0], {"base": None})
+    solved = len(calls)
     run_hedge(scenario.network, scenario.hours, PriceCap(3, 70.0))
-    assert len(calls) == 76 + 38 + 38
+    assert len(calls) == solved + 38
+
+
+def test_caps_are_validated_before_any_solve(monkeypatch):
+    scenario = generate_scenario(ScenarioSpec(seed=7))
+    net, hours = scenario.network, scenario.hours
+    calls = count_solves(monkeypatch)
+    with pytest.raises(ValueError, match="non-finite"):
+        run_hedge(net, hours, PriceCap(3, math.inf))
+    with pytest.raises(ValueError, match="unknown bus 9"):
+        run_hedge(net, hours, PriceCap(9, 70.0))
+    with pytest.raises(ValueError, match="non-finite"):
+        sweep_pi_des(net, hours, 3, [70.0, math.inf], {"base": None})
+    assert calls == []
 
 
 def test_sweep_reads_an_iterator_like_a_tuple():

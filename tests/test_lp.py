@@ -50,11 +50,20 @@ def test_single_variable_cap():
     assert sol.objective_value == pytest.approx(5.0, abs=1e-9)
 
 
-def test_dual_degenerate_marks_a_tie():
+def test_cost_range_of_a_tie_is_empty():
     # where generation costs what the load is worth, every load level is optimal
-    assert solve(ed_lp(a=75.0, b=75.0)).dual_degenerate
-    assert not solve(ed_lp(a=80.0, b=75.0)).dual_degenerate
-    assert not solve(ed_lp(a=50.0, b=90.0)).dual_degenerate
+    lp = ed_lp(a=75.0, b=75.0)
+    sol = solve(lp)
+    column = sol.basis[0]
+    cost = lp.columns[column].objective
+    assert simplex.cost_range(lp, sol.basis, sol.nonbasic_at_upper, column) == (cost, cost)
+    # otherwise the basis holds until the load's worth prices generation in
+    lp = ed_lp(a=50.0, b=90.0)
+    sol = solve(lp)
+    assert sol.basis == ("p_g",) and sol.nonbasic_at_upper == ("p_l",)
+    assert simplex.cost_range(lp, sol.basis, sol.nonbasic_at_upper, "p_g") == (-90.0, INF)
+    with pytest.raises(ValueError, match="not basic"):
+        simplex.cost_range(lp, sol.basis, sol.nonbasic_at_upper, "p_l")
 
 
 def test_unbounded():
@@ -385,8 +394,8 @@ def hour_programs(source):
 
 @pytest.mark.parametrize("source", ["infinite", "finite", "mesh"])
 def test_start_at_the_optimum_reports_its_basis_without_a_pivot(source):
-    # a solve that pivots reports values solved afresh with its final basis; one
-    # started at its optimum pivots never and reports its start's values as they are
+    # every solve reports values solved afresh with its final basis; one started
+    # at its optimum pivots never and reports its start's values
     warm_solves = 0
     for lp in hour_programs(source):
         cold = solve(lp)

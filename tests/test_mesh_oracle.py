@@ -26,7 +26,14 @@ from flexhedge import simplex
 from flexhedge.hedging import run_hedge
 from flexhedge.lp import INF, solve
 from flexhedge.model import Bus, GenOffer, HourlyMarketData, Line, LoadUtility, Network, PriceCap
-from flexhedge.opf import OpfHourInput, build_opf, capped_dual, crash_start, solve_opf_series
+from flexhedge.opf import (
+    OpfHourInput,
+    build_opf,
+    capped_dual,
+    crash_start,
+    solve_opf_hour,
+    solve_opf_series,
+)
 from flexhedge.scenario import (
     DEFAULT_LOAD_PROFILE_MW,
     DEFAULT_WHOLESALE_EUR_MWH,
@@ -227,3 +234,33 @@ def test_capped_dual_equals_pass2_at_network_scale(kind, size_or_case, seed):
         assert close(sol.objective_value, hedged.objective_eur, CAPPED_DUAL_RTOL), data.hour
         flex = hedged.p_flexreq_mw[cap.bus]
         assert abs(sol.duals[f"price_cap_{cap.bus}"] + flex) <= CAPPED_DUAL_RTOL, data.hour
+
+
+@pytest.mark.parametrize("n_buses, seed", [(10, 3), (30, 5)])
+def test_cost_range_ends_where_a_re_solve_changes_basis(n_buses, seed):
+    # pflex's objective is -pi; a basis is its basic set and the columns at
+    # their upper bounds, since an end can be a bound flip
+    net, hours, cap = seeded_mesh(n_buses, seed)
+    step = 1e-6
+
+    def pass2(data, unc, pi):
+        inp = OpfHourInput(net, data, (PriceCap(cap.bus, pi),))
+        hed = solve_opf_hour(inp, unc.basis)  # as run_hedge solves it
+        return inp, hed, (sorted(hed.basis[0]), hed.basis[1])
+
+    ends = 0
+    for data, unc in zip(hours, solve_opf_series(net, hours)):
+        pi = cap.cap_eur_per_mwh
+        if unc.lmp_eur_mwh[cap.bus] <= pi:
+            continue
+        inp, hed, basis = pass2(data, unc, pi)
+        assert not hed.degenerate, data.hour
+        c_lo, c_hi = simplex.cost_range(build_opf(inp), *hed.basis, f"pflex_{cap.bus}")
+        assert -c_hi < pi < -c_lo, data.hour
+        for end, inward in ((-c_hi, 1.0), (-c_lo, -1.0)):
+            if not step < end < INF:
+                continue
+            assert pass2(data, unc, end + inward * step)[2] == basis, (data.hour, end)
+            assert pass2(data, unc, end - inward * step)[2] != basis, (data.hour, end)
+            ends += 1
+    assert ends >= 20
