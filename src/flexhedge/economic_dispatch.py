@@ -15,11 +15,11 @@ binding.  Load prices follow ``opf.price_paid_by_load``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .lp import LinearProgram, LpSolution, solve
 from .model import Bus, GenOffer, HourlyMarketData, LoadUtility, Network, PriceCap
-from .opf import OpfHourInput, build_opf, capped_dual, crash_start, price_paid_by_load
+from .opf import OpfHourInput, ValidHour, build_opf, capped_dual, price_paid_by_load
 
 SINGLE_BUS = Network([Bus(1, is_slack=True, price_constrained=True)])
 PRICE_TIE_TOL = 1e-9
@@ -78,18 +78,18 @@ def _hour(inst: EdInstance, capped: bool = True) -> OpfHourInput:
     return OpfHourInput(SINGLE_BUS, HourlyMarketData(1, [inst.offer], [inst.utility]), caps)
 
 
-def _crash_started(inp: OpfHourInput) -> LinearProgram:
+def _crash_started(hour: ValidHour) -> LinearProgram:
     # from the slack basis a one-bus solve can end with the angle_ref slack
     # basic at zero and report a degenerate optimum that is not one
-    prog = build_opf(inp)
-    prog.start = crash_start(inp.net, inp.data)
+    prog = build_opf(hour)
+    prog.start = hour.grid.crash_start(hour.data)
     return prog
 
 
 def build_ed_primal(inst: EdInstance) -> LinearProgram:
     """Welfare maximization: utility of consumption minus generation cost.
     Load limits and a finite generator capacity are column bounds."""
-    return _crash_started(_hour(inst, capped=False))
+    return _crash_started(_hour(inst, capped=False).checked())
 
 
 def build_ed_dual(inst: EdInstance) -> LinearProgram:
@@ -101,7 +101,7 @@ def build_ed_flex_primal(inst: EdInstance) -> LinearProgram:
     """Dispatch with a flexibility injection ``pflex_1`` priced at the cap."""
     if inst.cap is None:
         raise ValueError("the flexibility primal needs a price cap")
-    return _crash_started(_hour(inst))
+    return _crash_started(_hour(inst).checked())
 
 
 def _result_from(sol: LpSolution) -> EdResult:
@@ -119,10 +119,8 @@ def _result_from(sol: LpSolution) -> EdResult:
 
 def solve_ed_chain(inst: EdInstance) -> EdChainReport:
     """Solve the unconstrained dispatch, the capped dual, and the flex primal."""
-    problems = inst.validate()
-    if problems:
-        raise ValueError("; ".join(problems))
-    primal_sol = solve(build_ed_primal(inst))
+    hour = _hour(inst).checked()  # the three programs share its checks
+    primal_sol = solve(_crash_started(replace(hour, caps=())))
     if primal_sol.status != "optimal":
         raise ValueError(f"unconstrained dispatch is {primal_sol.status}")
     lmp_unconstrained = price_paid_by_load(primal_sol, "balance_1")
@@ -132,8 +130,8 @@ def solve_ed_chain(inst: EdInstance) -> EdChainReport:
         return EdChainReport(_result_from(primal_sol), obj, obj, obj, lmp_unconstrained,
                              degenerate=primal_sol.degenerate)
 
-    dual_sol = solve(build_ed_dual(inst))
-    flex_sol = solve(build_ed_flex_primal(inst))
+    dual_sol = solve(capped_dual(hour))
+    flex_sol = solve(_crash_started(hour))
     if dual_sol.status != "optimal" or flex_sol.status != "optimal":
         raise ValueError(
             f"capped chain failed: dual {dual_sol.status}, flex {flex_sol.status}")

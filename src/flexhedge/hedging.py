@@ -36,9 +36,9 @@ import json
 from dataclasses import dataclass, replace
 from decimal import ROUND_HALF_UP, Context, Decimal
 
-from .lp import INF
+from .lp import INF, solve
 from .model import Network, PriceCap, validate_price_cap
-from .opf import DispatchResult, OpfHourInput, build_opf, solve_opf_hour, solve_opf_series
+from .opf import DispatchResult, Grid, build_opf, solve_opf_hours
 from .scenario import apply_line_limits
 
 ACTIVE_TOL = 1e-9
@@ -127,11 +127,12 @@ def run_hedge(net: Network, series, cap: PriceCap) -> HedgeRun:
     if problems:
         raise ValueError("; ".join(problems))
     series = list(series)
-    pass1 = tuple(solve_opf_series(net, series))
+    checked = list(map(Grid(net).hour, series))
+    pass1 = tuple(solve_opf_hours(checked))
     keep = [_keeps_vertex(unc, cap) for unc in pass1]
     # pass 1's optimal basis, with pflex nonbasic at 0, is feasible for pass 2
-    solved = iter(solve_opf_series(
-        net, [data for data, k in zip(series, keep) if not k], caps=(cap,),
+    solved = iter(solve_opf_hours(
+        [replace(hour, caps=(cap,)) for hour, k in zip(checked, keep) if not k],
         starts=[None if unc is None else unc.basis for unc, k in zip(pass1, keep) if not k]))
     pass2 = [replace(unc, p_flexreq_mw={cap.bus: 0.0}) if k else next(solved)
              for unc, k in zip(pass1, keep)]
@@ -242,18 +243,22 @@ def _sweep_totals(net: Network, series: tuple, bus: int, pi_values: list[float])
     inside the interval of pi where its basis stays optimal: none at a tie or
     a degenerate optimum, where a run alone may reach another vertex."""
     from .simplex import cost_range  # numpy, like lp.solve, loads on a first solve
+    hours = list(map(Grid(net).hour, series))
     revenues: list[list[float]] = [[] for _ in pi_values]  # included hours, in hour order
-    for data, unc in zip(series, solve_opf_series(net, list(series))):
+    for hour, unc in zip(hours, solve_opf_hours(hours)):
         if unc is None:  # excluded at every cap
             continue
         lam_unc, flex, lo, hi = unc.lmp_eur_mwh[bus], 0.0, INF, -INF
         for pi, included in zip(pi_values, revenues):
             if lam_unc > pi and not lo + RANGE_TOL < pi < hi - RANGE_TOL:
-                inp = OpfHourInput(net=net, data=data, caps=(PriceCap(bus, pi),))
-                hed = solve_opf_hour(inp, unc.basis)
-                flex, lo, hi = hed.p_flexreq_mw[bus], pi, pi
+                prog = build_opf(replace(hour, caps=(PriceCap(bus, pi),)))
+                prog.start = unc.basis  # pass 1's vertex with pflex at 0 is feasible
+                hed = solve(prog)
+                if hed.status != "optimal":
+                    raise ValueError(f"hour {hour.data.hour}: solver returned {hed.status}")
+                flex, lo, hi = hed.primal[f"pflex_{bus}"], pi, pi
                 if not hed.degenerate:  # pflex's objective is -pi
-                    c_lo, c_hi = cost_range(build_opf(inp), *hed.basis, f"pflex_{bus}")
+                    c_lo, c_hi = cost_range(prog, hed.basis, hed.nonbasic_at_upper, f"pflex_{bus}")
                     lo, hi = -c_hi, -c_lo
             included.append(hourly_revenue(lam_unc, pi, flex))
     return [sum(included) for included in revenues]

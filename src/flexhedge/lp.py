@@ -67,7 +67,8 @@ class LinearProgram:
     ``start``, if set, is a ``(basis, nonbasic_at_upper)`` pair of name tuples,
     as an ``LpSolution`` reports them, that the simplex tries before a cold
     start; it never changes the program, so ``validate``, ``to_lp_format``
-    and ``dual_program`` ignore it.
+    and ``dual_program`` ignore it.  ``block`` is the dense matrix of the rows
+    (``simplex.densify``) the program was built over; edits drop it.
     """
 
     def __init__(self, sense: str = "maximize", name: str = "lp"):
@@ -79,11 +80,13 @@ class LinearProgram:
         self.rows: dict[str, _Row] = {}
         self.constant = 0.0
         self.start: tuple[tuple[str, ...], tuple[str, ...]] | None = None
+        self.block = None
 
     def add_column(self, name: str, lower: float = 0.0, upper: float = INF,
                    objective: float = 0.0) -> None:
         if name in self.columns:
             raise MalformedProgramError(f"duplicate column name {name!r}")
+        self.block = None
         self.columns[name] = _Column(name, float(lower), float(upper), float(objective))
 
     def add_row(self, name: str, coeffs: dict[str, float], relation: str,
@@ -92,6 +95,7 @@ class LinearProgram:
             raise MalformedProgramError(f"duplicate row name {name!r}")
         if relation not in RELATIONS:
             raise MalformedProgramError(f"relation must be one of {RELATIONS}, got {relation!r}")
+        self.block = None
         self.rows[name] = _Row(name, dict(coeffs), relation, float(rhs))
 
     def validate(self) -> list[str]:

@@ -10,6 +10,12 @@ An hour whose firm load cannot be served under the line limits is infeasible
 and is reported as such; the toolkit never sheds firm load, because a shedding
 variable would change the prices.
 
+A study compiles its network once into a ``Grid``, whose ``hour`` checks an
+hour once and returns a ``ValidHour`` that ``build_opf`` builds unchecked.  Each
+program carries the dense constraint matrix (``LinearProgram.block``) of its
+column layout, the buses of its offers, utilities and caps, densified once per
+grid, so a solve reads only the hour's right-hand sides, bounds and costs.
+
 ``capped_dual`` builds the paper's side of the same hour: the dual of the
 program without flexibility, with the price at each capped bus bounded.
 """
@@ -18,7 +24,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 from .lp import INF, LinearProgram, LpSolution, dual_of, dual_program, solve
 from .model import (
@@ -49,16 +54,11 @@ class OpfHourInput:
     caps: tuple[PriceCap, ...] = ()
 
     def validate(self) -> list[str]:
-        problems = list(_compile(self.net)[0])
-        problems += validate_market_data(self.net, self.data)
-        for cap in self.caps:
-            problems += validate_price_cap(self.net, cap)
-        seen = set()
-        for cap in self.caps:
-            if cap.bus in seen:
-                problems.append(f"more than one price cap at bus {cap.bus}")
-            seen.add(cap.bus)
-        return problems
+        return Grid(self.net).problems_of(self.data, self.caps)
+
+    def checked(self) -> ValidHour:
+        """The hour over its network compiled afresh (``Grid.hour``)."""
+        return Grid(self.net).hour(self.data, self.caps)
 
 
 @dataclass(frozen=True)
@@ -92,60 +92,98 @@ def price_paid_by_load(sol: LpSolution, balance_row: str) -> float:
     return -dual_of(sol, balance_row)
 
 
-@lru_cache(maxsize=8)  # a sweep compiles one network per line-limit case
-def _compile(net: Network) -> tuple[tuple[str, ...], tuple, tuple, tuple]:
-    """``validate_network``'s problems and, for a valid network, each bus's
-    angle terms (accumulated in line order), the line-limit rows and the
-    crash basis less its import column: every angle, then every limit slack."""
-    problems = tuple(validate_network(net))
-    if problems:
-        return problems, (), (), ()
-    terms: dict[str, dict[str, float]] = {_column("theta", bus.id): {} for bus in net.buses}
-    limits = []
-    for line in net.lines:
-        b = 1.0 / line.reactance_pu
-        theta_from = _column("theta", line.from_bus)
-        theta_to = _column("theta", line.to_bus)
-        for theta_i, theta_j in ((theta_from, theta_to), (theta_to, theta_from)):
-            coeffs = terms[theta_i]
-            coeffs[theta_i] = coeffs.get(theta_i, 0.0) - b
-            coeffs[theta_j] = coeffs.get(theta_j, 0.0) + b
-        if line.flow_limit_mw != INF:
-            limits.append((f"{line.from_bus}_{line.to_bus}",
-                           {theta_from: b, theta_to: -b}, line.flow_limit_mw))
-    slacks = tuple(f"slack:flow_{side}_{key}" for key, _, _ in limits for side in ("hi", "lo"))
-    return problems, tuple(tuple(t.items()) for t in terms.values()), tuple(limits), \
-        (tuple(terms), slacks)
+class Grid:
+    """A network validated and compiled once per study: ``validate_network``'s
+    ``problems`` and, if valid, each bus's angle terms (accumulated in line
+    order), the line-limit rows and each column layout's ``block``."""
+
+    def __init__(self, net: Network):
+        self.net, self.problems, self.blocks = net, validate_network(net), {}
+        if self.problems:
+            return
+        self.terms: dict[str, dict[str, float]] = {_column("theta", b.id): {} for b in net.buses}
+        self.limits = []
+        for line in net.lines:
+            b = 1.0 / line.reactance_pu
+            theta_from = _column("theta", line.from_bus)
+            theta_to = _column("theta", line.to_bus)
+            for theta_i, theta_j in ((theta_from, theta_to), (theta_to, theta_from)):
+                coeffs = self.terms[theta_i]
+                coeffs[theta_i] = coeffs.get(theta_i, 0.0) - b
+                coeffs[theta_j] = coeffs.get(theta_j, 0.0) + b
+            if line.flow_limit_mw != INF:
+                self.limits.append((f"{line.from_bus}_{line.to_bus}",
+                                    {theta_from: b, theta_to: -b}, line.flow_limit_mw))
+        self.slacks = tuple(f"slack:flow_{side}_{key}"
+                            for key, _, _ in self.limits for side in ("hi", "lo"))
+
+    def problems_of(self, data: HourlyMarketData, caps=()) -> list[str]:
+        """Every problem of an hour of ``data`` with ``caps``, the network's first."""
+        problems = self.problems + validate_market_data(self.net, data)
+        for cap in caps:
+            problems += validate_price_cap(self.net, cap)
+        seen = set()
+        for cap in caps:
+            if cap.bus in seen:
+                problems.append(f"more than one price cap at bus {cap.bus}")
+            seen.add(cap.bus)
+        return problems
+
+    def hour(self, data: HourlyMarketData, caps=()) -> ValidHour:
+        """The hour checked; raises ValueError listing every problem."""
+        problems = self.problems_of(data, caps)
+        if problems:
+            raise ValueError("; ".join(problems))
+        return ValidHour(self, data, tuple(caps))
+
+    def crash_start(self, data: HourlyMarketData):
+        """The network's crash basis (Bixby 1992) as a ``LinearProgram.start``:
+        every angle and the slack bus's import column (else the first offer's)
+        span the balance and reference rows, because the reduced susceptance
+        matrix of a connected network is nonsingular; each limit row keeps its
+        slack.  None for an hour without offers."""
+        buses = [offer.bus for offer in data.offers]
+        if not buses:
+            return None
+        bus = self.net.slack_bus()
+        return tuple(self.terms) + (_column("pg", bus if bus in buses else buses[0]),) + \
+            self.slacks, ()
+
+    def block(self, prog: LinearProgram):
+        """``simplex.densify`` of ``build_opf``'s program, once per layout."""
+        layout = tuple(prog.columns)
+        if layout not in self.blocks:
+            from .simplex import densify  # numpy, like lp.solve, loads on a first solve
+            self.blocks[layout] = densify(prog)
+        return self.blocks[layout]
+
+
+@dataclass(frozen=True)
+class ValidHour:
+    """An hour ``Grid.hour`` checked, so ``build_opf`` builds it unchecked; a
+    caller that replaces its caps checks the new ones."""
+    grid: Grid
+    data: HourlyMarketData
+    caps: tuple[PriceCap, ...] = ()
+
+    def checked(self) -> ValidHour:
+        return self
 
 
 def crash_start(net: Network, data: HourlyMarketData):
-    """The network's crash basis (Bixby 1992) as a ``LinearProgram.start``.
-
-    Every angle and the slack bus's import column (else the first offer's)
-    span the balance and reference rows, because the reduced susceptance
-    matrix of a connected network is nonsingular; each limit row keeps its
-    slack.  None for an hour without offers.
-    """
-    buses = [offer.bus for offer in data.offers]
-    if not buses:
-        return None
-    angles, slacks = _compile(net)[3]
-    bus = net.slack_bus()
-    return angles + (_column("pg", bus if bus in buses else buses[0]),) + slacks, ()
+    """``Grid.crash_start`` of the network."""
+    return Grid(net).crash_start(data)
 
 
-def build_opf(inp: OpfHourInput) -> LinearProgram:
-    """Assemble the hour's LP: balance rows, angle reference, line-limit pairs."""
-    problems = inp.validate()
-    if problems:
-        raise ValueError("; ".join(problems))
-
-    net, data = inp.net, inp.data
-    _, angle_terms, limits, _ = _compile(net)
+def build_opf(inp: OpfHourInput | ValidHour) -> LinearProgram:
+    """Assemble the hour's LP: balance rows, angle reference, line-limit pairs,
+    over the block of its layout (``Grid.block``).  Checks an ``OpfHourInput``."""
+    hour = inp.checked()
+    grid, data = hour.grid, hour.data
     prog = LinearProgram("maximize", name=f"opf_h{data.hour}")
     constant = 0.0
 
-    for bus in net.buses:
+    for bus in grid.net.buses:
         prog.add_column(_column("theta", bus.id), -INF, INF)
 
     for offer in data.offers:
@@ -156,14 +194,14 @@ def build_opf(inp: OpfHourInput) -> LinearProgram:
         prog.add_column(_column("pl", util.bus), util.p_min_mw, util.p_max_mw,
                         objective=util.marginal_utility)
         constant += util.constant_utility
-    for cap in inp.caps:
+    for cap in hour.caps:
         prog.add_column(_column("pflex", cap.bus), 0.0, INF,
                         objective=-cap.cap_for_hour(data.hour))
 
     offer_buses = {offer.bus for offer in data.offers}
     utility_buses = {util.bus for util in data.utilities}
-    flex_buses = {cap.bus for cap in inp.caps}
-    for bus, bus_terms in zip(net.buses, angle_terms):
+    flex_buses = {cap.bus for cap in hour.caps}
+    for bus, bus_terms in zip(grid.net.buses, grid.terms.values()):
         coeffs: dict[str, float] = {}
         if bus.id in offer_buses:
             coeffs[_column("pg", bus.id)] = 1.0
@@ -174,46 +212,46 @@ def build_opf(inp: OpfHourInput) -> LinearProgram:
         coeffs.update(bus_terms)
         prog.add_row(f"balance_{bus.id}", coeffs, "=", 0.0)
 
-    prog.add_row("angle_ref", {_column("theta", net.slack_bus()): 1.0}, "=", 0.0)
+    prog.add_row("angle_ref", {_column("theta", grid.net.slack_bus()): 1.0}, "=", 0.0)
 
-    for key, coeffs, limit in limits:
+    for key, coeffs, limit in grid.limits:
         prog.add_row(f"flow_hi_{key}", coeffs, "<=", limit)
         prog.add_row(f"flow_lo_{key}", coeffs, ">=", -limit)
 
     prog.constant = constant
+    prog.block = grid.block(prog)
     return prog
 
 
-def capped_dual(inp: OpfHourInput) -> LinearProgram:
+def capped_dual(inp: OpfHourInput | ValidHour) -> LinearProgram:
     """The dual of the hour's program without flexibility plus, per cap at bus
     ``k``, a row ``price_cap_k``: ``-y:balance_k <= pi``.  Its optimum equals
     ``build_opf(inp)``'s; the program minimises, so a cap row's dual is <= 0,
     and it is minus the flexibility ``build_opf(inp)`` buys at that bus."""
-    problems = inp.validate()
-    if problems:
-        raise ValueError("; ".join(problems))
-    dual = dual_program(build_opf(replace(inp, caps=())))
-    for cap in inp.caps:
+    hour = inp.checked()
+    dual = dual_program(build_opf(replace(hour, caps=())))
+    for cap in hour.caps:
         dual.add_row(f"price_cap_{cap.bus}", {f"y:balance_{cap.bus}": -1.0}, "<=",
-                     cap.cap_for_hour(inp.data.hour))
+                     cap.cap_for_hour(hour.data.hour))
     return dual
 
 
-def solve_opf_hour(inp: OpfHourInput, start=None) -> DispatchResult:
+def solve_opf_hour(inp: OpfHourInput | ValidHour, start=None) -> DispatchResult:
     """Solve one hour, with flexibility at each of ``inp.caps``.  ``start`` is
     an optional ``(basis, nonbasic_at_upper)`` pair the simplex tries first
     (``LinearProgram.start``), the network's ``crash_start`` by default; the
     result's ``basis`` is the optimal pair in the same form."""
-    prog = build_opf(inp)
-    prog.start = start if start is not None else crash_start(inp.net, inp.data)
+    hour = inp.checked()
+    prog = build_opf(hour)
+    prog.start = start if start is not None else hour.grid.crash_start(hour.data)
     sol = solve(prog)
     if sol.status == "infeasible":
-        raise HourInfeasibleError(inp.data.hour,
+        raise HourInfeasibleError(hour.data.hour,
                                   "load bounds unreachable under line limits")
     if sol.status != "optimal":
-        raise ValueError(f"hour {inp.data.hour}: solver returned {sol.status}")
+        raise ValueError(f"hour {hour.data.hour}: solver returned {sol.status}")
 
-    net, data = inp.net, inp.data
+    net, data = hour.grid.net, hour.data
     theta = {b.id: sol.primal[_column("theta", b.id)] for b in net.buses}
     p_g = {o.bus: sol.primal[_column("pg", o.bus)] for o in data.offers}
     p_l = {u.bus: sol.primal[_column("pl", u.bus)] for u in data.utilities}
@@ -231,7 +269,7 @@ def solve_opf_hour(inp: OpfHourInput, start=None) -> DispatchResult:
             mu_lo = dual_of(sol, f"flow_lo_{line.from_bus}_{line.to_bus}")
             congestion[line.key] = mu_hi - mu_lo
 
-    flex = {c.bus: sol.primal[_column("pflex", c.bus)] for c in inp.caps}
+    flex = {c.bus: sol.primal[_column("pflex", c.bus)] for c in hour.caps}
 
     return DispatchResult(
         hour=data.hour,
@@ -248,28 +286,26 @@ def solve_opf_hour(inp: OpfHourInput, start=None) -> DispatchResult:
     )
 
 
-def solve_opf_series(net: Network, series: list[HourlyMarketData],
-                     caps: tuple[PriceCap, ...] = (),
-                     starts: list | None = None,
-                     ) -> list[DispatchResult | None]:
-    """Solve each hour independently, with flexibility at each of ``caps``;
-    infeasible hours yield ``None``.
-
-    Hours share no constraints, so results are identical whatever the
-    evaluation order; the returned list is keyed by position in ``series``.
-    ``starts`` optionally gives each hour's warm start (``None`` for a cold
-    one), for example the ``basis`` of each hour's earlier result.
-    """
-    if starts is None:
-        starts = [None] * len(series)
+def solve_opf_hours(hours: list[ValidHour], starts: list | None = None) -> list[DispatchResult | None]:
+    """Solve each hour independently (``solve_opf_hour``), in any order to the
+    same results; infeasible hours yield ``None``.  ``starts`` optionally gives
+    each hour's warm start (``None`` for a cold one), such as its last ``basis``."""
     results: list[DispatchResult | None] = []
-    for data, start in zip(series, starts):
-        inp = OpfHourInput(net=net, data=data, caps=tuple(caps))
+    for hour, start in zip(hours, [None] * len(hours) if starts is None else starts):
         try:
-            results.append(solve_opf_hour(inp, start))
+            results.append(solve_opf_hour(hour, start))
         except HourInfeasibleError:
             results.append(None)
     return results
+
+
+def solve_opf_series(net: Network, series: list[HourlyMarketData],
+                     caps: tuple[PriceCap, ...] = (), starts: list | None = None,
+                     ) -> list[DispatchResult | None]:
+    """``solve_opf_hours`` of ``series`` with flexibility at each of ``caps``,
+    every hour checked before the first solve."""
+    grid = Grid(net)
+    return solve_opf_hours([grid.hour(data, caps) for data in series], starts)
 
 
 DISPATCH_CSV_COLUMNS = [

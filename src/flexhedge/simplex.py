@@ -3,7 +3,9 @@
 The solver works on an internal minimize form: one slack column per row turns
 every relation into an equality, so the working system is ``[A | I] x = b``
 with individual bounds on all columns (``<=`` rows get slack bounds [0, inf),
-``>=`` rows (-inf, 0], equalities [0, 0]).
+``>=`` rows (-inf, 0], equalities [0, 0]).  ``[A | I]`` is the program's
+``LinearProgram.block``, which ``opf`` shares across an hour layout, else
+``densify``'s; right-hand sides, bounds and costs are read at each solve.
 
 Every solve starts from a basis and the bounds the other columns rest at:
 the program's ``LinearProgram.start`` if it has one, else the slack basis
@@ -81,44 +83,39 @@ def _inverse(B: np.ndarray) -> np.ndarray:
         raise SolverFailureError("singular basis: basic columns are linearly dependent") from None
 
 
+def densify(lp: LinearProgram) -> np.ndarray:
+    """The slack-augmented constraint matrix ``[A | I]`` of ``lp``'s rows,
+    read-only so that programs can share it (``LinearProgram.block``)."""
+    n, m = len(lp.columns), len(lp.rows)
+    col_index = {name: j for j, name in enumerate(lp.columns)}
+    A = np.zeros((m, n + m))
+    for i, row in enumerate(lp.rows.values()):
+        for cname, coef in row.coeffs.items():
+            A[i, col_index[cname]] += coef
+        A[i, n + i] = 1.0
+    A.flags.writeable = False
+    return A
+
+
 class _Internal:
-    """Slack-augmented minimize form of a LinearProgram."""
+    """Slack-augmented minimize form of a LinearProgram: its block (the one it
+    carries, else ``densify``'s) with its right-hand sides, bounds and costs."""
 
     def __init__(self, lp: LinearProgram):
         self.lp = lp
         self.maximizing = lp.sense == "maximize"
-        self.col_names = list(lp.columns)
-        self.row_names = list(lp.rows)
-        n = len(self.col_names)
-        m = len(self.row_names)
-        self.n_struct = n
-        self.n_rows = m
-
-        col_index = {name: j for j, name in enumerate(self.col_names)}
-        self.A = np.zeros((m, n + m))
-        self.b = np.zeros(m)
-        self.lo = np.empty(n + m)
-        self.up = np.empty(n + m)
+        self.col_names, self.row_names = list(lp.columns), list(lp.rows)
+        self.n_struct = n = len(self.col_names)
+        self.n_rows = m = len(self.row_names)
+        self.A = lp.block if lp.block is not None else densify(lp)
+        rows, columns = lp.rows.values(), lp.columns.values()
+        self.b = np.array([row.rhs for row in rows], dtype=float)
+        self.lo = np.array([col.lower for col in columns] +
+                           [-INF if row.relation == ">=" else 0.0 for row in rows])
+        self.up = np.array([col.upper for col in columns] +
+                           [INF if row.relation == "<=" else 0.0 for row in rows])
         self.c_ext = np.zeros(n + m)
-
-        for j, name in enumerate(self.col_names):
-            col = lp.columns[name]
-            self.lo[j] = col.lower
-            self.up[j] = col.upper
-            self.c_ext[j] = col.objective
-
-        for i, name in enumerate(self.row_names):
-            row = lp.rows[name]
-            for cname, coef in row.coeffs.items():
-                self.A[i, col_index[cname]] += coef
-            self.b[i] = row.rhs
-            self.A[i, n + i] = 1.0
-            if row.relation == "<=":
-                self.lo[n + i], self.up[n + i] = 0.0, INF
-            elif row.relation == ">=":
-                self.lo[n + i], self.up[n + i] = -INF, 0.0
-            else:
-                self.lo[n + i], self.up[n + i] = 0.0, 0.0
+        self.c_ext[:n] = [col.objective for col in columns]
 
         # internal objective is always minimized
         self.c_int = -self.c_ext if self.maximizing else self.c_ext.copy()

@@ -6,6 +6,7 @@ import re
 
 import pytest
 
+from flexhedge import opf
 from flexhedge.economic_dispatch import (
     EdInstance,
     build_ed_dual,
@@ -14,7 +15,7 @@ from flexhedge.economic_dispatch import (
     solve_ed_chain,
 )
 from flexhedge.lp import solve, verify_kkt
-from flexhedge.model import GenOffer, LoadUtility
+from flexhedge.model import GenOffer, LoadUtility, validate_market_data
 from flexhedge.opf import price_paid_by_load
 
 from oracles import brute_force_optimum
@@ -254,3 +255,17 @@ def test_chain_solves_pass_kkt():
             sol = solve(lp)
             assert sol.status == "optimal"
             assert verify_kkt(lp, sol).within(1e-6), f"seed {seed}, {build.__name__}"
+
+
+def test_chain_validates_its_hour_once(monkeypatch):
+    calls = []
+
+    def counting(net, data):
+        calls.append(data)
+        return validate_market_data(net, data)
+
+    monkeypatch.setattr(opf, "validate_market_data", counting)
+    report = solve_ed_chain(make_instance(a=80.0, b=90.0, p_min=1.0, p_max=1.0, cap=70.0))
+    # the primal, the capped dual and the flexibility primal share one check
+    assert len(calls) == 1
+    assert report.result.p_flexreq_mw == pytest.approx(1.0)

@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from flexhedge import hedging, simplex
+from flexhedge import hedging, opf, simplex
 from flexhedge.hedging import (
     DsoComputation,
     FlexRequest,
@@ -31,6 +31,7 @@ from flexhedge.model import (
     LoadUtility,
     Network,
     PriceCap,
+    validate_market_data,
 )
 from flexhedge.opf import OpfHourInput, build_opf, crash_start, solve_opf_series
 from flexhedge.scenario import (
@@ -365,6 +366,37 @@ def test_sweep_solves_pass1_once_per_case(monkeypatch):
     solved = check_sweep_equals_runs_alone(
         monkeypatch, scenario.network, scenario.hours, 3, [60.0, 70.0, 80.0], cases)
     assert solved == 2 * 24 + 39
+
+
+def count_calls(monkeypatch, function, *modules) -> list:
+    """Count calls of ``function`` made through its name in each of ``modules``."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return function(*args)
+
+    for module in modules:
+        monkeypatch.setattr(module, function.__name__, counting)
+    return calls
+
+
+def test_study_builds_once_per_solve_and_validates_once_per_hour(monkeypatch):
+    scenario = generate_scenario(ScenarioSpec(seed=1))
+    net, hours = scenario.network, scenario.hours
+    # run_hedge checks each hour's market data once, for both passes
+    validated = count_calls(monkeypatch, validate_market_data, opf)
+    run_hedge(net, hours, PriceCap(3, 70.0))
+    assert len(validated) == 24
+    # a sweep checks each hour once per case, builds one program per solve
+    # and ranges the program it solved
+    solved = count_solves(monkeypatch)
+    built = count_calls(monkeypatch, build_opf, opf, hedging)
+    validated.clear()
+    sweep_pi_des(net, hours, 3, [float(pi) for pi in range(60, 81)],
+                 {"infinite": None, "finite": {(2, 3): FINITE_LIMIT_MW}})
+    assert len(validated) == 2 * 24
+    assert len(built) == len(solved) == 87
 
 
 @pytest.mark.parametrize("caps", [[float(pi) for pi in range(60, 81)],

@@ -6,10 +6,10 @@ import random
 
 import pytest
 
-from flexhedge import opf
+from flexhedge import opf, simplex
 from flexhedge.economic_dispatch import EdInstance, solve_ed_chain
 from flexhedge.hedging import run_hedge
-from flexhedge.lp import solve, to_lp_format, verify_kkt
+from flexhedge.lp import rebuild_solution, solve, to_lp_format, verify_kkt
 from flexhedge.model import (
     Bus,
     GenOffer,
@@ -21,9 +21,11 @@ from flexhedge.model import (
     validate_network,
 )
 from flexhedge.opf import (
+    Grid,
     HourInfeasibleError,
     OpfHourInput,
     build_opf,
+    crash_start,
     read_dispatch_csv,
     solve_opf_hour,
     solve_opf_series,
@@ -320,6 +322,89 @@ def test_dispatch_csv_skips_infeasible_hours():
     assert {r["hour"] for r in parsed["buses"]} == {2}
 
 
+def grid_programs(net, series, caps=()):
+    """Each hour's program built over one ``Grid``, as a study builds them."""
+    grid = Grid(net)
+    return [build_opf(grid.hour(data, caps)) for data in series]
+
+
+def dense_form(prog):
+    """The arrays a solve of ``prog`` works on: A, b, bounds and costs."""
+    internal = simplex._Internal(prog)
+    return [a.tobytes() for a in (internal.A, internal.b, internal.lo, internal.up,
+                                  internal.c_ext)]
+
+
+def check_blocks(progs):
+    """Each program's block is, bit for bit, what ``densify`` makes of its own
+    rows and columns, and the solve works on the same arrays as without it."""
+    for prog in progs:
+        assert prog.block.tobytes() == simplex.densify(prog).tobytes()
+        assert simplex._Internal(prog).A is prog.block
+        carried = dense_form(prog)
+        block, prog.block = prog.block, None
+        assert dense_form(prog) == carried
+        prog.block = block
+
+
+def layout_cases():
+    from test_mesh_oracle import seeded_mesh  # it imports test_hedging
+
+    cases = {}
+    for case in ("infinite", "finite"):
+        scenario = generate_scenario(ScenarioSpec(seed=1, line_limit_case=case))
+        for caps in ((), (PriceCap(3, 70.0),)):
+            cases[f"paper-3bus-{case}-{len(caps)}cap"] = (scenario.network, scenario.hours, caps)
+    for n_buses in (10, 30):
+        net, hours, cap = seeded_mesh(n_buses, 1)
+        cases[f"mesh{n_buses}"] = (net, hours, (cap,))
+    # no offers, so no crash start; then offers and a utility at other buses
+    cases["layouts"] = (triangle(0.6), [
+        HourlyMarketData(1, utilities=[LoadUtility(3, 60.0, 0.0, 0.0, 1.0)]),
+        hour_data(hour=2),
+        HourlyMarketData(3, offers=[GenOffer(3, 20.0, 0.0, 1.0)],
+                         utilities=[LoadUtility(2, 60.0, 0.0, 0.0, 1.0)])], ())
+    return cases
+
+
+@pytest.mark.parametrize("name", list(layout_cases()))
+def test_block_equals_each_programs_own_densify(name):
+    net, series, caps = layout_cases()[name]
+    progs = grid_programs(net, series, caps)
+    check_blocks(progs)
+    if name == "layouts":  # three column layouts, three blocks
+        assert len({id(prog.block) for prog in progs}) == 3
+        assert crash_start(net, series[0]) is None
+        # line 2-3 carries two thirds of bus 3's export to bus 2 and binds at 0.6
+        loads = [solve_opf_hour(OpfHourInput(net, data)).p_l_mw for data in series]
+        assert loads == [{3: 0.0}, {3: 1.0}, {2: pytest.approx(0.9)}]
+    else:  # every hour of a series shares its layout's block
+        assert all(prog.block is progs[0].block for prog in progs)
+
+
+def test_built_programs_stay_independent():
+    scenario = generate_scenario(ScenarioSpec(seed=7, line_limit_case="finite"))
+    progs = grid_programs(scenario.network, scenario.hours, (PriceCap(3, 70.0),))
+    edited, other = progs[16], progs[17]
+    assert edited.block is other.block
+    text, block, solved = to_lp_format(other), other.block.tobytes(), solve(other)
+    # the perturbation oracles.oracle_row_dual makes, then a row and a column
+    edited.rows["flow_hi_2_3"].rhs += 1e-5
+    edited.add_column("pg_extra", 0.0, 0.5, objective=-20.0)
+    edited.add_row("extra_at_3", {"pg_extra": 1.0, "pflex_3": 1.0}, "<=", 0.4)
+    assert edited.block is None
+    edited.rows["balance_3"].coeffs["pg_extra"] = 1.0
+    assert to_lp_format(other) == text
+    assert other.block.tobytes() == block
+    assert solve(other) == solved
+    sol = solve(edited)
+    assert sol.status == "optimal" and sol.primal["pg_extra"] == pytest.approx(0.4)
+    assert verify_kkt(edited, sol).within(1e-6)
+    rebuilt = rebuild_solution(edited, sol.basis, sol.nonbasic_at_upper)
+    assert rebuilt.primal == sol.primal
+    assert rebuilt.duals == sol.duals
+
+
 def test_network_validated_once_per_run(monkeypatch):
     calls = []
 
@@ -328,13 +413,13 @@ def test_network_validated_once_per_run(monkeypatch):
         return validate_network(net)
 
     scenario = generate_scenario(ScenarioSpec(seed=7, line_limit_case="finite"))
-    opf._compile.cache_clear()
     monkeypatch.setattr(opf, "validate_network", counting_validate_network)
     cap = PriceCap(3, 70.0)
     first = run_hedge(scenario.network, scenario.hours, cap)
     assert calls == [scenario.network]
+    # each run compiles its own grid: nothing is kept between runs
     assert run_hedge(scenario.network, scenario.hours, cap) == first
-    assert len(calls) == 1
+    assert len(calls) == 2
 
 
 def test_mesh_program_text_is_pinned():
