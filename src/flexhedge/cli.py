@@ -10,6 +10,7 @@ flags win on conflict.  The only environment variable honored is
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import os
 import sys
@@ -28,15 +29,8 @@ from .hedging import (
     write_sweep_csv,
 )
 from .lp import SolverFailureError
-from .model import (
-    GenOffer,
-    LoadUtility,
-    PriceCap,
-    validate_market_data,
-    validate_network,
-    validate_price_cap,
-)
-from .opf import write_dispatch_csv
+from .model import GenOffer, LoadUtility, PriceCap
+from .opf import Grid, write_dispatch_csv
 from .scenario import (
     FINITE_LIMIT_MW,
     PRESET_NAMES,
@@ -56,16 +50,6 @@ def _fail(*problems: str) -> int:
     for problem in problems:
         print(f"error: {problem}", file=sys.stderr)
     return 1
-
-
-def _input_problems(net, hours, caps) -> list[str]:
-    """Every violation in the network, the hours and the caps, each stated once."""
-    problems = validate_network(net)
-    for cap in caps:
-        problems += validate_price_cap(net, cap)
-    for data in hours:
-        problems += validate_market_data(net, data)
-    return list(dict.fromkeys(problems))
 
 
 def _atomic_write(path: Path, content: str) -> None:
@@ -120,52 +104,41 @@ def _load_config_file(path: str) -> dict[str, dict[str, str]]:
     return sections
 
 
-def _apply_config_defaults(args: argparse.Namespace, section: str) -> None:
-    if not args.config:
+def _apply_config_defaults(args: argparse.Namespace) -> None:
+    """Fill each option the command line left unset from the command's section
+    of the config file.  Its keys are the command's options that default to
+    None, or False for a switch; any other key is an error."""
+    if not getattr(args, "config", None):
         return
-    values = _load_config_file(args.config).get(section, {})
-    mapping = {
-        "preset": ("preset", str),
-        "input": ("input", str),
-        "case": ("case", str),
-        "pi_des": ("pi_des", str),
-        "pi": ("pi", str),
-        "cases": ("cases", str),
-        "bus": ("bus", int),
-        "seed": ("seed", int),
-        "out": ("out", str),
-        "formats": ("formats", str),
-        "allow_infeasible": ("allow_infeasible", lambda v: v.lower() in ("1", "true", "yes")),
-    }
-    for key, raw in values.items():
-        if key not in mapping:
+    section = args.command
+    options = {action.dest: action for action in args.parser._actions
+               if action.default in (None, False) and action.dest != "config"}
+    for key, raw in _load_config_file(args.config).get(section, {}).items():
+        if key not in options:
             raise ScenarioError(f"config: unknown key {key!r} in [{section}]")
-        attr, convert = mapping[key]
-        if getattr(args, attr, None) in (None, False):
+        action = options[key]
+        convert = (lambda text: text.lower() in ("1", "true", "yes")) \
+            if action.nargs == 0 else action.type or str  # a switch takes no value
+        if getattr(args, key) in (None, False):
             try:
-                setattr(args, attr, convert(raw))
+                setattr(args, key, convert(raw))
             except ValueError:
                 raise ScenarioError(
                     f"config: bad value {raw!r} for {key!r} in [{section}]") from None
 
 
-def _resolve_defaults(args) -> None:
-    args.case = args.case or "infinite"
-    args.seed = 0 if args.seed is None else args.seed
-    args.bus = 3 if args.bus is None else args.bus
-    if getattr(args, "pi_des", None) is None:
-        args.pi_des = "70"
-
-
-def _resolve_scenario(args) -> tuple:
-    """Network and 24-hour series from either a preset or an input file."""
+def _resolve_scenario(args, case: str | None = None) -> tuple:
+    """Network and 24-hour series from a preset, or an input file (no case or seed)."""
     if bool(args.preset) == bool(args.input):
         raise ValueError("exactly one of --preset or --input is required")
     if args.preset:
-        spec = preset_spec(args.preset, case=args.case, seed=args.seed)
+        spec = preset_spec(args.preset, case=case or "infinite", seed=args.seed or 0)
         scenario = generate_scenario(spec)
         net, hours = scenario.network, scenario.hours
     else:
+        for flag, value in (("--case", case), ("--seed", args.seed)):
+            if value is not None:
+                raise ValueError(f"{flag} applies only to --preset, not --input")
         with open(args.input) as fobj:
             net, hours = load_scenario_file(fobj)
         if [h.hour for h in hours] != list(range(1, 25)):
@@ -176,14 +149,13 @@ def _resolve_scenario(args) -> tuple:
 
 
 def cmd_run(args) -> int:
-    _apply_config_defaults(args, "run")
-    _resolve_defaults(args)
-    net, hours = _resolve_scenario(args)
-    cap = PriceCap(args.bus, _parse_pi_des(args.pi_des))
+    net, hours = _resolve_scenario(args, args.case)
+    bus = 3 if args.bus is None else args.bus
+    cap = PriceCap(bus, _parse_pi_des("70" if args.pi_des is None else args.pi_des))
     formats = [f.strip() for f in (args.formats or "csv,json").split(",")]
     problems = [f"unknown format {f!r}; expected csv|json"
                 for f in formats if f not in ("csv", "json")]
-    problems += _input_problems(net, hours, [cap])
+    problems += Grid(net).problems_of(hours, [cap])
     if problems:
         return _fail(*problems)
 
@@ -217,22 +189,20 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    _apply_config_defaults(args, "sweep")
-    _resolve_defaults(args)
     pi_values = sorted(float(p) for p in (args.pi or "").split(",") if p.strip())
     if not pi_values:
         print("error: --pi requires at least one value", file=sys.stderr)
         return 2
     cases = [c.strip() for c in (args.cases or "infinite,finite").split(",") if c.strip()]
-    args.case = "infinite"  # sweep scenarios override line limits themselves
-    net, hours = _resolve_scenario(args)
+    net, hours = _resolve_scenario(args)  # each case overrides line limits itself
+    bus = 3 if args.bus is None else args.bus
     problems = [f"unknown case {case!r}; expected infinite|finite"
                 for case in cases if case not in SWEEP_CASES]
-    problems += _input_problems(net, hours, [PriceCap(args.bus, pi) for pi in pi_values])
+    problems += Grid(net).problems_of(hours, [PriceCap(bus, pi) for pi in pi_values])
     if problems:
         return _fail(*problems)
 
-    result = sweep_pi_des(net, hours, args.bus, pi_values,
+    result = sweep_pi_des(net, hours, bus, pi_values,
                           {case: SWEEP_CASES[case] for case in cases})
 
     out_dir = Path(args.out or os.environ.get(ENV_OUT, DEFAULT_OUT))
@@ -250,7 +220,7 @@ def cmd_sweep(args) -> int:
 def cmd_validate(args) -> int:
     with open(args.path) as fobj:
         net, hours = load_scenario_file(fobj)
-    problems = _input_problems(net, hours, ())
+    problems = Grid(net).problems_of(hours)
     if problems:
         _fail(*problems)
         print(f"{len(problems)} violation(s)", file=sys.stderr)
@@ -286,44 +256,46 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="flexhedge",
         description="Price-capped DC optimal power flow and flexibility settlement.")
+    # no abbreviated flags: sweep would read --case as --cases, run --pi as --pi-des
     sub = parser.add_subparsers(dest="command", required=True)
+    command = functools.partial(sub.add_parser, allow_abbrev=False)
 
     def add_common(p):
-        # defaults stay None so a config file can fill them; effective
-        # fallbacks are resolved in _resolve_defaults
+        # defaults stay None so a config file can fill them; the commands
+        # resolve the effective fallbacks
         p.add_argument("--preset", choices=PRESET_NAMES, help="built-in scenario")
         p.add_argument("--input", help="scenario file (see README for the format)")
-        p.add_argument("--case", choices=("infinite", "finite"),
-                       help="line-limit case for presets (default infinite)")
-        p.add_argument("--seed", type=int, help="scenario seed (default 0)")
+        p.add_argument("--seed", type=int, help="preset scenario seed (default 0)")
         p.add_argument("--bus", type=int, help="price-constrained bus (default 3)")
         p.add_argument("--out", help=f"output directory (default ${ENV_OUT} or {DEFAULT_OUT})")
         p.add_argument("--config", help="config file supplying flag defaults")
         p.add_argument("--line-limit", action="append", default=[],
                        metavar="FROM-TO=MW", help="override one line's limit")
 
-    p_run = sub.add_parser("run", help="two-pass hedge study, writes report artifacts")
+    p_run = command("run", help="two-pass hedge study, writes report artifacts")
     add_common(p_run)
+    p_run.add_argument("--case", choices=("infinite", "finite"),
+                       help="line-limit case for presets (default infinite)")
     p_run.add_argument("--pi-des", dest="pi_des",
                        help="cap in EUR/MWh; scalar or 24 comma-separated values "
                             "(default 70)")
     p_run.add_argument("--formats", help="comma list among csv,json (default both)")
     p_run.add_argument("--allow-infeasible", action="store_true",
                        help="exit 0 even when some hours are infeasible")
-    p_run.set_defaults(func=cmd_run)
+    p_run.set_defaults(func=cmd_run, parser=p_run)
 
-    p_sweep = sub.add_parser("sweep", help="revenue table over cap values and cases")
+    p_sweep = command("sweep", help="revenue table over cap values and cases")
     add_common(p_sweep)
     p_sweep.add_argument("--pi", help="comma-separated cap values in EUR/MWh")
     p_sweep.add_argument("--cases", help="comma list among infinite,finite")
-    p_sweep.set_defaults(func=cmd_sweep)
+    p_sweep.set_defaults(func=cmd_sweep, parser=p_sweep)
 
-    p_val = sub.add_parser("validate", help="check a scenario file")
+    p_val = command("validate", help="check a scenario file")
     p_val.add_argument("path")
     p_val.set_defaults(func=cmd_validate)
 
-    p_demo = sub.add_parser("duality-demo",
-                            help="single-bus dispatch chain: primal, capped dual, flex primal")
+    p_demo = command("duality-demo",
+                     help="single-bus dispatch chain: primal, capped dual, flex primal")
     p_demo.add_argument("--gen-cost", type=float, default=80.0)
     p_demo.add_argument("--gen-capacity", type=float, default=float("inf"))
     p_demo.add_argument("--utility", type=float, default=75.0)
@@ -341,6 +313,7 @@ def main(argv=None) -> int:
     other exception is a defect and keeps its traceback."""
     args = build_parser().parse_args(argv)
     try:
+        _apply_config_defaults(args)
         return args.func(args)
     except (ValueError, OSError, SolverFailureError) as exc:
         return _fail(str(exc))

@@ -28,13 +28,10 @@ PRICE_TIE_TOL = 1e-9
 @dataclass(frozen=True)
 class EdInstance:
     """One generator and one load, both at bus 1, and an optional price cap
-    there; ``validate`` finds an offer or utility elsewhere at an unknown bus."""
+    there; an offer or utility elsewhere is at an unknown bus."""
     offer: GenOffer
     utility: LoadUtility
     cap: float | None = None
-
-    def validate(self) -> list[str]:
-        return _hour(self).validate()
 
 
 @dataclass(frozen=True)

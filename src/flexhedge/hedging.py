@@ -37,9 +37,9 @@ from dataclasses import dataclass, replace
 from decimal import ROUND_HALF_UP, Context, Decimal
 
 from .lp import INF, solve
-from .model import Network, PriceCap, validate_price_cap
-from .opf import DispatchResult, Grid, build_opf, solve_opf_hours
-from .scenario import apply_line_limits
+from .model import Network, PriceCap
+from .opf import DispatchResult, Grid, ValidHour, build_opf, solve_opf_hours
+from .scenario import ScenarioError, apply_line_limits
 
 ACTIVE_TOL = 1e-9
 # a sweep solves an hour at a cap this close to an end of its basis's interval
@@ -123,16 +123,13 @@ def _keeps_vertex(unc: DispatchResult | None, cap: PriceCap) -> bool:
 
 
 def run_hedge(net: Network, series, cap: PriceCap) -> HedgeRun:
-    problems = validate_price_cap(net, cap)
-    if problems:
-        raise ValueError("; ".join(problems))
     series = list(series)
-    checked = list(map(Grid(net).hour, series))
-    pass1 = tuple(solve_opf_hours(checked))
+    capped = Grid(net).hours(series, (cap,))
+    pass1 = tuple(solve_opf_hours([replace(hour, caps=()) for hour in capped]))
     keep = [_keeps_vertex(unc, cap) for unc in pass1]
     # pass 1's optimal basis, with pflex nonbasic at 0, is feasible for pass 2
     solved = iter(solve_opf_hours(
-        [replace(hour, caps=(cap,)) for hour, k in zip(checked, keep) if not k],
+        [hour for hour, k in zip(capped, keep) if not k],
         starts=[None if unc is None else unc.basis for unc, k in zip(pass1, keep) if not k]))
     pass2 = [replace(unc, p_flexreq_mw={cap.bus: 0.0}) if k else next(solved)
              for unc, k in zip(pass1, keep)]
@@ -212,22 +209,36 @@ def sweep_pi_des(net: Network, series, bus: int, pi_values,
     Each total is ``run_hedge(...).report.total_revenue_eur`` at that cap,
     summed in the same order, but each scenario solves pass 1 once and pass 2
     only where a cap leaves the interval of pi of the hour's last pass-2 basis.
+
+    Before any solve it raises ValueError listing every problem of ``net``,
+    the caps and the hours (``Grid.problems_of``), then each scenario's own.
     """
     series, pi_values = tuple(series), [float(pi) for pi in pi_values]
     if not pi_values:
         raise ValueError("pi_values must be non-empty")
-    problems = [p for pi in pi_values for p in validate_price_cap(net, PriceCap(bus, pi))]
+    base = Grid(net)
+    problems = base.problems_of(series, [PriceCap(bus, pi) for pi in pi_values])
+    grids = {}
+    for label, overrides in scenarios.items():
+        try:
+            grids[label] = grid = Grid(apply_line_limits(net, overrides)) if overrides else base
+        except ScenarioError as exc:
+            problems.append(f"scenario {label!r}: {exc}")
+            continue
+        if grid is not base:
+            problems += [f"scenario {label!r}: {p}" for p in grid.problems_of(series)
+                         if p not in problems]
     if problems:
-        raise ValueError("; ".join(dict.fromkeys(problems)))
+        raise ValueError("; ".join(problems))
     if sorted(pi_values) != pi_values:
         raise ValueError("pi_values must be sorted ascending")
 
     rows = []
     warnings = []
-    for label, overrides in scenarios.items():
-        scenario_net = net if not overrides else apply_line_limits(net, overrides)
+    for label, grid in grids.items():
         previous = None
-        for pi, total in zip(pi_values, _sweep_totals(scenario_net, series, bus, pi_values)):
+        hours = [ValidHour(grid, data) for data in series]  # checked above
+        for pi, total in zip(pi_values, _sweep_totals(hours, bus, pi_values)):
             rows.append(SweepRow(pi_des=pi, scenario=label, total_revenue_eur=total))
             if previous is not None and total > previous + 1e-9:
                 warnings.append(
@@ -237,13 +248,12 @@ def sweep_pi_des(net: Network, series, bus: int, pi_values,
     return SweepResult(rows=tuple(rows), monotonicity_warnings=tuple(warnings))
 
 
-def _sweep_totals(net: Network, series: tuple, bus: int, pi_values: list[float]) -> list[float]:
+def _sweep_totals(hours: list[ValidHour], bus: int, pi_values: list[float]) -> list[float]:
     """``run_hedge``'s total revenue at each of the ascending caps.  A pass-2
     solve, from pass 1's basis as in ``run_hedge``, holds at each later cap
     inside the interval of pi where its basis stays optimal: none at a tie or
     a degenerate optimum, where a run alone may reach another vertex."""
     from .simplex import cost_range  # numpy, like lp.solve, loads on a first solve
-    hours = list(map(Grid(net).hour, series))
     revenues: list[list[float]] = [[] for _ in pi_values]  # included hours, in hour order
     for hour, unc in zip(hours, solve_opf_hours(hours)):
         if unc is None:  # excluded at every cap

@@ -187,8 +187,7 @@ class KktReport:
         return self.max_residual <= tol
 
 
-def verify_kkt(lp: LinearProgram, sol: LpSolution,
-               position_tol: float = 1e-7) -> KktReport:
+def verify_kkt(lp: LinearProgram, sol: LpSolution) -> KktReport:
     if sol.status != "optimal":
         raise ValueError("verify_kkt requires an optimal solution")
     sign = 1.0 if lp.sense == "maximize" else -1.0
@@ -224,8 +223,8 @@ def verify_kkt(lp: LinearProgram, sol: LpSolution,
             for row in lp.rows.values() if col.name in row.coeffs
         )
         stationarity = max(stationarity, abs(d_hat - sol.reduced_costs[col.name]))
-        at_lower = xj <= col.lower + position_tol
-        at_upper = xj >= col.upper - position_tol
+        at_lower = xj <= col.lower + FEAS_TOL
+        at_upper = xj >= col.upper - FEAS_TOL
         if at_lower and at_upper:
             continue  # fixed column, any reduced cost is admissible
         if at_lower:

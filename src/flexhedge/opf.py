@@ -10,11 +10,13 @@ An hour whose firm load cannot be served under the line limits is infeasible
 and is reported as such; the toolkit never sheds firm load, because a shedding
 variable would change the prices.
 
-A study compiles its network once into a ``Grid``, whose ``hour`` checks an
-hour once and returns a ``ValidHour`` that ``build_opf`` builds unchecked.  Each
-program carries the dense constraint matrix (``LinearProgram.block``) of its
-column layout, the buses of its offers, utilities and caps, densified once per
-grid, so a solve reads only the hour's right-hand sides, bounds and costs.
+A study compiles its network once into a ``Grid``, the one place an input is
+checked: ``Grid.hours`` raises every problem of the network, the caps and the
+hours or returns each hour as a ``ValidHour`` that ``build_opf`` builds
+unchecked.  Each program carries the dense constraint matrix
+(``LinearProgram.block``) of its column layout, the buses of its offers,
+utilities and caps, densified once per grid, so a solve reads only the hour's
+right-hand sides, bounds and costs.
 
 ``capped_dual`` builds the paper's side of the same hour: the dual of the
 program without flexibility, with the price at each capped bus bounded.
@@ -23,6 +25,7 @@ program without flexibility, with the price at each capped bus bounded.
 from __future__ import annotations
 
 import csv
+from collections import Counter
 from dataclasses import dataclass, replace
 
 from .lp import INF, LinearProgram, LpSolution, dual_of, dual_program, solve
@@ -53,12 +56,9 @@ class OpfHourInput:
     data: HourlyMarketData
     caps: tuple[PriceCap, ...] = ()
 
-    def validate(self) -> list[str]:
-        return Grid(self.net).problems_of(self.data, self.caps)
-
     def checked(self) -> ValidHour:
-        """The hour over its network compiled afresh (``Grid.hour``)."""
-        return Grid(self.net).hour(self.data, self.caps)
+        """The hour over its network compiled afresh (``Grid.hours``)."""
+        return Grid(self.net).hours((self.data,), self.caps)[0]
 
 
 @dataclass(frozen=True)
@@ -117,24 +117,27 @@ class Grid:
         self.slacks = tuple(f"slack:flow_{side}_{key}"
                             for key, _, _ in self.limits for side in ("hi", "lo"))
 
-    def problems_of(self, data: HourlyMarketData, caps=()) -> list[str]:
-        """Every problem of an hour of ``data`` with ``caps``, the network's first."""
-        problems = self.problems + validate_market_data(self.net, data)
+    def problems_of(self, series, caps=()) -> list[str]:
+        """Every problem of the network, of each cap on its own and of each
+        hour of ``series``, in that order, each stated once."""
+        problems = list(self.problems)
         for cap in caps:
             problems += validate_price_cap(self.net, cap)
-        seen = set()
-        for cap in caps:
-            if cap.bus in seen:
-                problems.append(f"more than one price cap at bus {cap.bus}")
-            seen.add(cap.bus)
-        return problems
+        for data in series:
+            problems += validate_market_data(self.net, data)
+        return list(dict.fromkeys(problems))
 
-    def hour(self, data: HourlyMarketData, caps=()) -> ValidHour:
-        """The hour checked; raises ValueError listing every problem."""
-        problems = self.problems_of(data, caps)
+    def hours(self, series, caps=()) -> list[ValidHour]:
+        """Each hour of ``series`` with ``caps`` applied together, checked;
+        raises ValueError listing every problem (``problems_of``, then each
+        bus with more than one cap)."""
+        caps = tuple(caps)
+        problems = self.problems_of(series, caps) + [
+            f"more than one price cap at bus {bus}"
+            for bus, count in Counter(cap.bus for cap in caps).items() if count > 1]
         if problems:
             raise ValueError("; ".join(problems))
-        return ValidHour(self, data, tuple(caps))
+        return [ValidHour(self, data, caps) for data in series]
 
     def crash_start(self, data: HourlyMarketData):
         """The network's crash basis (Bixby 1992) as a ``LinearProgram.start``:
@@ -160,7 +163,7 @@ class Grid:
 
 @dataclass(frozen=True)
 class ValidHour:
-    """An hour ``Grid.hour`` checked, so ``build_opf`` builds it unchecked; a
+    """An hour ``Grid.hours`` checked, so ``build_opf`` builds it unchecked; a
     caller that replaces its caps checks the new ones."""
     grid: Grid
     data: HourlyMarketData
@@ -168,11 +171,6 @@ class ValidHour:
 
     def checked(self) -> ValidHour:
         return self
-
-
-def crash_start(net: Network, data: HourlyMarketData):
-    """``Grid.crash_start`` of the network."""
-    return Grid(net).crash_start(data)
 
 
 def build_opf(inp: OpfHourInput | ValidHour) -> LinearProgram:
@@ -300,12 +298,10 @@ def solve_opf_hours(hours: list[ValidHour], starts: list | None = None) -> list[
 
 
 def solve_opf_series(net: Network, series: list[HourlyMarketData],
-                     caps: tuple[PriceCap, ...] = (), starts: list | None = None,
-                     ) -> list[DispatchResult | None]:
+                     caps: tuple[PriceCap, ...] = ()) -> list[DispatchResult | None]:
     """``solve_opf_hours`` of ``series`` with flexibility at each of ``caps``,
     every hour checked before the first solve."""
-    grid = Grid(net)
-    return solve_opf_hours([grid.hour(data, caps) for data in series], starts)
+    return solve_opf_hours(Grid(net).hours(series, caps))
 
 
 DISPATCH_CSV_COLUMNS = [

@@ -73,8 +73,8 @@ DEFAULT_LOAD_PROFILE_MW = (
     1.00, 0.99, 0.98, 0.98, 0.97, 0.96, 0.88, 0.70,
 )
 
-DEFAULT_DIST_CAPACITY_MW = 0.85
-DEFAULT_TRANS_CAPACITY_MW = 5.0
+DIST_CAPACITY_MW = 0.85
+TRANS_CAPACITY_MW = 5.0
 FINITE_LIMIT_MW = 0.6
 BASE_LIMIT_MW = 1.0
 
@@ -91,10 +91,7 @@ class ScenarioSpec:
     seed: int = 0
     load_bounds: tuple[tuple[float, float], ...] = tuple(
         (p, p) for p in DEFAULT_LOAD_PROFILE_MW)
-    dist_capacity_mw: float = DEFAULT_DIST_CAPACITY_MW
-    trans_capacity_mw: float = DEFAULT_TRANS_CAPACITY_MW
     line_limit_case: str = "infinite"
-    finite_limit_mw: float = FINITE_LIMIT_MW
 
     def validate(self) -> list[str]:
         problems = []
@@ -110,12 +107,8 @@ class ScenarioSpec:
         for i, (lo, hi) in enumerate(self.load_bounds, start=1):
             if not 0 <= lo <= hi:
                 problems.append(f"load_bounds hour {i}: need 0 <= min <= max, got [{lo}, {hi}]")
-        if self.dist_capacity_mw < 0 or self.trans_capacity_mw < 0:
-            problems.append("capacities must be >= 0")
         if self.line_limit_case not in ("infinite", "finite"):
             problems.append(f"line_limit_case must be infinite|finite, got {self.line_limit_case!r}")
-        if self.finite_limit_mw <= 0:
-            problems.append("finite_limit_mw must be > 0")
         return problems
 
 
@@ -126,31 +119,21 @@ class Scenario:
     spec: ScenarioSpec | None = None
 
 
-def build_3bus_network(case: str = "infinite", finite_limit_mw: float = FINITE_LIMIT_MW,
-                       overrides: dict[tuple[int, int], float] | None = None) -> Network:
+def build_3bus_network(case: str = "infinite") -> Network:
     """The triangle network: import at bus 1 (slack), distributed source at
     bus 2, price-constrained load at bus 3; 0.1 p.u. reactance on every line.
 
     The base case limits every line to 1.0 MW (never binding at this scale);
-    the finite case tightens line 2-3 to ``finite_limit_mw``.  ``overrides``
-    replaces individual limits, keyed by unordered bus pair.
+    the finite case tightens line 2-3 to ``FINITE_LIMIT_MW``.
     """
-    limits = {(1, 2): BASE_LIMIT_MW, (1, 3): BASE_LIMIT_MW, (2, 3): BASE_LIMIT_MW}
-    if case == "finite":
-        limits[(2, 3)] = finite_limit_mw
-    elif case != "infinite":
+    if case not in ("infinite", "finite"):
         raise ScenarioError(f"unknown line limit case {case!r}")
-    for pair, value in (overrides or {}).items():
-        key = (min(pair), max(pair))
-        if key not in limits:
-            raise ScenarioError(f"override references unknown line {pair}")
-        limits[key] = value
     return Network(
         buses=[Bus(TRANS_BUS, is_slack=True), Bus(DIST_BUS),
                Bus(LOAD_BUS, price_constrained=True)],
-        lines=[Line(1, 2, 0.1, limits[(1, 2)]),
-               Line(1, 3, 0.1, limits[(1, 3)]),
-               Line(2, 3, 0.1, limits[(2, 3)])],
+        lines=[Line(1, 2, 0.1, BASE_LIMIT_MW),
+               Line(1, 3, 0.1, BASE_LIMIT_MW),
+               Line(2, 3, 0.1, FINITE_LIMIT_MW if case == "finite" else BASE_LIMIT_MW)],
     )
 
 
@@ -193,13 +176,13 @@ def generate_scenario(spec: ScenarioSpec) -> Scenario:
         hours.append(HourlyMarketData(
             hour=hour,
             offers=[
-                GenOffer(TRANS_BUS, wholesale, 0.0, spec.trans_capacity_mw),
-                GenOffer(DIST_BUS, a_dist, 0.0, spec.dist_capacity_mw),
+                GenOffer(TRANS_BUS, wholesale, 0.0, TRANS_CAPACITY_MW),
+                GenOffer(DIST_BUS, a_dist, 0.0, DIST_CAPACITY_MW),
             ],
             utilities=[LoadUtility(LOAD_BUS, b_load, 0.0, p_min, p_max)],
         ))
 
-    net = build_3bus_network(spec.line_limit_case, spec.finite_limit_mw)
+    net = build_3bus_network(spec.line_limit_case)
     return Scenario(network=net, hours=tuple(hours), spec=spec)
 
 

@@ -20,7 +20,7 @@ included), rests a column at an infinite bound or puts a basic structural
 column out of bounds; and also when it ends anywhere but on a
 non-degenerate optimum, so a program whose duals are not unique reports the
 slack-basis solve's vertex.  The OPF hands each hour a crash basis
-(``opf.crash_start``) or an earlier optimal basis this way.
+(``opf.Grid.crash_start``) or an earlier optimal basis this way.
 
 The entering column is the eligible one with the largest reduced cost in
 absolute value (Dantzig), ties going to the lowest index.  Dantzig's rule

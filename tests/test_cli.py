@@ -1,13 +1,21 @@
 """CLI: artifacts, exit codes, determinism, config handling."""
 
 import json
+import math
+from dataclasses import replace
 
 import pytest
 
-from flexhedge.cli import main
-from flexhedge.hedging import read_hedge_csv
+from flexhedge.cli import SWEEP_CASES, main
+from flexhedge.hedging import read_hedge_csv, run_hedge, sweep_pi_des
+from flexhedge.model import Bus, LoadUtility, PriceCap
 from flexhedge.opf import read_dispatch_csv
-from flexhedge.scenario import ScenarioSpec, generate_scenario, write_scenario_file
+from flexhedge.scenario import (
+    ScenarioSpec,
+    generate_scenario,
+    load_scenario_file,
+    write_scenario_file,
+)
 
 ARTIFACTS = ["hedge_report.csv", "hedge_report.json", "dispatch_unconstrained.csv",
              "dispatch_hedged.csv", "trace.txt"]
@@ -106,6 +114,27 @@ def test_run_requires_exactly_one_source(tmp_path, capsys):
                "--out", str(tmp_path / "out")])
     assert rc == 1
     assert "exactly one" in capsys.readouterr().err
+
+
+def test_options_a_command_does_not_read_are_errors(tmp_path, capsys):
+    path = tmp_path / "scenario.txt"
+    write_preset_file(path)
+    out = ["--out", str(tmp_path / "out")]
+    with pytest.raises(SystemExit) as exit_:  # sweep has no --case
+        main(["sweep", "--preset", "paper-3bus", "--pi", "70", "--case", "finite"] + out)
+    assert exit_.value.code == 2 and "--case" in capsys.readouterr().err
+    for flag in (["--case", "finite"], ["--seed", "7"]):
+        assert main(["run", "--input", str(path)] + flag + out) == 1
+        assert capsys.readouterr().err == \
+            f"error: {flag[0]} applies only to --preset, not --input\n"
+    config = tmp_path / "study.cfg"
+    for section, key in [("sweep", "case"), ("sweep", "pi_des"), ("sweep", "formats"),
+                         ("sweep", "allow_infeasible"), ("run", "pi"), ("run", "cases")]:
+        caps = "pi = 70\n" if section == "sweep" else ""
+        config.write_text(f"[{section}]\npreset = paper-3bus\n{caps}{key} = 70\n")
+        assert main([section, "--config", str(config)] + out) == 1
+        assert capsys.readouterr().err == f"error: config: unknown key {key!r} in [{section}]\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_infeasible_hours_exit_code(tmp_path, capsys):
@@ -373,3 +402,47 @@ def test_overflowing_susceptance_is_a_violation(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {problem}\n1 violation(s)\n"
     assert main(["run", "--input", str(path), "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == f"error: {problem}\n"
+
+
+def malformed_inputs():
+    """Name -> (network, hours, cap bus, cap value) of seed 7's preset with
+    problems in the network, the cap, the hours, or all three."""
+    scenario = generate_scenario(ScenarioSpec(seed=7))
+    net, hours = scenario.network, list(scenario.hours)
+    bad_line = replace(net, lines=[replace(net.lines[0], reactance_pu=-0.1), *net.lines[1:]])
+    no_slack = replace(net, buses=[Bus(b.id, price_constrained=b.price_constrained)
+                                   for b in net.buses])
+    bad_hours = [replace(data, utilities=[LoadUtility(3, 60.0, 0.0, 2.0, 1.0)])
+                 if data.hour in (3, 9) else data for data in hours]
+    return {
+        "negative-reactance": (bad_line, hours, 3, 70.0),
+        "no-slack": (no_slack, hours, 3, 70.0),
+        "cap-at-unconstrained-bus": (net, hours, 2, 70.0),
+        "unknown-cap-bus": (net, hours, 9, 70.0),
+        "negative-cap": (net, hours, 3, -1.0),
+        "nan-cap": (net, hours, 3, math.nan),
+        "hours-3-and-9": (net, bad_hours, 3, 70.0),
+        "all-at-once": (bad_line, bad_hours, 2, math.nan),
+    }
+
+
+@pytest.mark.parametrize("name", list(malformed_inputs()))
+def test_library_states_the_problems_the_cli_prints(tmp_path, capsys, name):
+    net, hours, bus, pi = malformed_inputs()[name]
+    path = tmp_path / "bad.txt"
+    with open(path, "w") as fobj:
+        write_scenario_file(net, hours, fobj)
+    with open(path) as fobj:  # the library gets what the CLI reads
+        net, hours = load_scenario_file(fobj)
+    source = ["--input", str(path), "--bus", str(bus), "--out", str(tmp_path / "out")]
+    for argv, study in [
+        (["run", f"--pi-des={pi}"], lambda: run_hedge(net, hours, PriceCap(bus, pi))),
+        (["sweep", f"--pi={pi}"], lambda: sweep_pi_des(net, hours, bus, [pi], SWEEP_CASES)),
+    ]:
+        assert main(argv + source) == 1
+        printed = capsys.readouterr().err.splitlines()
+        assert all(line.startswith("error: ") for line in printed)
+        with pytest.raises(ValueError) as error:
+            study()
+        assert str(error.value) == "; ".join(line[len("error: "):] for line in printed)
+    assert not (tmp_path / "out").exists()

@@ -3,6 +3,7 @@
 import io
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -33,7 +34,7 @@ from flexhedge.model import (
     PriceCap,
     validate_market_data,
 )
-from flexhedge.opf import OpfHourInput, build_opf, crash_start, solve_opf_series
+from flexhedge.opf import Grid, OpfHourInput, build_opf, solve_opf_hours, solve_opf_series
 from flexhedge.scenario import (
     FINITE_LIMIT_MW,
     ScenarioSpec,
@@ -149,7 +150,7 @@ def test_paper_study_pivot_path_is_pinned(monkeypatch):
     # pass 2 solves only the 14 hours priced above the cap
     assert len(solutions) == 24 + 14
     # pass 1 starts each hour from the network's crash basis
-    assert all(p.start == crash_start(scenario.network, data)
+    assert all(p.start == Grid(scenario.network).crash_start(data)
                for p, data in zip(programs[:24], scenario.hours))
     assert sum(s.iterations for s in solutions[:24]) == 48
     # pass 2 starts each hour it solves from pass 1's optimal basis
@@ -213,8 +214,8 @@ def pass2_solved(monkeypatch, net, series, cap) -> list[str]:
     run = run_hedge(net, series, cap)
     monkeypatch.undo()
     # builds each hour's program as build_opf(OpfHourInput(net, hour, (cap,)))
-    warm = solve_opf_series(net, series, caps=(cap,),
-                            starts=[None if r is None else r.basis for r in run.unconstrained])
+    warm = solve_opf_hours(Grid(net).hours(series, (cap,)),
+                           starts=[None if r is None else r.basis for r in run.unconstrained])
     assert run.hedged == tuple(warm)
     return [prog.name for prog in calls[len(series):]]
 
@@ -403,7 +404,7 @@ def test_study_builds_once_per_solve_and_validates_once_per_hour(monkeypatch):
                                   [40.0 + 0.5 * k for k in range(161)]],
                          ids=["60-80", "40-120-by-0.5"])
 @pytest.mark.parametrize("seed", [1, 7, 42])
-def test_sweep_continues_each_hours_pass2_from_the_previous_cap(monkeypatch, seed, caps):
+def test_sweep_equals_runs_alone(monkeypatch, seed, caps):
     # an hour's pass-2 result at one cap holds at the next caps inside its interval
     scenario = generate_scenario(ScenarioSpec(seed=seed))
     cases = {"infinite": None, "finite": {(2, 3): FINITE_LIMIT_MW}}
@@ -411,7 +412,7 @@ def test_sweep_continues_each_hours_pass2_from_the_previous_cap(monkeypatch, see
 
 
 @pytest.mark.parametrize("n_buses, seed", [(10, 3), (10, 4), (30, 5), (30, 1)])
-def test_mesh_sweep_continues_each_hours_pass2_from_the_previous_cap(monkeypatch, n_buses, seed):
+def test_mesh_sweep_equals_runs_alone(monkeypatch, n_buses, seed):
     from test_mesh_oracle import seeded_mesh  # it imports this module
 
     net, hours, cap = seeded_mesh(n_buses, seed)
@@ -443,7 +444,7 @@ def test_sweep_over_ties_equals_runs_alone(monkeypatch):
         check_sweep_equals_runs_alone(monkeypatch, net, series, 3, caps, cases)
 
 
-def test_pass1_reuse_is_scoped_to_one_sweep(monkeypatch):
+def test_each_study_solves_its_own_pass1(monkeypatch):
     scenario = generate_scenario(ScenarioSpec(seed=7))
     calls = count_solves(monkeypatch)
     # 24 pass-1 solves and 14 pass-2 solves, in the hours priced above 70
@@ -468,6 +469,34 @@ def test_caps_are_validated_before_any_solve(monkeypatch):
         run_hedge(net, hours, PriceCap(9, 70.0))
     with pytest.raises(ValueError, match="non-finite"):
         sweep_pi_des(net, hours, 3, [70.0, math.inf], {"base": None})
+    assert calls == []
+
+
+def test_run_lists_every_malformed_hour(monkeypatch):
+    scenario = generate_scenario(ScenarioSpec(seed=7))
+    inverted = [replace(data, utilities=[LoadUtility(3, 60.0, 0.0, 2.0, 1.0)])
+                if data.hour in (3, 9) else data for data in scenario.hours]
+    calls = count_solves(monkeypatch)
+    with pytest.raises(ValueError) as error:
+        run_hedge(scenario.network, inverted, PriceCap(3, 70.0))
+    assert str(error.value) == "; ".join(
+        f"hour {h}: load bounds at bus 3 must satisfy 0 <= min <= max, got [2.0, 1.0]"
+        for h in (3, 9))
+    assert calls == []
+
+
+@pytest.mark.parametrize("overrides, problem", [
+    ({(2, 3): -1.0}, "line 2-3: flow_limit_mw must be > 0, got -1.0"),
+    ({(4, 5): 1.0}, "overrides reference unknown lines: [(4, 5)]"),
+], ids=["bad-limit", "unknown-line"])
+def test_sweep_rejects_a_bad_scenario_before_any_solve(monkeypatch, overrides, problem):
+    scenario = generate_scenario(ScenarioSpec(seed=7))
+    calls = count_solves(monkeypatch)
+    # the good scenario alone takes 38 solves; the bad one is found before them
+    with pytest.raises(ValueError) as error:
+        sweep_pi_des(scenario.network, scenario.hours, 3, [70.0],
+                     {"infinite": None, "bad": overrides})
+    assert str(error.value) == f"scenario 'bad': {problem}"
     assert calls == []
 
 

@@ -27,10 +27,10 @@ from flexhedge.hedging import run_hedge
 from flexhedge.lp import INF, solve
 from flexhedge.model import Bus, GenOffer, HourlyMarketData, Line, LoadUtility, Network, PriceCap
 from flexhedge.opf import (
+    Grid,
     OpfHourInput,
     build_opf,
     capped_dual,
-    crash_start,
     solve_opf_hour,
     solve_opf_series,
 )
@@ -167,7 +167,7 @@ def test_mesh_day_matches_highs_and_cold_solves(monkeypatch, n_buses, seed):
     assert len(solved) == 48
     # one start per solve: the given start was used, the slack basis never
     assert [n_starts for _, _, n_starts in solved] == [1] * 48
-    assert [prog.start for prog, _, _ in solved[:24]] == [crash_start(net, h) for h in hours]
+    assert [prog.start for prog, _, _ in solved[:24]] == [Grid(net).crash_start(h) for h in hours]
 
     for prog, sol, _ in solved:
         assert sol.status == "optimal"

@@ -25,7 +25,6 @@ from flexhedge.opf import (
     HourInfeasibleError,
     OpfHourInput,
     build_opf,
-    crash_start,
     read_dispatch_csv,
     solve_opf_hour,
     solve_opf_series,
@@ -87,6 +86,17 @@ def test_cap_on_unconstrained_bus_rejected():
     inp = OpfHourInput(triangle(), hour_data(), caps=(PriceCap(2, 70.0),))
     with pytest.raises(ValueError, match="not price constrained"):
         build_opf(inp)
+
+
+def test_two_caps_at_one_bus_rejected():
+    caps = (PriceCap(3, 70.0), PriceCap(2, 60.0), PriceCap(3, 80.0))
+    problem = "price cap at bus 2 which is not price constrained; more than one price cap at bus 3"
+    with pytest.raises(ValueError) as error:
+        Grid(triangle()).hours([hour_data(1), hour_data(2)], caps)
+    assert str(error.value) == problem
+    with pytest.raises(ValueError) as error:
+        OpfHourInput(triangle(), hour_data(), caps).checked()
+    assert str(error.value) == problem
 
 
 # ---------------------------------------------------------------------------
@@ -324,8 +334,7 @@ def test_dispatch_csv_skips_infeasible_hours():
 
 def grid_programs(net, series, caps=()):
     """Each hour's program built over one ``Grid``, as a study builds them."""
-    grid = Grid(net)
-    return [build_opf(grid.hour(data, caps)) for data in series]
+    return [build_opf(hour) for hour in Grid(net).hours(series, caps)]
 
 
 def dense_form(prog):
@@ -374,7 +383,7 @@ def test_block_equals_each_programs_own_densify(name):
     check_blocks(progs)
     if name == "layouts":  # three column layouts, three blocks
         assert len({id(prog.block) for prog in progs}) == 3
-        assert crash_start(net, series[0]) is None
+        assert Grid(net).crash_start(series[0]) is None
         # line 2-3 carries two thirds of bus 3's export to bus 2 and binds at 0.6
         loads = [solve_opf_hour(OpfHourInput(net, data)).p_l_mw for data in series]
         assert loads == [{3: 0.0}, {3: 1.0}, {2: pytest.approx(0.9)}]

@@ -102,7 +102,7 @@ def test_preset_networks():
 
 
 def test_line_limit_overrides():
-    net = build_3bus_network("infinite", overrides={(3, 2): 0.42})
+    net = apply_line_limits(build_3bus_network("infinite"), {(3, 2): 0.42})
     assert net.lines[2].flow_limit_mw == 0.42
     overridden = apply_line_limits(net, {(1, 2): 0.9})
     assert overridden.lines[0].flow_limit_mw == 0.9
