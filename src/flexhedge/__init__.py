@@ -73,7 +73,6 @@ from .scenario import (
     apply_line_limits,
     build_3bus_network,
     generate_scenario,
-    load_price_csv,
     load_scenario_file,
     preset_spec,
     write_scenario_file,

@@ -32,7 +32,7 @@ from .lp import SolverFailureError
 from .model import GenOffer, LoadUtility, PriceCap
 from .opf import Grid, write_dispatch_csv
 from .scenario import (
-    FINITE_LIMIT_MW,
+    LINE_LIMIT_CASES,
     PRESET_NAMES,
     ScenarioError,
     apply_line_limits,
@@ -43,7 +43,6 @@ from .scenario import (
 
 DEFAULT_OUT = "flexhedge-out"
 ENV_OUT = "FLEXHEDGE_OUT"
-SWEEP_CASES = {"infinite": None, "finite": {(2, 3): FINITE_LIMIT_MW}}  # line-limit overrides
 
 
 def _fail(*problems: str) -> int:
@@ -79,8 +78,8 @@ def _parse_line_limits(pairs: list[str]) -> dict[tuple[int, int], float]:
     for item in pairs:
         try:
             ends, value = item.split("=", 1)
-            a, b = ends.split("-")
-            overrides[(int(a), int(b))] = float(value)
+            a, b = sorted(int(end) for end in ends.split("-"))  # a line has no direction
+            overrides[(a, b)] = float(value)
         except ValueError:
             raise ValueError(f"bad --line-limit {item!r}; expected FROM-TO=MW") from None
     return overrides
@@ -194,16 +193,19 @@ def cmd_sweep(args) -> int:
         print("error: --pi requires at least one value", file=sys.stderr)
         return 2
     cases = [c.strip() for c in (args.cases or "infinite,finite").split(",") if c.strip()]
-    net, hours = _resolve_scenario(args)  # each case overrides line limits itself
+    net, hours = _resolve_scenario(args)
     bus = 3 if args.bus is None else args.bus
-    problems = [f"unknown case {case!r}; expected infinite|finite"
-                for case in cases if case not in SWEEP_CASES]
+    problems = [f"unknown case {case!r}; expected {'|'.join(LINE_LIMIT_CASES)}"
+                for case in cases if case not in LINE_LIMIT_CASES]
     problems += Grid(net).problems_of(hours, [PriceCap(bus, pi) for pi in pi_values])
     if problems:
         return _fail(*problems)
 
-    result = sweep_pi_des(net, hours, bus, pi_values,
-                          {case: SWEEP_CASES[case] for case in cases})
+    # net carries the user's --line-limit, which wins over a case's own limits as in run
+    user = _parse_line_limits(args.line_limit)
+    result = sweep_pi_des(net, hours, bus, pi_values, {
+        case: {line: mw for line, mw in LINE_LIMIT_CASES[case].items() if line not in user}
+        for case in cases})
 
     out_dir = Path(args.out or os.environ.get(ENV_OUT, DEFAULT_OUT))
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -274,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = command("run", help="two-pass hedge study, writes report artifacts")
     add_common(p_run)
-    p_run.add_argument("--case", choices=("infinite", "finite"),
+    p_run.add_argument("--case", choices=LINE_LIMIT_CASES,
                        help="line-limit case for presets (default infinite)")
     p_run.add_argument("--pi-des", dest="pi_des",
                        help="cap in EUR/MWh; scalar or 24 comma-separated values "

@@ -104,11 +104,6 @@ class PriceCap:
             return self.cap_eur_per_mwh[hour - 1]
         return self.cap_eur_per_mwh
 
-    def caps(self) -> tuple[float, ...]:
-        if isinstance(self.cap_eur_per_mwh, tuple):
-            return self.cap_eur_per_mwh
-        return (self.cap_eur_per_mwh,) * 24
-
 
 @dataclass(frozen=True)
 class HourlyMarketData:

@@ -1,9 +1,10 @@
-"""Synthetic day scenarios: seeded generation, presets, and file ingestion.
+"""Synthetic day scenarios: the seeded three-bus preset and scenario files.
 
-A scenario is a 24-hour market data series on a small network.  Hourly
-distributed-resource costs are drawn below the wholesale import price (scaled
-down by ``dist_scale``) and load utilities land strictly between the two, so
-the merit order is distribution first, import second, every hour.
+A scenario is a 24-hour market data series on the three-bus triangle under one
+of the ``LINE_LIMIT_CASES``.  Hourly distributed-resource costs are drawn below
+the wholesale import price (scaled down by ``DIST_SCALE``) and load utilities
+land strictly between the two, so the merit order is distribution first, import
+second, every hour.  The import price curve and the firm load profile are fixed.
 
 Randomness comes from SplitMix64, a tiny fully specified generator
 (state increment 0x9E3779B97F4A7C15, mixing multipliers 0xBF58476D1CE4E5B9 and
@@ -14,8 +15,6 @@ cost is drawn first, the load utility second.
 
 from __future__ import annotations
 
-import csv
-import math
 from dataclasses import dataclass, replace
 
 from .model import (
@@ -73,6 +72,7 @@ DEFAULT_LOAD_PROFILE_MW = (
     1.00, 0.99, 0.98, 0.98, 0.97, 0.96, 0.88, 0.70,
 )
 
+DIST_SCALE = 0.30  # an hour's distributed cost is at most 70% of its import price
 DIST_CAPACITY_MW = 0.85
 TRANS_CAPACITY_MW = 5.0
 FINITE_LIMIT_MW = 0.6
@@ -81,60 +81,46 @@ BASE_LIMIT_MW = 1.0
 TRANS_BUS, DIST_BUS, LOAD_BUS = 1, 2, 3
 
 PRESET_NAMES = ("paper-3bus",)
+# each case's line-limit overrides on the triangle, whose lines carry BASE_LIMIT_MW
+LINE_LIMIT_CASES = {"infinite": {}, "finite": {(2, 3): FINITE_LIMIT_MW}}
 
 
 @dataclass(frozen=True)
 class ScenarioSpec:
     """Everything needed to generate a reproducible 24-hour scenario."""
-    wholesale_series: tuple[float, ...] = DEFAULT_WHOLESALE_EUR_MWH
-    dist_scale: float = 0.30
     seed: int = 0
-    load_bounds: tuple[tuple[float, float], ...] = tuple(
-        (p, p) for p in DEFAULT_LOAD_PROFILE_MW)
     line_limit_case: str = "infinite"
 
     def validate(self) -> list[str]:
-        problems = []
-        if len(self.wholesale_series) != 24:
-            problems.append(
-                f"wholesale_series needs 24 entries, got {len(self.wholesale_series)}")
-        if any(w <= 0 or math.isnan(w) for w in self.wholesale_series):
-            problems.append("wholesale_series entries must be positive")
-        if not 0.0 < self.dist_scale < 1.0:
-            problems.append(f"dist_scale must be in (0, 1), got {self.dist_scale}")
-        if len(self.load_bounds) != 24:
-            problems.append(f"load_bounds needs 24 entries, got {len(self.load_bounds)}")
-        for i, (lo, hi) in enumerate(self.load_bounds, start=1):
-            if not 0 <= lo <= hi:
-                problems.append(f"load_bounds hour {i}: need 0 <= min <= max, got [{lo}, {hi}]")
-        if self.line_limit_case not in ("infinite", "finite"):
-            problems.append(f"line_limit_case must be infinite|finite, got {self.line_limit_case!r}")
-        return problems
+        if self.line_limit_case not in LINE_LIMIT_CASES:
+            return [f"line_limit_case must be {'|'.join(LINE_LIMIT_CASES)}, "
+                    f"got {self.line_limit_case!r}"]
+        return []
 
 
 @dataclass(frozen=True)
 class Scenario:
     network: Network
     hours: tuple[HourlyMarketData, ...]
-    spec: ScenarioSpec | None = None
 
 
 def build_3bus_network(case: str = "infinite") -> Network:
     """The triangle network: import at bus 1 (slack), distributed source at
     bus 2, price-constrained load at bus 3; 0.1 p.u. reactance on every line.
 
-    The base case limits every line to 1.0 MW (never binding at this scale);
-    the finite case tightens line 2-3 to ``FINITE_LIMIT_MW``.
+    Every line carries ``BASE_LIMIT_MW`` (never binding at this scale), then
+    the case's ``LINE_LIMIT_CASES`` overrides apply.
     """
-    if case not in ("infinite", "finite"):
+    if case not in LINE_LIMIT_CASES:
         raise ScenarioError(f"unknown line limit case {case!r}")
-    return Network(
+    base = Network(
         buses=[Bus(TRANS_BUS, is_slack=True), Bus(DIST_BUS),
                Bus(LOAD_BUS, price_constrained=True)],
         lines=[Line(1, 2, 0.1, BASE_LIMIT_MW),
                Line(1, 3, 0.1, BASE_LIMIT_MW),
-               Line(2, 3, 0.1, FINITE_LIMIT_MW if case == "finite" else BASE_LIMIT_MW)],
+               Line(2, 3, 0.1, BASE_LIMIT_MW)],
     )
+    return apply_line_limits(base, LINE_LIMIT_CASES[case])
 
 
 def apply_line_limits(net: Network, overrides: dict[tuple[int, int], float]) -> Network:
@@ -156,85 +142,39 @@ def generate_scenario(spec: ScenarioSpec) -> Scenario:
     """Draw the hourly coefficients; identical spec (seed included) gives an
     identical scenario.
 
-    Per hour l: the distribution cost is uniform on
-    [(1 - dist_scale) * min(wholesale), (1 - dist_scale) * wholesale_l] and the
-    load utility is uniform on the open interval (dist cost, wholesale_l), so
-    dist < utility < import holds strictly for every hour.
+    Per hour l, with wholesale the ``DEFAULT_WHOLESALE_EUR_MWH`` curve: the
+    distribution cost is uniform on [(1 - DIST_SCALE) * min(wholesale),
+    (1 - DIST_SCALE) * wholesale_l] and the load utility is uniform on the open
+    interval (dist cost, wholesale_l), so dist < utility < import holds
+    strictly for every hour.  The load is firm at ``DEFAULT_LOAD_PROFILE_MW``.
     """
     problems = spec.validate()
     if problems:
         raise ScenarioError("; ".join(problems))
 
     rng = SplitMix64(spec.seed)
-    floor = (1.0 - spec.dist_scale) * min(spec.wholesale_series)
+    floor = (1.0 - DIST_SCALE) * min(DEFAULT_WHOLESALE_EUR_MWH)
     hours = []
-    for hour in range(1, 25):
-        wholesale = spec.wholesale_series[hour - 1]
-        a_dist = rng.uniform(floor, (1.0 - spec.dist_scale) * wholesale)
+    for hour, (wholesale, load) in enumerate(
+            zip(DEFAULT_WHOLESALE_EUR_MWH, DEFAULT_LOAD_PROFILE_MW), start=1):
+        a_dist = rng.uniform(floor, (1.0 - DIST_SCALE) * wholesale)
         b_load = rng.uniform_open(a_dist, wholesale)
-        p_min, p_max = spec.load_bounds[hour - 1]
         hours.append(HourlyMarketData(
             hour=hour,
             offers=[
                 GenOffer(TRANS_BUS, wholesale, 0.0, TRANS_CAPACITY_MW),
                 GenOffer(DIST_BUS, a_dist, 0.0, DIST_CAPACITY_MW),
             ],
-            utilities=[LoadUtility(LOAD_BUS, b_load, 0.0, p_min, p_max)],
+            utilities=[LoadUtility(LOAD_BUS, b_load, 0.0, load, load)],
         ))
 
-    net = build_3bus_network(spec.line_limit_case)
-    return Scenario(network=net, hours=tuple(hours), spec=spec)
+    return Scenario(network=build_3bus_network(spec.line_limit_case), hours=tuple(hours))
 
 
 def preset_spec(name: str, case: str = "infinite", seed: int = 0) -> ScenarioSpec:
     if name not in PRESET_NAMES:
         raise ScenarioError(f"unknown preset {name!r}; available: {PRESET_NAMES}")
     return ScenarioSpec(seed=seed, line_limit_case=case)
-
-
-def load_price_csv(fobj) -> tuple[float, ...]:
-    """Read a 24-row hourly price series; header must be hour,price_eur_mwh."""
-    reader = csv.reader(fobj)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ScenarioError("price CSV is empty") from None
-    if [h.strip() for h in header] != ["hour", "price_eur_mwh"]:
-        raise ScenarioError(f"price CSV header must be 'hour,price_eur_mwh', got {header}")
-
-    prices: dict[int, float] = {}
-    problems = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        if len(row) != 2:
-            problems.append(f"row {lineno}: expected 2 fields, got {len(row)}")
-            continue
-        try:
-            hour = int(row[0])
-            price = float(row[1])
-        except ValueError:
-            problems.append(f"row {lineno}: could not parse {row!r}")
-            continue
-        if hour < 1 or hour > 24:
-            problems.append(f"row {lineno}: hour {hour} outside 1..24")
-            continue
-        if hour in prices:
-            problems.append(f"row {lineno}: duplicate hour {hour}")
-            continue
-        if math.isnan(price):
-            problems.append(f"row {lineno}: price is NaN")
-            continue
-        if price < 0:
-            problems.append(f"row {lineno}: negative price {price}")
-            continue
-        prices[hour] = price
-
-    if len(prices) != 24 and not problems:
-        problems.append(f"expected 24 data rows, found {len(prices)}")
-    if problems:
-        raise ScenarioError("; ".join(problems))
-    return tuple(prices[h] for h in range(1, 25))
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,15 @@ from dataclasses import replace
 
 import pytest
 
-from flexhedge.cli import SWEEP_CASES, main
+from flexhedge.cli import main
 from flexhedge.hedging import read_hedge_csv, run_hedge, sweep_pi_des
 from flexhedge.model import Bus, LoadUtility, PriceCap
 from flexhedge.opf import read_dispatch_csv
 from flexhedge.scenario import (
+    LINE_LIMIT_CASES,
     ScenarioSpec,
+    apply_line_limits,
+    build_3bus_network,
     generate_scenario,
     load_scenario_file,
     write_scenario_file,
@@ -208,6 +211,21 @@ def test_sweep_table(tmp_path, capsys):
     assert lines[0] == "pi_des_eur_mwh,scenario,total_revenue_eur,total_revenue_display"
     assert len(lines) == 7  # header + 3 caps x 2 cases
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("line", ["2-3", "3-2"])
+def test_sweep_applies_line_limit_after_each_case(tmp_path, line):
+    rc = main(["sweep", "--preset", "paper-3bus", "--seed", "7", "--pi", "70",
+               "--cases", "infinite,finite", "--line-limit", f"{line}=0.3",
+               "--out", str(tmp_path / "out")])
+    assert rc == 0
+    rows = (tmp_path / "out" / "sweep.csv").read_text().splitlines()[1:]
+    assert len(rows) == 2
+    hours = generate_scenario(ScenarioSpec(seed=7)).hours
+    for row, case in zip(rows, ["infinite", "finite"]):
+        net = apply_line_limits(build_3bus_network(case), {(2, 3): 0.3})
+        total = run_hedge(net, hours, PriceCap(3, 70.0)).report.total_revenue_eur
+        assert row == f"70.0,{case},{total!r},48.73"
 
 
 def test_sweep_empty_pi_is_usage_error(tmp_path, capsys):
@@ -437,7 +455,7 @@ def test_library_states_the_problems_the_cli_prints(tmp_path, capsys, name):
     source = ["--input", str(path), "--bus", str(bus), "--out", str(tmp_path / "out")]
     for argv, study in [
         (["run", f"--pi-des={pi}"], lambda: run_hedge(net, hours, PriceCap(bus, pi))),
-        (["sweep", f"--pi={pi}"], lambda: sweep_pi_des(net, hours, bus, [pi], SWEEP_CASES)),
+        (["sweep", f"--pi={pi}"], lambda: sweep_pi_des(net, hours, bus, [pi], LINE_LIMIT_CASES)),
     ]:
         assert main(argv + source) == 1
         printed = capsys.readouterr().err.splitlines()

@@ -177,7 +177,6 @@ def test_price_cap_validation():
 def test_price_cap_broadcast():
     scalar = PriceCap(3, 70.0)
     assert scalar.cap_for_hour(1) == scalar.cap_for_hour(24) == 70.0
-    assert scalar.caps() == (70.0,) * 24
     vector = PriceCap(3, tuple(float(h) for h in range(1, 25)))
     assert vector.cap_for_hour(5) == 5.0
 

@@ -1,11 +1,13 @@
-"""Scenario generation: seeding, sampling windows, presets, CSV ingestion."""
+"""Scenario generation: seeding, sampling windows, presets, scenario files."""
 
 import io
 
 import pytest
 
+from flexhedge.model import Bus, Line, Network
 from flexhedge.opf import OpfHourInput, solve_opf_hour
 from flexhedge.scenario import (
+    DEFAULT_LOAD_PROFILE_MW,
     DEFAULT_WHOLESALE_EUR_MWH,
     ScenarioError,
     ScenarioSpec,
@@ -13,7 +15,6 @@ from flexhedge.scenario import (
     apply_line_limits,
     build_3bus_network,
     generate_scenario,
-    load_price_csv,
     load_scenario_file,
     preset_spec,
     write_scenario_file,
@@ -50,7 +51,7 @@ def test_different_seed_different_scenario():
 
 def test_dist_cost_respects_scale_down():
     for seed in range(10):
-        scenario = generate_scenario(ScenarioSpec(seed=seed, dist_scale=0.30))
+        scenario = generate_scenario(ScenarioSpec(seed=seed))
         for data in scenario.hours:
             wholesale = data.offer_at(1).marginal_cost
             dist = data.offer_at(2).marginal_cost
@@ -80,23 +81,19 @@ def test_generated_scenario_dispatches_merit_order():
 
 def test_spec_validation():
     assert ScenarioSpec().validate() == []
-    bad_scale = ScenarioSpec(dist_scale=1.5)
-    with pytest.raises(ScenarioError, match="dist_scale"):
-        generate_scenario(bad_scale)
-    short = ScenarioSpec(wholesale_series=(50.0,) * 23)
-    with pytest.raises(ScenarioError, match="24 entries"):
-        generate_scenario(short)
-    inverted = ScenarioSpec(load_bounds=((1.0, 0.5),) + ((0.5, 0.5),) * 23)
-    with pytest.raises(ScenarioError, match="load_bounds hour 1"):
-        generate_scenario(inverted)
+    with pytest.raises(ScenarioError,
+                       match=r"line_limit_case must be infinite\|finite, got 'tight'"):
+        generate_scenario(ScenarioSpec(line_limit_case="tight"))
 
 
 def test_preset_networks():
-    infinite = build_3bus_network("infinite")
-    assert [line.flow_limit_mw for line in infinite.lines] == [1.0, 1.0, 1.0]
-    finite = build_3bus_network("finite")
-    assert [line.flow_limit_mw for line in finite.lines] == [1.0, 1.0, 0.6]
-    assert all(line.reactance_pu == 0.1 for line in finite.lines)
+    buses = [Bus(1, is_slack=True), Bus(2), Bus(3, price_constrained=True)]
+    assert build_3bus_network("infinite") == Network(
+        buses, [Line(1, 2, 0.1, 1.0), Line(1, 3, 0.1, 1.0), Line(2, 3, 0.1, 1.0)])
+    assert build_3bus_network("finite") == Network(
+        buses, [Line(1, 2, 0.1, 1.0), Line(1, 3, 0.1, 1.0), Line(2, 3, 0.1, 0.6)])
+    with pytest.raises(ScenarioError, match="unknown line limit case 'tight'"):
+        build_3bus_network("tight")
     with pytest.raises(ScenarioError, match="unknown preset"):
         preset_spec("nope")
 
@@ -121,55 +118,6 @@ def test_finite_case_congests_at_peak():
     assert congested_hours == list(range(14, 23))
 
 
-def price_csv(rows) -> io.StringIO:
-    return io.StringIO("hour,price_eur_mwh\n" + "\n".join(rows) + "\n")
-
-
-def test_load_price_csv_well_formed():
-    rows = [f"{h},{p}" for h, p in enumerate(DEFAULT_WHOLESALE_EUR_MWH, start=1)]
-    series = load_price_csv(price_csv(rows))
-    assert series == DEFAULT_WHOLESALE_EUR_MWH
-
-
-def test_load_price_csv_accepts_shuffled_hours():
-    rows = [f"{h},{float(h)}" for h in range(1, 25)]
-    rows.reverse()
-    series = load_price_csv(price_csv(rows))
-    assert series == tuple(float(h) for h in range(1, 25))
-
-
-def test_load_price_csv_wrong_count():
-    rows = [f"{h},{50.0}" for h in range(1, 24)]
-    with pytest.raises(ScenarioError, match="expected 24 data rows, found 23"):
-        load_price_csv(price_csv(rows))
-
-
-def test_load_price_csv_duplicate_hour():
-    rows = [f"{h},{50.0}" for h in range(1, 25)] + ["13,51.0"]
-    with pytest.raises(ScenarioError, match="duplicate hour 13"):
-        load_price_csv(price_csv(rows))
-
-
-def test_load_price_csv_rejects_nan_and_negative():
-    rows = [f"{h},{50.0}" for h in range(1, 24)] + ["24,nan"]
-    with pytest.raises(ScenarioError, match="row 25: price is NaN"):
-        load_price_csv(price_csv(rows))
-    rows = [f"{h},{50.0}" for h in range(1, 24)] + ["24,-3"]
-    with pytest.raises(ScenarioError, match="row 25: negative price"):
-        load_price_csv(price_csv(rows))
-
-
-def test_load_price_csv_unparsable_row():
-    rows = [f"{h},{50.0}" for h in range(1, 24)] + ["24,abc"]
-    with pytest.raises(ScenarioError, match="row 25: could not parse"):
-        load_price_csv(price_csv(rows))
-
-
-def test_load_price_csv_bad_header():
-    with pytest.raises(ScenarioError, match="header"):
-        load_price_csv(io.StringIO("h,p\n1,50\n"))
-
-
 def test_generated_scenario_file_round_trip():
     scenario = generate_scenario(ScenarioSpec(seed=9, line_limit_case="finite"))
     buf = io.StringIO()
@@ -181,7 +129,8 @@ def test_generated_scenario_file_round_trip():
 
 
 def test_custom_wholesale_series_used_verbatim():
-    series = tuple(40.0 + h for h in range(24))
-    scenario = generate_scenario(ScenarioSpec(wholesale_series=series, seed=1))
-    for data, expected in zip(scenario.hours, series):
-        assert data.offer_at(1).marginal_cost == expected
+    scenario = generate_scenario(ScenarioSpec(seed=1))
+    assert [data.offer_at(1).marginal_cost for data in scenario.hours] == \
+        list(DEFAULT_WHOLESALE_EUR_MWH)
+    assert [(data.utility_at(3).p_min_mw, data.utility_at(3).p_max_mw)
+            for data in scenario.hours] == [(p, p) for p in DEFAULT_LOAD_PROFILE_MW]
