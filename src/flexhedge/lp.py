@@ -68,7 +68,10 @@ class LinearProgram:
     as an ``LpSolution`` reports them, that the simplex tries before a cold
     start; it never changes the program, so ``validate``, ``to_lp_format``
     and ``dual_program`` ignore it.  ``block`` is the dense matrix of the rows
-    (``simplex.densify``) the program was built over; edits drop it.
+    (``simplex.densify``) the program was built over, and ``start_inverse``,
+    set together with ``start``, the read-only inverse of ``start``'s basis in
+    it (``simplex.start_inverse``), which the simplex then need not factor;
+    edits drop both.
     """
 
     def __init__(self, sense: str = "maximize", name: str = "lp"):
@@ -80,13 +83,13 @@ class LinearProgram:
         self.rows: dict[str, _Row] = {}
         self.constant = 0.0
         self.start: tuple[tuple[str, ...], tuple[str, ...]] | None = None
-        self.block = None
+        self.block = self.start_inverse = None
 
     def add_column(self, name: str, lower: float = 0.0, upper: float = INF,
                    objective: float = 0.0) -> None:
         if name in self.columns:
             raise MalformedProgramError(f"duplicate column name {name!r}")
-        self.block = None
+        self.block = self.start_inverse = None
         self.columns[name] = _Column(name, float(lower), float(upper), float(objective))
 
     def add_row(self, name: str, coeffs: dict[str, float], relation: str,
@@ -95,7 +98,7 @@ class LinearProgram:
             raise MalformedProgramError(f"duplicate row name {name!r}")
         if relation not in RELATIONS:
             raise MalformedProgramError(f"relation must be one of {RELATIONS}, got {relation!r}")
-        self.block = None
+        self.block = self.start_inverse = None
         self.rows[name] = _Row(name, dict(coeffs), relation, float(rhs))
 
     def validate(self) -> list[str]:

@@ -95,10 +95,12 @@ def price_paid_by_load(sol: LpSolution, balance_row: str) -> float:
 class Grid:
     """A network validated and compiled once per study: ``validate_network``'s
     ``problems`` and, if valid, each bus's angle terms (accumulated in line
-    order), the line-limit rows and each column layout's ``block``."""
+    order), the line-limit rows and each column layout's ``block`` and
+    crash-basis inverse (``start_at_crash``)."""
 
     def __init__(self, net: Network):
-        self.net, self.problems, self.blocks = net, validate_network(net), {}
+        self.net, self.problems = net, validate_network(net)
+        self.blocks, self.crash_inverses = {}, {}
         if self.problems:
             return
         self.terms: dict[str, dict[str, float]] = {_column("theta", b.id): {} for b in net.buses}
@@ -159,6 +161,16 @@ class Grid:
             from .simplex import densify  # numpy, like lp.solve, loads on a first solve
             self.blocks[layout] = densify(prog)
         return self.blocks[layout]
+
+    def start_at_crash(self, prog: LinearProgram, data: HourlyMarketData) -> None:
+        """Start ``build_opf``'s program at ``crash_start(data)`` with that
+        basis's ``B^-1`` (``simplex.start_inverse``), inverted once per layout."""
+        prog.start = self.crash_start(data)
+        layout = tuple(prog.columns)
+        if layout not in self.crash_inverses:
+            from .simplex import start_inverse
+            self.crash_inverses[layout] = start_inverse(prog)
+        prog.start_inverse = self.crash_inverses[layout]
 
 
 @dataclass(frozen=True)
@@ -241,7 +253,10 @@ def solve_opf_hour(inp: OpfHourInput | ValidHour, start=None) -> DispatchResult:
     result's ``basis`` is the optimal pair in the same form."""
     hour = inp.checked()
     prog = build_opf(hour)
-    prog.start = start if start is not None else hour.grid.crash_start(hour.data)
+    if start is None:
+        hour.grid.start_at_crash(prog, hour.data)
+    else:
+        prog.start = start
     sol = solve(prog)
     if sol.status == "infeasible":
         raise HourInfeasibleError(hour.data.hour,

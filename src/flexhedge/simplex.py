@@ -9,11 +9,15 @@ with individual bounds on all columns (``<=`` rows get slack bounds [0, inf),
 
 Every solve starts from a basis and the bounds the other columns rest at:
 the program's ``LinearProgram.start`` if it has one, else the slack basis
-with every other column at a finite bound.  One routine (``_start``) computes
-the basic values; each basic slack that breaks its bounds rests at the
-violated bound instead and a signed artificial column carries the gap in its
-row.  A first phase minimizes the artificials' sum; the second phase
-optimizes the true objective from the feasible basis.  A start falls back to
+with every other column at a finite bound.  One routine (``_start``) inverts
+the basis, unless the program carries its inverse
+(``LinearProgram.start_inverse``, which ``opf.Grid`` keeps for each layout's
+crash basis), and computes the basic values as ``B^-1`` times the right-hand
+side; each basic slack that breaks its bounds rests at the violated bound
+instead and a signed artificial column carries the gap in its row, one of
+sign -1 negating that row of ``B^-1``.  A first phase minimizes the
+artificials' sum; the second phase optimizes the true objective from the
+feasible basis.  A start falls back to
 the slack basis when it names a column or slack the program lacks (an
 ``artificial:`` entry included), is singular (a basis of the wrong size
 included), rests a column at an infinite bound or puts a basic structural
@@ -30,13 +34,15 @@ lowest eligible index (Bland 1977) until a pivot moves them again; Bland's
 rule cannot cycle, so the iteration cap is only a circuit breaker.  The
 ratio test breaks ties by the lowest basic column index.
 
-Each phase inverts the basis once and then keeps ``B^-1`` current with a
-rank-1 product-form update per pivot (Bartels-Golub; Forrest-Tomlin 1972), so a
-pivot costs O(m*n) array work instead of three fresh O(m^3) solves.
-Multipliers are ``c_B B^-1``, the entering column is ``B^-1 a_q``, and basic
-values are updated in place on every pivot and bound flip.  To bound drift the
-basis is inverted afresh, and basic values are recomputed in full, every
-``_REFACTOR_EVERY`` pivots.  The updated quantities only steer pivot choices
+Each solve inverts its start basis once; phase 2 continues phase 1's
+``B^-1`` (inverting afresh only where phase 1's end swapped an artificial
+out), and a rank-1 product-form update per pivot (Bartels-Golub;
+Forrest-Tomlin 1972) keeps it current, so a pivot costs O(m*n) array work
+instead of three fresh O(m^3) solves.  Multipliers are ``c_B B^-1``, the
+entering column is ``B^-1 a_q``, and basic values are updated in place on
+every pivot and bound flip.  To bound drift the basis is inverted afresh, and
+basic values are recomputed in full, every ``_REFACTOR_EVERY`` pivots,
+counted across both phases.  The updated quantities only steer pivot choices
 and the phase-1 feasibility test (against ``FEAS_TOL``): the reported solution
 is computed from fresh solves with the final basis, so a given final basis
 gives bitwise the same primal values, duals, reduced costs and objective.
@@ -137,6 +143,8 @@ class _State:
         self.artificial_from = self.n_total  # columns >= this index are artificial
         self.art_rows = np.zeros(0, dtype=np.intp)  # the row each artificial serves
         self.iterations = 0
+        self.Binv: np.ndarray | None = None  # B^-1 in basis order; _start sets it
+        self.pivots = 0  # pivots since B^-1 was last inverted afresh
 
     def nonbasic_value(self, j: int) -> float:
         if self.at_upper[j]:
@@ -149,11 +157,20 @@ class _State:
         """``nonbasic_value`` of every column at once."""
         return np.where(self.at_upper, self.up, np.where(self.lo > -INF, self.lo, 0.0))
 
-    def refresh_basics(self) -> None:
+    def resting_rhs(self) -> np.ndarray:
+        """Rest every nonbasic column at its value; the rhs the basics must meet."""
         nonbasic = ~self.in_basis
         self.x[nonbasic] = self.nonbasic_values()[nonbasic]
-        rhs = self.b - self.A[:, nonbasic] @ self.x[nonbasic]
-        self.x[self.basis] = _solve(self.A[:, self.basis], rhs)
+        return self.b - self.A[:, nonbasic] @ self.x[nonbasic]
+
+    def refresh_basics(self) -> None:
+        self.x[self.basis] = _solve(self.A[:, self.basis], self.resting_rhs())
+
+    def reinvert(self) -> None:
+        """Invert the basis afresh and recompute the basic values in full."""
+        self.Binv = _inverse(self.A[:, self.basis])
+        self.refresh_basics()
+        self.pivots = 0
 
     def multipliers(self, cost: np.ndarray) -> np.ndarray:
         return _solve(self.A[:, self.basis].T, cost[self.basis])
@@ -171,13 +188,17 @@ def _rest(internal: _Internal, basis: list[int], at_upper: np.ndarray) -> _State
 def _start(st: _State) -> _State | None:
     """Basic values of a resting state, and one signed phase-1 artificial per
     row whose basic slack breaks its bounds (the slack rests at the violated
-    bound).  None where the basis is singular or a value is infinite or a
-    basic structural column is out of bounds."""
+    bound).  The basis is inverted here unless the state already carries its
+    ``B^-1``; an artificial of sign -1 in a slack's place negates that row of
+    it.  None where the basis is singular or a value is infinite or a basic
+    structural column is out of bounds."""
     n, m = st.prob.n_struct, st.prob.n_rows
-    try:
-        st.refresh_basics()
-    except SolverFailureError:  # singular, or not one basic column per row
-        return None
+    if st.Binv is None:
+        try:
+            st.Binv = _inverse(st.A[:, st.basis])
+        except SolverFailureError:  # singular, or not one basic column per row
+            return None
+    st.x[st.basis] = st.Binv @ st.resting_rhs()
     if not np.isfinite(st.x).all():
         return None
     out = (st.x < st.lo - FEAS_TOL) | (st.x > st.up + FEAS_TOL)
@@ -191,7 +212,9 @@ def _start(st: _State) -> _State | None:
             s = n + i
             st.at_upper[s] = st.x[s] > st.up[s]
             block[i, t] = 1.0 if st.x[s] > st.nonbasic_value(s) else -1.0
-            st.basis[st.basis.index(s)] = st.n_total + t
+            pos = st.basis.index(s)
+            st.Binv[pos] *= block[i, t]  # exact: B' = B with column pos scaled by it
+            st.basis[pos] = st.n_total + t
         st.A = np.hstack([st.A, block])
         st.lo = np.concatenate([st.lo, np.zeros(k)])
         st.up = np.concatenate([st.up, np.full(k, INF)])
@@ -202,41 +225,42 @@ def _start(st: _State) -> _State | None:
         st.n_total += k
         st.in_basis = np.zeros(st.n_total, dtype=bool)
         st.in_basis[st.basis] = True
-        st.refresh_basics()
+        st.x[st.basis] = st.Binv @ st.resting_rhs()
     return st
 
 
 def _iterate(st: _State, cost: np.ndarray) -> str:
     """Run simplex iterations on the current phase cost; returns optimal|unbounded.
 
-    Basic values must be current on entry (``refresh_basics``).  ``B^-1`` is
-    inverted when the phase starts and after every ``_REFACTOR_EVERY`` pivots
-    (basic values are then recomputed in full); in between, each pivot applies
-    a rank-1 update and basic values move by the step taken.
+    Basic values and ``st.Binv`` must be current on entry, so phase 2 carries
+    on with phase 1's ``B^-1``.  ``B^-1`` is inverted afresh (and basic values
+    recomputed in full) once ``st.pivots`` reaches ``_REFACTOR_EVERY``; in
+    between, each pivot applies a rank-1 update and basic values move by the
+    step taken.  The basic columns' costs and bounds and the mask of movable
+    nonbasic columns follow each pivot.
     """
     A, lo, up = st.A, st.lo, st.up
-    movable = lo != up
     free = (lo == -INF) & (up == INF)
     basis = np.array(st.basis, dtype=np.intp)
-    Binv = _inverse(A[:, basis])
-    pivots = 0
+    c_B, lo_B, up_B = cost[basis], lo[basis], up[basis]
+    movable = lo != up
+    can_enter = movable & ~st.in_basis  # nonbasic columns that can move
     stalled = 0  # consecutive pivots that left the basic values where they were
     while True:
         if st.iterations >= MAX_ITERATIONS:
             raise SolverFailureError(f"iteration cap {MAX_ITERATIONS} exceeded")
         st.iterations += 1
 
-        if pivots == _REFACTOR_EVERY:
-            Binv = _inverse(A[:, basis])
-            st.refresh_basics()
-            pivots = 0
+        if st.pivots == _REFACTOR_EVERY:
+            st.reinvert()
+        Binv = st.Binv
 
-        d = cost - (cost[basis] @ Binv) @ A
+        d = cost - (c_B @ Binv) @ A
 
         # eligible: a nonbasic column whose move from its bound improves
         increase = (d < -PIVOT_TOL) & ~st.at_upper
         decrease = (d > PIVOT_TOL) & (st.at_upper | free)
-        eligible = (increase | decrease) & movable & ~st.in_basis
+        eligible = (increase | decrease) & can_enter
         if not eligible.any():
             return "optimal"
         if stalled < _BLAND_AFTER:  # Dantzig: largest |d|, ties to the lowest index
@@ -253,7 +277,6 @@ def _iterate(st: _State, cost: np.ndarray) -> str:
             t_flip = up[entering] - lo[entering]
 
         x_B = st.x[basis]
-        lo_B, up_B = lo[basis], up[basis]
         falling = (delta > PIVOT_TOL) & (lo_B > -INF)
         rising = (delta < -PIVOT_TOL) & (up_B < INF)
         candidates = (falling | rising).nonzero()[0]
@@ -289,16 +312,21 @@ def _iterate(st: _State, cost: np.ndarray) -> str:
         st.basis[leave_pos] = entering
         basis[leave_pos] = entering
         st.in_basis[entering] = True
+        c_B[leave_pos], lo_B[leave_pos] = cost[entering], lo[entering]
+        up_B[leave_pos] = up[entering]
+        can_enter[bi], can_enter[entering] = movable[bi], False
 
         pivot_row = Binv[leave_pos] / w[leave_pos]
         Binv -= w[:, None] * pivot_row
         Binv[leave_pos] = pivot_row
-        pivots += 1
+        st.pivots += 1
 
 
-def _expel_artificials(st: _State) -> None:
-    """After phase 1, swap basic artificials for structural/slack columns where possible."""
+def _expel_artificials(st: _State) -> bool:
+    """After phase 1, swap basic artificials for structural/slack columns where
+    possible; True if any was swapped."""
     m = len(st.basis)
+    swapped = False
     for pos in range(m):
         bi = st.basis[pos]
         if bi < st.artificial_from:
@@ -319,6 +347,8 @@ def _expel_artificials(st: _State) -> None:
             st.at_upper[bi] = False
             st.basis[pos] = replacement
             st.in_basis[replacement] = True
+            swapped = True
+    return swapped
 
 
 def _extract(internal: _Internal, st: _State, status: str) -> LpSolution:
@@ -391,8 +421,8 @@ def _solve_from(internal: _Internal, st: _State) -> LpSolution:
             return _extract(internal, st, "infeasible")
         st.lo[st.artificial_from:] = 0.0
         st.up[st.artificial_from:] = 0.0
-        _expel_artificials(st)
-        st.refresh_basics()
+        if _expel_artificials(st):
+            st.reinvert()
 
     cost = np.zeros(st.n_total)
     cost[: internal.n_struct + internal.n_rows] = internal.c_int
@@ -403,9 +433,13 @@ def solve_program(lp: LinearProgram) -> LpSolution:
     internal = _Internal(lp)
     if lp.start is not None:
         try:
-            st = _start(_state_at(internal, *lp.start))
+            st = _state_at(internal, *lp.start)
         except KeyError:  # unknown column or slack, artificials included
             st = None
+        else:
+            if lp.start_inverse is not None:
+                st.Binv = lp.start_inverse.copy()
+            st = _start(st)
         if st is not None:
             sol = _solve_from(internal, st)
             if sol.status == "optimal" and not sol.degenerate:
@@ -418,6 +452,22 @@ def solve_program(lp: LinearProgram) -> LpSolution:
     if st is None:  # the slack basis is the identity: only a non-finite value ends here
         raise SolverFailureError("non-finite value at the slack-basis start")
     return _solve_from(internal, st)
+
+
+def start_inverse(lp: LinearProgram) -> np.ndarray | None:
+    """Read-only ``B^-1`` of ``lp.start``'s basis over its block, in the
+    start's row order (``LinearProgram.start_inverse``); None without a start,
+    or where it names a column the program lacks or its basis is singular."""
+    if lp.start is None:
+        return None
+    internal = _Internal(lp)
+    try:
+        st = _state_at(internal, *lp.start)
+        Binv = _inverse(st.A[:, st.basis])
+    except (KeyError, SolverFailureError):
+        return None
+    Binv.flags.writeable = False
+    return Binv
 
 
 def solution_from_basis(lp: LinearProgram, basis: tuple[str, ...],

@@ -276,16 +276,20 @@ def dense_lp(seed, rows=60, cols=60):
 def test_long_solve_past_refactorisation_is_exact(monkeypatch):
     # more pivots than lie between fresh basis inversions: drift in the
     # updated inverse must neither move the vertex nor reach the outputs
-    calls = []
-    inverse = simplex._inverse
+    calls, solves = [], []
+    inverse, solve_ = simplex._inverse, simplex._solve
     monkeypatch.setattr(simplex, "_inverse", lambda B: calls.append(B) or inverse(B))
-    # one inversion per phase at 60x60; two re-inversions besides at 200x200
-    for size, iterations, inversions in ((60, 43, 2), (200, 110, 4)):
+    monkeypatch.setattr(simplex, "_solve", lambda M, r: solves.append(M) or solve_(M, r))
+    # one inversion at the start, carried through both phases, and the two
+    # fresh solves of _extract; 110 iterations at 200x200 re-invert twice,
+    # each with a full solve of the basic values
+    for size, iterations, inversions, n_solves in ((60, 43, 1, 2), (200, 110, 3, 4)):
         calls.clear()
+        solves.clear()
         lp = dense_lp(2, rows=size, cols=size)
         sol = solve(lp)
         assert sol.status == "optimal"
-        assert (sol.iterations, len(calls)) == (iterations, inversions)
+        assert (sol.iterations, len(calls), len(solves)) == (iterations, inversions, n_solves)
         assert verify_kkt(lp, sol).within(1e-9)
         rebuilt = rebuild_solution(lp, sol.basis, sol.nonbasic_at_upper)
         assert rebuilt == dataclasses.replace(sol, iterations=0)
@@ -393,10 +397,16 @@ def hour_programs(source):
 
 
 @pytest.mark.parametrize("source", ["infinite", "finite", "mesh"])
-def test_start_at_the_optimum_reports_its_basis_without_a_pivot(source):
+def test_start_at_the_optimum_reports_its_basis_without_a_pivot(monkeypatch, source):
     # every solve reports values solved afresh with its final basis; one started
-    # at its optimum pivots never and reports its start's values
+    # at its optimum pivots never and reports its start's values, factoring its
+    # basis once to start and twice more for those fresh solves
     warm_solves = 0
+    calls = []
+    for name in ("_inverse", "_solve", "_extract"):
+        original = getattr(simplex, name)
+        monkeypatch.setattr(simplex, name,
+                            lambda *a, name=name, original=original: calls.append(name) or original(*a))
     for lp in hour_programs(source):
         cold = solve(lp)
         assert cold.iterations > 1, lp.name
@@ -405,8 +415,10 @@ def test_start_at_the_optimum_reports_its_basis_without_a_pivot(source):
         if cold.degenerate:  # the start would fall back to the slack basis
             continue
         lp.start = (cold.basis, cold.nonbasic_at_upper)
+        calls.clear()
         warm = solve(lp)
         assert warm.iterations == 1, lp.name  # one pricing step
+        assert calls == ["_inverse", "_extract", "_solve", "_solve"], lp.name
         assert warm == dataclasses.replace(rebuilt, iterations=1), lp.name
         warm_solves += 1
     assert warm_solves >= 20

@@ -4,6 +4,7 @@ import io
 import math
 import random
 
+import numpy as np
 import pytest
 
 from flexhedge import opf, simplex
@@ -429,6 +430,65 @@ def test_network_validated_once_per_run(monkeypatch):
     # each run compiles its own grid: nothing is kept between runs
     assert run_hedge(scenario.network, scenario.hours, cap) == first
     assert len(calls) == 2
+
+
+def test_crash_basis_inverted_once_per_layout_per_run(monkeypatch):
+    scenario = generate_scenario(ScenarioSpec(seed=7, line_limit_case="finite"))
+    inverted, solved = [], []
+    start_inverse, solve_program = simplex.start_inverse, simplex.solve_program
+    monkeypatch.setattr(simplex, "start_inverse",
+                        lambda prog: inverted.append(tuple(prog.columns)) or start_inverse(prog))
+    monkeypatch.setattr(simplex, "solve_program",
+                        lambda prog: solved.append(prog) or solve_program(prog))
+    cap = PriceCap(3, 70.0)
+    first = run_hedge(scenario.network, scenario.hours, cap)
+    pass1, pass2 = solved[:24], solved[24:]
+    assert inverted == [tuple(pass1[0].columns)]
+    assert all(prog.start_inverse is pass1[0].start_inverse is not None for prog in pass1)
+    assert pass2 and all(prog.start_inverse is None for prog in pass2)  # warm starts
+    # each run compiles its own grid: nothing is kept between runs
+    assert run_hedge(scenario.network, scenario.hours, cap) == first
+    assert inverted == [tuple(pass1[0].columns)] * 2
+
+
+def tight_cases():
+    """``paper-3bus`` seed 7 and ``seeded_mesh(n, 1)`` for n = 10 and 30, every
+    line limited to 0.05 MW: each hour's crash basis then sends more than that
+    down some line, so its start swaps limit slacks for artificials."""
+    from test_mesh_oracle import seeded_mesh  # it imports test_hedging
+
+    scenario = generate_scenario(ScenarioSpec(seed=7, line_limit_case="finite"))
+    cases = {"paper-3bus": (scenario.network, scenario.hours, PriceCap(3, 70.0))}
+    for n_buses in (10, 30):
+        cases[f"mesh{n_buses}"] = seeded_mesh(n_buses, 1)
+    return {name: (Network(net.buses, [Line(line.from_bus, line.to_bus, line.reactance_pu, 0.05)
+                                       for line in net.lines]), hours, cap)
+            for name, (net, hours, cap) in cases.items()}
+
+
+@pytest.mark.parametrize("name", list(tight_cases()))
+def test_artificial_of_sign_minus_one_negates_its_row_of_the_inverse(monkeypatch, name):
+    # an artificial of sign -1 in a flow_hi slack's place negates that row of
+    # the shared crash B^-1; bit for bit, that is the new basis's inverse
+    net, hours, cap = tight_cases()[name]
+    negated = []
+    start = simplex._start
+
+    def checking(st):
+        crash = st.Binv is not None
+        st = start(st)
+        if st is not None and (st.A[:, st.artificial_from:] < 0).any():
+            assert np.array_equal(st.Binv, np.linalg.inv(st.A[:, st.basis]))
+            negated.append(crash)
+        return st
+
+    monkeypatch.setattr(simplex, "_start", checking)
+    grid = Grid(net)
+    for hour in grid.hours(hours, (cap,)):
+        prog = build_opf(hour)
+        grid.start_at_crash(prog, hour.data)
+        assert solve(prog).status == "optimal"
+    assert negated.count(True) == 24
 
 
 def test_mesh_program_text_is_pinned():
