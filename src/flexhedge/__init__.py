@@ -35,7 +35,6 @@ from .lp import (
     SolverFailureError,
     dual_of,
     dual_program,
-    rebuild_solution,
     solve,
     to_lp_format,
     verify_kkt,
@@ -56,11 +55,9 @@ from .model import (
 from .opf import (
     DispatchResult,
     HourInfeasibleError,
-    OpfHourInput,
     build_opf,
     capped_dual,
     price_paid_by_load,
-    read_dispatch_csv,
     solve_opf_hour,
     solve_opf_series,
     write_dispatch_csv,

@@ -63,14 +63,21 @@ def _render(writer, *args) -> str:
     return buf.getvalue()
 
 
-def _parse_pi_des(text: str):
-    parts = [p for p in text.split(",") if p.strip()]
-    if len(parts) == 1:
-        return float(parts[0])
-    values = tuple(float(p) for p in parts)
-    if len(values) != 24:
-        raise ValueError(f"--pi-des needs 1 or 24 values, got {len(values)}")
+def _parse_floats(flag: str, text: str) -> list[float]:
+    values = []
+    for part in filter(str.strip, text.split(",")):
+        try:
+            values.append(float(part))
+        except ValueError:
+            raise ValueError(f"bad {flag} value {part.strip()!r}") from None
     return values
+
+
+def _parse_pi_des(text: str):
+    values = _parse_floats("--pi-des", text)
+    if len(values) not in (1, 24):
+        raise ValueError(f"--pi-des needs 1 or 24 values, got {len(values)}")
+    return values[0] if len(values) == 1 else tuple(values)
 
 
 def _parse_line_limits(pairs: list[str]) -> dict[tuple[int, int], float]:
@@ -188,11 +195,13 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    pi_values = sorted(float(p) for p in (args.pi or "").split(",") if p.strip())
-    if not pi_values:
-        print("error: --pi requires at least one value", file=sys.stderr)
-        return 2
-    cases = [c.strip() for c in (args.cases or "infinite,finite").split(",") if c.strip()]
+    pi_values = sorted(_parse_floats("--pi", args.pi or ""))
+    cases = [c.strip() for c in ("infinite,finite" if args.cases is None else args.cases)
+             .split(",") if c.strip()]
+    for flag, values in (("--pi", pi_values), ("--cases", cases)):
+        if not values:
+            print(f"error: {flag} requires at least one value", file=sys.stderr)
+            return 2
     net, hours = _resolve_scenario(args)
     bus = 3 if args.bus is None else args.bus
     problems = [f"unknown case {case!r}; expected {'|'.join(LINE_LIMIT_CASES)}"

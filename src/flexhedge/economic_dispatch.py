@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 from .lp import LinearProgram, LpSolution, solve
 from .model import Bus, GenOffer, HourlyMarketData, LoadUtility, Network, PriceCap
-from .opf import OpfHourInput, ValidHour, build_opf, capped_dual, price_paid_by_load
+from .opf import Grid, ValidHour, build_opf, capped_dual, price_paid_by_load
 
 SINGLE_BUS = Network([Bus(1, is_slack=True, price_constrained=True)])
 PRICE_TIE_TOL = 1e-9
@@ -70,9 +70,9 @@ class EdChainReport:
         return max(abs(a - b) for a in values for b in values)
 
 
-def _hour(inst: EdInstance, capped: bool = True) -> OpfHourInput:
+def _hour(inst: EdInstance, capped: bool = True) -> ValidHour:
     caps = (PriceCap(1, inst.cap),) if capped and inst.cap is not None else ()
-    return OpfHourInput(SINGLE_BUS, HourlyMarketData(1, [inst.offer], [inst.utility]), caps)
+    return Grid(SINGLE_BUS).hours((HourlyMarketData(1, [inst.offer], [inst.utility]),), caps)[0]
 
 
 def _crash_started(hour: ValidHour) -> LinearProgram:
@@ -86,7 +86,7 @@ def _crash_started(hour: ValidHour) -> LinearProgram:
 def build_ed_primal(inst: EdInstance) -> LinearProgram:
     """Welfare maximization: utility of consumption minus generation cost.
     Load limits and a finite generator capacity are column bounds."""
-    return _crash_started(_hour(inst, capped=False).checked())
+    return _crash_started(_hour(inst, capped=False))
 
 
 def build_ed_dual(inst: EdInstance) -> LinearProgram:
@@ -98,7 +98,7 @@ def build_ed_flex_primal(inst: EdInstance) -> LinearProgram:
     """Dispatch with a flexibility injection ``pflex_1`` priced at the cap."""
     if inst.cap is None:
         raise ValueError("the flexibility primal needs a price cap")
-    return _crash_started(_hour(inst).checked())
+    return _crash_started(_hour(inst))
 
 
 def _result_from(sol: LpSolution) -> EdResult:
@@ -116,7 +116,7 @@ def _result_from(sol: LpSolution) -> EdResult:
 
 def solve_ed_chain(inst: EdInstance) -> EdChainReport:
     """Solve the unconstrained dispatch, the capped dual, and the flex primal."""
-    hour = _hour(inst).checked()  # the three programs share its checks
+    hour = _hour(inst)  # the three programs share its checks
     primal_sol = solve(_crash_started(replace(hour, caps=())))
     if primal_sol.status != "optimal":
         raise ValueError(f"unconstrained dispatch is {primal_sol.status}")

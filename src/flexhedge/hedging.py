@@ -136,25 +136,16 @@ def run_hedge(net: Network, series, cap: PriceCap) -> HedgeRun:
 
     hours = []
     for data, unc, hed in zip(series, pass1, pass2):
-        pi = cap.cap_for_hour(data.hour)
-        if unc is None or hed is None:
-            hours.append(HedgeHour(
-                hour=data.hour,
-                lambda_unconstrained=None,
-                lambda_hedged=hed.lmp_eur_mwh[cap.bus] if hed is not None else None,
-                p_flexreq_mw=hed.p_flexreq_mw.get(cap.bus, 0.0) if hed is not None else 0.0,
-                revenue_eur=None,
-            ))
-            continue
-        lam_unc = unc.lmp_eur_mwh[cap.bus]
-        lam_hed = hed.lmp_eur_mwh[cap.bus]
-        flex = hed.p_flexreq_mw.get(cap.bus, 0.0)
+        # an hour without both passes has no unconstrained price to settle at
+        lam_unc = None if unc is None or hed is None else unc.lmp_eur_mwh[cap.bus]
+        flex = 0.0 if hed is None else hed.p_flexreq_mw.get(cap.bus, 0.0)
         hours.append(HedgeHour(
             hour=data.hour,
             lambda_unconstrained=lam_unc,
-            lambda_hedged=lam_hed,
+            lambda_hedged=None if hed is None else hed.lmp_eur_mwh[cap.bus],
             p_flexreq_mw=flex,
-            revenue_eur=hourly_revenue(lam_unc, pi, flex),
+            revenue_eur=None if lam_unc is None
+            else hourly_revenue(lam_unc, cap.cap_for_hour(data.hour), flex),
         ))
 
     report = HedgeReport(bus=cap.bus, pi_des=cap.cap_eur_per_mwh, hours=tuple(hours))
@@ -214,8 +205,9 @@ def sweep_pi_des(net: Network, series, bus: int, pi_values,
     the caps and the hours (``Grid.problems_of``), then each scenario's own.
     """
     series, pi_values = tuple(series), [float(pi) for pi in pi_values]
-    if not pi_values:
-        raise ValueError("pi_values must be non-empty")
+    for name, values in (("pi_values", pi_values), ("scenarios", scenarios)):
+        if not values:
+            raise ValueError(f"{name} must be non-empty")
     base = Grid(net)
     problems = base.problems_of(series, [PriceCap(bus, pi) for pi in pi_values])
     grids = {}
@@ -357,26 +349,6 @@ def write_hedge_csv(report: HedgeReport, fobj) -> None:
             "" if h.revenue_eur is None else repr(h.revenue_eur),
             "" if h.revenue_eur is None else format_eur(h.revenue_eur),
         ])
-
-
-def read_hedge_csv(fobj) -> list[dict]:
-    reader = csv.DictReader(fobj)
-    if reader.fieldnames != HEDGE_CSV_COLUMNS:
-        raise ValueError(f"unexpected hedge CSV header: {reader.fieldnames}")
-    rows = []
-    for row in reader:
-        rows.append({
-            "hour": int(row["hour"]),
-            "lambda_unconstrained_eur_mwh": (
-                None if row["lambda_unconstrained_eur_mwh"] == ""
-                else float(row["lambda_unconstrained_eur_mwh"])),
-            "lambda_hedged_eur_mwh": (
-                None if row["lambda_hedged_eur_mwh"] == ""
-                else float(row["lambda_hedged_eur_mwh"])),
-            "p_flexreq_mw": float(row["p_flexreq_mw"]),
-            "revenue_eur": None if row["revenue_eur"] == "" else float(row["revenue_eur"]),
-        })
-    return rows
 
 
 def hedge_report_json(report: HedgeReport) -> str:

@@ -130,7 +130,7 @@ class LpSolution:
     ``basis`` lists, per row, the name of the basic variable for that row
     (slack variables appear as ``slack:<row>``); together with
     ``nonbasic_at_upper`` it fully determines the vertex, so the solution can
-    be rebuilt from the program alone (see ``rebuild_solution``).
+    be rebuilt from the program alone (see ``simplex.solution_from_basis``).
     ``degenerate``: a basic column sits at a bound, so the duals need not be
     unique.
     """
@@ -242,13 +242,6 @@ def verify_kkt(lp: LinearProgram, sol: LpSolution) -> KktReport:
             comp = max(comp, max(0.0, sign * d_hat) * (col.upper - xj))
 
     return KktReport(stationarity, primal, dual, comp)
-
-
-def rebuild_solution(lp: LinearProgram, basis: tuple[str, ...],
-                     nonbasic_at_upper: tuple[str, ...]) -> LpSolution:
-    """Reconstruct the vertex identified by a basis; used to audit solver output."""
-    from . import simplex
-    return simplex.solution_from_basis(lp, basis, nonbasic_at_upper)
 
 
 def dual_program(lp: LinearProgram) -> LinearProgram:

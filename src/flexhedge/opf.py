@@ -12,11 +12,11 @@ variable would change the prices.
 
 A study compiles its network once into a ``Grid``, the one place an input is
 checked: ``Grid.hours`` raises every problem of the network, the caps and the
-hours or returns each hour as a ``ValidHour`` that ``build_opf`` builds
-unchecked.  Each program carries the dense constraint matrix
-(``LinearProgram.block``) of its column layout, the buses of its offers,
-utilities and caps, densified once per grid, so a solve reads only the hour's
-right-hand sides, bounds and costs.
+hours or returns each hour as a ``ValidHour``, the one hour type, which
+``build_opf``, ``capped_dual`` and ``solve_opf_hour`` take unchecked.  Each
+program carries the dense constraint matrix (``LinearProgram.block``) of its
+column layout, the buses of its offers, utilities and caps, densified once per
+grid, so a solve reads only the hour's right-hand sides, bounds and costs.
 
 ``capped_dual`` builds the paper's side of the same hour: the dual of the
 program without flexibility, with the price at each capped bus bounded.
@@ -48,17 +48,6 @@ class HourInfeasibleError(RuntimeError):
         if detail:
             msg += f": {detail}"
         super().__init__(msg)
-
-
-@dataclass(frozen=True)
-class OpfHourInput:
-    net: Network
-    data: HourlyMarketData
-    caps: tuple[PriceCap, ...] = ()
-
-    def checked(self) -> ValidHour:
-        """The hour over its network compiled afresh (``Grid.hours``)."""
-        return Grid(self.net).hours((self.data,), self.caps)[0]
 
 
 @dataclass(frozen=True)
@@ -175,20 +164,16 @@ class Grid:
 
 @dataclass(frozen=True)
 class ValidHour:
-    """An hour ``Grid.hours`` checked, so ``build_opf`` builds it unchecked; a
-    caller that replaces its caps checks the new ones."""
+    """An hour ``Grid.hours`` checked, which ``build_opf``, ``capped_dual`` and
+    ``solve_opf_hour`` take; a caller that replaces its caps checks the new ones."""
     grid: Grid
     data: HourlyMarketData
     caps: tuple[PriceCap, ...] = ()
 
-    def checked(self) -> ValidHour:
-        return self
 
-
-def build_opf(inp: OpfHourInput | ValidHour) -> LinearProgram:
+def build_opf(hour: ValidHour) -> LinearProgram:
     """Assemble the hour's LP: balance rows, angle reference, line-limit pairs,
-    over the block of its layout (``Grid.block``).  Checks an ``OpfHourInput``."""
-    hour = inp.checked()
+    over the block of its layout (``Grid.block``)."""
     grid, data = hour.grid, hour.data
     prog = LinearProgram("maximize", name=f"opf_h{data.hour}")
     constant = 0.0
@@ -233,12 +218,11 @@ def build_opf(inp: OpfHourInput | ValidHour) -> LinearProgram:
     return prog
 
 
-def capped_dual(inp: OpfHourInput | ValidHour) -> LinearProgram:
+def capped_dual(hour: ValidHour) -> LinearProgram:
     """The dual of the hour's program without flexibility plus, per cap at bus
     ``k``, a row ``price_cap_k``: ``-y:balance_k <= pi``.  Its optimum equals
-    ``build_opf(inp)``'s; the program minimises, so a cap row's dual is <= 0,
-    and it is minus the flexibility ``build_opf(inp)`` buys at that bus."""
-    hour = inp.checked()
+    ``build_opf(hour)``'s; the program minimises, so a cap row's dual is <= 0,
+    and it is minus the flexibility ``build_opf(hour)`` buys at that bus."""
     dual = dual_program(build_opf(replace(hour, caps=())))
     for cap in hour.caps:
         dual.add_row(f"price_cap_{cap.bus}", {f"y:balance_{cap.bus}": -1.0}, "<=",
@@ -246,12 +230,11 @@ def capped_dual(inp: OpfHourInput | ValidHour) -> LinearProgram:
     return dual
 
 
-def solve_opf_hour(inp: OpfHourInput | ValidHour, start=None) -> DispatchResult:
-    """Solve one hour, with flexibility at each of ``inp.caps``.  ``start`` is
+def solve_opf_hour(hour: ValidHour, start=None) -> DispatchResult:
+    """Solve one hour, with flexibility at each of ``hour.caps``.  ``start`` is
     an optional ``(basis, nonbasic_at_upper)`` pair the simplex tries first
     (``LinearProgram.start``), the network's ``crash_start`` by default; the
     result's ``basis`` is the optimal pair in the same form."""
-    hour = inp.checked()
     prog = build_opf(hour)
     if start is None:
         hour.grid.start_at_crash(prog, hour.data)
@@ -354,32 +337,3 @@ def write_dispatch_csv(results: list[DispatchResult | None], fobj) -> None:
                 _fmt(res.congestion_dual_eur_mwh[key]),
             ])
 
-
-def read_dispatch_csv(fobj) -> dict[str, list[dict]]:
-    """Parse a dispatch CSV back into bus and line records (floats restored)."""
-    reader = csv.DictReader(fobj)
-    if reader.fieldnames != DISPATCH_CSV_COLUMNS:
-        raise ValueError(f"unexpected dispatch CSV header: {reader.fieldnames}")
-    buses, lines = [], []
-    for row in reader:
-        hour = int(row["hour"])
-        if row["kind"] == "bus":
-            buses.append({
-                "hour": hour,
-                "bus": int(row["bus"]),
-                "lmp_eur_mwh": float(row["lmp_eur_mwh"]),
-                "p_g_mw": float(row["p_g_mw"]),
-                "p_l_mw": float(row["p_l_mw"]),
-                "p_flexreq_mw": float(row["p_flexreq_mw"]),
-            })
-        elif row["kind"] == "line":
-            lines.append({
-                "hour": hour,
-                "line_from": int(row["line_from"]),
-                "line_to": int(row["line_to"]),
-                "flow_mw": float(row["flow_mw"]),
-                "congestion_dual_eur_mwh": float(row["congestion_dual_eur_mwh"]),
-            })
-        else:
-            raise ValueError(f"unknown row kind {row['kind']!r}")
-    return {"buses": buses, "lines": lines}

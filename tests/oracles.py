@@ -5,6 +5,8 @@ dense enumeration of active-set combinations (equalities always active, plus
 every size-completing subset of inequality rows and finite bounds), and duals
 come from central finite differences of the enumerated optimum with respect to
 a row's right-hand side.
+
+``valid_hour`` is the one way a test builds a single OPF hour.
 """
 
 from __future__ import annotations
@@ -14,9 +16,15 @@ import itertools
 import numpy as np
 
 from flexhedge.lp import INF, LinearProgram
+from flexhedge.opf import Grid, ValidHour
 
 FEAS_CHECK_TOL = 1e-7
 OPT_TIE_TOL = 1e-7
+
+
+def valid_hour(net, data, caps=()) -> ValidHour:
+    """``data`` with ``caps`` over ``net`` compiled on its own, checked."""
+    return Grid(net).hours((data,), caps)[0]
 
 
 def _constraint_table(lp: LinearProgram):

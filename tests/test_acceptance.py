@@ -202,7 +202,7 @@ def criterion_9_opf_oracle_equivalence():
             f"case {case}: {res.objective_eur} vs oracle {oracle_obj}"
         if res.degenerate:
             continue
-        for bus in inp.net.buses:
+        for bus in inp.grid.net.buses:
             fd = oracle_row_dual(build_opf(inp), f"balance_{bus.id}")
             assert abs(res.lmp_eur_mwh[bus.id] - (-fd)) <= 1e-6, \
                 f"case {case} bus {bus.id}: {res.lmp_eur_mwh[bus.id]} vs {-fd}"

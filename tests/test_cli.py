@@ -1,15 +1,20 @@
 """CLI: artifacts, exit codes, determinism, config handling."""
 
+import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import flexhedge
 from flexhedge.cli import main
-from flexhedge.hedging import read_hedge_csv, run_hedge, sweep_pi_des
+from flexhedge.hedging import run_hedge, sweep_pi_des
 from flexhedge.model import Bus, LoadUtility, PriceCap
-from flexhedge.opf import read_dispatch_csv
 from flexhedge.scenario import (
     LINE_LIMIT_CASES,
     ScenarioSpec,
@@ -28,6 +33,15 @@ def write_preset_file(path, seed=3, case="finite"):
     scenario = generate_scenario(ScenarioSpec(seed=seed, line_limit_case=case))
     with open(path, "w") as fobj:
         write_scenario_file(scenario.network, scenario.hours, fobj)
+
+
+def test_import_loads_no_numpy():
+    # numpy loads on a first solve, so a usage error or a validate stays fast
+    code = "import sys, flexhedge, flexhedge.cli; print('numpy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(flexhedge.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "False\n"
 
 
 def test_run_writes_all_artifacts(tmp_path):
@@ -81,8 +95,8 @@ def test_run_inactive_cap_leaves_dispatch_unchanged(tmp_path):
     hedged = (tmp_path / "out" / "dispatch_hedged.csv").read_text()
     assert unc == hedged
     with open(tmp_path / "out" / "hedge_report.csv") as fobj:
-        rows = read_hedge_csv(fobj)
-    assert all(r["p_flexreq_mw"] == 0.0 for r in rows)
+        rows = list(csv.DictReader(fobj))
+    assert all(float(r["p_flexreq_mw"]) == 0.0 for r in rows)
     assert (tmp_path / "out" / "trace.txt").read_text().count("\n") == 1
 
 
@@ -90,11 +104,11 @@ def test_run_artifacts_round_trip_through_loaders(tmp_path):
     main(["run", "--preset", "paper-3bus", "--case", "finite", "--pi-des", "70",
           "--seed", "5", "--out", str(tmp_path / "out")])
     with open(tmp_path / "out" / "dispatch_hedged.csv") as fobj:
-        dispatch = read_dispatch_csv(fobj)
-    assert {r["hour"] for r in dispatch["buses"]} == set(range(1, 25))
+        dispatch = list(csv.DictReader(fobj))
+    assert {int(r["hour"]) for r in dispatch if r["kind"] == "bus"} == set(range(1, 25))
     with open(tmp_path / "out" / "hedge_report.csv") as fobj:
-        hedge = read_hedge_csv(fobj)
-    assert [r["hour"] for r in hedge] == list(range(1, 25))
+        hedge = list(csv.DictReader(fobj))
+    assert [int(r["hour"]) for r in hedge] == list(range(1, 25))
 
 
 def test_run_from_input_file(tmp_path):
@@ -229,9 +243,21 @@ def test_sweep_applies_line_limit_after_each_case(tmp_path, line):
 
 
 def test_sweep_empty_pi_is_usage_error(tmp_path, capsys):
-    rc = main(["sweep", "--preset", "paper-3bus", "--out", str(tmp_path / "out")])
-    assert rc == 2
-    assert "--pi" in capsys.readouterr().err
+    config = tmp_path / "study.cfg"
+    config.write_text("[sweep]\npi = 70\ncases = ,\n")
+    for flags, flag in (([], "--pi"), (["--pi", "70", "--cases", ","], "--cases"),
+                        (["--config", str(config)], "--cases")):
+        rc = main(["sweep", "--preset", "paper-3bus", *flags, "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert f"error: {flag} requires at least one value" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_non_number_pi_names_the_flag(tmp_path, capsys):
+    rc = main(["sweep", "--preset", "paper-3bus", "--pi", "60,abc",
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: bad --pi value 'abc'\n"
 
 
 def test_sweep_unknown_case(tmp_path, capsys):
@@ -401,6 +427,14 @@ def test_pi_des_24_vector(tmp_path):
     assert rc == 0
     doc = json.loads((tmp_path / "out" / "hedge_report.json").read_text())
     assert doc["pi_des_eur_mwh"] == [70.0] * 24
+
+
+def test_pi_des_non_number_names_the_flag(tmp_path, capsys):
+    rc = main(["run", "--preset", "paper-3bus", "--pi-des", "abc",
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: bad --pi-des value 'abc'\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_pi_des_wrong_vector_length(tmp_path, capsys):

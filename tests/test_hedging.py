@@ -1,5 +1,6 @@
 """Hedge pipeline: settlement arithmetic, trace, sweeps, exports."""
 
+import csv
 import io
 import json
 import math
@@ -13,11 +14,11 @@ from flexhedge.hedging import (
     FlexRequest,
     PriceRequest,
     Settlement,
+    HEDGE_CSV_COLUMNS,
     coordination_trace,
     format_eur,
     hedge_report_json,
     hourly_revenue,
-    read_hedge_csv,
     render_trace,
     run_hedge,
     settlement_bound_notes,
@@ -34,7 +35,7 @@ from flexhedge.model import (
     PriceCap,
     validate_market_data,
 )
-from flexhedge.opf import Grid, OpfHourInput, build_opf, solve_opf_hours, solve_opf_series
+from flexhedge.opf import Grid, build_opf, solve_opf_hours, solve_opf_series
 from flexhedge.scenario import (
     FINITE_LIMIT_MW,
     ScenarioSpec,
@@ -42,6 +43,8 @@ from flexhedge.scenario import (
     build_3bus_network,
     generate_scenario,
 )
+
+from oracles import valid_hour
 
 
 def firm_hour(hour, a_trans, a_dist=29.0, dist_cap=0.85, load=1.0):
@@ -161,7 +164,7 @@ def test_paper_study_pivot_path_is_pinned(monkeypatch):
     assert sum(s.iterations for s in solutions[24:]) == 37
     # every hour's pass-2 program solved warm: the 10 hours priced at or below
     # the cap stop at their first pricing step, one iteration each
-    programs = [build_opf(OpfHourInput(scenario.network, data, (cap,))) for data in scenario.hours]
+    programs = [build_opf(valid_hour(scenario.network, data, (cap,))) for data in scenario.hours]
     for prog, unc in zip(programs, run.unconstrained):
         prog.start = unc.basis
     assert sum(original(p).iterations for p in programs) == 47
@@ -213,7 +216,7 @@ def pass2_solved(monkeypatch, net, series, cap) -> list[str]:
     calls = count_solves(monkeypatch)
     run = run_hedge(net, series, cap)
     monkeypatch.undo()
-    # builds each hour's program as build_opf(OpfHourInput(net, hour, (cap,)))
+    # each hour's pass-2 program, warm from pass 1's optimal basis
     warm = solve_opf_hours(Grid(net).hours(series, (cap,)),
                            starts=[None if r is None else r.basis for r in run.unconstrained])
     assert run.hedged == tuple(warm)
@@ -314,6 +317,8 @@ def test_sweep_rejects_bad_pi_lists():
     scenario = generate_scenario(ScenarioSpec(seed=7))
     with pytest.raises(ValueError, match="non-empty"):
         sweep_pi_des(scenario.network, scenario.hours, 3, [], {"base": None})
+    with pytest.raises(ValueError, match="scenarios must be non-empty"):
+        sweep_pi_des(scenario.network, scenario.hours, 3, [70.0], {})
     with pytest.raises(ValueError, match="ascending"):
         sweep_pi_des(scenario.network, scenario.hours, 3, [72.0, 70.0], {"base": None})
 
@@ -526,13 +531,19 @@ def test_hedge_csv_round_trip():
     buf = io.StringIO()
     write_hedge_csv(run.report, buf)
     buf.seek(0)
-    rows = read_hedge_csv(buf)
+    reader = csv.DictReader(buf)
+    rows = list(reader)
+    assert reader.fieldnames == HEDGE_CSV_COLUMNS
     assert len(rows) == 24
+
+    def number(text):
+        return None if text == "" else float(text)
+
     for row, hour in zip(rows, run.report.hours):
-        assert row["hour"] == hour.hour
-        assert row["lambda_unconstrained_eur_mwh"] == hour.lambda_unconstrained
-        assert row["p_flexreq_mw"] == hour.p_flexreq_mw
-        assert row["revenue_eur"] == hour.revenue_eur
+        assert int(row["hour"]) == hour.hour
+        assert number(row["lambda_unconstrained_eur_mwh"]) == hour.lambda_unconstrained
+        assert float(row["p_flexreq_mw"]) == hour.p_flexreq_mw
+        assert number(row["revenue_eur"]) == hour.revenue_eur
 
 
 def test_hedge_json_schema():

@@ -14,16 +14,15 @@ from flexhedge.lp import (
     SolverFailureError,
     dual_of,
     dual_program,
-    rebuild_solution,
     solve,
     to_lp_format,
     verify_kkt,
 )
 from flexhedge.model import PriceCap
-from flexhedge.opf import OpfHourInput, build_opf
+from flexhedge.opf import build_opf
 from flexhedge.scenario import generate_scenario, preset_spec
 
-from oracles import brute_force_optimum, enumerate_optima, oracle_row_dual
+from oracles import brute_force_optimum, enumerate_optima, oracle_row_dual, valid_hour
 from test_mesh_oracle import seeded_mesh
 
 
@@ -242,7 +241,7 @@ def test_determinism_bit_for_bit():
 def test_rebuild_solution_reproduces_vertex():
     lp = ed_lp(a=50.0, b=90.0, p_min=0.2, p_max=1.0)
     sol = solve(lp)
-    rebuilt = rebuild_solution(lp, sol.basis, sol.nonbasic_at_upper)
+    rebuilt = simplex.solution_from_basis(lp, sol.basis, sol.nonbasic_at_upper)
     assert rebuilt.primal == sol.primal
     assert rebuilt.duals == sol.duals
     assert rebuilt.objective_value == sol.objective_value
@@ -255,7 +254,7 @@ def test_singular_basis_is_named_error():
     lp.add_row("a", {"x": 1.0, "y": 2.0}, "<=", 3.0)
     lp.add_row("b", {"x": 2.0, "y": 4.0}, "<=", 6.0)
     with pytest.raises(SolverFailureError, match="singular basis"):
-        rebuild_solution(lp, ("x", "y"), ())
+        simplex.solution_from_basis(lp, ("x", "y"), ())
 
 
 def dense_lp(seed, rows=60, cols=60):
@@ -291,7 +290,7 @@ def test_long_solve_past_refactorisation_is_exact(monkeypatch):
         assert sol.status == "optimal"
         assert (sol.iterations, len(calls), len(solves)) == (iterations, inversions, n_solves)
         assert verify_kkt(lp, sol).within(1e-9)
-        rebuilt = rebuild_solution(lp, sol.basis, sol.nonbasic_at_upper)
+        rebuilt = simplex.solution_from_basis(lp, sol.basis, sol.nonbasic_at_upper)
         assert rebuilt == dataclasses.replace(sol, iterations=0)
 
 
@@ -380,7 +379,7 @@ def test_optimal_start_takes_one_iteration():
     lp.start = (cold.basis, cold.nonbasic_at_upper)
     warm = solve(lp)
     assert warm.iterations == 1
-    rebuilt = rebuild_solution(lp, cold.basis, cold.nonbasic_at_upper)
+    rebuilt = simplex.solution_from_basis(lp, cold.basis, cold.nonbasic_at_upper)
     assert warm == dataclasses.replace(rebuilt, iterations=1)
     assert verify_kkt(lp, warm).within(1e-9)
 
@@ -390,9 +389,9 @@ def hour_programs(source):
     or both passes' programs of ``seeded_mesh(10, 1)``; none has a start."""
     if source == "mesh":
         net, hours, cap = seeded_mesh(10, 1)
-        return [build_opf(OpfHourInput(net, data, caps)) for caps in ((), (cap,)) for data in hours]
+        return [build_opf(valid_hour(net, data, caps)) for caps in ((), (cap,)) for data in hours]
     scenario = generate_scenario(preset_spec("paper-3bus", case=source, seed=7))
-    return [build_opf(OpfHourInput(scenario.network, data, (PriceCap(3, 70.0),)))
+    return [build_opf(valid_hour(scenario.network, data, (PriceCap(3, 70.0),)))
             for data in scenario.hours]
 
 

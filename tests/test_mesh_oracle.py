@@ -28,7 +28,6 @@ from flexhedge.lp import INF, solve
 from flexhedge.model import Bus, GenOffer, HourlyMarketData, Line, LoadUtility, Network, PriceCap
 from flexhedge.opf import (
     Grid,
-    OpfHourInput,
     build_opf,
     capped_dual,
     solve_opf_hour,
@@ -41,6 +40,7 @@ from flexhedge.scenario import (
     preset_spec,
 )
 
+from oracles import valid_hour
 from test_hedging import pass2_solved
 
 HIGHS_RTOL = 1e-6
@@ -158,7 +158,7 @@ def test_mesh_day_matches_highs_and_cold_solves(monkeypatch, n_buses, seed):
     pass2 = {entry[0].name: entry for entry in solved[24:]}
     for data, unc in zip(hours, run.unconstrained):
         if f"opf_h{data.hour}" not in pass2:
-            prog = build_opf(OpfHourInput(net, data, (cap,)))
+            prog = build_opf(valid_hour(net, data, (cap,)))
             prog.start = unc.basis
             simplex.solve_program(prog)
             pass2[prog.name] = solved.pop()
@@ -206,7 +206,7 @@ def test_mesh_lmps_match_highs_marginals(n_buses, seed):
     for data, res in zip(hours, solve_opf_series(net, hours)):
         if res.degenerate:
             continue
-        highs_res, eq_rows = highs(build_opf(OpfHourInput(net, data)))
+        highs_res, eq_rows = highs(build_opf(valid_hour(net, data)))
         marginals = dict(zip(eq_rows, highs_res.eqlin.marginals))
         for bus, lmp in res.lmp_eur_mwh.items():
             assert close(lmp, marginals[f"balance_{bus}"], MARGINAL_RTOL), (data.hour, bus)
@@ -229,7 +229,7 @@ def test_capped_dual_equals_pass2_at_network_scale(kind, size_or_case, seed):
     run = run_hedge(net, hours, cap)
     assert run.report.hours_active > 0
     for data, hedged in zip(hours, run.hedged):
-        sol = solve(capped_dual(OpfHourInput(net, data, (cap,))))
+        sol = solve(capped_dual(valid_hour(net, data, (cap,))))
         assert sol.status == "optimal", data.hour
         assert close(sol.objective_value, hedged.objective_eur, CAPPED_DUAL_RTOL), data.hour
         flex = hedged.p_flexreq_mw[cap.bus]
@@ -244,7 +244,7 @@ def test_cost_range_ends_where_a_re_solve_changes_basis(n_buses, seed):
     step = 1e-6
 
     def pass2(data, unc, pi):
-        inp = OpfHourInput(net, data, (PriceCap(cap.bus, pi),))
+        inp = valid_hour(net, data, (PriceCap(cap.bus, pi),))
         hed = solve_opf_hour(inp, unc.basis)  # as run_hedge solves it
         return inp, hed, (sorted(hed.basis[0]), hed.basis[1])
 

@@ -1,5 +1,6 @@
 """Hourly DC-OPF: prices, flows, congestion duals, series handling, CSV."""
 
+import csv
 import io
 import math
 import random
@@ -10,7 +11,7 @@ import pytest
 from flexhedge import opf, simplex
 from flexhedge.economic_dispatch import EdInstance, solve_ed_chain
 from flexhedge.hedging import run_hedge
-from flexhedge.lp import rebuild_solution, solve, to_lp_format, verify_kkt
+from flexhedge.lp import solve, to_lp_format, verify_kkt
 from flexhedge.model import (
     Bus,
     GenOffer,
@@ -22,18 +23,17 @@ from flexhedge.model import (
     validate_network,
 )
 from flexhedge.opf import (
+    DISPATCH_CSV_COLUMNS,
     Grid,
     HourInfeasibleError,
-    OpfHourInput,
     build_opf,
-    read_dispatch_csv,
     solve_opf_hour,
     solve_opf_series,
     write_dispatch_csv,
 )
 from flexhedge.scenario import ScenarioSpec, generate_scenario
 
-from oracles import brute_force_optimum, oracle_row_dual
+from oracles import brute_force_optimum, oracle_row_dual, valid_hour
 
 INF = math.inf
 
@@ -59,7 +59,7 @@ def hour_data(hour=1, a_trans=77.0, a_dist=29.0, dist_cap=0.85, load=1.0,
 # Program shape
 
 def test_row_inventory_finite_case():
-    prog = build_opf(OpfHourInput(triangle(0.6), hour_data()))
+    prog = build_opf(valid_hour(triangle(0.6), hour_data()))
     assert list(prog.rows) == [
         "balance_1", "balance_2", "balance_3", "angle_ref",
         "flow_hi_1_2", "flow_lo_1_2", "flow_hi_1_3", "flow_lo_1_3",
@@ -70,12 +70,12 @@ def test_row_inventory_finite_case():
 def test_unlimited_lines_produce_no_flow_rows():
     net = Network(buses=triangle().buses,
                   lines=[Line(1, 2, 0.1), Line(1, 3, 0.1), Line(2, 3, 0.1)])
-    prog = build_opf(OpfHourInput(net, hour_data()))
+    prog = build_opf(valid_hour(net, hour_data()))
     assert list(prog.rows) == ["balance_1", "balance_2", "balance_3", "angle_ref"]
 
 
 def test_flex_column_only_in_cap_bus_balance():
-    inp = OpfHourInput(triangle(), hour_data(), caps=(PriceCap(3, 70.0),))
+    inp = valid_hour(triangle(), hour_data(), caps=(PriceCap(3, 70.0),))
     prog = build_opf(inp)
     assert "pflex_3" in prog.columns
     rows_with_flex = [r.name for r in prog.rows.values() if "pflex_3" in r.coeffs]
@@ -84,9 +84,8 @@ def test_flex_column_only_in_cap_bus_balance():
 
 
 def test_cap_on_unconstrained_bus_rejected():
-    inp = OpfHourInput(triangle(), hour_data(), caps=(PriceCap(2, 70.0),))
     with pytest.raises(ValueError, match="not price constrained"):
-        build_opf(inp)
+        valid_hour(triangle(), hour_data(), caps=(PriceCap(2, 70.0),))
 
 
 def test_two_caps_at_one_bus_rejected():
@@ -96,7 +95,7 @@ def test_two_caps_at_one_bus_rejected():
         Grid(triangle()).hours([hour_data(1), hour_data(2)], caps)
     assert str(error.value) == problem
     with pytest.raises(ValueError) as error:
-        OpfHourInput(triangle(), hour_data(), caps).checked()
+        valid_hour(triangle(), hour_data(), caps)
     assert str(error.value) == problem
 
 
@@ -105,7 +104,7 @@ def test_two_caps_at_one_bus_rejected():
 
 def test_uniform_price_marginal_import():
     # ample lines, cheap distribution exhausted, import sets one price everywhere
-    res = solve_opf_hour(OpfHourInput(triangle(), hour_data()))
+    res = solve_opf_hour(valid_hour(triangle(), hour_data()))
     prices = list(res.lmp_eur_mwh.values())
     assert max(prices) - min(prices) <= 1e-6
     assert prices[0] == pytest.approx(77.0, abs=1e-6)
@@ -114,7 +113,7 @@ def test_uniform_price_marginal_import():
 
 
 def test_congestion_splits_prices():
-    res = solve_opf_hour(OpfHourInput(triangle(0.6), hour_data(load=1.2)))
+    res = solve_opf_hour(valid_hour(triangle(0.6), hour_data(load=1.2)))
     assert res.flow_mw[(2, 3)] == pytest.approx(0.6, abs=1e-9)
     assert res.congestion_dual_eur_mwh[(2, 3)] > 1e-6
     # marginal MWh at the load bus costs two imports minus one backed-off unit
@@ -126,31 +125,31 @@ def test_congestion_splits_prices():
 
 def test_zero_load_hour():
     data = HourlyMarketData(1, offers=[GenOffer(1, 77.0, 2.5, 5.0)], utilities=[])
-    res = solve_opf_hour(OpfHourInput(triangle(), data))
+    res = solve_opf_hour(valid_hour(triangle(), data))
     assert all(v == pytest.approx(0.0, abs=1e-9) for v in res.p_g_mw.values())
     assert all(v == pytest.approx(0.0, abs=1e-9) for v in res.flow_mw.values())
     assert res.objective_eur == pytest.approx(-2.5)  # constant cost only
 
 
 def test_slack_angle_is_zero():
-    res = solve_opf_hour(OpfHourInput(triangle(0.6), hour_data(load=1.2)))
+    res = solve_opf_hour(valid_hour(triangle(0.6), hour_data(load=1.2)))
     assert res.theta_rad[1] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_flows_respect_limits():
-    res = solve_opf_hour(OpfHourInput(triangle(0.6), hour_data(load=1.2)))
+    res = solve_opf_hour(valid_hour(triangle(0.6), hour_data(load=1.2)))
     for line in triangle(0.6).lines:
         assert abs(res.flow_mw[line.key]) <= line.flow_limit_mw + 1e-7
 
 
 def test_flow_conservation():
-    res = solve_opf_hour(OpfHourInput(triangle(0.6), hour_data(load=1.2)))
+    res = solve_opf_hour(valid_hour(triangle(0.6), hour_data(load=1.2)))
     total = sum(res.p_g_mw.values()) - sum(res.p_l_mw.values())
     assert abs(total) <= 24 * 1e-7
 
 
 def test_flex_run_caps_price_and_balances():
-    inp = OpfHourInput(triangle(0.6), hour_data(hour=17, a_trans=77.07, load=1.2),
+    inp = valid_hour(triangle(0.6), hour_data(hour=17, a_trans=77.07, load=1.2),
                        caps=(PriceCap(3, 70.0),))
     res = solve_opf_hour(inp)
     assert res.lmp_eur_mwh[3] <= 70.0 + 1e-6
@@ -163,7 +162,7 @@ def test_single_bus_network_equals_ed_chain():
     net = Network(buses=[Bus(1, is_slack=True, price_constrained=True)], lines=[])
     data = HourlyMarketData(1, offers=[GenOffer(1, 80.0, 0.0, INF)],
                             utilities=[LoadUtility(1, 90.0, 0.0, 1.0, 1.0)])
-    inp = OpfHourInput(net, data, caps=(PriceCap(1, 70.0),))
+    inp = valid_hour(net, data, caps=(PriceCap(1, 70.0),))
     res = solve_opf_hour(inp)
 
     chain = solve_ed_chain(EdInstance(
@@ -178,7 +177,7 @@ def test_single_bus_network_equals_ed_chain():
 
 def test_congestion_signature_no_dual_means_uniform():
     for load in (0.4, 0.7, 1.0, 1.2):
-        res = solve_opf_hour(OpfHourInput(triangle(0.6), hour_data(load=load)))
+        res = solve_opf_hour(valid_hour(triangle(0.6), hour_data(load=load)))
         if all(d <= 1e-9 for d in res.congestion_dual_eur_mwh.values()):
             prices = list(res.lmp_eur_mwh.values())
             assert max(prices) - min(prices) <= 1e-6, f"load {load}"
@@ -186,7 +185,7 @@ def test_congestion_signature_no_dual_means_uniform():
 
 def test_infeasible_hour_names_hour():
     with pytest.raises(HourInfeasibleError, match="hour 7"):
-        solve_opf_hour(OpfHourInput(triangle(0.1), hour_data(hour=7, load=1.0)))
+        solve_opf_hour(valid_hour(triangle(0.1), hour_data(hour=7, load=1.0)))
 
 
 def test_multiple_cap_buses_supported():
@@ -202,7 +201,7 @@ def test_multiple_cap_buses_supported():
         offers=[GenOffer(1, 90.0, 0.0, 5.0)],
         utilities=[LoadUtility(2, 95.0, 0.0, 0.5, 0.5), LoadUtility(3, 95.0, 0.0, 0.5, 0.5)],
     )
-    inp = OpfHourInput(net, data, caps=(PriceCap(2, 60.0), PriceCap(3, 70.0)))
+    inp = valid_hour(net, data, caps=(PriceCap(2, 60.0), PriceCap(3, 70.0)))
     res = solve_opf_hour(inp)
     assert res.lmp_eur_mwh[2] <= 60.0 + 1e-6
     assert res.lmp_eur_mwh[3] == pytest.approx(70.0, abs=1e-6)  # own flex marginal
@@ -247,7 +246,7 @@ def test_series_reports_infeasible_hours_individually():
 # ---------------------------------------------------------------------------
 # Oracle equivalence on random small networks
 
-def random_opf_input(rng: random.Random) -> OpfHourInput:
+def random_opf_input(rng: random.Random) -> opf.ValidHour:
     n = rng.randint(1, 3)
     buses = [Bus(i + 1, is_slack=(i == 0)) for i in range(n)]
     lines = []
@@ -269,7 +268,7 @@ def random_opf_input(rng: random.Random) -> OpfHourInput:
     if not offers:
         offers.append(GenOffer(1, rng.uniform(10.0, 100.0), 0.0, rng.uniform(0.2, 2.0)))
     data = HourlyMarketData(1, offers=offers, utilities=utilities)
-    return OpfHourInput(Network(buses, lines), data)
+    return valid_hour(Network(buses, lines), data)
 
 
 def test_solver_matches_enumeration_oracle_on_random_networks():
@@ -283,7 +282,7 @@ def test_solver_matches_enumeration_oracle_on_random_networks():
 
         if res.degenerate:
             continue
-        for bus in inp.net.buses:
+        for bus in inp.grid.net.buses:
             fd_dual = oracle_row_dual(build_opf(inp), f"balance_{bus.id}")
             assert res.lmp_eur_mwh[bus.id] == pytest.approx(-fd_dual, abs=1e-6), \
                 f"case {case}, bus {bus.id}"
@@ -310,17 +309,23 @@ def test_dispatch_csv_round_trip():
     buf = io.StringIO()
     write_dispatch_csv(results, buf)
     buf.seek(0)
-    parsed = read_dispatch_csv(buf)
+    reader = csv.DictReader(buf)
+    rows = list(reader)
+    assert reader.fieldnames == DISPATCH_CSV_COLUMNS
+    buses = [row for row in rows if row["kind"] == "bus"]
+    lines = [row for row in rows if row["kind"] == "line"]
 
-    assert len(parsed["buses"]) == 6   # 2 hours x 3 buses
-    assert len(parsed["lines"]) == 6   # 2 hours x 3 lines
-    first = parsed["buses"][0]
-    assert first["hour"] == 1 and first["bus"] == 1
-    assert first["lmp_eur_mwh"] == results[0].lmp_eur_mwh[1]
-    line_row = parsed["lines"][2]
-    assert (line_row["line_from"], line_row["line_to"]) == (2, 3)
-    assert line_row["flow_mw"] == results[0].flow_mw[(2, 3)]
-    assert line_row["congestion_dual_eur_mwh"] == results[0].congestion_dual_eur_mwh[(2, 3)]
+    assert len(buses) == 6   # 2 hours x 3 buses
+    assert len(lines) == 6   # 2 hours x 3 lines
+    assert len(rows) == 12
+    first = buses[0]
+    assert (int(first["hour"]), int(first["bus"])) == (1, 1)
+    assert float(first["lmp_eur_mwh"]) == results[0].lmp_eur_mwh[1]
+    line_row = lines[2]
+    assert (int(line_row["line_from"]), int(line_row["line_to"])) == (2, 3)
+    assert float(line_row["flow_mw"]) == results[0].flow_mw[(2, 3)]
+    assert float(line_row["congestion_dual_eur_mwh"]) == \
+        results[0].congestion_dual_eur_mwh[(2, 3)]
 
 
 def test_dispatch_csv_skips_infeasible_hours():
@@ -329,8 +334,7 @@ def test_dispatch_csv_skips_infeasible_hours():
     buf = io.StringIO()
     write_dispatch_csv(results, buf)
     buf.seek(0)
-    parsed = read_dispatch_csv(buf)
-    assert {r["hour"] for r in parsed["buses"]} == {2}
+    assert {row["hour"] for row in csv.DictReader(buf)} == {"2"}
 
 
 def grid_programs(net, series, caps=()):
@@ -386,7 +390,7 @@ def test_block_equals_each_programs_own_densify(name):
         assert len({id(prog.block) for prog in progs}) == 3
         assert Grid(net).crash_start(series[0]) is None
         # line 2-3 carries two thirds of bus 3's export to bus 2 and binds at 0.6
-        loads = [solve_opf_hour(OpfHourInput(net, data)).p_l_mw for data in series]
+        loads = [solve_opf_hour(valid_hour(net, data)).p_l_mw for data in series]
         assert loads == [{3: 0.0}, {3: 1.0}, {2: pytest.approx(0.9)}]
     else:  # every hour of a series shares its layout's block
         assert all(prog.block is progs[0].block for prog in progs)
@@ -410,7 +414,7 @@ def test_built_programs_stay_independent():
     sol = solve(edited)
     assert sol.status == "optimal" and sol.primal["pg_extra"] == pytest.approx(0.4)
     assert verify_kkt(edited, sol).within(1e-6)
-    rebuilt = rebuild_solution(edited, sol.basis, sol.nonbasic_at_upper)
+    rebuilt = simplex.solution_from_basis(edited, sol.basis, sol.nonbasic_at_upper)
     assert rebuilt.primal == sol.primal
     assert rebuilt.duals == sol.duals
 
@@ -501,7 +505,7 @@ def test_mesh_program_text_is_pinned():
     data = HourlyMarketData(
         5, offers=[GenOffer(1, 70.0, 2.0, 4.0), GenOffer(3, 30.0, 0.0, 0.5)],
         utilities=[LoadUtility(4, 90.0, 1.0, 0.5, 1.5), LoadUtility(2, 80.0, 0.0, 0.2, 0.4)])
-    prog = build_opf(OpfHourInput(net, data, caps=(PriceCap(4, 65.0),)))
+    prog = build_opf(valid_hour(net, data, caps=(PriceCap(4, 65.0),)))
     assert to_lp_format(prog) == """\\ opf_h5
 Maximize
  obj: - 70 pg_1 - 30 pg_3 + 90 pl_4 + 80 pl_2 - 65 pflex_4

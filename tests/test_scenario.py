@@ -5,7 +5,7 @@ import io
 import pytest
 
 from flexhedge.model import Bus, Line, Network
-from flexhedge.opf import OpfHourInput, solve_opf_hour
+from flexhedge.opf import solve_opf_hour
 from flexhedge.scenario import (
     DEFAULT_LOAD_PROFILE_MW,
     DEFAULT_WHOLESALE_EUR_MWH,
@@ -19,6 +19,8 @@ from flexhedge.scenario import (
     preset_spec,
     write_scenario_file,
 )
+
+from oracles import valid_hour
 
 
 def test_splitmix64_reference_vector():
@@ -71,7 +73,7 @@ def test_coefficient_ordering_strict():
 def test_generated_scenario_dispatches_merit_order():
     scenario = generate_scenario(ScenarioSpec(seed=5))
     for data in scenario.hours:
-        res = solve_opf_hour(OpfHourInput(scenario.network, data))
+        res = solve_opf_hour(valid_hour(scenario.network, data))
         load = sum(res.p_l_mw.values())
         dist_cap = data.offer_at(2).capacity_mw
         expected_dist = min(load, dist_cap)
@@ -112,7 +114,7 @@ def test_finite_case_congests_at_peak():
     scenario = generate_scenario(ScenarioSpec(seed=3, line_limit_case="finite"))
     congested_hours = []
     for data in scenario.hours:
-        res = solve_opf_hour(OpfHourInput(scenario.network, data))
+        res = solve_opf_hour(valid_hour(scenario.network, data))
         if res.congestion_dual_eur_mwh[(2, 3)] > 1e-6:
             congested_hours.append(data.hour)
     assert congested_hours == list(range(14, 23))
