@@ -122,7 +122,7 @@ class Grid:
         """Each hour of ``series`` with ``caps`` applied together, checked;
         raises ValueError listing every problem (``problems_of``, then each
         bus with more than one cap)."""
-        caps = tuple(caps)
+        series, caps = tuple(series), tuple(caps)
         problems = self.problems_of(series, caps) + [
             f"more than one price cap at bus {bus}"
             for bus, count in Counter(cap.bus for cap in caps).items() if count > 1]

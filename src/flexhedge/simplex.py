@@ -27,25 +27,29 @@ slack-basis solve's vertex.  The OPF hands each hour a crash basis
 (``opf.Grid.crash_start``) or an earlier optimal basis this way.
 
 The entering column is the eligible one with the largest reduced cost in
-absolute value (Dantzig), ties going to the lowest index.  Dantzig's rule
-alone can cycle on degenerate pivots, so after ``_BLAND_AFTER`` consecutive
-pivots that leave the basic values where they were, pricing turns to the
-lowest eligible index (Bland 1977) until a pivot moves them again; Bland's
-rule cannot cycle, so the iteration cap is only a circuit breaker.  The
-ratio test breaks ties by the lowest basic column index.
+absolute value (Dantzig), ties going to the lowest index.  Eligible means a
+merit above ``PIVOT_TOL``: the reduced cost times a sign kept current per
+pivot (-1 at a lower bound, +1 at an upper, 0 basic or fixed), or its
+magnitude for a free nonbasic column.  Dantzig's rule alone can cycle on
+degenerate pivots, so after ``_BLAND_AFTER`` consecutive pivots that leave
+the basic values where they were, pricing turns to the lowest eligible index
+(Bland 1977) until a pivot moves them again; Bland's rule cannot cycle, so
+the iteration cap is only a circuit breaker.  The ratio test breaks ties by
+the lowest basic column index.
 
 Each solve inverts its start basis once; phase 2 continues phase 1's
 ``B^-1`` (inverting afresh only where phase 1's end swapped an artificial
 out), and a rank-1 product-form update per pivot (Bartels-Golub;
 Forrest-Tomlin 1972) keeps it current, so a pivot costs O(m*n) array work
 instead of three fresh O(m^3) solves.  Multipliers are ``c_B B^-1``, the
-entering column is ``B^-1 a_q``, and basic values are updated in place on
-every pivot and bound flip.  To bound drift the basis is inverted afresh, and
-basic values are recomputed in full, every ``_REFACTOR_EVERY`` pivots,
-counted across both phases.  The updated quantities only steer pivot choices
-and the phase-1 feasibility test (against ``FEAS_TOL``): the reported solution
-is computed from fresh solves with the final basis, so a given final basis
-gives bitwise the same primal values, duals, reduced costs and objective.
+entering column is ``B^-1 a_q``, and the basic values, kept in basis order,
+are updated in place on every pivot and bound flip.  To bound drift the
+basis is inverted afresh, and basic values are recomputed in full, every
+``_REFACTOR_EVERY`` pivots, counted across both phases.  The updated
+quantities only steer pivot choices and the phase-1 feasibility test
+(against ``FEAS_TOL``): the reported solution is computed from fresh solves
+with the final basis, so a given final basis gives bitwise the same primal
+values, duals, reduced costs and objective.
 Two starts that end on the same basis set can list it in different row
 orders; the fresh solves then factor the basis in that order, and the outputs
 can differ in the last few ulps.
@@ -236,37 +240,47 @@ def _iterate(st: _State, cost: np.ndarray) -> str:
     on with phase 1's ``B^-1``.  ``B^-1`` is inverted afresh (and basic values
     recomputed in full) once ``st.pivots`` reaches ``_REFACTOR_EVERY``; in
     between, each pivot applies a rank-1 update and basic values move by the
-    step taken.  The basic columns' costs and bounds and the mask of movable
-    nonbasic columns follow each pivot.
+    step taken.  The basic columns' costs, bounds and values ``x_B`` follow
+    each pivot in basis order; ``x_B`` is written back to ``st.x`` before each
+    return, raise and inversion.  ``sign`` prices each column and follows each
+    pivot and bound flip: -1 for a nonbasic column at its lower bound, +1 at
+    its upper, 0 for basic and fixed ones.  A column improves where
+    ``d * sign`` exceeds ``PIVOT_TOL``; the free nonbasic columns, ``free``,
+    price by ``|d|`` and leave that list when they enter.
     """
     A, lo, up = st.A, st.lo, st.up
-    free = (lo == -INF) & (up == INF)
     basis = np.array(st.basis, dtype=np.intp)
-    c_B, lo_B, up_B = cost[basis], lo[basis], up[basis]
+    c_B, lo_B, up_B, x_B = cost[basis], lo[basis], up[basis], st.x[basis]
     movable = lo != up
-    can_enter = movable & ~st.in_basis  # nonbasic columns that can move
+    sign = np.where(st.at_upper, 1.0, -1.0) * (movable & ~st.in_basis)
+    free = ((lo == -INF) & (up == INF) & ~st.in_basis).nonzero()[0]
     stalled = 0  # consecutive pivots that left the basic values where they were
     while True:
         if st.iterations >= MAX_ITERATIONS:
+            st.x[basis] = x_B
             raise SolverFailureError(f"iteration cap {MAX_ITERATIONS} exceeded")
         st.iterations += 1
 
         if st.pivots == _REFACTOR_EVERY:
+            st.x[basis] = x_B
             st.reinvert()
+            x_B = st.x[basis]
         Binv = st.Binv
 
         d = cost - (c_B @ Binv) @ A
 
-        # eligible: a nonbasic column whose move from its bound improves
-        increase = (d < -PIVOT_TOL) & ~st.at_upper
-        decrease = (d > PIVOT_TOL) & (st.at_upper | free)
-        eligible = (increase | decrease) & can_enter
-        if not eligible.any():
-            return "optimal"
-        if stalled < _BLAND_AFTER:  # Dantzig: largest |d|, ties to the lowest index
-            entering = int(np.where(eligible, np.abs(d), -1.0).argmax())
-        else:  # Bland: lowest index
-            entering = int(eligible.argmax())
+        # merit > PIVOT_TOL: a nonbasic column whose move from its bound improves
+        merit = d * sign
+        if free.size:
+            merit[free] = np.abs(d[free])
+        entering = int(merit.argmax())  # Dantzig: largest |d|, ties to the lowest index
+        if stalled >= _BLAND_AFTER or not merit[entering] > PIVOT_TOL:
+            eligible = merit > PIVOT_TOL  # NaN never enters
+            if not eligible.any():
+                st.x[basis] = x_B
+                return "optimal"
+            entering = int(eligible.argmax() if stalled >= _BLAND_AFTER  # Bland: lowest index
+                           else np.where(eligible, merit, -1.0).argmax())
         direction = 1.0 if d[entering] < -PIVOT_TOL else -1.0
 
         w = Binv @ A[:, entering]
@@ -276,7 +290,6 @@ def _iterate(st: _State, cost: np.ndarray) -> str:
         if lo[entering] > -INF and up[entering] < INF:
             t_flip = up[entering] - lo[entering]
 
-        x_B = st.x[basis]
         falling = (delta > PIVOT_TOL) & (lo_B > -INF)
         rising = (delta < -PIVOT_TOL) & (up_B < INF)
         candidates = (falling | rising).nonzero()[0]
@@ -293,18 +306,20 @@ def _iterate(st: _State, cost: np.ndarray) -> str:
                 t_best, leave_pos = min(t, t_best), pos
 
         if t_flip == INF and t_best == INF:
+            st.x[basis] = x_B
             return "unbounded"
 
         if t_flip <= t_best:
-            st.x[basis] = x_B - t_flip * delta
+            x_B -= t_flip * delta
             st.at_upper[entering] = not st.at_upper[entering]
             st.x[entering] = st.nonbasic_value(entering)
+            sign[entering] = -sign[entering]
             stalled = 0
             continue
 
         stalled = stalled + 1 if t_best == 0.0 else 0
-        st.x[basis] = x_B - t_best * delta
-        st.x[entering] = st.nonbasic_value(entering) + direction * t_best
+        x_B -= t_best * delta
+        x_B[leave_pos] = st.nonbasic_value(entering) + direction * t_best
         bi = st.basis[leave_pos]
         st.at_upper[bi] = delta[leave_pos] < 0  # increased to its upper bound
         st.in_basis[bi] = False
@@ -314,7 +329,10 @@ def _iterate(st: _State, cost: np.ndarray) -> str:
         st.in_basis[entering] = True
         c_B[leave_pos], lo_B[leave_pos] = cost[entering], lo[entering]
         up_B[leave_pos] = up[entering]
-        can_enter[bi], can_enter[entering] = movable[bi], False
+        sign[bi] = (1.0 if st.at_upper[bi] else -1.0) if movable[bi] else 0.0
+        sign[entering] = 0.0
+        if free.size:
+            free = free[free != entering]
 
         pivot_row = Binv[leave_pos] / w[leave_pos]
         Binv -= w[:, None] * pivot_row

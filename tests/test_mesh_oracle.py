@@ -264,3 +264,24 @@ def test_cost_range_ends_where_a_re_solve_changes_basis(n_buses, seed):
             assert pass2(data, unc, end - inward * step)[2] != basis, (data.hour, end)
             ends += 1
     assert ends >= 20
+
+
+@pytest.mark.parametrize("n_buses, run_iterations, cold_iterations", [(10, 342, 552), (30, 1036, 1761)])
+def test_mesh_pivot_path_is_pinned(monkeypatch, n_buses, run_iterations, cold_iterations):
+    # a change in a pivot rule or in the basis arithmetic moves these counts;
+    # the cold solves from the slack basis also enter the free angle columns,
+    # which run_hedge's crash starts hold basic throughout
+    net, hours, cap = seeded_mesh(n_buses, 1)
+    solutions = []
+    original = simplex.solve_program
+
+    def recording(lp):
+        solutions.append(original(lp))
+        return solutions[-1]
+
+    monkeypatch.setattr(simplex, "solve_program", recording)
+    run_hedge(net, hours, cap)
+    monkeypatch.undo()
+    assert sum(s.iterations for s in solutions) == run_iterations
+    cold = [simplex.solve_program(build_opf(hour)) for hour in Grid(net).hours(hours)]
+    assert sum(s.iterations for s in cold) == cold_iterations

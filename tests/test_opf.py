@@ -243,6 +243,18 @@ def test_series_reports_infeasible_hours_individually():
     assert results[2] is not None
 
 
+def test_series_may_be_an_iterator():
+    scenario = generate_scenario(ScenarioSpec(seed=1))
+    net, hours = scenario.network, scenario.hours
+    assert len(solve_opf_series(net, iter(hours))) == 24
+    assert len(Grid(net).hours(iter(hours))) == 24
+    bad = [*hours[:5], hour_data(hour=6, load=0.5, load_min=1.0), *hours[6:]]
+    with pytest.raises(ValueError, match="hour 6"):
+        Grid(net).hours(iter(bad))
+    with pytest.raises(ValueError, match="hour 6"):
+        solve_opf_series(net, iter(bad))
+
+
 # ---------------------------------------------------------------------------
 # Oracle equivalence on random small networks
 
