@@ -67,11 +67,10 @@ class LinearProgram:
     ``start``, if set, is a ``(basis, nonbasic_at_upper)`` pair of name tuples,
     as an ``LpSolution`` reports them, that the simplex tries before a cold
     start; it never changes the program, so ``validate``, ``to_lp_format``
-    and ``dual_program`` ignore it.  ``block`` is the dense matrix of the rows
-    (``simplex.densify``) the program was built over, and ``start_inverse``,
-    set together with ``start``, the read-only inverse of ``start``'s basis in
-    it (``simplex.start_inverse``), which the simplex then need not factor;
-    edits drop both.
+    and ``dual_program`` ignore it.  ``layout``, if set, is the read-only
+    record of the program's column layout (``simplex.Layout``: its dense
+    matrix, names and crash basis) that programs of one layout share, so the
+    simplex need not build it; edits drop it.
     """
 
     def __init__(self, sense: str = "maximize", name: str = "lp"):
@@ -83,13 +82,13 @@ class LinearProgram:
         self.rows: dict[str, _Row] = {}
         self.constant = 0.0
         self.start: tuple[tuple[str, ...], tuple[str, ...]] | None = None
-        self.block = self.start_inverse = None
+        self.layout = None
 
     def add_column(self, name: str, lower: float = 0.0, upper: float = INF,
                    objective: float = 0.0) -> None:
         if name in self.columns:
             raise MalformedProgramError(f"duplicate column name {name!r}")
-        self.block = self.start_inverse = None
+        self.layout = None
         self.columns[name] = _Column(name, float(lower), float(upper), float(objective))
 
     def add_row(self, name: str, coeffs: dict[str, float], relation: str,
@@ -98,7 +97,7 @@ class LinearProgram:
             raise MalformedProgramError(f"duplicate row name {name!r}")
         if relation not in RELATIONS:
             raise MalformedProgramError(f"relation must be one of {RELATIONS}, got {relation!r}")
-        self.block = self.start_inverse = None
+        self.layout = None
         self.rows[name] = _Row(name, dict(coeffs), relation, float(rhs))
 
     def validate(self) -> list[str]:

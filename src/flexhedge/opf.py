@@ -14,9 +14,11 @@ A study compiles its network once into a ``Grid``, the one place an input is
 checked: ``Grid.hours`` raises every problem of the network, the caps and the
 hours or returns each hour as a ``ValidHour``, the one hour type, which
 ``build_opf``, ``capped_dual`` and ``solve_opf_hour`` take unchecked.  Each
-program carries the dense constraint matrix (``LinearProgram.block``) of its
-column layout, the buses of its offers, utilities and caps, densified once per
-grid, so a solve reads only the hour's right-hand sides, bounds and costs.
+program carries the record of its column layout (``LinearProgram.layout``),
+set by the buses of its offers, utilities and caps and built once per grid:
+its dense constraint matrix, names and crash basis, whose inverse the first
+crash-started solve computes for every later one.  So a solve reads only the
+hour's right-hand sides, bounds and costs.
 
 ``capped_dual`` builds the paper's side of the same hour: the dual of the
 program without flexibility, with the price at each capped bus bounded.
@@ -84,12 +86,12 @@ def price_paid_by_load(sol: LpSolution, balance_row: str) -> float:
 class Grid:
     """A network validated and compiled once per study: ``validate_network``'s
     ``problems`` and, if valid, each bus's angle terms (accumulated in line
-    order), the line-limit rows and each column layout's ``block`` and
-    crash-basis inverse (``start_at_crash``)."""
+    order), the line-limit rows and each column layout's ``simplex.Layout``
+    (``layout``)."""
 
     def __init__(self, net: Network):
         self.net, self.problems = net, validate_network(net)
-        self.blocks, self.crash_inverses = {}, {}
+        self.layouts = {}
         if self.problems:
             return
         self.terms: dict[str, dict[str, float]] = {_column("theta", b.id): {} for b in net.buses}
@@ -143,23 +145,14 @@ class Grid:
         return tuple(self.terms) + (_column("pg", bus if bus in buses else buses[0]),) + \
             self.slacks, ()
 
-    def block(self, prog: LinearProgram):
-        """``simplex.densify`` of ``build_opf``'s program, once per layout."""
-        layout = tuple(prog.columns)
-        if layout not in self.blocks:
-            from .simplex import densify  # numpy, like lp.solve, loads on a first solve
-            self.blocks[layout] = densify(prog)
-        return self.blocks[layout]
-
-    def start_at_crash(self, prog: LinearProgram, data: HourlyMarketData) -> None:
-        """Start ``build_opf``'s program at ``crash_start(data)`` with that
-        basis's ``B^-1`` (``simplex.start_inverse``), inverted once per layout."""
-        prog.start = self.crash_start(data)
-        layout = tuple(prog.columns)
-        if layout not in self.crash_inverses:
-            from .simplex import start_inverse
-            self.crash_inverses[layout] = start_inverse(prog)
-        prog.start_inverse = self.crash_inverses[layout]
+    def layout(self, prog: LinearProgram, data: HourlyMarketData):
+        """``build_opf``'s program's ``simplex.Layout``, with the crash basis
+        of ``data`` (``crash_start``), once per column layout."""
+        key = tuple(prog.columns)
+        if key not in self.layouts:
+            from .simplex import Layout  # numpy, like lp.solve, loads on a first solve
+            self.layouts[key] = Layout(prog, self.crash_start(data))
+        return self.layouts[key]
 
 
 @dataclass(frozen=True)
@@ -173,7 +166,7 @@ class ValidHour:
 
 def build_opf(hour: ValidHour) -> LinearProgram:
     """Assemble the hour's LP: balance rows, angle reference, line-limit pairs,
-    over the block of its layout (``Grid.block``)."""
+    over the record of its column layout (``Grid.layout``)."""
     grid, data = hour.grid, hour.data
     prog = LinearProgram("maximize", name=f"opf_h{data.hour}")
     constant = 0.0
@@ -214,7 +207,7 @@ def build_opf(hour: ValidHour) -> LinearProgram:
         prog.add_row(f"flow_lo_{key}", coeffs, ">=", -limit)
 
     prog.constant = constant
-    prog.block = grid.block(prog)
+    prog.layout = grid.layout(prog, data)
     return prog
 
 
@@ -236,10 +229,7 @@ def solve_opf_hour(hour: ValidHour, start=None) -> DispatchResult:
     (``LinearProgram.start``), the network's ``crash_start`` by default; the
     result's ``basis`` is the optimal pair in the same form."""
     prog = build_opf(hour)
-    if start is None:
-        hour.grid.start_at_crash(prog, hour.data)
-    else:
-        prog.start = start
+    prog.start = prog.layout.crash if start is None else start
     sol = solve(prog)
     if sol.status == "infeasible":
         raise HourInfeasibleError(hour.data.hour,

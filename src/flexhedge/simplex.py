@@ -3,27 +3,27 @@
 The solver works on an internal minimize form: one slack column per row turns
 every relation into an equality, so the working system is ``[A | I] x = b``
 with individual bounds on all columns (``<=`` rows get slack bounds [0, inf),
-``>=`` rows (-inf, 0], equalities [0, 0]).  ``[A | I]`` is the program's
-``LinearProgram.block``, which ``opf`` shares across an hour layout, else
-``densify``'s; right-hand sides, bounds and costs are read at each solve.
+``>=`` rows (-inf, 0], equalities [0, 0]).  ``[A | I]`` and the names are
+read from the program's column layout, a read-only ``Layout`` that ``opf``
+shares across an hour layout (``LinearProgram.layout``), else one built for
+the solve; right-hand sides, bounds and costs are read at each solve into its
+one ``_State``, which ``solution_from_basis`` and ``cost_range`` build too.
 
 Every solve starts from a basis and the bounds the other columns rest at:
 the program's ``LinearProgram.start`` if it has one, else the slack basis
 with every other column at a finite bound.  One routine (``_start``) inverts
-the basis, unless the program carries its inverse
-(``LinearProgram.start_inverse``, which ``opf.Grid`` keeps for each layout's
-crash basis), and computes the basic values as ``B^-1`` times the right-hand
-side; each basic slack that breaks its bounds rests at the violated bound
-instead and a signed artificial column carries the gap in its row, one of
-sign -1 negating that row of ``B^-1``.  A first phase minimizes the
-artificials' sum; the second phase optimizes the true objective from the
-feasible basis.  A start falls back to
-the slack basis when it names a column or slack the program lacks (an
-``artificial:`` entry included), is singular (a basis of the wrong size
-included), rests a column at an infinite bound or puts a basic structural
-column out of bounds; and also when it ends anywhere but on a
-non-degenerate optimum, so a program whose duals are not unique reports the
-slack-basis solve's vertex.  The OPF hands each hour a crash basis
+the basis, unless the start is its layout's crash basis (``Layout.crash``),
+whose inverse the layout keeps, and computes the basic values as ``B^-1``
+times the right-hand side; each basic slack that breaks its bounds rests at
+the violated bound instead and a signed artificial column carries the gap in
+its row, one of sign -1 negating that row of ``B^-1``.  A first phase
+minimizes the artificials' sum; the second phase optimizes the true
+objective from the feasible basis.  A start falls back to the slack basis
+when it names a column or slack the program lacks (an ``artificial:`` entry
+included), is singular (a basis of the wrong size included), rests a column
+at an infinite bound or puts a basic structural column out of bounds; and
+also when it ends anywhere but on a non-degenerate optimum, so a program
+whose duals are not unique reports the slack-basis solve's vertex.  The OPF hands each hour a crash basis
 (``opf.Grid.crash_start``) or an earlier optimal basis this way.
 
 The entering column is the eligible one with the largest reduced cost in
@@ -61,6 +61,7 @@ basis: the open interval of it over which that basis stays optimal.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -93,31 +94,57 @@ def _inverse(B: np.ndarray) -> np.ndarray:
         raise SolverFailureError("singular basis: basic columns are linearly dependent") from None
 
 
-def densify(lp: LinearProgram) -> np.ndarray:
-    """The slack-augmented constraint matrix ``[A | I]`` of ``lp``'s rows,
-    read-only so that programs can share it (``LinearProgram.block``)."""
-    n, m = len(lp.columns), len(lp.rows)
-    col_index = {name: j for j, name in enumerate(lp.columns)}
-    A = np.zeros((m, n + m))
-    for i, row in enumerate(lp.rows.values()):
-        for cname, coef in row.coeffs.items():
-            A[i, col_index[cname]] += coef
-        A[i, n + i] = 1.0
-    A.flags.writeable = False
-    return A
+class Layout:
+    """A column layout's read-only solve data: the slack-augmented ``[A | I]``
+    of a program's rows, every column and slack name with its index, and a
+    crash basis ``crash`` (a ``LinearProgram.start``, or None) whose ``B^-1``
+    ``crash_inverse`` inverts on first use.  ``opf.Grid`` builds one per
+    layout and study (``LinearProgram.layout``); a program without one gets
+    its own at each solve."""
+
+    def __init__(self, lp: LinearProgram, crash=None):
+        self.columns, self.rows = list(lp.columns), list(lp.rows)
+        n, m = len(self.columns), len(self.rows)
+        self.names = self.columns + [f"slack:{r}" for r in self.rows]
+        self.index = {name: j for j, name in enumerate(self.names)}
+        col_index = {name: j for j, name in enumerate(self.columns)}
+        A = np.zeros((m, n + m))
+        for i, row in enumerate(lp.rows.values()):
+            for cname, coef in row.coeffs.items():
+                A[i, col_index[cname]] += coef
+            A[i, n + i] = 1.0
+        A.flags.writeable = False
+        self.A, self.crash = A, crash
+
+    @cached_property
+    def crash_inverse(self) -> np.ndarray | None:
+        """Read-only ``B^-1`` of the crash basis in its row order; None without
+        one, or where it is singular."""
+        if self.crash is None:
+            return None
+        try:
+            Binv = _inverse(self.A[:, [self.index[name] for name in self.crash[0]]])
+        except SolverFailureError:
+            return None
+        Binv.flags.writeable = False
+        return Binv
 
 
-class _Internal:
-    """Slack-augmented minimize form of a LinearProgram: its block (the one it
-    carries, else ``densify``'s) with its right-hand sides, bounds and costs."""
+class _State:
+    """One solve's working state: ``lp``'s right-hand sides, bounds and costs
+    over its layout's ``[A | I]`` (minimize form), and a basis with every
+    other column resting at a bound.  ``start`` names the basis as
+    ``LinearProgram.start`` does (KeyError for a name the layout lacks);
+    without one, the slack basis with every other column at its finite lower
+    bound, else its finite upper bound, else free at zero."""
 
-    def __init__(self, lp: LinearProgram):
-        self.lp = lp
+    def __init__(self, lp: LinearProgram, layout: Layout,
+                 start: tuple[tuple[str, ...], tuple[str, ...]] | None = None):
+        self.layout = layout
         self.maximizing = lp.sense == "maximize"
-        self.col_names, self.row_names = list(lp.columns), list(lp.rows)
-        self.n_struct = n = len(self.col_names)
-        self.n_rows = m = len(self.row_names)
-        self.A = lp.block if lp.block is not None else densify(lp)
+        self.n_struct = n = len(layout.columns)
+        self.n_rows = m = len(layout.rows)
+        self.A = layout.A
         rows, columns = lp.rows.values(), lp.columns.values()
         self.b = np.array([row.rhs for row in rows], dtype=float)
         self.lo = np.array([col.lower for col in columns] +
@@ -126,25 +153,22 @@ class _Internal:
                            [INF if row.relation == "<=" else 0.0 for row in rows])
         self.c_ext = np.zeros(n + m)
         self.c_ext[:n] = [col.objective for col in columns]
+        self.c_int = -self.c_ext if self.maximizing else self.c_ext  # always minimized
+        self.constant = lp.constant
 
-        # internal objective is always minimized
-        self.c_int = -self.c_ext if self.maximizing else self.c_ext.copy()
-        self.names = self.col_names + [f"slack:{r}" for r in self.row_names]
-
-
-class _State:
-    def __init__(self, internal: _Internal):
-        self.prob = internal
-        self.A = internal.A
-        self.b = internal.b
-        self.lo = internal.lo.copy()
-        self.up = internal.up.copy()
-        self.n_total = internal.A.shape[1]
-        self.basis: list[int] = []
-        self.in_basis = np.zeros(self.n_total, dtype=bool)
-        self.at_upper = np.zeros(self.n_total, dtype=bool)
-        self.x = np.zeros(self.n_total)
-        self.artificial_from = self.n_total  # columns >= this index are artificial
+        self.n_total = n + m
+        if start is None:
+            self.basis = list(range(n, n + m))
+            self.at_upper = (self.lo == -INF) & (self.up < INF)
+        else:
+            basis, nonbasic_at_upper = start
+            self.at_upper = np.zeros(n + m, dtype=bool)
+            self.at_upper[[layout.index[name] for name in nonbasic_at_upper]] = True
+            self.basis = [layout.index[name] for name in basis]
+        self.in_basis = np.zeros(n + m, dtype=bool)
+        self.in_basis[self.basis] = True
+        self.x = np.zeros(n + m)
+        self.artificial_from = n + m  # columns >= this index are artificial
         self.art_rows = np.zeros(0, dtype=np.intp)  # the row each artificial serves
         self.iterations = 0
         self.Binv: np.ndarray | None = None  # B^-1 in basis order; _start sets it
@@ -180,15 +204,6 @@ class _State:
         return _solve(self.A[:, self.basis].T, cost[self.basis])
 
 
-def _rest(internal: _Internal, basis: list[int], at_upper: np.ndarray) -> _State:
-    """State with ``basis`` basic and every other column at the bound ``at_upper`` picks."""
-    st = _State(internal)
-    st.basis = basis
-    st.in_basis[basis] = True
-    st.at_upper[:] = at_upper
-    return st
-
-
 def _start(st: _State) -> _State | None:
     """Basic values of a resting state, and one signed phase-1 artificial per
     row whose basic slack breaks its bounds (the slack rests at the violated
@@ -196,7 +211,7 @@ def _start(st: _State) -> _State | None:
     ``B^-1``; an artificial of sign -1 in a slack's place negates that row of
     it.  None where the basis is singular or a value is infinite or a basic
     structural column is out of bounds."""
-    n, m = st.prob.n_struct, st.prob.n_rows
+    n, m = st.n_struct, st.n_rows
     if st.Binv is None:
         try:
             st.Binv = _inverse(st.A[:, st.basis])
@@ -369,9 +384,10 @@ def _expel_artificials(st: _State) -> bool:
     return swapped
 
 
-def _extract(internal: _Internal, st: _State, status: str) -> LpSolution:
-    n, m = internal.n_struct, internal.n_rows
-    names = internal.names
+def _extract(st: _State, status: str) -> LpSolution:
+    n, m = st.n_struct, st.n_rows
+    layout = st.layout
+    names = layout.names
 
     if status != "optimal":
         return LpSolution(status=status, primal={}, duals={}, reduced_costs={},
@@ -381,13 +397,13 @@ def _extract(internal: _Internal, st: _State, status: str) -> LpSolution:
 
     st.refresh_basics()
     cost = np.zeros(st.n_total)
-    cost[: n + m] = internal.c_int
+    cost[: n + m] = st.c_int
     y_int = st.multipliers(cost)
-    y_ext = -y_int if internal.maximizing else y_int
+    y_ext = -y_int if st.maximizing else y_int
 
     x_struct = st.x[:n]
-    objective = float(internal.c_ext[:n] @ x_struct) + internal.lp.constant
-    reduced_ext = internal.c_ext[:n] - y_ext @ internal.A[:, :n]
+    objective = float(st.c_ext[:n] @ x_struct) + st.constant
+    reduced_ext = st.c_ext[:n] - y_ext @ st.A[:, :n]
 
     # a basic column other than an artificial sits at a bound
     af = st.artificial_from
@@ -397,7 +413,7 @@ def _extract(internal: _Internal, st: _State, status: str) -> LpSolution:
 
     basis_names = tuple(
         names[bi] if bi < n + m
-        else f"artificial:{internal.row_names[st.art_rows[bi - st.artificial_from]]}"
+        else f"artificial:{layout.rows[st.art_rows[bi - st.artificial_from]]}"
         for bi in st.basis
     )
     lo, up = st.lo[: n + m], st.up[: n + m]  # fixed columns rest at either bound
@@ -406,9 +422,9 @@ def _extract(internal: _Internal, st: _State, status: str) -> LpSolution:
 
     return LpSolution(
         status="optimal",
-        primal=dict(zip(internal.col_names, (x_struct + 0.0).tolist())),
-        duals=dict(zip(internal.row_names, (y_ext + 0.0).tolist())),
-        reduced_costs=dict(zip(internal.col_names, (reduced_ext + 0.0).tolist())),
+        primal=dict(zip(layout.columns, (x_struct + 0.0).tolist())),
+        duals=dict(zip(layout.rows, (y_ext + 0.0).tolist())),
+        reduced_costs=dict(zip(layout.columns, (reduced_ext + 0.0).tolist())),
         objective_value=objective,
         basis=basis_names,
         nonbasic_at_upper=at_upper,
@@ -417,16 +433,7 @@ def _extract(internal: _Internal, st: _State, status: str) -> LpSolution:
     )
 
 
-def _state_at(internal: _Internal, basis: tuple[str, ...],
-              nonbasic_at_upper: tuple[str, ...]) -> _State:
-    """State resting on a named basis; raises KeyError for a name the program lacks."""
-    index = {name: j for j, name in enumerate(internal.names)}
-    at_upper = np.zeros(internal.A.shape[1], dtype=bool)
-    at_upper[[index[name] for name in nonbasic_at_upper]] = True
-    return _rest(internal, [index[name] for name in basis], at_upper)
-
-
-def _solve_from(internal: _Internal, st: _State) -> LpSolution:
+def _solve_from(st: _State) -> LpSolution:
     """Phase 1 if the start needed artificials, then phase 2."""
     if st.n_total > st.artificial_from:
         phase1 = np.zeros(st.n_total)
@@ -436,63 +443,42 @@ def _solve_from(internal: _Internal, st: _State) -> LpSolution:
             raise SolverFailureError("phase 1 reported unbounded")
         infeasibility = float(st.x[st.artificial_from:].sum())
         if infeasibility > FEAS_TOL:
-            return _extract(internal, st, "infeasible")
+            return _extract(st, "infeasible")
         st.lo[st.artificial_from:] = 0.0
         st.up[st.artificial_from:] = 0.0
         if _expel_artificials(st):
             st.reinvert()
 
     cost = np.zeros(st.n_total)
-    cost[: internal.n_struct + internal.n_rows] = internal.c_int
-    return _extract(internal, st, _iterate(st, cost))
+    cost[: st.n_struct + st.n_rows] = st.c_int
+    return _extract(st, _iterate(st, cost))
 
 
 def solve_program(lp: LinearProgram) -> LpSolution:
-    internal = _Internal(lp)
+    layout = lp.layout or Layout(lp)
     if lp.start is not None:
         try:
-            st = _state_at(internal, *lp.start)
+            st = _State(lp, layout, lp.start)
         except KeyError:  # unknown column or slack, artificials included
             st = None
         else:
-            if lp.start_inverse is not None:
-                st.Binv = lp.start_inverse.copy()
+            if lp.start == layout.crash and layout.crash_inverse is not None:
+                st.Binv = layout.crash_inverse.copy()
             st = _start(st)
         if st is not None:
-            sol = _solve_from(internal, st)
+            sol = _solve_from(st)
             if sol.status == "optimal" and not sol.degenerate:
                 return sol
-    n, m = internal.n_struct, internal.n_rows
-    # the slack basis, every other column at its finite lower bound, else its
-    # finite upper bound, else free at zero
-    resting = (internal.lo == -INF) & (internal.up < INF)
-    st = _start(_rest(internal, list(range(n, n + m)), resting))
+    st = _start(_State(lp, layout))
     if st is None:  # the slack basis is the identity: only a non-finite value ends here
         raise SolverFailureError("non-finite value at the slack-basis start")
-    return _solve_from(internal, st)
-
-
-def start_inverse(lp: LinearProgram) -> np.ndarray | None:
-    """Read-only ``B^-1`` of ``lp.start``'s basis over its block, in the
-    start's row order (``LinearProgram.start_inverse``); None without a start,
-    or where it names a column the program lacks or its basis is singular."""
-    if lp.start is None:
-        return None
-    internal = _Internal(lp)
-    try:
-        st = _state_at(internal, *lp.start)
-        Binv = _inverse(st.A[:, st.basis])
-    except (KeyError, SolverFailureError):
-        return None
-    Binv.flags.writeable = False
-    return Binv
+    return _solve_from(st)
 
 
 def solution_from_basis(lp: LinearProgram, basis: tuple[str, ...],
                         nonbasic_at_upper: tuple[str, ...]) -> LpSolution:
     """Rebuild the solution a given basis identifies; audits solver output."""
-    internal = _Internal(lp)
-    return _extract(internal, _state_at(internal, basis, nonbasic_at_upper), "optimal")
+    return _extract(_State(lp, lp.layout or Layout(lp), (basis, nonbasic_at_upper)), "optimal")
 
 
 def cost_range(lp: LinearProgram, basis: tuple[str, ...],
@@ -503,15 +489,14 @@ def cost_range(lp: LinearProgram, basis: tuple[str, ...],
     minimize-form cost by delta moves each reduced cost by -delta*(B^-1 A)_{r,j}.
     Empty, ``(c, c)`` at the coefficient ``c``, where the basis is not optimal
     or a column that can move prices out at zero (a tie)."""
-    internal = _Internal(lp)
-    st = _state_at(internal, basis, nonbasic_at_upper)
-    q = internal.col_names.index(column)
+    st = _State(lp, lp.layout or Layout(lp), (basis, nonbasic_at_upper))
+    q = st.layout.columns.index(column)
     if q not in st.basis:
         raise ValueError(f"column {column!r} is not basic")
-    e = np.zeros(internal.n_rows)
+    e = np.zeros(st.n_rows)
     e[st.basis.index(q)] = 1.0
     alpha = _solve(st.A[:, st.basis].T, e) @ st.A
-    d = internal.c_int - st.multipliers(internal.c_int) @ st.A
+    d = st.c_int - st.multipliers(st.c_int) @ st.A
     # a column at its lower bound prices out with d > 0, one at its upper with d < 0
     movable = ~st.in_basis & (st.lo < st.up)
     side = np.where(st.at_upper, -1.0, 1.0)[movable]
@@ -522,4 +507,4 @@ def cost_range(lp: LinearProgram, basis: tuple[str, ...],
     # side * (d - delta * alpha) > 0, for delta on the internal minimize cost
     above = float(np.min(d[alpha > 0] / alpha[alpha > 0], initial=INF))
     below = float(np.max(d[alpha < 0] / alpha[alpha < 0], initial=-INF))
-    return (c - above, c - below) if internal.maximizing else (c + below, c + above)
+    return (c - above, c - below) if st.maximizing else (c + below, c + above)

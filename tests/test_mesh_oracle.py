@@ -135,7 +135,9 @@ def close(a: float, b: float, rtol: float) -> bool:
     return abs(a - b) <= rtol * (1 + abs(b))
 
 
-@pytest.mark.parametrize("n_buses, seed", [(10, 3), (10, 4), (30, 5)])
+# 60 buses: pass-1 hours pivot past _REFACTOR_EVERY, so phase 2 carries the
+# updated B^-1 across a fresh inversion
+@pytest.mark.parametrize("n_buses, seed", [(10, 3), (10, 4), (30, 5), (60, 1)])
 def test_mesh_day_matches_highs_and_cold_solves(monkeypatch, n_buses, seed):
     pytest.importorskip("scipy.optimize")
     net, hours, cap = seeded_mesh(n_buses, seed)

@@ -356,21 +356,23 @@ def grid_programs(net, series, caps=()):
 
 def dense_form(prog):
     """The arrays a solve of ``prog`` works on: A, b, bounds and costs."""
-    internal = simplex._Internal(prog)
-    return [a.tobytes() for a in (internal.A, internal.b, internal.lo, internal.up,
-                                  internal.c_ext)]
+    st = simplex._State(prog, prog.layout or simplex.Layout(prog))
+    return [a.tobytes() for a in (st.A, st.b, st.lo, st.up, st.c_ext)]
 
 
 def check_blocks(progs):
-    """Each program's block is, bit for bit, what ``densify`` makes of its own
-    rows and columns, and the solve works on the same arrays as without it."""
+    """Each program's shared layout is, bit for bit and name for name, what
+    ``simplex.Layout`` makes of its own rows and columns, and the solve works
+    on the same arrays as without it."""
     for prog in progs:
-        assert prog.block.tobytes() == simplex.densify(prog).tobytes()
-        assert simplex._Internal(prog).A is prog.block
+        own = simplex.Layout(prog)
+        assert prog.layout.A.tobytes() == own.A.tobytes()
+        assert (prog.layout.names, prog.layout.index) == (own.names, own.index)
+        assert simplex._State(prog, prog.layout).A is prog.layout.A
         carried = dense_form(prog)
-        block, prog.block = prog.block, None
+        layout, prog.layout = prog.layout, None
         assert dense_form(prog) == carried
-        prog.block = block
+        prog.layout = layout
 
 
 def layout_cases():
@@ -399,29 +401,29 @@ def test_block_equals_each_programs_own_densify(name):
     progs = grid_programs(net, series, caps)
     check_blocks(progs)
     if name == "layouts":  # three column layouts, three blocks
-        assert len({id(prog.block) for prog in progs}) == 3
+        assert len({id(prog.layout) for prog in progs}) == 3
         assert Grid(net).crash_start(series[0]) is None
         # line 2-3 carries two thirds of bus 3's export to bus 2 and binds at 0.6
         loads = [solve_opf_hour(valid_hour(net, data)).p_l_mw for data in series]
         assert loads == [{3: 0.0}, {3: 1.0}, {2: pytest.approx(0.9)}]
     else:  # every hour of a series shares its layout's block
-        assert all(prog.block is progs[0].block for prog in progs)
+        assert all(prog.layout is progs[0].layout for prog in progs)
 
 
 def test_built_programs_stay_independent():
     scenario = generate_scenario(ScenarioSpec(seed=7, line_limit_case="finite"))
     progs = grid_programs(scenario.network, scenario.hours, (PriceCap(3, 70.0),))
     edited, other = progs[16], progs[17]
-    assert edited.block is other.block
-    text, block, solved = to_lp_format(other), other.block.tobytes(), solve(other)
+    assert edited.layout is other.layout
+    text, block, solved = to_lp_format(other), other.layout.A.tobytes(), solve(other)
     # the perturbation oracles.oracle_row_dual makes, then a row and a column
     edited.rows["flow_hi_2_3"].rhs += 1e-5
     edited.add_column("pg_extra", 0.0, 0.5, objective=-20.0)
     edited.add_row("extra_at_3", {"pg_extra": 1.0, "pflex_3": 1.0}, "<=", 0.4)
-    assert edited.block is None
+    assert edited.layout is None
     edited.rows["balance_3"].coeffs["pg_extra"] = 1.0
     assert to_lp_format(other) == text
-    assert other.block.tobytes() == block
+    assert other.layout.A.tobytes() == block
     assert solve(other) == solved
     sol = solve(edited)
     assert sol.status == "optimal" and sol.primal["pg_extra"] == pytest.approx(0.4)
@@ -451,20 +453,48 @@ def test_network_validated_once_per_run(monkeypatch):
 def test_crash_basis_inverted_once_per_layout_per_run(monkeypatch):
     scenario = generate_scenario(ScenarioSpec(seed=7, line_limit_case="finite"))
     inverted, solved = [], []
-    start_inverse, solve_program = simplex.start_inverse, simplex.solve_program
-    monkeypatch.setattr(simplex, "start_inverse",
-                        lambda prog: inverted.append(tuple(prog.columns)) or start_inverse(prog))
-    monkeypatch.setattr(simplex, "solve_program",
-                        lambda prog: solved.append(prog) or solve_program(prog))
+    inverse, solve_program = simplex._inverse, simplex.solve_program
+    monkeypatch.setattr(simplex, "_inverse", lambda B: inverted.append(B.tobytes()) or inverse(B))
+
+    def recording(prog):
+        before = len(inverted)
+        sol = solve_program(prog)
+        solved.append((prog, inverted[before:]))  # the matrices this solve inverted
+        return sol
+
+    monkeypatch.setattr(simplex, "solve_program", recording)
     cap = PriceCap(3, 70.0)
     first = run_hedge(scenario.network, scenario.hours, cap)
     pass1, pass2 = solved[:24], solved[24:]
-    assert inverted == [tuple(pass1[0].columns)]
-    assert all(prog.start_inverse is pass1[0].start_inverse is not None for prog in pass1)
-    assert pass2 and all(prog.start_inverse is None for prog in pass2)  # warm starts
+    layout = pass1[0][0].layout
+    crash = layout.A[:, [layout.index[name] for name in layout.crash[0]]].tobytes()
+    assert [made for _, made in pass1] == [[crash]] + [[]] * 23
+    assert all(prog.layout is layout and prog.start == layout.crash for prog, _ in pass1)
+    assert pass2 and all(prog.start != prog.layout.crash for prog, _ in pass2)  # warm starts
     # each run compiles its own grid: nothing is kept between runs
+    solved.clear()
     assert run_hedge(scenario.network, scenario.hours, cap) == first
-    assert inverted == [tuple(pass1[0].columns)] * 2
+    assert [made for _, made in solved[:24]] == [[crash]] + [[]] * 23
+
+
+@pytest.mark.parametrize("n_buses", [10, 30])
+def test_a_crash_started_program_given_another_start_solves_as_a_fresh_one(n_buses):
+    # the layout's crash B^-1 serves a start only while it is the crash basis:
+    # a program moved from it to its hour's optimal basis inverts that basis
+    from test_mesh_oracle import seeded_mesh  # it imports test_hedging
+
+    net, hours, _ = seeded_mesh(n_buses, 1)
+    grid = Grid(net)
+    for hour in grid.hours(hours):
+        prog = build_opf(hour)
+        prog.start = prog.layout.crash
+        crashed = solve(prog)
+        prog.start = (crashed.basis, crashed.nonbasic_at_upper)
+        fresh = build_opf(hour)
+        fresh.start, fresh.layout = prog.start, None  # that start alone
+        sol = solve(prog)
+        assert sol == solve(fresh), hour.data.hour
+        assert verify_kkt(prog, sol).within(1e-6), hour.data.hour
 
 
 def tight_cases():
@@ -502,7 +532,7 @@ def test_artificial_of_sign_minus_one_negates_its_row_of_the_inverse(monkeypatch
     grid = Grid(net)
     for hour in grid.hours(hours, (cap,)):
         prog = build_opf(hour)
-        grid.start_at_crash(prog, hour.data)
+        prog.start = grid.crash_start(hour.data)
         assert solve(prog).status == "optimal"
     assert negated.count(True) == 24
 
