@@ -13,12 +13,15 @@ variable would change the prices.
 A study compiles its network once into a ``Grid``, the one place an input is
 checked: ``Grid.hours`` raises every problem of the network, the caps and the
 hours or returns each hour as a ``ValidHour``, the one hour type, which
-``build_opf``, ``capped_dual`` and ``solve_opf_hour`` take unchecked.  Each
-program carries the record of its column layout (``LinearProgram.layout``),
-set by the buses of its offers, utilities and caps and built once per grid:
-its dense constraint matrix, names and crash basis, whose inverse the first
-crash-started solve computes for every later one.  So a solve reads only the
-hour's right-hand sides, bounds and costs.
+``build_opf``, ``capped_dual`` and ``solve_opf_hour`` take unchecked.  The
+grid compiles, once per study, every name and row an hour needs and, per
+column layout (the buses of an hour's offers, utilities and caps), its column
+names, balance rows and ``simplex.Layout`` (``Grid.template``): the dense
+matrix, names and crash basis, whose inverse the first solve on that basis
+computes for every later start on it.  So ``build_opf`` only adds the hour's
+columns and copies the compiled rows through ``LinearProgram.add_column``
+and ``add_row``, ``solve_opf_hour`` reads each value by a compiled name, and
+a solve reads only the hour's right-hand sides, bounds and costs.
 
 ``capped_dual`` builds the paper's side of the same hour: the dual of the
 program without flexibility, with the price at each capped bus bounded.
@@ -85,30 +88,37 @@ def price_paid_by_load(sol: LpSolution, balance_row: str) -> float:
 
 class Grid:
     """A network validated and compiled once per study: ``validate_network``'s
-    ``problems`` and, if valid, each bus's angle terms (accumulated in line
-    order), the line-limit rows and each column layout's ``simplex.Layout``
-    (``layout``)."""
+    ``problems`` and, if valid, every name and row an hour needs.  Per bus, in
+    bus order, its angle column (``theta``), its balance row (``balance``) and
+    the angle terms of that row (accumulated in line order); the angle
+    reference row; the line-limit rows; and per line a readout record
+    (``lines``: key, end buses, reactance and its limit rows' names, or None).
+    ``layouts`` holds each column layout's ``_Template`` (``template``)."""
 
     def __init__(self, net: Network):
         self.net, self.problems = net, validate_network(net)
-        self.layouts = {}
+        self.layouts: dict[tuple, _Template] = {}
         if self.problems:
             return
-        self.terms: dict[str, dict[str, float]] = {_column("theta", b.id): {} for b in net.buses}
-        self.limits = []
+        self.theta = {b.id: _column("theta", b.id) for b in net.buses}
+        self.balance = {b.id: f"balance_{b.id}" for b in net.buses}
+        self.terms: dict[str, dict[str, float]] = {name: {} for name in self.theta.values()}
+        self.limits, self.lines = [], []
         for line in net.lines:
             b = 1.0 / line.reactance_pu
-            theta_from = _column("theta", line.from_bus)
-            theta_to = _column("theta", line.to_bus)
+            theta_from, theta_to = self.theta[line.from_bus], self.theta[line.to_bus]
             for theta_i, theta_j in ((theta_from, theta_to), (theta_to, theta_from)):
                 coeffs = self.terms[theta_i]
                 coeffs[theta_i] = coeffs.get(theta_i, 0.0) - b
                 coeffs[theta_j] = coeffs.get(theta_j, 0.0) + b
+            rows = None
             if line.flow_limit_mw != INF:
-                self.limits.append((f"{line.from_bus}_{line.to_bus}",
-                                    {theta_from: b, theta_to: -b}, line.flow_limit_mw))
-        self.slacks = tuple(f"slack:flow_{side}_{key}"
-                            for key, _, _ in self.limits for side in ("hi", "lo"))
+                key = f"{line.from_bus}_{line.to_bus}"
+                rows = f"flow_hi_{key}", f"flow_lo_{key}"
+                self.limits.append((*rows, {theta_from: b, theta_to: -b}, line.flow_limit_mw))
+            self.lines.append((line.key, line.from_bus, line.to_bus, line.reactance_pu, rows))
+        self.angle_ref = {self.theta[net.slack_bus()]: 1.0}
+        self.slacks = tuple(f"slack:{row}" for hi, lo, _, _ in self.limits for row in (hi, lo))
 
     def problems_of(self, series, caps=()) -> list[str]:
         """Every problem of the network, of each cap on its own and of each
@@ -142,17 +152,42 @@ class Grid:
         if not buses:
             return None
         bus = self.net.slack_bus()
-        return tuple(self.terms) + (_column("pg", bus if bus in buses else buses[0]),) + \
+        return tuple(self.theta.values()) + (_column("pg", bus if bus in buses else buses[0]),) + \
             self.slacks, ()
 
-    def layout(self, prog: LinearProgram, data: HourlyMarketData):
-        """``build_opf``'s program's ``simplex.Layout``, with the crash basis
-        of ``data`` (``crash_start``), once per column layout."""
-        key = tuple(prog.columns)
+    def template(self, hour: ValidHour) -> _Template:
+        """The ``_Template`` of ``hour``'s column layout, set by the buses of
+        its offers, utilities and caps; compiled on first use."""
+        key = (tuple(offer.bus for offer in hour.data.offers),
+               tuple(util.bus for util in hour.data.utilities),
+               tuple(cap.bus for cap in hour.caps))
         if key not in self.layouts:
-            from .simplex import Layout  # numpy, like lp.solve, loads on a first solve
-            self.layouts[key] = Layout(prog, self.crash_start(data))
+            self.layouts[key] = _Template(self, *key)
         return self.layouts[key]
+
+
+class _Template:
+    """One column layout of a grid: the names of its offer, utility and
+    flexibility columns (``pg``, ``pl``, ``pflex``), each bus's balance row
+    with its coefficients (``rows``), and the ``simplex.Layout`` its first
+    program sets (``layout``)."""
+
+    def __init__(self, grid: Grid, offers, utilities, caps):
+        self.pg = tuple(_column("pg", bus) for bus in offers)
+        self.pl = tuple(_column("pl", bus) for bus in utilities)
+        self.pflex = tuple(_column("pflex", bus) for bus in caps)
+        self.rows = []
+        for bus, row in grid.balance.items():
+            coeffs: dict[str, float] = {}
+            if bus in offers:
+                coeffs[_column("pg", bus)] = 1.0
+            if bus in utilities:
+                coeffs[_column("pl", bus)] = -1.0
+            if bus in caps:
+                coeffs[_column("pflex", bus)] = 1.0
+            coeffs.update(grid.terms[grid.theta[bus]])
+            self.rows.append((row, coeffs))
+        self.layout = None
 
 
 @dataclass(frozen=True)
@@ -166,48 +201,36 @@ class ValidHour:
 
 def build_opf(hour: ValidHour) -> LinearProgram:
     """Assemble the hour's LP: balance rows, angle reference, line-limit pairs,
-    over the record of its column layout (``Grid.layout``)."""
+    copied from its grid's compiled rows, over the record of its column
+    layout (``Grid.template``)."""
     grid, data = hour.grid, hour.data
+    template = grid.template(hour)
     prog = LinearProgram("maximize", name=f"opf_h{data.hour}")
     constant = 0.0
 
-    for bus in grid.net.buses:
-        prog.add_column(_column("theta", bus.id), -INF, INF)
-
-    for offer in data.offers:
-        prog.add_column(_column("pg", offer.bus), 0.0, offer.capacity_mw,
-                        objective=-offer.marginal_cost)
+    for name in grid.theta.values():
+        prog.add_column(name, -INF, INF)
+    for name, offer in zip(template.pg, data.offers):
+        prog.add_column(name, 0.0, offer.capacity_mw, objective=-offer.marginal_cost)
         constant -= offer.constant_cost
-    for util in data.utilities:
-        prog.add_column(_column("pl", util.bus), util.p_min_mw, util.p_max_mw,
-                        objective=util.marginal_utility)
+    for name, util in zip(template.pl, data.utilities):
+        prog.add_column(name, util.p_min_mw, util.p_max_mw, objective=util.marginal_utility)
         constant += util.constant_utility
-    for cap in hour.caps:
-        prog.add_column(_column("pflex", cap.bus), 0.0, INF,
-                        objective=-cap.cap_for_hour(data.hour))
+    for name, cap in zip(template.pflex, hour.caps):
+        prog.add_column(name, 0.0, INF, objective=-cap.cap_for_hour(data.hour))
 
-    offer_buses = {offer.bus for offer in data.offers}
-    utility_buses = {util.bus for util in data.utilities}
-    flex_buses = {cap.bus for cap in hour.caps}
-    for bus, bus_terms in zip(grid.net.buses, grid.terms.values()):
-        coeffs: dict[str, float] = {}
-        if bus.id in offer_buses:
-            coeffs[_column("pg", bus.id)] = 1.0
-        if bus.id in utility_buses:
-            coeffs[_column("pl", bus.id)] = -1.0
-        if bus.id in flex_buses:
-            coeffs[_column("pflex", bus.id)] = 1.0
-        coeffs.update(bus_terms)
-        prog.add_row(f"balance_{bus.id}", coeffs, "=", 0.0)
-
-    prog.add_row("angle_ref", {_column("theta", grid.net.slack_bus()): 1.0}, "=", 0.0)
-
-    for key, coeffs, limit in grid.limits:
-        prog.add_row(f"flow_hi_{key}", coeffs, "<=", limit)
-        prog.add_row(f"flow_lo_{key}", coeffs, ">=", -limit)
+    for name, coeffs in template.rows:
+        prog.add_row(name, coeffs, "=", 0.0)
+    prog.add_row("angle_ref", grid.angle_ref, "=", 0.0)
+    for hi, lo, coeffs, limit in grid.limits:
+        prog.add_row(hi, coeffs, "<=", limit)
+        prog.add_row(lo, coeffs, ">=", -limit)
 
     prog.constant = constant
-    prog.layout = grid.layout(prog, data)
+    if template.layout is None:
+        from .simplex import Layout  # numpy, like lp.solve, loads on a first solve
+        template.layout = Layout(prog, grid.crash_start(data))
+    prog.layout = template.layout
     return prog
 
 
@@ -237,35 +260,23 @@ def solve_opf_hour(hour: ValidHour, start=None) -> DispatchResult:
     if sol.status != "optimal":
         raise ValueError(f"hour {hour.data.hour}: solver returned {sol.status}")
 
-    net, data = hour.grid.net, hour.data
-    theta = {b.id: sol.primal[_column("theta", b.id)] for b in net.buses}
-    p_g = {o.bus: sol.primal[_column("pg", o.bus)] for o in data.offers}
-    p_l = {u.bus: sol.primal[_column("pl", u.bus)] for u in data.utilities}
-    lmp = {b.id: price_paid_by_load(sol, f"balance_{b.id}") for b in net.buses}
-
-    flows = {}
-    congestion = {}
-    for line in net.lines:
-        flow = (theta[line.from_bus] - theta[line.to_bus]) / line.reactance_pu
-        flows[line.key] = flow
-        if line.flow_limit_mw == INF:
-            congestion[line.key] = 0.0
-        else:
-            mu_hi = dual_of(sol, f"flow_hi_{line.from_bus}_{line.to_bus}")
-            mu_lo = dual_of(sol, f"flow_lo_{line.from_bus}_{line.to_bus}")
-            congestion[line.key] = mu_hi - mu_lo
-
-    flex = {c.bus: sol.primal[_column("pflex", c.bus)] for c in hour.caps}
+    grid, data, primal, duals = hour.grid, hour.data, sol.primal, sol.duals
+    template = grid.template(hour)
+    theta = {bus: primal[name] for bus, name in grid.theta.items()}
+    flows, congestion = {}, {}
+    for key, from_bus, to_bus, reactance, rows in grid.lines:
+        flows[key] = (theta[from_bus] - theta[to_bus]) / reactance
+        congestion[key] = 0.0 if rows is None else duals[rows[0]] - duals[rows[1]]
 
     return DispatchResult(
         hour=data.hour,
-        p_g_mw=p_g,
-        p_l_mw=p_l,
+        p_g_mw={offer.bus: primal[name] for offer, name in zip(data.offers, template.pg)},
+        p_l_mw={util.bus: primal[name] for util, name in zip(data.utilities, template.pl)},
         theta_rad=theta,
-        lmp_eur_mwh=lmp,
+        lmp_eur_mwh={bus: price_paid_by_load(sol, row) for bus, row in grid.balance.items()},
         flow_mw=flows,
         congestion_dual_eur_mwh=congestion,
-        p_flexreq_mw=flex,
+        p_flexreq_mw={cap.bus: primal[name] for cap, name in zip(hour.caps, template.pflex)},
         objective_eur=sol.objective_value,
         basis=(sol.basis, sol.nonbasic_at_upper),
         degenerate=sol.degenerate,

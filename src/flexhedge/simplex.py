@@ -12,13 +12,14 @@ one ``_State``, which ``solution_from_basis`` and ``cost_range`` build too.
 Every solve starts from a basis and the bounds the other columns rest at:
 the program's ``LinearProgram.start`` if it has one, else the slack basis
 with every other column at a finite bound.  One routine (``_start``) inverts
-the basis, unless the start is its layout's crash basis (``Layout.crash``),
-whose inverse the layout keeps, and computes the basic values as ``B^-1``
-times the right-hand side; each basic slack that breaks its bounds rests at
-the violated bound instead and a signed artificial column carries the gap in
-its row, one of sign -1 negating that row of ``B^-1``.  A first phase
-minimizes the artificials' sum; the second phase optimizes the true
-objective from the feasible basis.  A start falls back to the slack basis
+the basis, unless the start's basis is its layout's crash basis
+(``Layout.crash``), whose inverse the layout keeps for any start on that
+basis, whatever columns rest at their upper bound, and computes the basic
+values as ``B^-1`` times the right-hand side; each basic slack that breaks
+its bounds rests at the violated bound instead and a signed artificial
+column carries the gap in its row, one of sign -1 negating that row of
+``B^-1``.  A first phase minimizes the artificials' sum; the second phase
+optimizes the true objective from the feasible basis.  A start falls back to the slack basis
 when it names a column or slack the program lacks (an ``artificial:`` entry
 included), is singular (a basis of the wrong size included), rests a column
 at an infinite bound or puts a basic structural column out of bounds; and
@@ -34,8 +35,11 @@ magnitude for a free nonbasic column.  Dantzig's rule alone can cycle on
 degenerate pivots, so after ``_BLAND_AFTER`` consecutive pivots that leave
 the basic values where they were, pricing turns to the lowest eligible index
 (Bland 1977) until a pivot moves them again; Bland's rule cannot cycle, so
-the iteration cap is only a circuit breaker.  The ratio test breaks ties by
-the lowest basic column index.
+the iteration cap is only a circuit breaker.  The ratio test takes each
+candidate's step as ``(x_B - bound) / delta``, signed so that it equals the
+gap over ``|delta|`` bit for bit, and breaks ties by the lowest basic column
+index.  A bound flip keeps the basis, so it keeps the reduced costs too: only
+the flipped column's merit changes sign.
 
 Each solve inverts its start basis once; phase 2 continues phase 1's
 ``B^-1`` (inverting afresh only where phase 1's end swapped an artificial
@@ -255,39 +259,44 @@ def _iterate(st: _State, cost: np.ndarray) -> str:
     on with phase 1's ``B^-1``.  ``B^-1`` is inverted afresh (and basic values
     recomputed in full) once ``st.pivots`` reaches ``_REFACTOR_EVERY``; in
     between, each pivot applies a rank-1 update and basic values move by the
-    step taken.  The basic columns' costs, bounds and values ``x_B`` follow
-    each pivot in basis order; ``x_B`` is written back to ``st.x`` before each
-    return, raise and inversion.  ``sign`` prices each column and follows each
-    pivot and bound flip: -1 for a nonbasic column at its lower bound, +1 at
-    its upper, 0 for basic and fixed ones.  A column improves where
-    ``d * sign`` exceeds ``PIVOT_TOL``; the free nonbasic columns, ``free``,
-    price by ``|d|`` and leave that list when they enter.
+    step taken.  The basic columns' costs, bounds, finite-bound masks and
+    values ``x_B`` follow each pivot in basis order; ``x_B`` is written back
+    to ``st.x`` before each return, raise and inversion.  ``sign`` prices
+    each column and follows each pivot and bound flip: -1 for a nonbasic
+    column at its lower bound, +1 at its upper, 0 for basic and fixed ones.
+    A column improves where ``d * sign`` exceeds ``PIVOT_TOL``; the free
+    nonbasic columns, ``free``, price by ``|d|`` and leave that list when
+    they enter.  A bound flip leaves the basis, ``c_B`` and ``B^-1`` as they
+    were, so ``d`` and the merits stand, the flipped column's merit negated
+    with its sign.
     """
     A, lo, up = st.A, st.lo, st.up
     basis = np.array(st.basis, dtype=np.intp)
     c_B, lo_B, up_B, x_B = cost[basis], lo[basis], up[basis], st.x[basis]
-    movable = lo != up
+    has_lo, has_up, movable = lo > -INF, up < INF, lo != up
+    has_lo_B, has_up_B = has_lo[basis], has_up[basis]
     sign = np.where(st.at_upper, 1.0, -1.0) * (movable & ~st.in_basis)
-    free = ((lo == -INF) & (up == INF) & ~st.in_basis).nonzero()[0]
+    free = (~has_lo & ~has_up & ~st.in_basis).nonzero()[0]
     stalled = 0  # consecutive pivots that left the basic values where they were
+    d = None  # the reduced costs, None once a pivot changes the basis
     while True:
         if st.iterations >= MAX_ITERATIONS:
             st.x[basis] = x_B
             raise SolverFailureError(f"iteration cap {MAX_ITERATIONS} exceeded")
         st.iterations += 1
 
-        if st.pivots == _REFACTOR_EVERY:
-            st.x[basis] = x_B
-            st.reinvert()
-            x_B = st.x[basis]
-        Binv = st.Binv
+        if d is None:
+            if st.pivots == _REFACTOR_EVERY:
+                st.x[basis] = x_B
+                st.reinvert()
+                x_B = st.x[basis]
+            Binv = st.Binv
+            d = cost - (c_B @ Binv) @ A
+            # merit > PIVOT_TOL: a nonbasic column whose move from its bound improves
+            merit = d * sign
+            if free.size:
+                merit[free] = np.abs(d[free])
 
-        d = cost - (c_B @ Binv) @ A
-
-        # merit > PIVOT_TOL: a nonbasic column whose move from its bound improves
-        merit = d * sign
-        if free.size:
-            merit[free] = np.abs(d[free])
         entering = int(merit.argmax())  # Dantzig: largest |d|, ties to the lowest index
         if stalled >= _BLAND_AFTER or not merit[entering] > PIVOT_TOL:
             eligible = merit > PIVOT_TOL  # NaN never enters
@@ -299,17 +308,18 @@ def _iterate(st: _State, cost: np.ndarray) -> str:
         direction = 1.0 if d[entering] < -PIVOT_TOL else -1.0
 
         w = Binv @ A[:, entering]
-        delta = direction * w
+        delta = w if direction > 0 else -w  # direction * w, bit for bit
 
         t_flip = INF
-        if lo[entering] > -INF and up[entering] < INF:
+        if has_lo[entering] and has_up[entering]:
             t_flip = up[entering] - lo[entering]
 
-        falling = (delta > PIVOT_TOL) & (lo_B > -INF)
-        rising = (delta < -PIVOT_TOL) & (up_B < INF)
-        candidates = (falling | rising).nonzero()[0]
-        gaps = np.where(falling, x_B - lo_B, up_B - x_B)[candidates]
-        steps = np.maximum(0.0, gaps / np.abs(delta[candidates]))
+        # a basic column falls to its lower bound or rises to its upper; the
+        # signed step (x_B - bound) / delta is |gap| / |delta| bit for bit
+        falling = (delta > PIVOT_TOL) & has_lo_B
+        candidates = (falling | (delta < -PIVOT_TOL) & has_up_B).nonzero()[0]
+        steps = np.maximum(0.0, (x_B - np.where(falling, lo_B, up_B))[candidates]
+                           / delta[candidates])
 
         # sequential ratio test: ties within _RATIO_TIE go to the lowest basic index
         t_best = INF
@@ -324,11 +334,12 @@ def _iterate(st: _State, cost: np.ndarray) -> str:
             st.x[basis] = x_B
             return "unbounded"
 
-        if t_flip <= t_best:
+        if t_flip <= t_best:  # the basis stays, and so do its prices
             x_B -= t_flip * delta
             st.at_upper[entering] = not st.at_upper[entering]
             st.x[entering] = st.nonbasic_value(entering)
             sign[entering] = -sign[entering]
+            merit[entering] = -merit[entering]
             stalled = 0
             continue
 
@@ -342,17 +353,18 @@ def _iterate(st: _State, cost: np.ndarray) -> str:
         st.basis[leave_pos] = entering
         basis[leave_pos] = entering
         st.in_basis[entering] = True
-        c_B[leave_pos], lo_B[leave_pos] = cost[entering], lo[entering]
-        up_B[leave_pos] = up[entering]
+        c_B[leave_pos], lo_B[leave_pos], up_B[leave_pos] = cost[entering], lo[entering], up[entering]
+        has_lo_B[leave_pos], has_up_B[leave_pos] = has_lo[entering], has_up[entering]
         sign[bi] = (1.0 if st.at_upper[bi] else -1.0) if movable[bi] else 0.0
         sign[entering] = 0.0
         if free.size:
             free = free[free != entering]
 
         pivot_row = Binv[leave_pos] / w[leave_pos]
-        Binv -= w[:, None] * pivot_row
+        Binv -= np.einsum("i,j->ij", w, pivot_row)
         Binv[leave_pos] = pivot_row
         st.pivots += 1
+        d = None
 
 
 def _expel_artificials(st: _State) -> bool:
@@ -462,8 +474,8 @@ def solve_program(lp: LinearProgram) -> LpSolution:
         except KeyError:  # unknown column or slack, artificials included
             st = None
         else:
-            if lp.start == layout.crash and layout.crash_inverse is not None:
-                st.Binv = layout.crash_inverse.copy()
+            if layout.crash and lp.start[0] == layout.crash[0] and layout.crash_inverse is not None:
+                st.Binv = layout.crash_inverse.copy()  # B^-1 depends on the basis alone
             st = _start(st)
         if st is not None:
             sol = _solve_from(st)

@@ -6,7 +6,9 @@ every size-completing subset of inequality rows and finite bounds), and duals
 come from central finite differences of the enumerated optimum with respect to
 a row's right-hand side.
 
-``valid_hour`` is the one way a test builds a single OPF hour.
+``valid_hour`` is the one way a test builds a single OPF hour, and
+``reference_opf`` builds its program the plain way, to compare with
+``build_opf``.
 """
 
 from __future__ import annotations
@@ -25,6 +27,55 @@ OPT_TIE_TOL = 1e-7
 def valid_hour(net, data, caps=()) -> ValidHour:
     """``data`` with ``caps`` over ``net`` compiled on its own, checked."""
     return Grid(net).hours((data,), caps)[0]
+
+
+def reference_opf(hour: ValidHour) -> LinearProgram:
+    """``build_opf(hour)``'s program as a loop of ``add_column``/``add_row``
+    calls over names formatted afresh: no compiled row, no layout record."""
+    net, data = hour.grid.net, hour.data
+    prog = LinearProgram("maximize", name=f"opf_h{data.hour}")
+    constant = 0.0
+    for bus in net.buses:
+        prog.add_column(f"theta_{bus.id}", -INF, INF)
+    for offer in data.offers:
+        prog.add_column(f"pg_{offer.bus}", 0.0, offer.capacity_mw, objective=-offer.marginal_cost)
+        constant -= offer.constant_cost
+    for util in data.utilities:
+        prog.add_column(f"pl_{util.bus}", util.p_min_mw, util.p_max_mw,
+                        objective=util.marginal_utility)
+        constant += util.constant_utility
+    for cap in hour.caps:
+        prog.add_column(f"pflex_{cap.bus}", 0.0, INF, objective=-cap.cap_for_hour(data.hour))
+
+    terms = {bus.id: {} for bus in net.buses}
+    for line in net.lines:
+        b = 1.0 / line.reactance_pu
+        for i, j in ((line.from_bus, line.to_bus), (line.to_bus, line.from_bus)):
+            terms[i][f"theta_{i}"] = terms[i].get(f"theta_{i}", 0.0) - b
+            terms[i][f"theta_{j}"] = terms[i].get(f"theta_{j}", 0.0) + b
+    offer_buses = {offer.bus for offer in data.offers}
+    utility_buses = {util.bus for util in data.utilities}
+    flex_buses = {cap.bus for cap in hour.caps}
+    for bus in net.buses:
+        coeffs = {}
+        if bus.id in offer_buses:
+            coeffs[f"pg_{bus.id}"] = 1.0
+        if bus.id in utility_buses:
+            coeffs[f"pl_{bus.id}"] = -1.0
+        if bus.id in flex_buses:
+            coeffs[f"pflex_{bus.id}"] = 1.0
+        coeffs.update(terms[bus.id])
+        prog.add_row(f"balance_{bus.id}", coeffs, "=", 0.0)
+    prog.add_row("angle_ref", {f"theta_{net.slack_bus()}": 1.0}, "=", 0.0)
+    for line in net.lines:
+        if line.flow_limit_mw != INF:
+            b = 1.0 / line.reactance_pu
+            coeffs = {f"theta_{line.from_bus}": b, f"theta_{line.to_bus}": -b}
+            key = f"{line.from_bus}_{line.to_bus}"
+            prog.add_row(f"flow_hi_{key}", coeffs, "<=", line.flow_limit_mw)
+            prog.add_row(f"flow_lo_{key}", coeffs, ">=", -line.flow_limit_mw)
+    prog.constant = constant
+    return prog
 
 
 def _constraint_table(lp: LinearProgram):

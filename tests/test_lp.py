@@ -222,6 +222,21 @@ def test_bound_flip_path():
     assert verify_kkt(lp, sol).within(1e-6)
 
 
+def test_consecutive_bound_flips_keep_the_prices():
+    # x and y flip to their upper bounds back to back on one basis's prices,
+    # then z enters and the row's slack leaves
+    lp = LinearProgram("maximize")
+    for name, objective in (("x", 3.0), ("y", 2.0), ("z", 1.0)):
+        lp.add_column(name, 0.0, 1.0, objective=objective)
+    lp.add_row("r", {"x": 1.0, "y": 1.0, "z": 1.0}, "<=", 2.5)
+    sol = solve(lp)
+    assert sol.iterations == 4  # flip x, flip y, pivot z in, final pricing
+    assert sol.basis == ("z",)
+    assert sol.nonbasic_at_upper == ("x", "y")
+    assert sol.primal["z"] == 0.5
+    assert verify_kkt(lp, sol).within(1e-6)
+
+
 def test_constant_term_shifts_objective_only():
     lp = ed_lp(a=50.0, b=90.0)
     base = solve(lp)

@@ -33,7 +33,7 @@ from flexhedge.opf import (
 )
 from flexhedge.scenario import ScenarioSpec, generate_scenario
 
-from oracles import brute_force_optimum, oracle_row_dual, valid_hour
+from oracles import brute_force_optimum, oracle_row_dual, reference_opf, valid_hour
 
 INF = math.inf
 
@@ -410,6 +410,41 @@ def test_block_equals_each_programs_own_densify(name):
         assert all(prog.layout is progs[0].layout for prog in progs)
 
 
+def program_parts(prog):
+    """A program's parts in order, floats by ``repr``: sense and name, each
+    column with its bounds and cost, each row with its coefficients, the
+    constant, and its LP text."""
+    rows = [(row.name, list(row.coeffs.items()), row.relation, row.rhs)
+            for row in prog.rows.values()]
+    return repr((prog.sense, prog.name, list(prog.columns.values()), rows,
+                 prog.constant)), to_lp_format(prog)
+
+
+@pytest.mark.parametrize("name", ["paper-3bus-1-infinite", "paper-3bus-1-finite",
+                                  "paper-3bus-7-infinite", "paper-3bus-7-finite",
+                                  "mesh10", "mesh30", "layouts"])
+def test_build_opf_matches_the_reference_builder(name):
+    # one grid builds every hour with and without the cap, interleaved, so a
+    # layout's compiled rows would show in the other's programs
+    if name.startswith("paper-3bus"):
+        _, seed, case = name.rsplit("-", 2)
+        scenario = generate_scenario(ScenarioSpec(seed=int(seed), line_limit_case=case))
+        net, series, caps = scenario.network, scenario.hours, (PriceCap(3, 70.0),)
+    elif name == "layouts":
+        net, series, _ = layout_cases()[name]
+        caps = ()
+    else:
+        from test_mesh_oracle import seeded_mesh  # it imports test_hedging
+
+        net, series, cap = seeded_mesh(int(name[4:]), 1)
+        caps = (cap,)
+    grid = Grid(net)
+    for pair in zip(grid.hours(series), grid.hours(series, caps)):
+        for hour in pair:
+            assert program_parts(build_opf(hour)) == program_parts(reference_opf(hour)), \
+                (hour.data.hour, hour.caps)
+
+
 def test_built_programs_stay_independent():
     scenario = generate_scenario(ScenarioSpec(seed=7, line_limit_case="finite"))
     progs = grid_programs(scenario.network, scenario.hours, (PriceCap(3, 70.0),))
@@ -475,6 +510,20 @@ def test_crash_basis_inverted_once_per_layout_per_run(monkeypatch):
     solved.clear()
     assert run_hedge(scenario.network, scenario.hours, cap) == first
     assert [made for _, made in solved[:24]] == [[crash]] + [[]] * 23
+
+
+def test_crash_inverse_serves_every_start_on_the_crash_basis(monkeypatch):
+    # B^-1 depends on the basis alone: a pass-2 start on the crash basis with
+    # columns resting at their upper bound uses its layout's stored inverse,
+    # so the crash matrix is inverted once per layout, pass 1's and pass 2's
+    scenario = generate_scenario(ScenarioSpec(seed=7, line_limit_case="finite"))
+    inverted = []
+    inverse = simplex._inverse
+    monkeypatch.setattr(simplex, "_inverse", lambda B: inverted.append(B.tobytes()) or inverse(B))
+    run_hedge(scenario.network, scenario.hours, PriceCap(3, 70.0))
+    layout = build_opf(Grid(scenario.network).hours(scenario.hours)[0]).layout
+    crash = layout.A[:, [layout.index[name] for name in layout.crash[0]]].tobytes()
+    assert inverted.count(crash) == 2
 
 
 @pytest.mark.parametrize("n_buses", [10, 30])
