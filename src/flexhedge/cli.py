@@ -1,10 +1,10 @@
 """Batch front-end: run hedging studies, cap sweeps, and input validation.
 
 Artifacts are plot-ready CSV/JSON series written atomically into the output
-directory; nothing interactive.  A config file (same sectioned text format as
-scenario files, ``key = value`` lines) can stand in for command-line flags;
-flags win on conflict.  The only environment variable honored is
-``FLEXHEDGE_OUT`` (default output directory).
+directory; nothing interactive.  A config file (``key = value`` lines in the
+sectioned format of scenario files; ``scenario.read_sections`` reads both)
+can stand in for command-line flags; flags win on conflict.  The only
+environment variable honored is ``FLEXHEDGE_OUT`` (default output directory).
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from .scenario import (
     generate_scenario,
     load_scenario_file,
     preset_spec,
+    read_sections,
 )
 
 DEFAULT_OUT = "flexhedge-out"
@@ -94,19 +95,11 @@ def _parse_line_limits(pairs: list[str]) -> dict[tuple[int, int], float]:
 
 def _load_config_file(path: str) -> dict[str, dict[str, str]]:
     sections: dict[str, dict[str, str]] = {}
-    current = None
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        text = raw.split("#", 1)[0].strip()
-        if not text:
-            continue
-        if text.startswith("[") and text.endswith("]"):
-            current = text[1:-1]
-            sections.setdefault(current, {})
-            continue
-        if current is None or "=" not in text:
+    for lineno, section, text in read_sections(Path(path).read_text().splitlines()):
+        if section is None or "=" not in text:
             raise ScenarioError(f"config line {lineno}: expected 'key = value' inside a section")
         key, value = text.split("=", 1)
-        sections[current][key.strip()] = value.strip()
+        sections.setdefault(section, {})[key.strip()] = value.strip()
     return sections
 
 

@@ -202,7 +202,9 @@ def sweep_pi_des(net: Network, series, bus: int, pi_values,
     only where a cap leaves the interval of pi of the hour's last pass-2 basis.
 
     Before any solve it raises ValueError listing every problem of ``net``,
-    the caps and the hours (``Grid.problems_of``), then each scenario's own.
+    the caps and the hours (``Grid.problems_of``), then each scenario's own
+    network's: line limits do not enter an hour's check, so hours are checked
+    once per study.
     """
     series, pi_values = tuple(series), [float(pi) for pi in pi_values]
     for name, values in (("pi_values", pi_values), ("scenarios", scenarios)):
@@ -218,7 +220,7 @@ def sweep_pi_des(net: Network, series, bus: int, pi_values,
             problems.append(f"scenario {label!r}: {exc}")
             continue
         if grid is not base:
-            problems += [f"scenario {label!r}: {p}" for p in grid.problems_of(series)
+            problems += [f"scenario {label!r}: {p}" for p in grid.problems_of(())
                          if p not in problems]
     if problems:
         raise ValueError("; ".join(problems))

@@ -101,7 +101,10 @@ class LinearProgram:
         self.rows[name] = _Row(name, dict(coeffs), relation, float(rhs))
 
     def validate(self) -> list[str]:
-        """Return every structural violation; empty list means well-formed."""
+        """Return every structural violation; empty list means well-formed.
+        Row coefficients are checked only without a ``layout`` whose matrix is
+        ``finite`` (a ``Grid`` compiled its rows from a checked network);
+        bounds, costs and right-hand sides on every call."""
         problems = []
         for col in self.columns.values():
             if not col.lower <= col.upper:
@@ -111,7 +114,8 @@ class LinearProgram:
             if not math.isfinite(col.objective):
                 problems.append(f"column {col.name!r}: non-finite objective {col.objective}")
         for row in self.rows.values():
-            for cname, coef in row.coeffs.items():
+            coeffs = () if self.layout and self.layout.finite else row.coeffs.items()
+            for cname, coef in coeffs:
                 if cname not in self.columns:
                     problems.append(f"row {row.name!r} references unknown column {cname!r}")
                 if not math.isfinite(coef):

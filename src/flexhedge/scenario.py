@@ -24,7 +24,6 @@ from .model import (
     Line,
     LoadUtility,
     Network,
-    UNLIMITED,
 )
 
 _MASK64 = (1 << 64) - 1
@@ -183,9 +182,7 @@ def preset_spec(name: str, case: str = "infinite", seed: int = 0) -> ScenarioSpe
 # write/load round trip reproduces values exactly.
 
 def _fmt(value: float) -> str:
-    if value == UNLIMITED:
-        return "inf"
-    return repr(float(value))
+    return repr(float(value))  # repr spells infinity inf, which float() reads back
 
 
 def write_scenario_file(net: Network, hours, fobj) -> None:
@@ -215,81 +212,63 @@ def write_scenario_file(net: Network, hours, fobj) -> None:
               f"{_fmt(u.p_min_mw)} {_fmt(u.p_max_mw)}\n")
 
 
-def _parse_float(token: str, lineno: int) -> float:
-    if token == "inf":
-        return UNLIMITED
-    try:
-        return float(token)
-    except ValueError:
-        raise ScenarioError(f"line {lineno}: not a number: {token!r}") from None
-
-
-def _parse_int(token: str, lineno: int) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise ScenarioError(f"line {lineno}: not an integer: {token!r}") from None
-
-
-def load_scenario_file(fobj) -> tuple[Network, tuple[HourlyMarketData, ...]]:
-    """Parse a scenario file; semantic validation is the caller's job."""
-    buses: list[Bus] = []
-    lines: list[Line] = []
-    offers: dict[int, list[GenOffer]] = {}
-    utilities: dict[int, list[LoadUtility]] = {}
+def read_sections(lines, known=None):
+    """Yield ``(line number, section, text)`` for each data line of a sectioned
+    text file: ``#`` starts a comment, blank lines are skipped, ``[name]`` opens
+    a section, and the section is None before the first header.  With
+    ``known``, a header outside it is an error at its line."""
     section = None
-
-    for lineno, raw in enumerate(fobj, start=1):
+    for lineno, raw in enumerate(lines, start=1):
         text = raw.split("#", 1)[0].strip()
         if not text:
             continue
         if text.startswith("[") and text.endswith("]"):
             section = text[1:-1]
-            if section not in ("buses", "lines", "offers", "utilities"):
+            if known is not None and section not in known:
                 raise ScenarioError(f"line {lineno}: unknown section [{section}]")
-            continue
+        else:
+            yield lineno, section, text
+
+
+# each section's row fields; a row outside [buses] is two integers, then floats
+_FIELDS = {"buses": "id flags", "lines": "from to reactance limit",
+           "offers": "hour bus a c capacity", "utilities": "hour bus b c min max"}
+
+
+def _parse(token: str, lineno: int, integer: bool):
+    try:
+        return int(token) if integer else float(token)
+    except ValueError:
+        kind = "an integer" if integer else "a number"
+        raise ScenarioError(f"line {lineno}: not {kind}: {token!r}") from None
+
+
+def load_scenario_file(fobj) -> tuple[Network, tuple[HourlyMarketData, ...]]:
+    """Parse a scenario file; semantic validation is the caller's job."""
+    buses: list[Bus] = []
+    rows: dict[str, list[list]] = {"lines": [], "offers": [], "utilities": []}
+    for lineno, section, text in read_sections(fobj, _FIELDS):
         if section is None:
             raise ScenarioError(f"line {lineno}: data before any section header")
         fields = text.split()
-        if section == "buses":
-            if len(fields) != 2:
-                raise ScenarioError(f"line {lineno}: [buses] rows need 'id flags'")
-            bus_id = _parse_int(fields[0], lineno)
-            flags = set() if fields[1] == "-" else set(fields[1].split(","))
-            unknown = flags - {"slack", "k"}
-            if unknown:
-                raise ScenarioError(f"line {lineno}: unknown bus flags {sorted(unknown)}")
-            buses.append(Bus(bus_id, is_slack="slack" in flags,
-                             price_constrained="k" in flags))
-        elif section == "lines":
-            if len(fields) != 4:
-                raise ScenarioError(
-                    f"line {lineno}: [lines] rows need 'from to reactance limit'")
-            lines.append(Line(_parse_int(fields[0], lineno), _parse_int(fields[1], lineno),
-                              _parse_float(fields[2], lineno),
-                              _parse_float(fields[3], lineno)))
-        elif section == "offers":
-            if len(fields) != 5:
-                raise ScenarioError(
-                    f"line {lineno}: [offers] rows need 'hour bus a c capacity'")
-            hour = _parse_int(fields[0], lineno)
-            offers.setdefault(hour, []).append(GenOffer(
-                _parse_int(fields[1], lineno), _parse_float(fields[2], lineno),
-                _parse_float(fields[3], lineno), _parse_float(fields[4], lineno)))
-        else:
-            if len(fields) != 6:
-                raise ScenarioError(
-                    f"line {lineno}: [utilities] rows need 'hour bus b c min max'")
-            hour = _parse_int(fields[0], lineno)
-            utilities.setdefault(hour, []).append(LoadUtility(
-                _parse_int(fields[1], lineno), _parse_float(fields[2], lineno),
-                _parse_float(fields[3], lineno), _parse_float(fields[4], lineno),
-                _parse_float(fields[5], lineno)))
+        if len(fields) != len(_FIELDS[section].split()):
+            raise ScenarioError(f"line {lineno}: [{section}] rows need '{_FIELDS[section]}'")
+        if section != "buses":
+            rows[section].append([_parse(token, lineno, integer=i < 2)
+                                  for i, token in enumerate(fields)])
+            continue
+        bus_id = _parse(fields[0], lineno, integer=True)
+        flags = set() if fields[1] == "-" else set(fields[1].split(","))
+        unknown = flags - {"slack", "k"}
+        if unknown:
+            raise ScenarioError(f"line {lineno}: unknown bus flags {sorted(unknown)}")
+        buses.append(Bus(bus_id, is_slack="slack" in flags, price_constrained="k" in flags))
 
     if not buses:
         raise ScenarioError("scenario file defines no buses")
-    all_hours = sorted(set(offers) | set(utilities))
-    series = tuple(HourlyMarketData(hour=h, offers=offers.get(h, []),
-                                    utilities=utilities.get(h, []))
-                   for h in all_hours)
-    return Network(buses=buses, lines=lines), series
+    by_hour: dict[int, tuple[list[GenOffer], list[LoadUtility]]] = {}
+    for section, kind, at in (("offers", GenOffer, 0), ("utilities", LoadUtility, 1)):
+        for hour, *values in rows[section]:
+            by_hour.setdefault(hour, ([], []))[at].append(kind(*values))
+    series = tuple(HourlyMarketData(h, *by_hour[h]) for h in sorted(by_hour))
+    return Network(buses=buses, lines=[Line(*values) for values in rows["lines"]]), series

@@ -394,14 +394,14 @@ def test_study_builds_once_per_solve_and_validates_once_per_hour(monkeypatch):
     validated = count_calls(monkeypatch, validate_market_data, opf)
     run_hedge(net, hours, PriceCap(3, 70.0))
     assert len(validated) == 24
-    # a sweep checks each hour once per case, builds one program per solve
+    # a sweep checks each hour once per study, builds one program per solve
     # and ranges the program it solved
     solved = count_solves(monkeypatch)
     built = count_calls(monkeypatch, build_opf, opf, hedging)
     validated.clear()
     sweep_pi_des(net, hours, 3, [float(pi) for pi in range(60, 81)],
                  {"infinite": None, "finite": {(2, 3): FINITE_LIMIT_MW}})
-    assert len(validated) == 2 * 24
+    assert len(validated) == 24
     assert len(built) == len(solved) == 87
 
 

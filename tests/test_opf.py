@@ -625,3 +625,28 @@ End
         ("pg_3", 1.0), ("theta_3", 0.0 - b23 - b31 - b34),
         ("theta_2", b23), ("theta_1", b31), ("theta_4", b34)]
     assert prog.constant == 1.0 - 2.0
+
+
+def test_compiled_rows_are_checked_once_per_network():
+    # a program on its layout skips the rows' coefficients, which a Grid
+    # compiled from a checked network; an edit drops the layout and with it
+    # that skip
+    scenario = generate_scenario(ScenarioSpec(seed=1))
+    prog = build_opf(valid_hour(scenario.network, scenario.hours[0]))
+    assert prog.layout is not None and prog.validate() == []
+    prog.add_row("extra", {"theta_2": math.nan, "ghost": 1.0}, "<=", 1.0)
+    assert prog.layout is None
+    assert prog.validate() == [
+        "row 'extra': non-finite coefficient nan on column 'theta_2'",
+        "row 'extra' references unknown column 'ghost'"]
+
+
+def test_overflowing_susceptance_sum_is_still_named():
+    # each line's susceptance is finite, but bus 1's diagonal term sums two
+    net = Network([Bus(1, is_slack=True), Bus(2), Bus(3, price_constrained=True)],
+                  [Line(1, 2, 1e-308), Line(1, 3, 1e-308)])
+    assert validate_network(net) == []
+    data = HourlyMarketData(1, [GenOffer(1, 40.0, 0.0, 5.0)], [LoadUtility(3, 60.0, 0.0, 1.0, 1.0)])
+    prog = build_opf(valid_hour(net, data))
+    assert not prog.layout.finite
+    assert prog.validate()[0] == "row 'balance_1': non-finite coefficient -inf on column 'theta_1'"

@@ -1,10 +1,11 @@
 """Scenario generation: seeding, sampling windows, presets, scenario files."""
 
 import io
+import math
 
 import pytest
 
-from flexhedge.model import Bus, Line, Network
+from flexhedge.model import Bus, GenOffer, HourlyMarketData, Line, LoadUtility, Network
 from flexhedge.opf import solve_opf_hour
 from flexhedge.scenario import (
     DEFAULT_LOAD_PROFILE_MW,
@@ -17,6 +18,7 @@ from flexhedge.scenario import (
     generate_scenario,
     load_scenario_file,
     preset_spec,
+    read_sections,
     write_scenario_file,
 )
 
@@ -136,3 +138,77 @@ def test_custom_wholesale_series_used_verbatim():
         list(DEFAULT_WHOLESALE_EUR_MWH)
     assert [(data.utility_at(3).p_min_mw, data.utility_at(3).p_max_mw)
             for data in scenario.hours] == [(p, p) for p in DEFAULT_LOAD_PROFILE_MW]
+
+
+def preset_lines() -> list[str]:
+    scenario = generate_scenario(ScenarioSpec(seed=1))
+    buf = io.StringIO()
+    write_scenario_file(scenario.network, scenario.hours, buf)
+    return buf.getvalue().splitlines(keepends=True)
+
+
+def load_error(lines) -> str:
+    with pytest.raises(ScenarioError) as exc:
+        load_scenario_file(lines)
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("section, fields", [
+    ("buses", "id flags"), ("lines", "from to reactance limit"),
+    ("offers", "hour bus a c capacity"), ("utilities", "hour bus b c min max")])
+def test_short_row_names_its_section_fields(section, fields):
+    lines = preset_lines()
+    lineno = lines.index(f"[{section}]\n") + 3  # the header, its comment, the row
+    lines[lineno - 1] = lines[lineno - 1].rsplit(" ", 1)[0] + "\n"
+    assert load_error(lines) == f"line {lineno}: [{section}] rows need '{fields}'"
+
+
+@pytest.mark.parametrize("section, field, problem", [
+    ("lines", 0, "not an integer"), ("lines", 3, "not a number"),
+    ("offers", 1, "not an integer"), ("offers", 2, "not a number"),
+    ("utilities", 0, "not an integer"), ("utilities", 4, "not a number")])
+def test_bad_number_names_its_line(section, field, problem):
+    # test_cli.py::test_non_integer_field_names_its_line pins the other integer fields
+    lines = preset_lines()
+    lineno = lines.index(f"[{section}]\n") + 3
+    fields = lines[lineno - 1].split()
+    fields[field] = "1.5x"
+    lines[lineno - 1] = " ".join(fields) + "\n"
+    assert load_error(lines) == f"line {lineno}: {problem}: '1.5x'"
+
+
+def test_unknown_section_is_named_at_its_header():
+    lines = preset_lines() + ["\n", "[storage]  # no rows\n"]
+    assert load_error(lines) == f"line {len(lines)}: unknown section [storage]"
+    assert load_error(["2 -\n"]) == "line 1: data before any section header"
+
+
+def test_read_sections_without_known_yields_every_section():
+    text = "a = 1\n[run]\n# comment\n\nseed = 7  # seven\n[other]\nx\n"
+    assert list(read_sections(text.splitlines())) == [
+        (1, None, "a = 1"), (5, "run", "seed = 7"), (7, "other", "x")]
+    with pytest.raises(ScenarioError, match=r"^line 6: unknown section \[other\]$"):
+        list(read_sections(text.splitlines(), known=("run",)))
+
+
+def rewritten(net, hours) -> str:
+    buf = io.StringIO()
+    write_scenario_file(net, hours, buf)
+    first = buf.getvalue()
+    buf = io.StringIO()
+    write_scenario_file(*load_scenario_file(io.StringIO(first)), buf)
+    assert buf.getvalue() == first
+    return first
+
+
+def test_scenario_file_rewrites_byte_identical():
+    from test_mesh_oracle import seeded_mesh
+
+    net, hours, _ = seeded_mesh(30, 1)
+    rewritten(net, hours)
+    # an unlimited line and int-typed costs print as floats, and read back so
+    net = Network([Bus(1, is_slack=True), Bus(2, price_constrained=True)],
+                  [Line(1, 2, 1, math.inf)])
+    hour = HourlyMarketData(1, [GenOffer(1, 40, 2, 5)], [LoadUtility(2, 60, 0, 1, 1)])
+    text = rewritten(net, [hour])
+    assert "1 2 1.0 inf\n" in text and "1 1 40.0 2.0 5.0\n" in text
