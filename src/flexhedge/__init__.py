@@ -54,7 +54,6 @@ from .model import (
 )
 from .opf import (
     DispatchResult,
-    HourInfeasibleError,
     build_opf,
     capped_dual,
     price_paid_by_load,

@@ -95,11 +95,13 @@ def _parse_line_limits(pairs: list[str]) -> dict[tuple[int, int], float]:
 
 def _load_config_file(path: str) -> dict[str, dict[str, str]]:
     sections: dict[str, dict[str, str]] = {}
-    for lineno, section, text in read_sections(Path(path).read_text().splitlines()):
-        if section is None or "=" not in text:
-            raise ScenarioError(f"config line {lineno}: expected 'key = value' inside a section")
-        key, value = text.split("=", 1)
-        sections.setdefault(section, {})[key.strip()] = value.strip()
+    with open(path) as fobj:
+        for lineno, section, text in read_sections(fobj):
+            if section is None or "=" not in text:
+                raise ScenarioError(
+                    f"config line {lineno}: expected 'key = value' inside a section")
+            key, value = text.split("=", 1)
+            sections.setdefault(section, {})[key.strip()] = value.strip()
     return sections
 
 

@@ -38,7 +38,7 @@ from decimal import ROUND_HALF_UP, Context, Decimal
 
 from .lp import INF, solve
 from .model import Network, PriceCap
-from .opf import DispatchResult, Grid, ValidHour, build_opf, solve_opf_hours
+from .opf import DispatchResult, Grid, ValidHour, build_opf, solve_opf_hour
 from .scenario import ScenarioError, apply_line_limits
 
 ACTIVE_TOL = 1e-9
@@ -125,14 +125,11 @@ def _keeps_vertex(unc: DispatchResult | None, cap: PriceCap) -> bool:
 def run_hedge(net: Network, series, cap: PriceCap) -> HedgeRun:
     series = list(series)
     capped = Grid(net).hours(series, (cap,))
-    pass1 = tuple(solve_opf_hours([replace(hour, caps=()) for hour in capped]))
-    keep = [_keeps_vertex(unc, cap) for unc in pass1]
+    pass1 = tuple(solve_opf_hour(replace(hour, caps=())) for hour in capped)
     # pass 1's optimal basis, with pflex nonbasic at 0, is feasible for pass 2
-    solved = iter(solve_opf_hours(
-        [hour for hour, k in zip(capped, keep) if not k],
-        starts=[None if unc is None else unc.basis for unc, k in zip(pass1, keep) if not k]))
-    pass2 = [replace(unc, p_flexreq_mw={cap.bus: 0.0}) if k else next(solved)
-             for unc, k in zip(pass1, keep)]
+    pass2 = tuple(replace(unc, p_flexreq_mw={cap.bus: 0.0}) if _keeps_vertex(unc, cap)
+                  else solve_opf_hour(hour, None if unc is None else unc.basis)
+                  for hour, unc in zip(capped, pass1))
 
     hours = []
     for data, unc, hed in zip(series, pass1, pass2):
@@ -149,7 +146,7 @@ def run_hedge(net: Network, series, cap: PriceCap) -> HedgeRun:
         ))
 
     report = HedgeReport(bus=cap.bus, pi_des=cap.cap_eur_per_mwh, hours=tuple(hours))
-    return HedgeRun(report=report, unconstrained=pass1, hedged=tuple(pass2))
+    return HedgeRun(report=report, unconstrained=pass1, hedged=pass2)
 
 
 def settlement_bound_notes(report: HedgeReport, series) -> list[str]:
@@ -249,7 +246,7 @@ def _sweep_totals(hours: list[ValidHour], bus: int, pi_values: list[float]) -> l
     a degenerate optimum, where a run alone may reach another vertex."""
     from .simplex import cost_range  # numpy, like lp.solve, loads on a first solve
     revenues: list[list[float]] = [[] for _ in pi_values]  # included hours, in hour order
-    for hour, unc in zip(hours, solve_opf_hours(hours)):
+    for hour, unc in zip(hours, [solve_opf_hour(h) for h in hours]):  # pass 1 in full first
         if unc is None:  # excluded at every cap
             continue
         lam_unc, flex, lo, hi = unc.lmp_eur_mwh[bus], 0.0, INF, -INF

@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 FEAS_TOL = 1e-7
-COMP_TOL = 1e-7
 PIVOT_TOL = 1e-9
 MAX_ITERATIONS = 10_000
 
@@ -102,9 +101,9 @@ class LinearProgram:
 
     def validate(self) -> list[str]:
         """Return every structural violation; empty list means well-formed.
-        Row coefficients are checked only without a ``layout`` whose matrix is
-        ``finite`` (a ``Grid`` compiled its rows from a checked network);
-        bounds, costs and right-hand sides on every call."""
+        Row coefficients are checked only without a ``layout`` (a ``Grid``
+        compiled its rows from a checked network); bounds, costs and
+        right-hand sides on every call."""
         problems = []
         for col in self.columns.values():
             if not col.lower <= col.upper:
@@ -114,7 +113,7 @@ class LinearProgram:
             if not math.isfinite(col.objective):
                 problems.append(f"column {col.name!r}: non-finite objective {col.objective}")
         for row in self.rows.values():
-            coeffs = () if self.layout and self.layout.finite else row.coeffs.items()
+            coeffs = () if self.layout else row.coeffs.items()
             for cname, coef in coeffs:
                 if cname not in self.columns:
                     problems.append(f"row {row.name!r} references unknown column {cname!r}")

@@ -163,6 +163,7 @@ def validate_network(net: Network) -> list[str]:
 
     known = set(ids)
     seen_pairs: set[tuple[int, int]] = set()
+    susceptance_sums: dict[int, float] = {}
     for line in net.lines:
         tag = f"line {line.from_bus}-{line.to_bus}"
         if line.from_bus == line.to_bus:
@@ -179,8 +180,14 @@ def validate_network(net: Network) -> list[str]:
         elif not math.isfinite(1.0 / line.reactance_pu):
             problems.append(f"{tag}: reactance_pu {line.reactance_pu} is so small that "
                             f"its susceptance overflows")
+        else:  # summed in line order, as opf.Grid sums each bus's angle term
+            for end in (line.from_bus, line.to_bus):
+                susceptance_sums[end] = susceptance_sums.get(end, 0.0) + 1.0 / line.reactance_pu
         if not line.flow_limit_mw > 0:
             problems.append(f"{tag}: flow_limit_mw must be > 0, got {line.flow_limit_mw}")
+    for bus in dict.fromkeys(ids):
+        if not math.isfinite(susceptance_sums.get(bus, 0.0)):
+            problems.append(f"bus {bus}: its lines' susceptances sum past the largest float")
 
     if len(slack) == 1 and not _blocks_reachability(problems):
         unreachable = _unreachable_from(net, slack[0])

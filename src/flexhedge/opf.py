@@ -7,8 +7,8 @@ pinned by an explicit reference row, and each bounded line contributes two
 one-sided limit rows so congestion shadow prices stay readable per direction.
 
 An hour whose firm load cannot be served under the line limits is infeasible
-and is reported as such; the toolkit never sheds firm load, because a shedding
-variable would change the prices.
+and is reported as such, a ``None`` in place of its result; the toolkit never
+sheds firm load, because a shedding variable would change the prices.
 
 A study compiles its network once into a ``Grid``, the one place an input is
 checked: ``Grid.hours`` raises every problem of the network, the caps and the
@@ -42,17 +42,6 @@ from .model import (
     validate_network,
     validate_price_cap,
 )
-
-
-class HourInfeasibleError(RuntimeError):
-    """Raised when an hour's load bounds are unreachable under the line limits."""
-
-    def __init__(self, hour: int, detail: str = ""):
-        self.hour = hour
-        msg = f"hour {hour} is infeasible"
-        if detail:
-            msg += f": {detail}"
-        super().__init__(msg)
 
 
 @dataclass(frozen=True)
@@ -246,17 +235,17 @@ def capped_dual(hour: ValidHour) -> LinearProgram:
     return dual
 
 
-def solve_opf_hour(hour: ValidHour, start=None) -> DispatchResult:
-    """Solve one hour, with flexibility at each of ``hour.caps``.  ``start`` is
-    an optional ``(basis, nonbasic_at_upper)`` pair the simplex tries first
+def solve_opf_hour(hour: ValidHour, start=None) -> DispatchResult | None:
+    """Solve one hour, with flexibility at each of ``hour.caps``; None if its
+    load bounds are unreachable under the line limits.  ``start`` is an
+    optional ``(basis, nonbasic_at_upper)`` pair the simplex tries first
     (``LinearProgram.start``), the network's ``crash_start`` by default; the
     result's ``basis`` is the optimal pair in the same form."""
     prog = build_opf(hour)
     prog.start = prog.layout.crash if start is None else start
     sol = solve(prog)
     if sol.status == "infeasible":
-        raise HourInfeasibleError(hour.data.hour,
-                                  "load bounds unreachable under line limits")
+        return None
     if sol.status != "optimal":
         raise ValueError(f"hour {hour.data.hour}: solver returned {sol.status}")
 
@@ -283,24 +272,11 @@ def solve_opf_hour(hour: ValidHour, start=None) -> DispatchResult:
     )
 
 
-def solve_opf_hours(hours: list[ValidHour], starts: list | None = None) -> list[DispatchResult | None]:
-    """Solve each hour independently (``solve_opf_hour``), in any order to the
-    same results; infeasible hours yield ``None``.  ``starts`` optionally gives
-    each hour's warm start (``None`` for a cold one), such as its last ``basis``."""
-    results: list[DispatchResult | None] = []
-    for hour, start in zip(hours, [None] * len(hours) if starts is None else starts):
-        try:
-            results.append(solve_opf_hour(hour, start))
-        except HourInfeasibleError:
-            results.append(None)
-    return results
-
-
 def solve_opf_series(net: Network, series: list[HourlyMarketData],
                      caps: tuple[PriceCap, ...] = ()) -> list[DispatchResult | None]:
-    """``solve_opf_hours`` of ``series`` with flexibility at each of ``caps``,
-    every hour checked before the first solve."""
-    return solve_opf_hours(Grid(net).hours(series, caps))
+    """``solve_opf_hour`` of each hour of ``series`` with flexibility at each
+    of ``caps``, every hour checked before the first solve."""
+    return [solve_opf_hour(hour) for hour in Grid(net).hours(series, caps)]
 
 
 DISPATCH_CSV_COLUMNS = [

@@ -100,9 +100,9 @@ def _inverse(B: np.ndarray) -> np.ndarray:
 
 class Layout:
     """A column layout's read-only solve data: the slack-augmented ``[A | I]``
-    of a program's rows (``finite`` if every entry is), every column and slack
-    name with its index, and a crash basis ``crash`` (a ``LinearProgram.start``,
-    or None) whose ``B^-1`` ``crash_inverse`` inverts on first use.
+    of a program's rows, every column and slack name with its index, and a
+    crash basis ``crash`` (a ``LinearProgram.start``, or None) whose ``B^-1``
+    ``crash_inverse`` inverts on first use.
     ``opf.Grid`` builds one per layout and study (``LinearProgram.layout``); a
     program without one gets its own at each solve."""
 
@@ -119,7 +119,6 @@ class Layout:
             A[i, n + i] = 1.0
         A.flags.writeable = False
         self.A, self.crash = A, crash
-        self.finite = bool(np.isfinite(A).all())  # a sum of susceptances can overflow
 
     @cached_property
     def crash_inverse(self) -> np.ndarray | None:

@@ -350,6 +350,8 @@ def test_non_finite_cost_is_a_violation(tmp_path, capsys):
     ("bus = 3\n", "config line 1: expected 'key = value' inside a section"),
     ("[run]\nfoo = 1\n", "config: unknown key 'foo' in [run]"),
     ("[run]\nformats = csv,xml\n", "unknown format 'xml'; expected csv|json"),
+    # a form feed ends no line, as in a scenario file
+    ("[run]\nseed = 7\x0cbus = 3\n", "config: bad value '7\\x0cbus = 3' for 'seed' in [run]"),
 ])
 def test_bad_config_is_an_error_line(tmp_path, capsys, text, problem):
     config = tmp_path / "c.cfg"
@@ -450,6 +452,20 @@ def test_overflowing_susceptance_is_a_violation(tmp_path, capsys):
     write_preset_file(path)
     rewrite_field(path, "[lines]", 1, 2, "5e-324")
     problem = "line 1-3: reactance_pu 5e-324 is so small that its susceptance overflows"
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {problem}\n1 violation(s)\n"
+    assert main(["run", "--input", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {problem}\n"
+
+
+def test_overflowing_susceptance_sum_is_a_violation(tmp_path, capsys):
+    # 1 / 1e-308 is finite, but bus 1's two lines sum past the largest float:
+    # validate said ok while run stopped inside the solve
+    path = tmp_path / "bad.txt"
+    write_preset_file(path)
+    for row in (0, 1):  # lines 1-2 and 1-3
+        rewrite_field(path, "[lines]", row, 2, "1e-308")
+    problem = "bus 1: its lines' susceptances sum past the largest float"
     assert main(["validate", str(path)]) == 1
     assert capsys.readouterr().err == f"error: {problem}\n1 violation(s)\n"
     assert main(["run", "--input", str(path), "--out", str(tmp_path / "out")]) == 1

@@ -35,7 +35,7 @@ from flexhedge.model import (
     PriceCap,
     validate_market_data,
 )
-from flexhedge.opf import Grid, build_opf, solve_opf_hours, solve_opf_series
+from flexhedge.opf import Grid, build_opf, solve_opf_hour, solve_opf_series, write_dispatch_csv
 from flexhedge.scenario import (
     FINITE_LIMIT_MW,
     ScenarioSpec,
@@ -187,6 +187,29 @@ def test_two_pass_consistency():
     assert once == again
 
 
+def test_hour_infeasible_in_both_passes_is_excluded():
+    # bus 2's firm load exceeds both corridors into it, and flexibility at
+    # bus 3 reaches bus 2 only through one of them
+    net = Network(
+        buses=[Bus(1, is_slack=True), Bus(2), Bus(3, price_constrained=True)],
+        lines=[Line(1, 2, 0.1, 0.1), Line(1, 3, 0.1), Line(2, 3, 0.1, 0.1)],
+    )
+    series = [HourlyMarketData(hour, [GenOffer(1, 40.0, 0.0, 5.0)],
+                               [LoadUtility(2, 60.0, 0.0, load, load)])
+              for hour, load in ((1, 1.0), (2, 0.15))]
+    run = run_hedge(net, series, PriceCap(3, 70.0))
+    assert run.unconstrained[0] is None and run.hedged[0] is None
+    flagged = run.report.hours[0]
+    assert (flagged.lambda_unconstrained, flagged.lambda_hedged) == (None, None)
+    assert flagged.p_flexreq_mw == 0.0 and not flagged.included
+    assert run.report.excluded_hours == (1,)
+    for results in (run.unconstrained, run.hedged):
+        buf = io.StringIO()
+        write_dispatch_csv(results, buf)
+        buf.seek(0)
+        assert {row["hour"] for row in csv.DictReader(buf)} == {"2"}
+
+
 def test_infeasible_first_pass_flagged_and_excluded():
     # firm load larger than every corridor: only flexibility can serve it
     net = Network(
@@ -217,8 +240,8 @@ def pass2_solved(monkeypatch, net, series, cap) -> list[str]:
     run = run_hedge(net, series, cap)
     monkeypatch.undo()
     # each hour's pass-2 program, warm from pass 1's optimal basis
-    warm = solve_opf_hours(Grid(net).hours(series, (cap,)),
-                           starts=[None if r is None else r.basis for r in run.unconstrained])
+    warm = [solve_opf_hour(hour, None if r is None else r.basis)
+            for hour, r in zip(Grid(net).hours(series, (cap,)), run.unconstrained)]
     assert run.hedged == tuple(warm)
     return [prog.name for prog in calls[len(series):]]
 
