@@ -48,7 +48,6 @@ from .model import (
     Network,
     PriceCap,
     UnknownBusError,
-    neighbors,
     validate_market_data,
     validate_network,
 )

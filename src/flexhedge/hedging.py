@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, replace
 from decimal import ROUND_HALF_UP, Context, Decimal
 
@@ -83,7 +84,7 @@ class HedgeReport:
 
     @property
     def total_revenue_eur(self) -> float:
-        return sum(h.revenue_eur for h in self.hours if h.included)
+        return sum((h.revenue_eur for h in self.hours if h.included), 0.0)
 
     @property
     def hours_active(self) -> int:
@@ -146,6 +147,10 @@ def run_hedge(net: Network, series, cap: PriceCap) -> HedgeRun:
         ))
 
     report = HedgeReport(bus=cap.bus, pi_des=cap.cap_eur_per_mwh, hours=tuple(hours))
+    total = report.total_revenue_eur
+    if not math.isfinite(total):  # an hour's revenue or their sum passed the largest float
+        raise ValueError(f"cap {_render_pi(cap.cap_eur_per_mwh)}: "
+                         f"total revenue overflows to {total!r} EUR")
     return HedgeRun(report=report, unconstrained=pass1, hedged=pass2)
 
 
@@ -230,6 +235,9 @@ def sweep_pi_des(net: Network, series, bus: int, pi_values,
         previous = None
         hours = [ValidHour(grid, data) for data in series]  # checked above
         for pi, total in zip(pi_values, _sweep_totals(hours, bus, pi_values)):
+            if not math.isfinite(total):  # as in run_hedge
+                raise ValueError(f"scenario {label!r}, cap {pi!r}: "
+                                 f"total revenue overflows to {total!r} EUR")
             rows.append(SweepRow(pi_des=pi, scenario=label, total_revenue_eur=total))
             if previous is not None and total > previous + 1e-9:
                 warnings.append(
@@ -262,7 +270,7 @@ def _sweep_totals(hours: list[ValidHour], bus: int, pi_values: list[float]) -> l
                     c_lo, c_hi = cost_range(prog, hed.basis, hed.nonbasic_at_upper, f"pflex_{bus}")
                     lo, hi = -c_hi, -c_lo
             included.append(hourly_revenue(lam_unc, pi, flex))
-    return [sum(included) for included in revenues]
+    return [sum(included, 0.0) for included in revenues]
 
 
 # ---------------------------------------------------------------------------

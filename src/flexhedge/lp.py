@@ -34,8 +34,8 @@ class MalformedProgramError(ValueError):
 
 
 class SolverFailureError(RuntimeError):
-    """The simplex hit its iteration cap (never expected with Bland's rule) or a
-    singular basis."""
+    """The simplex hit its iteration cap (never expected with Bland's rule), a
+    singular basis or a value that overflows a float."""
 
 
 class UnknownRowError(KeyError):

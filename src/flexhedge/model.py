@@ -129,20 +129,6 @@ class HourlyMarketData:
         return None
 
 
-def neighbors(net: Network, bus_id: int) -> set[int]:
-    """Buses adjacent to ``bus_id``; symmetric by construction."""
-    known = set(net.bus_ids())
-    if bus_id not in known:
-        raise UnknownBusError(f"bus {bus_id} not in network")
-    adjacent = set()
-    for line in net.lines:
-        if line.from_bus == bus_id:
-            adjacent.add(line.to_bus)
-        elif line.to_bus == bus_id:
-            adjacent.add(line.from_bus)
-    return adjacent
-
-
 def validate_network(net: Network) -> list[str]:
     """Every violated network invariant, with the offending element named."""
     problems: list[str] = []
@@ -150,7 +136,8 @@ def validate_network(net: Network) -> list[str]:
         problems.append("empty network")
 
     ids = [b.id for b in net.buses]
-    if len(set(ids)) != len(ids):
+    duplicate_ids = len(set(ids)) != len(ids)
+    if duplicate_ids:
         problems.append("duplicate bus ids")
     if net.buses and sorted(set(ids)) != list(range(1, len(set(ids)) + 1)):
         problems.append("bus ids are not dense 1-based indices")
@@ -162,6 +149,8 @@ def validate_network(net: Network) -> list[str]:
         problems.append(f"multiple slack buses: {slack}")
 
     known = set(ids)
+    unknown_end = False
+    adjacent: dict[int, list[int]] = {}
     seen_pairs: set[tuple[int, int]] = set()
     susceptance_sums: dict[int, float] = {}
     for line in net.lines:
@@ -171,6 +160,9 @@ def validate_network(net: Network) -> list[str]:
         for end in (line.from_bus, line.to_bus):
             if end not in known:
                 problems.append(f"{tag}: unknown bus {end}")
+                unknown_end = True
+        adjacent.setdefault(line.from_bus, []).append(line.to_bus)
+        adjacent.setdefault(line.to_bus, []).append(line.from_bus)
         pair = (min(line.from_bus, line.to_bus), max(line.from_bus, line.to_bus))
         if pair in seen_pairs:
             problems.append(f"{tag}: duplicate line between buses {pair[0]} and {pair[1]}")
@@ -189,28 +181,17 @@ def validate_network(net: Network) -> list[str]:
         if not math.isfinite(susceptance_sums.get(bus, 0.0)):
             problems.append(f"bus {bus}: its lines' susceptances sum past the largest float")
 
-    if len(slack) == 1 and not _blocks_reachability(problems):
-        unreachable = _unreachable_from(net, slack[0])
-        for b in sorted(unreachable):
-            problems.append(f"bus {b} unreachable from slack")
+    # with a duplicate id or a line to an unknown bus, reachability means nothing
+    if len(slack) == 1 and not (duplicate_ids or unknown_end):
+        reached, todo = {slack[0]}, [slack[0]]
+        while todo:
+            for bus in adjacent.get(todo.pop(), ()):
+                if bus not in reached:
+                    reached.add(bus)
+                    todo.append(bus)
+        problems += [f"bus {b} unreachable from slack" for b in sorted(known - reached)]
 
     return problems
-
-
-def _blocks_reachability(problems: list[str]) -> bool:
-    return any("unknown bus" in p or "duplicate bus ids" in p for p in problems)
-
-
-def _unreachable_from(net: Network, start: int) -> set[int]:
-    todo = [start]
-    seen = {start}
-    while todo:
-        here = todo.pop()
-        for nxt in neighbors(net, here):
-            if nxt not in seen:
-                seen.add(nxt)
-                todo.append(nxt)
-    return set(net.bus_ids()) - seen
 
 
 def validate_market_data(net: Network, data: HourlyMarketData) -> list[str]:

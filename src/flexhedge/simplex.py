@@ -416,6 +416,9 @@ def _extract(st: _State, status: str) -> LpSolution:
     x_struct = st.x[:n]
     objective = float(st.c_ext[:n] @ x_struct) + st.constant
     reduced_ext = st.c_ext[:n] - y_ext @ st.A[:, :n]
+    if not (np.isfinite(np.concatenate((x_struct, y_ext, reduced_ext))).all()
+            and math.isfinite(objective)):
+        raise SolverFailureError("non-finite value in the optimal solution")
 
     # a basic column other than an artificial sits at a bound
     af = st.artificial_from

@@ -164,6 +164,20 @@ def test_run_infeasible_hours_exit_code(tmp_path, capsys):
     assert rc == 0
 
 
+def test_totals_without_a_settled_hour_are_floats(tmp_path):
+    # every hour is infeasible without flexibility, so none is settled
+    limits = ["--preset", "paper-3bus", "--line-limit", "1-3=0.01", "--line-limit", "2-3=0.01"]
+    assert main(["run", *limits, "--pi-des", "70", "--allow-infeasible",
+                 "--out", str(tmp_path / "run")]) == 0
+    report = json.loads((tmp_path / "run" / "hedge_report.json").read_text())
+    assert len(report["totals"]["excluded_hours"]) == 24
+    assert repr(report["totals"]["total_revenue_eur"]) == "0.0"
+    assert main(["sweep", *limits, "--pi", "60,70", "--out", str(tmp_path / "sweep")]) == 0
+    rows = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()[1:]
+    assert rows == [f"{pi},{case},0.0,0.00" for case in ("infinite", "finite")
+                    for pi in ("60.0", "70.0")]
+
+
 def test_run_nan_cap_is_an_error(tmp_path, capsys):
     rc = main(["run", "--preset", "paper-3bus", "--pi-des", "nan",
                "--out", str(tmp_path / "out")])
@@ -470,6 +484,46 @@ def test_overflowing_susceptance_sum_is_a_violation(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {problem}\n1 violation(s)\n"
     assert main(["run", "--input", str(path), "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == f"error: {problem}\n"
+
+
+def write_overflow_file(path, cost):
+    """paper-3bus seed 1 with unlimited lines, every offer at ``cost`` EUR/MWh
+    without a capacity limit, and a firm load of 1e8 MW."""
+    scenario = generate_scenario(ScenarioSpec(seed=1))
+    net = replace(scenario.network, lines=[replace(line, flow_limit_mw=math.inf)
+                                           for line in scenario.network.lines])
+    hours = [replace(data, offers=[replace(o, marginal_cost=cost, capacity_mw=math.inf)
+                                   for o in data.offers],
+                     utilities=[replace(u, p_min_mw=1e8, p_max_mw=1e8) for u in data.utilities])
+             for data in scenario.hours]
+    with open(path, "w") as fobj:
+        write_scenario_file(net, hours, fobj)
+
+
+def test_overflowing_revenue_is_an_error_line(tmp_path, capsys):
+    # each hour settles near 1e308 EUR, finite, but 24 of them sum to inf:
+    # run used to write three artifacts and stop in format_eur(inf)
+    path, out = tmp_path / "big.txt", tmp_path / "out"
+    write_overflow_file(path, 1e300)
+    assert main(["run", "--input", str(path), "--pi-des", "70", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: cap 70.0: total revenue overflows to inf EUR\n"
+    assert main(["sweep", "--input", str(path), "--pi", "60,70", "--cases", "infinite",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == \
+        "error: scenario 'infinite', cap 60.0: total revenue overflows to inf EUR\n"
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_solution_is_an_error_line(tmp_path, capsys):
+    # each hour's solve ends optimal with an inf price at bus 1: run used to
+    # write it into dispatch_unconstrained.csv
+    path, out = tmp_path / "big.txt", tmp_path / "out"
+    write_overflow_file(path, 1e307)
+    for argv in (["run", "--pi-des", "70"], ["sweep", "--pi", "60,70", "--cases", "infinite"]):
+        assert main(argv + ["--input", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: non-finite value in the optimal solution\n"
+    assert not out.exists()
 
 
 def malformed_inputs():

@@ -200,6 +200,16 @@ def test_overflowing_slack_basis_start_is_a_solver_failure():
         solve(lp)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_optimal_dual_is_a_solver_failure():
+    # finite data and a finite optimum x = 1000, but its dual 1e307 / 1e-3 overflows
+    lp = LinearProgram("minimize")
+    lp.add_column("x", 0.0, INF, objective=1e307)
+    lp.add_row("r", {"x": 1e-3}, ">=", 1.0)
+    with pytest.raises(SolverFailureError, match="non-finite value in the optimal solution"):
+        solve(lp)
+
+
 def test_duplicate_names_rejected():
     lp = LinearProgram("maximize")
     lp.add_column("x", 0.0, 1.0)

@@ -1,10 +1,7 @@
-"""Network/market domain types: validation, neighbors, serialization round trip."""
+"""Network/market domain types: validation and serialization round trip."""
 
 import io
 import math
-import random
-
-import pytest
 
 from flexhedge.model import (
     Bus,
@@ -14,8 +11,6 @@ from flexhedge.model import (
     LoadUtility,
     Network,
     PriceCap,
-    UnknownBusError,
-    neighbors,
     validate_market_data,
     validate_network,
     validate_price_cap,
@@ -85,39 +80,15 @@ def test_planted_violations_always_found():
     assert any("dense 1-based" in p for p in validate_network(sparse_ids))
 
 
-def test_neighbors_triangle():
-    assert neighbors(triangle(), 1) == {2, 3}
-
-
-def test_neighbors_single_bus():
-    net = Network(buses=[Bus(1, is_slack=True)], lines=[])
-    assert neighbors(net, 1) == set()
-
-
-def test_neighbors_path():
-    net = Network(buses=[Bus(1, is_slack=True), Bus(2), Bus(3)],
-                  lines=[Line(1, 2, 0.1), Line(2, 3, 0.1)])
-    assert neighbors(net, 2) == {1, 3}
-
-
-def test_neighbors_unknown_bus():
-    with pytest.raises(UnknownBusError):
-        neighbors(triangle(), 99)
-
-
-def test_neighbors_symmetry_random_networks():
-    for seed in range(20):
-        rng = random.Random(seed)
-        n = rng.randint(2, 6)
-        buses = [Bus(i + 1, is_slack=(i == 0)) for i in range(n)]
-        lines = []
-        pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-        for i, j in rng.sample(pairs, k=min(len(pairs), rng.randint(1, 8))):
-            lines.append(Line(i, j, 0.1))
-        net = Network(buses=buses, lines=lines)
-        for i in range(1, n + 1):
-            for j in neighbors(net, i):
-                assert i in neighbors(net, j)
+def test_reachability_waits_for_known_unique_buses():
+    # bus 3 hangs off an unknown bus or sits beside a duplicate id: neither
+    # network reports it unreachable
+    unknown_end = Network(buses=[Bus(1, is_slack=True), Bus(2), Bus(3)],
+                          lines=[Line(1, 2, 0.1), Line(3, 9, 0.1)])
+    assert validate_network(unknown_end) == ["line 3-9: unknown bus 9"]
+    duplicate = Network(buses=[Bus(1, is_slack=True), Bus(2), Bus(2), Bus(3)],
+                        lines=[Line(1, 2, 0.1)])
+    assert validate_network(duplicate) == ["duplicate bus ids"]
 
 
 def test_market_data_validation():
