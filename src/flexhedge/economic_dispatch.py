@@ -79,7 +79,7 @@ def _crash_started(hour: ValidHour) -> LinearProgram:
     # from the slack basis a one-bus solve can end with the angle_ref slack
     # basic at zero and report a degenerate optimum that is not one
     prog = build_opf(hour)
-    prog.start = hour.grid.crash_start(hour.data)
+    prog.start = prog.layout.crash
     return prog
 
 

@@ -265,10 +265,8 @@ def _sweep_totals(hours: list[ValidHour], bus: int, pi_values: list[float]) -> l
                 hed = solve(prog)
                 if hed.status != "optimal":
                     raise ValueError(f"hour {hour.data.hour}: solver returned {hed.status}")
-                flex, lo, hi = hed.primal[f"pflex_{bus}"], pi, pi
-                if not hed.degenerate:  # pflex's objective is -pi
-                    c_lo, c_hi = cost_range(prog, hed.basis, hed.nonbasic_at_upper, f"pflex_{bus}")
-                    lo, hi = -c_hi, -c_lo
+                c_lo, c_hi = cost_range(prog, hed, f"pflex_{bus}")  # pflex's objective is -pi
+                flex, lo, hi = hed.primal[f"pflex_{bus}"], -c_hi, -c_lo
             included.append(hourly_revenue(lam_unc, pi, flex))
     return [sum(included, 0.0) for included in revenues]
 

@@ -131,19 +131,6 @@ class Grid:
             raise ValueError("; ".join(problems))
         return [ValidHour(self, data, caps) for data in series]
 
-    def crash_start(self, data: HourlyMarketData):
-        """The network's crash basis (Bixby 1992) as a ``LinearProgram.start``:
-        every angle and the slack bus's import column (else the first offer's)
-        span the balance and reference rows, because the reduced susceptance
-        matrix of a connected network is nonsingular; each limit row keeps its
-        slack.  None for an hour without offers."""
-        buses = [offer.bus for offer in data.offers]
-        if not buses:
-            return None
-        bus = self.net.slack_bus()
-        return tuple(self.theta.values()) + (_column("pg", bus if bus in buses else buses[0]),) + \
-            self.slacks, ()
-
     def template(self, hour: ValidHour) -> _Template:
         """The ``_Template`` of ``hour``'s column layout, set by the buses of
         its offers, utilities and caps; compiled on first use."""
@@ -158,10 +145,18 @@ class Grid:
 class _Template:
     """One column layout of a grid: the names of its offer, utility and
     flexibility columns (``pg``, ``pl``, ``pflex``), each bus's balance row
-    with its coefficients (``rows``), and the ``simplex.Layout`` its first
-    program sets (``layout``)."""
+    with its coefficients (``rows``), the ``simplex.Layout`` its first program
+    sets (``layout``) and its crash basis (Bixby 1992) as a ``LinearProgram.start``
+    (``crash``): every angle and the slack bus's import column (else the first
+    offer's) span the balance and reference rows, because the reduced
+    susceptance matrix of a connected network is nonsingular; each limit row
+    keeps its slack.  None without offers."""
 
     def __init__(self, grid: Grid, offers, utilities, caps):
+        slack = grid.net.slack_bus()
+        self.crash = (tuple(grid.theta.values()) +
+                      (_column("pg", slack if slack in offers else offers[0]),) +
+                      grid.slacks, ()) if offers else None
         self.pg = tuple(_column("pg", bus) for bus in offers)
         self.pl = tuple(_column("pl", bus) for bus in utilities)
         self.pflex = tuple(_column("pflex", bus) for bus in caps)
@@ -218,7 +213,7 @@ def build_opf(hour: ValidHour) -> LinearProgram:
     prog.constant = constant
     if template.layout is None:
         from .simplex import Layout  # numpy, like lp.solve, loads on a first solve
-        template.layout = Layout(prog, grid.crash_start(data))
+        template.layout = Layout(prog, template.crash)
     prog.layout = template.layout
     return prog
 
@@ -239,7 +234,7 @@ def solve_opf_hour(hour: ValidHour, start=None) -> DispatchResult | None:
     """Solve one hour, with flexibility at each of ``hour.caps``; None if its
     load bounds are unreachable under the line limits.  ``start`` is an
     optional ``(basis, nonbasic_at_upper)`` pair the simplex tries first
-    (``LinearProgram.start``), the network's ``crash_start`` by default; the
+    (``LinearProgram.start``), its layout's crash basis by default; the
     result's ``basis`` is the optimal pair in the same form."""
     prog = build_opf(hour)
     prog.start = prog.layout.crash if start is None else start

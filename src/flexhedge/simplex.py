@@ -24,8 +24,8 @@ when it names a column or slack the program lacks (an ``artificial:`` entry
 included), is singular (a basis of the wrong size included), rests a column
 at an infinite bound or puts a basic structural column out of bounds; and
 also when it ends anywhere but on a non-degenerate optimum, so a program
-whose duals are not unique reports the slack-basis solve's vertex.  The OPF hands each hour a crash basis
-(``opf.Grid.crash_start``) or an earlier optimal basis this way.
+whose duals are not unique reports the slack-basis solve's vertex.  The OPF hands each hour its
+layout's crash basis (``opf._Template.crash``) or an earlier optimal basis this way.
 
 The entering column is the eligible one with the largest reduced cost in
 absolute value (Dantzig), ties going to the lowest index.  Eligible means a
@@ -56,10 +56,11 @@ with the final basis, so a given final basis gives bitwise the same primal
 values, duals, reduced costs and objective.
 Two starts that end on the same basis set can list it in different row
 orders; the fresh solves then factor the basis in that order, and the outputs
-can differ in the last few ulps.
+can differ in the last few ulps.  A phase that stops on a non-finite reduced
+cost, or a non-finite reported value, raises ``SolverFailureError``; the entry
+points silence numpy's overflow warnings, so that error reports it alone.
 
-``cost_range`` ranges one basic column's objective coefficient on a named
-basis: the open interval of it over which that basis stays optimal.
+``cost_range`` ranges a basic column's cost at a solve's optimum, from its duals.
 """
 
 from __future__ import annotations
@@ -195,17 +196,12 @@ class _State:
         self.x[nonbasic] = self.nonbasic_values()[nonbasic]
         return self.b - self.A[:, nonbasic] @ self.x[nonbasic]
 
-    def refresh_basics(self) -> None:
-        self.x[self.basis] = _solve(self.A[:, self.basis], self.resting_rhs())
-
     def reinvert(self) -> None:
         """Invert the basis afresh and recompute the basic values in full."""
-        self.Binv = _inverse(self.A[:, self.basis])
-        self.refresh_basics()
+        B = self.A[:, self.basis]
+        self.Binv = _inverse(B)
+        self.x[self.basis] = _solve(B, self.resting_rhs())
         self.pivots = 0
-
-    def multipliers(self, cost: np.ndarray) -> np.ndarray:
-        return _solve(self.A[:, self.basis].T, cost[self.basis])
 
 
 def _start(st: _State) -> _State | None:
@@ -302,6 +298,8 @@ def _iterate(st: _State, cost: np.ndarray) -> str:
             eligible = merit > PIVOT_TOL  # NaN never enters
             if not eligible.any():
                 st.x[basis] = x_B
+                if not np.isfinite(d).all():  # a NaN merit is never eligible
+                    raise SolverFailureError("non-finite value in the optimal solution")
                 return "optimal"
             entering = int(eligible.argmax() if stalled >= _BLAND_AFTER  # Bland: lowest index
                            else np.where(eligible, merit, -1.0).argmax())
@@ -407,10 +405,11 @@ def _extract(st: _State, status: str) -> LpSolution:
                           nonbasic_at_upper=(), degenerate=False,
                           iterations=st.iterations)
 
-    st.refresh_basics()
+    B = st.A[:, st.basis]
+    st.x[st.basis] = _solve(B, st.resting_rhs())
     cost = np.zeros(st.n_total)
     cost[: n + m] = st.c_int
-    y_int = st.multipliers(cost)
+    y_int = _solve(B.T, cost[st.basis])
     y_ext = -y_int if st.maximizing else y_int
 
     x_struct = st.x[:n]
@@ -469,6 +468,7 @@ def _solve_from(st: _State) -> LpSolution:
     return _extract(st, _iterate(st, cost))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def solve_program(lp: LinearProgram) -> LpSolution:
     layout = lp.layout or Layout(lp)
     if lp.start is not None:
@@ -490,33 +490,38 @@ def solve_program(lp: LinearProgram) -> LpSolution:
     return _solve_from(st)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def solution_from_basis(lp: LinearProgram, basis: tuple[str, ...],
                         nonbasic_at_upper: tuple[str, ...]) -> LpSolution:
     """Rebuild the solution a given basis identifies; audits solver output."""
     return _extract(_State(lp, lp.layout or Layout(lp), (basis, nonbasic_at_upper)), "optimal")
 
 
-def cost_range(lp: LinearProgram, basis: tuple[str, ...],
-               nonbasic_at_upper: tuple[str, ...], column: str) -> tuple[float, float]:
-    """Open interval of a basic ``column``'s objective coefficient over which a
-    named basis stays optimal with every nonbasic column that can move priced
-    strictly out (cost ranging): with ``column`` basic in row r, changing its
-    minimize-form cost by delta moves each reduced cost by -delta*(B^-1 A)_{r,j}.
-    Empty, ``(c, c)`` at the coefficient ``c``, where the basis is not optimal
-    or a column that can move prices out at zero (a tie)."""
-    st = _State(lp, lp.layout or Layout(lp), (basis, nonbasic_at_upper))
-    q = st.layout.columns.index(column)
+@np.errstate(over="ignore", invalid="ignore")
+def cost_range(lp: LinearProgram, sol: LpSolution, column: str) -> tuple[float, float]:
+    """Open interval of a basic ``column``'s objective coefficient over which
+    the basis of ``lp``'s optimum ``sol`` stays optimal with every nonbasic
+    column that can move priced strictly out (cost ranging): with ``column``
+    basic in row r, changing its minimize-form cost by delta moves each reduced
+    cost (from ``sol``'s duals) by -delta*(B^-1 A)_{r,j}.  Empty, ``(c, c)`` at
+    the coefficient ``c``, where ``sol`` is degenerate (a start from it falls
+    back) or a column that can move prices out at zero (a tie)."""
+    c = lp.columns[column].objective
+    if sol.degenerate:
+        return c, c
+    st = _State(lp, lp.layout or Layout(lp), (sol.basis, sol.nonbasic_at_upper))
+    q = st.layout.index[column]
     if q not in st.basis:
         raise ValueError(f"column {column!r} is not basic")
     e = np.zeros(st.n_rows)
     e[st.basis.index(q)] = 1.0
     alpha = _solve(st.A[:, st.basis].T, e) @ st.A
-    d = st.c_int - st.multipliers(st.c_int) @ st.A
+    y = np.array([sol.duals[row] for row in st.layout.rows])
+    d = st.c_int - (-y if st.maximizing else y) @ st.A
     # a column at its lower bound prices out with d > 0, one at its upper with d < 0
     movable = ~st.in_basis & (st.lo < st.up)
     side = np.where(st.at_upper, -1.0, 1.0)[movable]
     d, alpha = side * d[movable], side * alpha[movable]
-    c = lp.columns[column].objective
     if (d <= PIVOT_TOL).any():
         return c, c
     # side * (d - delta * alpha) > 0, for delta on the internal minimize cost

@@ -514,7 +514,6 @@ def test_overflowing_revenue_is_an_error_line(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_overflowing_solution_is_an_error_line(tmp_path, capsys):
     # each hour's solve ends optimal with an inf price at bus 1: run used to
     # write it into dispatch_unconstrained.csv
@@ -524,6 +523,19 @@ def test_overflowing_solution_is_an_error_line(tmp_path, capsys):
         assert main(argv + ["--input", str(path), "--out", str(out)]) == 1
         assert capsys.readouterr().err == "error: non-finite value in the optimal solution\n"
     assert not out.exists()
+
+
+def test_overflowing_solution_is_one_stderr_line_in_a_fresh_process(tmp_path):
+    # outside pytest's warning filters: numpy's overflow warnings used to print
+    # solver source lines to stderr before the error line
+    path = tmp_path / "big.txt"
+    write_overflow_file(path, 1e307)
+    env = dict(os.environ, PYTHONPATH=str(Path(flexhedge.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-m", "flexhedge.cli", "run", "--input", str(path),
+                           "--pi-des", "70", "--out", str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 1
+    assert done.stderr == "error: non-finite value in the optimal solution\n"
 
 
 def malformed_inputs():

@@ -153,8 +153,9 @@ def test_paper_study_pivot_path_is_pinned(monkeypatch):
     # pass 2 solves only the 14 hours priced above the cap
     assert len(solutions) == 24 + 14
     # pass 1 starts each hour from the network's crash basis
-    assert all(p.start == Grid(scenario.network).crash_start(data)
-               for p, data in zip(programs[:24], scenario.hours))
+    grid = Grid(scenario.network)
+    assert all(p.start == grid.template(hour).crash
+               for p, hour in zip(programs[:24], grid.hours(scenario.hours)))
     assert sum(s.iterations for s in solutions[:24]) == 48
     # pass 2 starts each hour it solves from pass 1's optimal basis
     binding = [(data, unc) for data, unc in zip(scenario.hours, run.unconstrained)
@@ -418,14 +419,17 @@ def test_study_builds_once_per_solve_and_validates_once_per_hour(monkeypatch):
     run_hedge(net, hours, PriceCap(3, 70.0))
     assert len(validated) == 24
     # a sweep checks each hour once per study, builds one program per solve
-    # and ranges the program it solved
+    # and ranges the program it solved from that solve's duals: two fresh
+    # solves per optimum, and one per ranging of its 39 pass-2 solves
     solved = count_solves(monkeypatch)
     built = count_calls(monkeypatch, build_opf, opf, hedging)
+    factored = count_calls(monkeypatch, simplex._solve, simplex)
     validated.clear()
     sweep_pi_des(net, hours, 3, [float(pi) for pi in range(60, 81)],
                  {"infinite": None, "finite": {(2, 3): FINITE_LIMIT_MW}})
     assert len(validated) == 24
     assert len(built) == len(solved) == 87
+    assert len(factored) == 2 * 87 + 39
 
 
 @pytest.mark.parametrize("caps", [[float(pi) for pi in range(60, 81)],

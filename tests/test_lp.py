@@ -50,19 +50,32 @@ def test_single_variable_cap():
 
 
 def test_cost_range_of_a_tie_is_empty():
-    # where generation costs what the load is worth, every load level is optimal
-    lp = ed_lp(a=75.0, b=75.0)
+    # where generation costs what the load is worth, every load level above
+    # its floor is optimal: p_g is basic between its bounds, p_l prices at zero
+    lp = ed_lp(a=75.0, b=75.0, p_min=0.2)
     sol = solve(lp)
-    column = sol.basis[0]
-    cost = lp.columns[column].objective
-    assert simplex.cost_range(lp, sol.basis, sol.nonbasic_at_upper, column) == (cost, cost)
+    assert sol.basis == ("p_g",) and not sol.degenerate
+    assert simplex.cost_range(lp, sol, "p_g") == (-75.0, -75.0)
     # otherwise the basis holds until the load's worth prices generation in
     lp = ed_lp(a=50.0, b=90.0)
     sol = solve(lp)
     assert sol.basis == ("p_g",) and sol.nonbasic_at_upper == ("p_l",)
-    assert simplex.cost_range(lp, sol.basis, sol.nonbasic_at_upper, "p_g") == (-90.0, INF)
+    assert simplex.cost_range(lp, sol, "p_g") == (-90.0, INF)
     with pytest.raises(ValueError, match="not basic"):
-        simplex.cost_range(lp, sol.basis, sol.nonbasic_at_upper, "p_l")
+        simplex.cost_range(lp, sol, "p_l")
+
+
+def test_cost_range_of_a_degenerate_optimum_is_empty():
+    # p_l is basic at its upper bound; its basis alone would range p_l's cost
+    # over (50, inf), but a start from a degenerate optimum falls back to the
+    # slack basis, which may end elsewhere
+    lp = LinearProgram("maximize")
+    lp.add_column("p_g", 0.0, 1.0, objective=-50.0)
+    lp.add_column("p_l", 0.0, 1.0, objective=90.0)
+    lp.add_row("balance", {"p_g": 1.0, "p_l": -1.0}, "=", 0.0)
+    sol = solve(lp)
+    assert sol.degenerate and sol.basis == ("p_l",) and sol.reduced_costs["p_g"] == 40.0
+    assert simplex.cost_range(lp, sol, "p_l") == (90.0, 90.0)
 
 
 def test_unbounded():
@@ -190,7 +203,6 @@ def test_non_finite_coefficient_rejected(coef):
     assert str(exc.value) == f"row 'r': non-finite coefficient {coef} on column 'x'"
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_overflowing_slack_basis_start_is_a_solver_failure():
     # finite data, but the resting column times its coefficient overflows
     lp = LinearProgram("maximize")
@@ -200,7 +212,6 @@ def test_overflowing_slack_basis_start_is_a_solver_failure():
         solve(lp)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_overflowing_optimal_dual_is_a_solver_failure():
     # finite data and a finite optimum x = 1000, but its dual 1e307 / 1e-3 overflows
     lp = LinearProgram("minimize")

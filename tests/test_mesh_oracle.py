@@ -169,7 +169,9 @@ def test_mesh_day_matches_highs_and_cold_solves(monkeypatch, n_buses, seed):
     assert len(solved) == 48
     # one start per solve: the given start was used, the slack basis never
     assert [n_starts for _, _, n_starts in solved] == [1] * 48
-    assert [prog.start for prog, _, _ in solved[:24]] == [Grid(net).crash_start(h) for h in hours]
+    grid = Grid(net)
+    assert [prog.start for prog, _, _ in solved[:24]] == [grid.template(h).crash
+                                                         for h in grid.hours(hours)]
 
     for prog, sol, _ in solved:
         assert sol.status == "optimal"
@@ -257,7 +259,11 @@ def test_cost_range_ends_where_a_re_solve_changes_basis(n_buses, seed):
             continue
         inp, hed, basis = pass2(data, unc, pi)
         assert not hed.degenerate, data.hour
-        c_lo, c_hi = simplex.cost_range(build_opf(inp), *hed.basis, f"pflex_{cap.bus}")
+        prog = build_opf(inp)
+        prog.start = hed.basis  # the optimum the sweep ranges, solved again
+        sol = solve(prog)
+        assert (sol.basis, sol.nonbasic_at_upper) == hed.basis, data.hour
+        c_lo, c_hi = simplex.cost_range(prog, sol, f"pflex_{cap.bus}")
         assert -c_hi < pi < -c_lo, data.hour
         for end, inward in ((-c_hi, 1.0), (-c_lo, -1.0)):
             if not step < end < INF:

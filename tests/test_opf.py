@@ -400,12 +400,27 @@ def test_block_equals_each_programs_own_densify(name):
     check_blocks(progs)
     if name == "layouts":  # three column layouts, three blocks
         assert len({id(prog.layout) for prog in progs}) == 3
-        assert Grid(net).crash_start(series[0]) is None
+        assert progs[0].layout.crash is None
         # line 2-3 carries two thirds of bus 3's export to bus 2 and binds at 0.6
         loads = [solve_opf_hour(valid_hour(net, data)).p_l_mw for data in series]
         assert loads == [{3: 0.0}, {3: 1.0}, {2: pytest.approx(0.9)}]
     else:  # every hour of a series shares its layout's block
         assert all(prog.layout is progs[0].layout for prog in progs)
+
+
+def test_template_crash_basis_is_angles_an_import_and_limit_slacks():
+    # every angle and the slack bus's import column (else the first offer's)
+    # span the balance and reference rows; each limit row keeps its slack
+    net, series, _ = layout_cases()["layouts"]
+    grid = Grid(net)
+    angles = ("theta_1", "theta_2", "theta_3")
+    limits = tuple(f"slack:flow_{side}_{line}" for line in ("1_2", "1_3", "2_3")
+                   for side in ("hi", "lo"))
+    assert [grid.template(hour).crash for hour in grid.hours(series)] == [
+        None,  # no offers
+        (angles + ("pg_1",) + limits, ()),  # offers at the slack bus 1 and at bus 2
+        (angles + ("pg_3",) + limits, ()),  # one offer, at bus 3
+    ]
 
 
 def program_parts(prog):
@@ -579,7 +594,7 @@ def test_artificial_of_sign_minus_one_negates_its_row_of_the_inverse(monkeypatch
     grid = Grid(net)
     for hour in grid.hours(hours, (cap,)):
         prog = build_opf(hour)
-        prog.start = grid.crash_start(hour.data)
+        prog.start = grid.template(hour).crash
         assert solve(prog).status == "optimal"
     assert negated.count(True) == 24
 
