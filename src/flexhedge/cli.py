@@ -18,6 +18,7 @@ from pathlib import Path
 
 from .economic_dispatch import EdInstance, solve_ed_chain
 from .hedging import (
+    ACTIVE_TOL,
     coordination_trace,
     format_eur,
     hedge_report_json,
@@ -176,8 +177,9 @@ def cmd_run(args) -> int:
         _atomic_write(out_dir / "hedge_report.json", hedge_report_json(report))
     _atomic_write(out_dir / "trace.txt", render_trace(coordination_trace(report)))
 
+    settled = sum(1 for h in report.hours if h.included and h.p_flexreq_mw > ACTIVE_TOL)
     print(f"total revenue: {format_eur(report.total_revenue_eur)} EUR over "
-          f"{report.hours_active} active hours -> {out_dir}")
+          f"{settled} active hours -> {out_dir}")  # the hours the total sums over
     for note in settlement_bound_notes(report, hours):
         print(f"info: {note}")
 

@@ -3,15 +3,18 @@
 The solver works on an internal minimize form: one slack column per row turns
 every relation into an equality, so the working system is ``[A | I] x = b``
 with individual bounds on all columns (``<=`` rows get slack bounds [0, inf),
-``>=`` rows (-inf, 0], equalities [0, 0]).  ``[A | I]`` and the names are
-read from the program's column layout, a read-only ``Layout`` that ``opf``
-shares across an hour layout (``LinearProgram.layout``), else one built for
-the solve; right-hand sides, bounds and costs are read at each solve into its
-one ``_State``, which ``solution_from_basis`` and ``cost_range`` build too.
+``>=`` rows (-inf, 0], equalities [0, 0]).  ``[A | I]``, the names and the
+slack bounds are read from the program's column layout, a read-only
+``Layout`` that ``opf`` shares across an hour layout
+(``LinearProgram.layout``), else one built for the solve; right-hand sides
+and the columns' bounds and costs are read at each solve into its one
+``_State``, which ``solution_from_basis`` and ``cost_range`` build too.
 
 Every solve starts from a basis and the bounds the other columns rest at:
 the program's ``LinearProgram.start`` if it has one, else the slack basis
-with every other column at a finite bound.  One routine (``_start``) inverts
+with every other column at a finite bound; ``_State`` rests each nonbasic
+column once, and each pivot or flip rests the column it moves, so the
+basics' right-hand side is ``b - A_N x_N`` as it stands.  One routine (``_start``) inverts
 the basis, unless the start's basis is its layout's crash basis
 (``Layout.crash``), whose inverse the layout keeps for any start on that
 basis, whatever columns rest at their upper bound, and computes the basic
@@ -83,6 +86,7 @@ from .lp import (
 _RATIO_TIE = 1e-9
 _REFACTOR_EVERY = 50  # pivots between fresh inversions of the basis
 _BLAND_AFTER = 10  # consecutive degenerate pivots before pricing turns to Bland
+_SLACK_BOUNDS = {"<=": (0.0, INF), ">=": (-INF, 0.0), "=": (0.0, 0.0)}  # by row relation
 
 
 def _solve(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -101,9 +105,11 @@ def _inverse(B: np.ndarray) -> np.ndarray:
 
 class Layout:
     """A column layout's read-only solve data: the slack-augmented ``[A | I]``
-    of a program's rows, every column and slack name with its index, and a
-    crash basis ``crash`` (a ``LinearProgram.start``, or None) whose ``B^-1``
-    ``crash_inverse`` inverts on first use.
+    of a program's rows, every column and slack name with its index, the
+    slack half of the bounds (``lo``, ``up``, whose column half each solve's
+    ``_State`` fills in; a slack costs nothing), and a crash basis ``crash``
+    (a ``LinearProgram.start``, or None) whose ``B^-1`` ``crash_inverse``
+    inverts on first use.
     ``opf.Grid`` builds one per layout and study (``LinearProgram.layout``); a
     program without one gets its own at each solve."""
 
@@ -114,11 +120,14 @@ class Layout:
         self.index = {name: j for j, name in enumerate(self.names)}
         col_index = {name: j for j, name in enumerate(self.columns)}
         A = np.zeros((m, n + m))
+        self.lo, self.up = np.zeros(n + m), np.zeros(n + m)
         for i, row in enumerate(lp.rows.values()):
             for cname, coef in row.coeffs.items():
                 A[i, col_index[cname]] += coef
             A[i, n + i] = 1.0
-        A.flags.writeable = False
+            self.lo[n + i], self.up[n + i] = _SLACK_BOUNDS[row.relation]
+        for array in (A, self.lo, self.up):
+            array.flags.writeable = False
         self.A, self.crash = A, crash
 
     @cached_property
@@ -136,12 +145,14 @@ class Layout:
 
 
 class _State:
-    """One solve's working state: ``lp``'s right-hand sides, bounds and costs
-    over its layout's ``[A | I]`` (minimize form), and a basis with every
-    other column resting at a bound.  ``start`` names the basis as
-    ``LinearProgram.start`` does (KeyError for a name the layout lacks);
-    without one, the slack basis with every other column at its finite lower
-    bound, else its finite upper bound, else free at zero."""
+    """One solve's working state: ``lp``'s right-hand sides and its columns'
+    bounds and costs over its layout's ``[A | I]`` and slack bounds (minimize
+    form), and a basis with every other column resting at a bound.  ``start``
+    names the basis as ``LinearProgram.start`` does (KeyError for a name the
+    layout lacks); without one, the slack basis with every other column at its
+    finite lower bound, else its finite upper bound, else free at zero.  Each
+    nonbasic column rests in ``x`` from here on: ``_start``, ``_iterate`` and
+    ``_expel_artificials`` rest each column they move off the basis or flip."""
 
     def __init__(self, lp: LinearProgram, layout: Layout,
                  start: tuple[tuple[str, ...], tuple[str, ...]] | None = None):
@@ -150,15 +161,14 @@ class _State:
         self.n_struct = n = len(layout.columns)
         self.n_rows = m = len(layout.rows)
         self.A = layout.A
-        rows, columns = lp.rows.values(), lp.columns.values()
-        self.b = np.array([row.rhs for row in rows], dtype=float)
-        self.lo = np.array([col.lower for col in columns] +
-                           [-INF if row.relation == ">=" else 0.0 for row in rows])
-        self.up = np.array([col.upper for col in columns] +
-                           [INF if row.relation == "<=" else 0.0 for row in rows])
-        self.c_ext = np.zeros(n + m)
+        columns = lp.columns.values()
+        self.b = np.array([row.rhs for row in lp.rows.values()], dtype=float)
+        self.lo, self.up, self.c_ext = layout.lo.copy(), layout.up.copy(), np.zeros(n + m)
+        self.lo[:n] = [col.lower for col in columns]
+        self.up[:n] = [col.upper for col in columns]
         self.c_ext[:n] = [col.objective for col in columns]
-        self.c_int = -self.c_ext if self.maximizing else self.c_ext  # always minimized
+        # always minimized; _start extends it by a zero per artificial
+        self.c_int = -self.c_ext if self.maximizing else self.c_ext
         self.constant = lp.constant
 
         self.n_total = n + m
@@ -168,11 +178,12 @@ class _State:
         else:
             basis, nonbasic_at_upper = start
             self.at_upper = np.zeros(n + m, dtype=bool)
-            self.at_upper[[layout.index[name] for name in nonbasic_at_upper]] = True
+            if nonbasic_at_upper:
+                self.at_upper[[layout.index[name] for name in nonbasic_at_upper]] = True
             self.basis = [layout.index[name] for name in basis]
         self.in_basis = np.zeros(n + m, dtype=bool)
         self.in_basis[self.basis] = True
-        self.x = np.zeros(n + m)
+        self.x = np.where(self.at_upper, self.up, np.where(self.lo > -INF, self.lo, 0.0))
         self.artificial_from = n + m  # columns >= this index are artificial
         self.art_rows = np.zeros(0, dtype=np.intp)  # the row each artificial serves
         self.iterations = 0
@@ -186,14 +197,9 @@ class _State:
             return self.lo[j]
         return 0.0
 
-    def nonbasic_values(self) -> np.ndarray:
-        """``nonbasic_value`` of every column at once."""
-        return np.where(self.at_upper, self.up, np.where(self.lo > -INF, self.lo, 0.0))
-
     def resting_rhs(self) -> np.ndarray:
-        """Rest every nonbasic column at its value; the rhs the basics must meet."""
+        """The rhs the basic columns must meet, with the others at rest."""
         nonbasic = ~self.in_basis
-        self.x[nonbasic] = self.nonbasic_values()[nonbasic]
         return self.b - self.A[:, nonbasic] @ self.x[nonbasic]
 
     def reinvert(self) -> None:
@@ -231,12 +237,14 @@ def _start(st: _State) -> _State | None:
             s = n + i
             st.at_upper[s] = st.x[s] > st.up[s]
             block[i, t] = 1.0 if st.x[s] > st.nonbasic_value(s) else -1.0
+            st.x[s] = st.nonbasic_value(s)
             pos = st.basis.index(s)
             st.Binv[pos] *= block[i, t]  # exact: B' = B with column pos scaled by it
             st.basis[pos] = st.n_total + t
         st.A = np.hstack([st.A, block])
         st.lo = np.concatenate([st.lo, np.zeros(k)])
         st.up = np.concatenate([st.up, np.full(k, INF)])
+        st.c_int = np.concatenate([st.c_int, np.zeros(k)])  # phase 2 prices artificials at 0
         st.x = np.concatenate([st.x, np.zeros(k)])
         st.at_upper = np.concatenate([st.at_upper, np.zeros(k, dtype=bool)])
         st.artificial_from = st.n_total
@@ -271,8 +279,9 @@ def _iterate(st: _State, cost: np.ndarray) -> str:
     c_B, lo_B, up_B, x_B = cost[basis], lo[basis], up[basis], st.x[basis]
     has_lo, has_up, movable = lo > -INF, up < INF, lo != up
     has_lo_B, has_up_B = has_lo[basis], has_up[basis]
-    sign = np.where(st.at_upper, 1.0, -1.0) * (movable & ~st.in_basis)
-    free = (~has_lo & ~has_up & ~st.in_basis).nonzero()[0]
+    nonbasic = ~st.in_basis
+    sign = np.where(st.at_upper, 1.0, -1.0) * (movable & nonbasic)
+    free = (~has_lo & ~has_up & nonbasic).nonzero()[0]
     stalled = 0  # consecutive pivots that left the basic values where they were
     d = None  # the reduced costs, None once a pivot changes the basis
     while True:
@@ -388,6 +397,7 @@ def _expel_artificials(st: _State) -> bool:
         if replacement >= 0:
             st.in_basis[bi] = False
             st.at_upper[bi] = False
+            st.x[bi] = 0.0  # an artificial's bounds are [0, 0] after phase 1
             st.basis[pos] = replacement
             st.in_basis[replacement] = True
             swapped = True
@@ -407,9 +417,7 @@ def _extract(st: _State, status: str) -> LpSolution:
 
     B = st.A[:, st.basis]
     st.x[st.basis] = _solve(B, st.resting_rhs())
-    cost = np.zeros(st.n_total)
-    cost[: n + m] = st.c_int
-    y_int = _solve(B.T, cost[st.basis])
+    y_int = _solve(B.T, st.c_int[st.basis])
     y_ext = -y_int if st.maximizing else y_int
 
     x_struct = st.x[:n]
@@ -463,9 +471,7 @@ def _solve_from(st: _State) -> LpSolution:
         if _expel_artificials(st):
             st.reinvert()
 
-    cost = np.zeros(st.n_total)
-    cost[: st.n_struct + st.n_rows] = st.c_int
-    return _extract(st, _iterate(st, cost))
+    return _extract(st, _iterate(st, st.c_int))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -525,6 +531,7 @@ def cost_range(lp: LinearProgram, sol: LpSolution, column: str) -> tuple[float, 
     if (d <= PIVOT_TOL).any():
         return c, c
     # side * (d - delta * alpha) > 0, for delta on the internal minimize cost
-    above = float(np.min(d[alpha > 0] / alpha[alpha > 0], initial=INF))
-    below = float(np.max(d[alpha < 0] / alpha[alpha < 0], initial=-INF))
+    rising, falling = alpha > 0, alpha < 0
+    above = float(np.min(d[rising] / alpha[rising], initial=INF))
+    below = float(np.max(d[falling] / alpha[falling], initial=-INF))
     return (c - above, c - below) if st.maximizing else (c + below, c + above)

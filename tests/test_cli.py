@@ -178,6 +178,15 @@ def test_totals_without_a_settled_hour_are_floats(tmp_path):
                     for pi in ("60.0", "70.0")]
 
 
+def test_total_line_counts_only_the_hours_it_sums(tmp_path, capsys):
+    # pass 2 buys flexibility in all 24 hours, but none is settled
+    out = tmp_path / "run"
+    assert main(["run", "--preset", "paper-3bus", "--pi-des", "70", "--line-limit", "1-3=0.01",
+                 "--line-limit", "2-3=0.01", "--allow-infeasible", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"total revenue: 0.00 EUR over 0 active hours -> {out}\n"
+    assert json.loads((out / "hedge_report.json").read_text())["totals"]["hours_active"] == 24
+
+
 def test_run_nan_cap_is_an_error(tmp_path, capsys):
     rc = main(["run", "--preset", "paper-3bus", "--pi-des", "nan",
                "--out", str(tmp_path / "out")])

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from flexhedge import simplex
+from flexhedge.hedging import run_hedge, sweep_pi_des
 from flexhedge.lp import (
     INF,
     MAX_ITERATIONS,
@@ -19,8 +20,8 @@ from flexhedge.lp import (
     verify_kkt,
 )
 from flexhedge.model import PriceCap
-from flexhedge.opf import build_opf
-from flexhedge.scenario import generate_scenario, preset_spec
+from flexhedge.opf import Grid, build_opf
+from flexhedge.scenario import FINITE_LIMIT_MW, generate_scenario, preset_spec
 
 from oracles import brute_force_optimum, enumerate_optima, oracle_row_dual, valid_hour
 from test_mesh_oracle import seeded_mesh
@@ -457,6 +458,74 @@ def test_start_at_the_optimum_reports_its_basis_without_a_pivot(monkeypatch, sou
         assert warm == dataclasses.replace(rebuilt, iterations=1), lp.name
         warm_solves += 1
     assert warm_solves >= 20
+
+
+def recorded_solves(monkeypatch) -> list:
+    """The (program, solution) pairs of every solve from here on."""
+    pairs, original = [], simplex.solve_program
+    monkeypatch.setattr(simplex, "solve_program",
+                        lambda lp: pairs.append((lp, original(lp))) or pairs[-1][1])
+    return pairs
+
+
+@pytest.mark.parametrize("study", ["paper-3bus", "mesh", "sweep"])
+def test_readout_equals_a_fresh_rest_of_its_basis(monkeypatch, study):
+    # each solve keeps its resting values current from its start; its readout
+    # equals one that rests every nonbasic column afresh from the final basis
+    pairs = recorded_solves(monkeypatch)
+    if study == "paper-3bus":
+        for seed in (1, 7, 42):
+            for case in ("infinite", "finite"):
+                scenario = generate_scenario(preset_spec("paper-3bus", case=case, seed=seed))
+                run_hedge(scenario.network, scenario.hours, PriceCap(3, 70.0))
+    elif study == "mesh":
+        run_hedge(*seeded_mesh(30, 1))
+    else:  # pass 2 at every cap where a sweep solves it
+        scenario = generate_scenario(preset_spec("paper-3bus", seed=1))
+        sweep_pi_des(scenario.network, scenario.hours, 3, [float(pi) for pi in range(60, 81)],
+                     {"infinite": None, "finite": {(2, 3): FINITE_LIMIT_MW}})
+    optima = [(lp, sol) for lp, sol in pairs if sol.status == "optimal"]
+    assert len(optima) >= 36
+    for lp, sol in optima:
+        rebuilt = simplex.solution_from_basis(lp, sol.basis, sol.nonbasic_at_upper)
+        assert rebuilt == dataclasses.replace(sol, iterations=0), lp.name
+
+
+def test_artificial_swapped_out_after_phase_1_rests_at_zero():
+    # both columns flip to their upper bound in phase 1, which leaves the
+    # artificial basic at 1e-10, within FEAS_TOL; x takes its place, and the
+    # artificial's 1e-10 must not reach the readout
+    lp = LinearProgram("maximize")
+    lp.add_column("x", 0.0, 0.5, objective=1.0)
+    lp.add_column("y", 0.0, 0.5, objective=2.0)
+    lp.add_row("sum", {"x": 1.0, "y": 1.0}, "=", 1.0 + 1e-10)
+    sol = solve(lp)
+    assert (sol.basis, sol.nonbasic_at_upper) == (("x",), ("y",))
+    rebuilt = simplex.solution_from_basis(lp, sol.basis, sol.nonbasic_at_upper)
+    assert sol == dataclasses.replace(rebuilt, iterations=sol.iterations)
+    assert sol.primal["x"] == 0.5 + 1e-10
+
+
+def test_shared_layout_slack_bounds_match_each_programs_own():
+    # every hour of a pass shares the layout its grid built from the first
+    scenario = generate_scenario(preset_spec("paper-3bus", case="finite", seed=7))
+    programs = []
+    for net, hours, cap in ((scenario.network, scenario.hours, PriceCap(3, 70.0)),
+                            seeded_mesh(30, 1)):
+        grid = Grid(net)
+        programs += [build_opf(hour) for caps in ((), (cap,)) for hour in grid.hours(hours, caps)]
+    assert len({id(lp.layout) for lp in programs}) < len(programs) / 10
+    for lp in programs:
+        shared, own = simplex._State(lp, lp.layout), simplex._State(lp, simplex.Layout(lp))
+        for name in ("lo", "up", "c_ext", "b"):
+            assert getattr(shared, name).tobytes() == getattr(own, name).tobytes(), (lp.name, name)
+    lp = LinearProgram("minimize")
+    lp.add_column("x", 0.0, 1.0, objective=1.0)
+    for relation in ("<=", ">=", "="):
+        lp.add_row(relation, {"x": 1.0}, relation, 0.5)
+    st = simplex._State(lp, simplex.Layout(lp))
+    assert st.lo.tolist() == [0.0, 0.0, -INF, 0.0]
+    assert st.up.tolist() == [1.0, INF, 0.0, 0.0]
 
 
 def test_start_is_not_part_of_the_program():
