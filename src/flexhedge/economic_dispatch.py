@@ -70,23 +70,15 @@ class EdChainReport:
         return max(abs(a - b) for a in values for b in values)
 
 
-def _hour(inst: EdInstance, capped: bool = True) -> ValidHour:
-    caps = (PriceCap(1, inst.cap),) if capped and inst.cap is not None else ()
+def _hour(inst: EdInstance) -> ValidHour:
+    caps = (PriceCap(1, inst.cap),) if inst.cap is not None else ()
     return Grid(SINGLE_BUS).hours((HourlyMarketData(1, [inst.offer], [inst.utility]),), caps)[0]
-
-
-def _crash_started(hour: ValidHour) -> LinearProgram:
-    # from the slack basis a one-bus solve can end with the angle_ref slack
-    # basic at zero and report a degenerate optimum that is not one
-    prog = build_opf(hour)
-    prog.start = prog.layout.crash
-    return prog
 
 
 def build_ed_primal(inst: EdInstance) -> LinearProgram:
     """Welfare maximization: utility of consumption minus generation cost.
     Load limits and a finite generator capacity are column bounds."""
-    return _crash_started(_hour(inst, capped=False))
+    return build_opf(replace(_hour(inst), caps=()))
 
 
 def build_ed_dual(inst: EdInstance) -> LinearProgram:
@@ -98,7 +90,7 @@ def build_ed_flex_primal(inst: EdInstance) -> LinearProgram:
     """Dispatch with a flexibility injection ``pflex_1`` priced at the cap."""
     if inst.cap is None:
         raise ValueError("the flexibility primal needs a price cap")
-    return _crash_started(_hour(inst))
+    return build_opf(_hour(inst))
 
 
 def _result_from(sol: LpSolution) -> EdResult:
@@ -117,7 +109,7 @@ def _result_from(sol: LpSolution) -> EdResult:
 def solve_ed_chain(inst: EdInstance) -> EdChainReport:
     """Solve the unconstrained dispatch, the capped dual, and the flex primal."""
     hour = _hour(inst)  # the three programs share its checks
-    primal_sol = solve(_crash_started(replace(hour, caps=())))
+    primal_sol = solve(build_opf(replace(hour, caps=())))
     if primal_sol.status != "optimal":
         raise ValueError(f"unconstrained dispatch is {primal_sol.status}")
     lmp_unconstrained = price_paid_by_load(primal_sol, "balance_1")
@@ -128,7 +120,7 @@ def solve_ed_chain(inst: EdInstance) -> EdChainReport:
                              degenerate=primal_sol.degenerate)
 
     dual_sol = solve(capped_dual(hour))
-    flex_sol = solve(_crash_started(hour))
+    flex_sol = solve(build_opf(hour))
     if dual_sol.status != "optimal" or flex_sol.status != "optimal":
         raise ValueError(
             f"capped chain failed: dual {dual_sol.status}, flex {flex_sol.status}")

@@ -310,22 +310,20 @@ def to_lp_format(lp: LinearProgram) -> str:
         sign = "-" if coef < 0 else "+"
         return f"{sign} {num(abs(coef))} {name}"
 
+    zero = f"0 {next(iter(lp.columns))}" if lp.columns else "0"  # an empty sum
+
+    def body(terms: list[tuple[float, str]]) -> str:
+        return " ".join(term(c, n, i == 0) for i, (c, n) in enumerate(terms)) or zero
+
     lines = ["\\ " + lp.name]
     lines.append("Maximize" if lp.sense == "maximize" else "Minimize")
-    obj_terms = [(c.objective, c.name) for c in lp.columns.values() if c.objective != 0.0]
-    if obj_terms:
-        body = " ".join(term(c, n, i == 0) for i, (c, n) in enumerate(obj_terms))
-    elif lp.columns:
-        body = "0 " + next(iter(lp.columns))
-    else:
-        body = "0"
-    lines.append(" obj: " + body)
+    lines.append(" obj: " + body([(c.objective, c.name) for c in lp.columns.values()
+                                  if c.objective != 0.0]))
     lines.append("Subject To")
     rel_txt = {"<=": "<=", "=": "=", ">=": ">="}
     for row in lp.rows.values():
         terms = [(c, n) for n, c in row.coeffs.items() if c != 0.0]
-        body = " ".join(term(c, n, i == 0) for i, (c, n) in enumerate(terms)) or "0 " + next(iter(lp.columns))
-        lines.append(f" {row.name}: {body} {rel_txt[row.relation]} {num(row.rhs)}")
+        lines.append(f" {row.name}: {body(terms)} {rel_txt[row.relation]} {num(row.rhs)}")
     lines.append("Bounds")
     for col in lp.columns.values():
         lo, up = col.lower, col.upper

@@ -20,8 +20,9 @@ names, balance rows and ``simplex.Layout`` (``Grid.template``): the dense
 matrix, names and crash basis, whose inverse the first solve on that basis
 computes for every later start on it.  So ``build_opf`` only adds the hour's
 columns and copies the compiled rows through ``LinearProgram.add_column``
-and ``add_row``, ``solve_opf_hour`` reads each value by a compiled name, and
-a solve reads only the hour's right-hand sides, bounds and costs.
+and ``add_row``, and starts the program at that crash basis
+(``LinearProgram.start``); ``solve_opf_hour`` reads each value by a compiled
+name, and a solve reads only the hour's right-hand sides, bounds and costs.
 
 ``capped_dual`` builds the paper's side of the same hour: the dual of the
 program without flexibility, with the price at each capped bus bounded.
@@ -186,7 +187,10 @@ class ValidHour:
 def build_opf(hour: ValidHour) -> LinearProgram:
     """Assemble the hour's LP: balance rows, angle reference, line-limit pairs,
     copied from its grid's compiled rows, over the record of its column
-    layout (``Grid.template``)."""
+    layout (``Grid.template``), started at that layout's crash basis
+    (``LinearProgram.start``).  From the slack basis a one-bus hour can end
+    with the angle reference's slack basic at zero and report a degenerate
+    optimum that is not one; the crash basis holds the angles basic."""
     grid, data = hour.grid, hour.data
     template = grid.template(hour)
     prog = LinearProgram("maximize", name=f"opf_h{data.hour}")
@@ -214,7 +218,7 @@ def build_opf(hour: ValidHour) -> LinearProgram:
     if template.layout is None:
         from .simplex import Layout  # numpy, like lp.solve, loads on a first solve
         template.layout = Layout(prog, template.crash)
-    prog.layout = template.layout
+    prog.layout, prog.start = template.layout, template.crash
     return prog
 
 
@@ -237,7 +241,8 @@ def solve_opf_hour(hour: ValidHour, start=None) -> DispatchResult | None:
     (``LinearProgram.start``), its layout's crash basis by default; the
     result's ``basis`` is the optimal pair in the same form."""
     prog = build_opf(hour)
-    prog.start = prog.layout.crash if start is None else start
+    if start is not None:
+        prog.start = start
     sol = solve(prog)
     if sol.status == "infeasible":
         return None
@@ -267,11 +272,10 @@ def solve_opf_hour(hour: ValidHour, start=None) -> DispatchResult | None:
     )
 
 
-def solve_opf_series(net: Network, series: list[HourlyMarketData],
-                     caps: tuple[PriceCap, ...] = ()) -> list[DispatchResult | None]:
-    """``solve_opf_hour`` of each hour of ``series`` with flexibility at each
-    of ``caps``, every hour checked before the first solve."""
-    return [solve_opf_hour(hour) for hour in Grid(net).hours(series, caps)]
+def solve_opf_series(net: Network, series: list[HourlyMarketData]) -> list[DispatchResult | None]:
+    """``solve_opf_hour`` of each hour of ``series``, every hour checked
+    before the first solve."""
+    return [solve_opf_hour(hour) for hour in Grid(net).hours(series)]
 
 
 DISPATCH_CSV_COLUMNS = [

@@ -10,9 +10,11 @@ slack bounds are read from the program's column layout, a read-only
 and the columns' bounds and costs are read at each solve into its one
 ``_State``, which ``solution_from_basis`` and ``cost_range`` build too.
 
-Every solve starts from a basis and the bounds the other columns rest at:
-the program's ``LinearProgram.start`` if it has one, else the slack basis
-with every other column at a finite bound; ``_State`` rests each nonbasic
+Every solve starts from a named basis, the program's ``LinearProgram.start``
+if it has one, else the slack basis ``(slack names, ())``, and one rule rests
+every other column: at its upper bound where the start's
+``nonbasic_at_upper`` names it or that is its only finite bound, at 0 where it
+has no finite bound, else at its lower bound.  ``_State`` rests each nonbasic
 column once, and each pivot or flip rests the column it moves, so the
 basics' right-hand side is ``b - A_N x_N`` as it stands.  One routine (``_start``) inverts
 the basis, unless the start's basis is its layout's crash basis
@@ -27,8 +29,9 @@ when it names a column or slack the program lacks (an ``artificial:`` entry
 included), is singular (a basis of the wrong size included), rests a column
 at an infinite bound or puts a basic structural column out of bounds; and
 also when it ends anywhere but on a non-degenerate optimum, so a program
-whose duals are not unique reports the slack-basis solve's vertex.  The OPF hands each hour its
-layout's crash basis (``opf._Template.crash``) or an earlier optimal basis this way.
+whose duals are not unique reports the slack-basis solve's vertex.  An
+``opf.build_opf`` program starts at its layout's crash basis
+(``opf._Template.crash``) unless an earlier optimal basis replaces it.
 
 The entering column is the eligible one with the largest reduced cost in
 absolute value (Dantzig), ties going to the lowest index.  Eligible means a
@@ -147,11 +150,10 @@ class Layout:
 class _State:
     """One solve's working state: ``lp``'s right-hand sides and its columns'
     bounds and costs over its layout's ``[A | I]`` and slack bounds (minimize
-    form), and a basis with every other column resting at a bound.  ``start``
-    names the basis as ``LinearProgram.start`` does (KeyError for a name the
-    layout lacks); without one, the slack basis with every other column at its
-    finite lower bound, else its finite upper bound, else free at zero.  Each
-    nonbasic column rests in ``x`` from here on: ``_start``, ``_iterate`` and
+    form), and a basis, named by ``start`` as ``LinearProgram.start`` does
+    (KeyError for a name the layout lacks) or else the slack basis, with every
+    other column resting by the module's one rule.  Each nonbasic column
+    rests in ``x`` from here on: ``_start``, ``_iterate`` and
     ``_expel_artificials`` rest each column they move off the basis or flip."""
 
     def __init__(self, lp: LinearProgram, layout: Layout,
@@ -172,15 +174,11 @@ class _State:
         self.constant = lp.constant
 
         self.n_total = n + m
-        if start is None:
-            self.basis = list(range(n, n + m))
-            self.at_upper = (self.lo == -INF) & (self.up < INF)
-        else:
-            basis, nonbasic_at_upper = start
-            self.at_upper = np.zeros(n + m, dtype=bool)
-            if nonbasic_at_upper:
-                self.at_upper[[layout.index[name] for name in nonbasic_at_upper]] = True
-            self.basis = [layout.index[name] for name in basis]
+        basis, nonbasic_at_upper = start or (layout.names[n:], ())
+        self.basis = [layout.index[name] for name in basis]
+        self.at_upper = (self.lo == -INF) & (self.up < INF)  # its only finite bound
+        if nonbasic_at_upper:
+            self.at_upper[[layout.index[name] for name in nonbasic_at_upper]] = True
         self.in_basis = np.zeros(n + m, dtype=bool)
         self.in_basis[self.basis] = True
         self.x = np.where(self.at_upper, self.up, np.where(self.lo > -INF, self.lo, 0.0))

@@ -421,15 +421,48 @@ def test_optimal_start_takes_one_iteration():
     assert verify_kkt(lp, warm).within(1e-9)
 
 
+def _above_a_floor_lp():
+    # maximize x - y with x - y >= 1 and x <= 3: the optimum is x = 3, y = 0;
+    # the slack of r has only its upper bound, 0, finite
+    lp = LinearProgram("maximize")
+    lp.add_column("x", 0.0, 5.0, objective=1.0)
+    lp.add_column("y", 0.0, 5.0, objective=-1.0)
+    lp.add_row("r", {"x": 1.0, "y": -1.0}, ">=", 1.0)
+    lp.add_row("cap", {"x": 1.0}, "<=", 3.0)
+    return lp
+
+
+@pytest.mark.parametrize("basis", [("x", "slack:cap"), ("y", "x")])
+def test_a_start_rests_an_upper_bounded_column_at_its_upper_bound(basis):
+    # a start need not list the slack of r as resting at its upper bound: its
+    # only finite bound is the upper one, so it rests and prices there
+    lp = _above_a_floor_lp()
+    lp.start = (basis, ())
+    sol = solve(lp)
+    assert sol.status == "optimal" and sol.objective_value == 3.0
+    assert verify_kkt(lp, sol).within(1e-9)
+
+
+def test_a_rebuilt_solution_rests_an_upper_bounded_column_either_way():
+    lp = _above_a_floor_lp()
+    listed = simplex.solution_from_basis(lp, ("x", "slack:cap"), ("slack:r",))
+    assert simplex.solution_from_basis(lp, ("x", "slack:cap"), ()) == listed
+    assert listed.nonbasic_at_upper == ("slack:r",)
+
+
 def hour_programs(source):
     """``paper-3bus`` seed 7's pass-2 programs at cap 70 in one line-limit case,
     or both passes' programs of ``seeded_mesh(10, 1)``; none has a start."""
     if source == "mesh":
         net, hours, cap = seeded_mesh(10, 1)
-        return [build_opf(valid_hour(net, data, caps)) for caps in ((), (cap,)) for data in hours]
-    scenario = generate_scenario(preset_spec("paper-3bus", case=source, seed=7))
-    return [build_opf(valid_hour(scenario.network, data, (PriceCap(3, 70.0),)))
-            for data in scenario.hours]
+        programs = [build_opf(valid_hour(net, data, caps)) for caps in ((), (cap,)) for data in hours]
+    else:
+        scenario = generate_scenario(preset_spec("paper-3bus", case=source, seed=7))
+        programs = [build_opf(valid_hour(scenario.network, data, (PriceCap(3, 70.0),)))
+                    for data in scenario.hours]
+    for lp in programs:
+        lp.start = None  # a cold solve, not build_opf's crash start
+    return programs
 
 
 @pytest.mark.parametrize("source", ["infinite", "finite", "mesh"])
@@ -691,3 +724,9 @@ def test_lp_format_twelve_significant_digits():
     text = to_lp_format(lp)
     assert "0.333333333333 x" in text
     assert "0.666666666667 x" in text
+
+
+def test_lp_format_row_without_columns():
+    lp = LinearProgram()
+    lp.add_row("r", {}, "<=", 1.0)
+    assert to_lp_format(lp) == "\\ lp\nMaximize\n obj: 0\nSubject To\n r: 0 <= 1\nBounds\nEnd\n"
