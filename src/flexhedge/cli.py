@@ -157,9 +157,8 @@ def cmd_run(args) -> int:
     formats = [f.strip() for f in (args.formats or "csv,json").split(",")]
     problems = [f"unknown format {f!r}; expected csv|json"
                 for f in formats if f not in ("csv", "json")]
-    problems += Grid(net).problems_of(hours, [cap])
-    if problems:
-        return _fail(*problems)
+    if problems:  # then the input's own problems, which run_hedge checks otherwise
+        return _fail(*problems, *Grid(net).problems_of(hours, [cap]))
 
     run = run_hedge(net, hours, cap)
     report = run.report
@@ -203,9 +202,9 @@ def cmd_sweep(args) -> int:
     bus = 3 if args.bus is None else args.bus
     problems = [f"unknown case {case!r}; expected {'|'.join(LINE_LIMIT_CASES)}"
                 for case in cases if case not in LINE_LIMIT_CASES]
-    problems += Grid(net).problems_of(hours, [PriceCap(bus, pi) for pi in pi_values])
-    if problems:
-        return _fail(*problems)
+    if problems:  # then the input's own problems, which sweep_pi_des checks otherwise
+        return _fail(*problems, *Grid(net).problems_of(
+            hours, [PriceCap(bus, pi) for pi in pi_values]))
 
     # net carries the user's --line-limit, which wins over a case's own limits as in run
     user = _parse_line_limits(args.line_limit)
@@ -317,14 +316,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one command.  Bad input, an unreadable or unwritable file and a
-    solver failure each end in an ``error:`` line and exit status 1; any
-    other exception is a defect and keeps its traceback."""
+    solver failure exit 1 with an ``error:`` line per problem (each argument
+    of a ``ScenarioError``); any other exception is a defect with a traceback."""
     args = build_parser().parse_args(argv)
     try:
         _apply_config_defaults(args)
         return args.func(args)
     except (ValueError, OSError, SolverFailureError) as exc:
-        return _fail(str(exc))
+        return _fail(*exc.args) if isinstance(exc, ScenarioError) else _fail(str(exc))
 
 
 if __name__ == "__main__":

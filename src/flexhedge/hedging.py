@@ -37,7 +37,7 @@ import math
 from dataclasses import dataclass, replace
 from decimal import ROUND_HALF_UP, Context, Decimal
 
-from .lp import INF, solve
+from .lp import INF
 from .model import Network, PriceCap
 from .opf import DispatchResult, Grid, ValidHour, build_opf, solve_opf_hour
 from .scenario import ScenarioError, apply_line_limits
@@ -203,10 +203,10 @@ def sweep_pi_des(net: Network, series, bus: int, pi_values,
     summed in the same order, but each scenario solves pass 1 once and pass 2
     only where a cap leaves the interval of pi of the hour's last pass-2 basis.
 
-    Before any solve it raises ValueError listing every problem of ``net``,
-    the caps and the hours (``Grid.problems_of``), then each scenario's own
-    network's: line limits do not enter an hour's check, so hours are checked
-    once per study.
+    Before any solve it raises a ``ScenarioError`` with one argument per
+    problem of ``net``, the caps and the hours (``Grid.problems_of``), then of
+    each scenario's own network: line limits do not enter an hour's check, so
+    hours are checked once per study.
     """
     series, pi_values = tuple(series), [float(pi) for pi in pi_values]
     for name, values in (("pi_values", pi_values), ("scenarios", scenarios)):
@@ -221,11 +221,10 @@ def sweep_pi_des(net: Network, series, bus: int, pi_values,
         except ScenarioError as exc:
             problems.append(f"scenario {label!r}: {exc}")
             continue
-        if grid is not base:
-            problems += [f"scenario {label!r}: {p}" for p in grid.problems_of(())
-                         if p not in problems]
+        problems += [f"scenario {label!r}: {p}" for p in grid.problems_of(())
+                     if p not in problems]  # base's own are listed already
     if problems:
-        raise ValueError("; ".join(problems))
+        raise ScenarioError(*problems)
     if sorted(pi_values) != pi_values:
         raise ValueError("pi_values must be sorted ascending")
 
@@ -252,7 +251,7 @@ def _sweep_totals(hours: list[ValidHour], bus: int, pi_values: list[float]) -> l
     solve, from pass 1's basis as in ``run_hedge``, holds at each later cap
     inside the interval of pi where its basis stays optimal: none at a tie or
     a degenerate optimum, where a run alone may reach another vertex."""
-    from .simplex import cost_range  # numpy, like lp.solve, loads on a first solve
+    from .simplex import cost_range, solve_program  # numpy loads on a first solve
     revenues: list[list[float]] = [[] for _ in pi_values]  # included hours, in hour order
     for hour, unc in zip(hours, [solve_opf_hour(h) for h in hours]):  # pass 1 in full first
         if unc is None:  # excluded at every cap
@@ -262,7 +261,7 @@ def _sweep_totals(hours: list[ValidHour], bus: int, pi_values: list[float]) -> l
             if lam_unc > pi and not lo + RANGE_TOL < pi < hi - RANGE_TOL:
                 prog = build_opf(replace(hour, caps=(PriceCap(bus, pi),)))
                 prog.start = unc.basis  # pass 1's vertex with pflex at 0 is feasible
-                hed = solve(prog)
+                hed = solve_program(prog)  # a checked hour's program, as in solve_opf_hour
                 if hed.status != "optimal":
                     raise ValueError(f"hour {hour.data.hour}: solver returned {hed.status}")
                 c_lo, c_hi = cost_range(prog, hed, f"pflex_{bus}")  # pflex's objective is -pi

@@ -100,10 +100,8 @@ class LinearProgram:
         self.rows[name] = _Row(name, dict(coeffs), relation, float(rhs))
 
     def validate(self) -> list[str]:
-        """Return every structural violation; empty list means well-formed.
-        Row coefficients are checked only without a ``layout`` (a ``Grid``
-        compiled its rows from a checked network); bounds, costs and
-        right-hand sides on every call."""
+        """Return every violation in the bounds, costs, row coefficients and
+        right-hand sides; an empty list means well-formed."""
         problems = []
         for col in self.columns.values():
             if not col.lower <= col.upper:
@@ -113,8 +111,7 @@ class LinearProgram:
             if not math.isfinite(col.objective):
                 problems.append(f"column {col.name!r}: non-finite objective {col.objective}")
         for row in self.rows.values():
-            coeffs = () if self.layout else row.coeffs.items()
-            for cname, coef in coeffs:
+            for cname, coef in row.coeffs.items():
                 if cname not in self.columns:
                     problems.append(f"row {row.name!r} references unknown column {cname!r}")
                 if not math.isfinite(coef):

@@ -13,7 +13,8 @@ sheds firm load, because a shedding variable would change the prices.
 A study compiles its network once into a ``Grid``, the one place an input is
 checked: ``Grid.hours`` raises every problem of the network, the caps and the
 hours or returns each hour as a ``ValidHour``, the one hour type, which
-``build_opf``, ``capped_dual`` and ``solve_opf_hour`` take unchecked.  The
+``build_opf``, ``capped_dual`` and ``solve_opf_hour`` take unchecked, and whose
+program a solve hands to ``simplex.solve_program`` with no re-check.  The
 grid compiles, once per study, every name and row an hour needs and, per
 column layout (the buses of an hour's offers, utilities and caps), its column
 names, balance rows and ``simplex.Layout`` (``Grid.template``): the dense
@@ -34,7 +35,7 @@ import csv
 from collections import Counter
 from dataclasses import dataclass, replace
 
-from .lp import INF, LinearProgram, LpSolution, dual_of, dual_program, solve
+from .lp import INF, LinearProgram, LpSolution, dual_of, dual_program
 from .model import (
     HourlyMarketData,
     Network,
@@ -43,6 +44,7 @@ from .model import (
     validate_network,
     validate_price_cap,
 )
+from .scenario import ScenarioError
 
 
 @dataclass(frozen=True)
@@ -122,14 +124,14 @@ class Grid:
 
     def hours(self, series, caps=()) -> list[ValidHour]:
         """Each hour of ``series`` with ``caps`` applied together, checked;
-        raises ValueError listing every problem (``problems_of``, then each
-        bus with more than one cap)."""
+        raises a ``ScenarioError`` with one argument per problem
+        (``problems_of``, then each bus with more than one cap)."""
         series, caps = tuple(series), tuple(caps)
         problems = self.problems_of(series, caps) + [
             f"more than one price cap at bus {bus}"
             for bus, count in Counter(cap.bus for cap in caps).items() if count > 1]
         if problems:
-            raise ValueError("; ".join(problems))
+            raise ScenarioError(*problems)
         return [ValidHour(self, data, caps) for data in series]
 
     def template(self, hour: ValidHour) -> _Template:
@@ -240,10 +242,10 @@ def solve_opf_hour(hour: ValidHour, start=None) -> DispatchResult | None:
     optional ``(basis, nonbasic_at_upper)`` pair the simplex tries first
     (``LinearProgram.start``), its layout's crash basis by default; the
     result's ``basis`` is the optimal pair in the same form."""
+    from .simplex import solve_program  # at call time, as in lp.solve: numpy loads late
     prog = build_opf(hour)
-    if start is not None:
-        prog.start = start
-    sol = solve(prog)
+    prog.start = start or prog.start
+    sol = solve_program(prog)
     if sol.status == "infeasible":
         return None
     if sol.status != "optimal":

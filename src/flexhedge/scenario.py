@@ -30,7 +30,10 @@ _MASK64 = (1 << 64) - 1
 
 
 class ScenarioError(ValueError):
-    """Malformed scenario specification or input file."""
+    """Malformed input, one argument per problem; its message joins them with "; "."""
+
+    def __str__(self) -> str:
+        return "; ".join(map(str, self.args))
 
 
 class SplitMix64:
@@ -149,7 +152,7 @@ def generate_scenario(spec: ScenarioSpec) -> Scenario:
     """
     problems = spec.validate()
     if problems:
-        raise ScenarioError("; ".join(problems))
+        raise ScenarioError(*problems)
 
     rng = SplitMix64(spec.seed)
     floor = (1.0 - DIST_SCALE) * min(DEFAULT_WHOLESALE_EUR_MWH)

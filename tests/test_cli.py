@@ -12,9 +12,10 @@ from pathlib import Path
 import pytest
 
 import flexhedge
+from flexhedge import opf
 from flexhedge.cli import main
 from flexhedge.hedging import run_hedge, sweep_pi_des
-from flexhedge.model import Bus, LoadUtility, PriceCap
+from flexhedge.model import Bus, LoadUtility, PriceCap, validate_market_data
 from flexhedge.scenario import (
     LINE_LIMIT_CASES,
     ScenarioSpec,
@@ -24,6 +25,8 @@ from flexhedge.scenario import (
     load_scenario_file,
     write_scenario_file,
 )
+
+from test_hedging import count_calls, count_solves
 
 ARTIFACTS = ["hedge_report.csv", "hedge_report.json", "dispatch_unconstrained.csv",
              "dispatch_hedged.csv", "trace.txt"]
@@ -423,6 +426,55 @@ def test_sweep_lists_each_problem_before_solving(tmp_path, capsys):
         "error: line 1-2: reactance_pu must be > 0, got -0.1\n"
         "error: price cap at bus 3: negative cap value\n")
     assert not (tmp_path / "out").exists()
+
+
+def test_sweep_input_lists_the_hours_and_each_cases_problems(tmp_path, capsys):
+    # the study checks the hours and then each case's network: the default
+    # finite case limits line 2-3, which this file does not have
+    scenario = generate_scenario(ScenarioSpec(seed=1))
+    net = replace(scenario.network, lines=scenario.network.lines[:2])  # lines 1-2 and 1-3
+    hours = [replace(data, utilities=[replace(u, p_min_mw=2.0, p_max_mw=1.0)
+                                      for u in data.utilities]) if data.hour == 3 else data
+             for data in scenario.hours]
+    path, out = tmp_path / "no-line-2-3.txt", tmp_path / "out"
+    with open(path, "w") as fobj:
+        write_scenario_file(net, hours, fobj)
+    assert main(["sweep", "--input", str(path), "--pi", "70", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: hour 3: load bounds at bus 3 must satisfy 0 <= min <= max, got [2.0, 1.0]\n"
+        "error: scenario 'finite': overrides reference unknown lines: [(2, 3)]\n")
+    assert not out.exists()
+
+
+def test_a_flag_problem_alone_is_its_one_line_before_any_solve(monkeypatch, tmp_path, capsys):
+    solved = count_solves(monkeypatch)
+    out = tmp_path / "out"
+    for argv, problem in [
+        (["run", "--formats", "xml"], "unknown format 'xml'; expected csv|json"),
+        (["sweep", "--pi", "70", "--cases", "weird"],
+         "unknown case 'weird'; expected infinite|finite"),
+    ]:
+        assert main(argv + ["--preset", "paper-3bus", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {problem}\n"
+    assert solved == [] and not out.exists()
+
+
+def test_run_and_sweep_check_each_hour_once(monkeypatch, tmp_path):
+    # the study's own check is the only one: the CLI does not check first
+    validated = count_calls(monkeypatch, validate_market_data, opf)
+    for argv in (["run", "--pi-des", "70"], ["sweep", "--pi", "60,70,80"]):
+        validated.clear()
+        assert main(argv + ["--preset", "paper-3bus", "--seed", "1",
+                            "--out", str(tmp_path / argv[0])]) == 0
+        assert len(validated) == 24
+
+
+def test_duality_demo_states_each_problem_on_its_own_line(capsys):
+    assert main(["duality-demo", "--gen-cost", "inf", "--utility", "inf"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == (
+        "error: hour 1: offer at bus 1 has non-finite marginal cost\n"
+        "error: hour 1: utility at bus 1 has non-finite marginal utility\n")
 
 
 @pytest.mark.parametrize("flag, problem", [

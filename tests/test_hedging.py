@@ -25,6 +25,7 @@ from flexhedge.hedging import (
     sweep_pi_des,
     write_hedge_csv,
 )
+from flexhedge.lp import LinearProgram
 from flexhedge.model import (
     Bus,
     GenOffer,
@@ -430,6 +431,21 @@ def test_study_builds_once_per_solve_and_validates_once_per_hour(monkeypatch):
     assert len(validated) == 24
     assert len(built) == len(solved) == 87
     assert len(factored) == 2 * 87 + 39
+
+
+def test_study_solves_its_programs_without_validating_them(monkeypatch):
+    # every value of an hour's program comes from an hour Grid.hours checked,
+    # so neither pass re-checks it through LinearProgram.validate
+    scenario = generate_scenario(ScenarioSpec(seed=1))
+    net, hours = scenario.network, scenario.hours
+    validated = count_calls(monkeypatch, LinearProgram.validate, LinearProgram)
+    solved = count_solves(monkeypatch)
+    run_hedge(net, hours, PriceCap(3, 70.0))
+    assert (len(validated), len(solved)) == (0, 38)
+    solved.clear()
+    sweep_pi_des(net, hours, 3, [float(pi) for pi in range(60, 81)],
+                 {"infinite": None, "finite": {(2, 3): FINITE_LIMIT_MW}})
+    assert (len(validated), len(solved)) == (0, 87)
 
 
 @pytest.mark.parametrize("caps", [[float(pi) for pi in range(60, 81)],

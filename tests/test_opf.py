@@ -30,7 +30,7 @@ from flexhedge.opf import (
     solve_opf_series,
     write_dispatch_csv,
 )
-from flexhedge.scenario import ScenarioSpec, generate_scenario
+from flexhedge.scenario import ScenarioSpec, build_3bus_network, generate_scenario
 
 from oracles import brute_force_optimum, oracle_row_dual, reference_opf, valid_hour
 
@@ -652,6 +652,48 @@ def test_compiled_rows_are_checked_once_per_network():
     assert prog.validate() == [
         "row 'extra': non-finite coefficient nan on column 'theta_2'",
         "row 'extra' references unknown column 'ghost'"]
+
+
+def checked_input(name):
+    """Network, 24 hours and a cap that ``Grid.hours`` accepts, by name."""
+    from test_hedging import tie_hours
+    from test_mesh_oracle import seeded_mesh  # it imports test_hedging
+
+    if name.startswith("paper-3bus"):
+        _, seed, case = name.rsplit("-", 2)
+        scenario = generate_scenario(ScenarioSpec(seed=int(seed), line_limit_case=case))
+        return scenario.network, scenario.hours, PriceCap(3, 70.0)
+    if name.startswith("mesh"):
+        return seeded_mesh(int(name[4:]), 1)
+    if name == "tie-hours":
+        return build_3bus_network("infinite"), tie_hours(), PriceCap(3, 70.0)
+    if name == "24-value-cap":
+        scenario = generate_scenario(ScenarioSpec(seed=1))
+        return scenario.network, scenario.hours, PriceCap(3, tuple(50.0 + h for h in range(24)))
+    # the ends of each valid range: a limit and a reactance near the smallest
+    # and largest floats, an unlimited offer at no cost, a firm load, a cap of 0
+    net = Network(triangle().buses, [Line(1, 2, 0.1, 1e-300), Line(1, 3, 1e-300, 1e300),
+                                     Line(2, 3, 0.1)])
+    hours = [HourlyMarketData(h, offers=[GenOffer(1, 0.0, 0.0, INF), GenOffer(2, 0.0)],
+                              utilities=[LoadUtility(3, 60.0, 0.0, 0.5, 0.5)])
+             for h in range(1, 25)]
+    return net, hours, PriceCap(3, 0.0)
+
+
+@pytest.mark.parametrize("name", [f"paper-3bus-{seed}-{case}" for seed in (1, 7, 42)
+                                  for case in ("infinite", "finite")]
+                         + ["mesh10", "mesh30", "mesh60", "tie-hours", "24-value-cap",
+                            "edge-values"])
+def test_every_checked_hour_builds_a_well_formed_program(name):
+    # solve_opf_hour and a sweep solve build_opf's program without
+    # LinearProgram.validate: the check would find nothing in any hour that
+    # Grid.hours accepts, rows and coefficients included
+    net, series, cap = checked_input(name)
+    grid = Grid(net)
+    for caps in ((), (cap,)):
+        for hour in grid.hours(series, caps):
+            prog = build_opf(hour)
+            assert prog.layout is not None and prog.validate() == [], (hour.data.hour, caps)
 
 
 def test_overflowing_susceptance_sum_is_still_named():
