@@ -155,8 +155,8 @@ def cmd_run(args) -> int:
     bus = 3 if args.bus is None else args.bus
     cap = PriceCap(bus, _parse_pi_des("70" if args.pi_des is None else args.pi_des))
     formats = [f.strip() for f in (args.formats or "csv,json").split(",")]
-    problems = [f"unknown format {f!r}; expected csv|json"
-                for f in formats if f not in ("csv", "json")]
+    problems = list(dict.fromkeys(f"unknown format {f!r}; expected csv|json"
+                                  for f in formats if f not in ("csv", "json")))
     if problems:  # then the input's own problems, which run_hedge checks otherwise
         return _fail(*problems, *Grid(net).problems_of(hours, [cap]))
 

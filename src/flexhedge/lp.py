@@ -1,11 +1,14 @@
 """Canonical linear programs with named rows/columns, duals, and a KKT audit.
 
 This module is the numeric backbone of the toolkit.  A ``LinearProgram`` is a
-named, bounded-variable LP (maximize or minimize); ``solve`` runs the built-in
-bounded-variable simplex (see :mod:`flexhedge.simplex`) and returns an
-``LpSolution`` carrying primal values, row duals, reduced costs and the final
-basis.  ``verify_kkt`` recomputes optimality residuals from the program and the
-solution alone, independent of any solver state.
+named, bounded-variable LP (maximize or minimize), built by hand through
+``add_column``/``add_row`` or, as ``opf.build_opf`` builds each hour, given as
+arrays over a shared column layout whose name dicts are built only when
+read; ``solve`` runs the built-in bounded-variable simplex (see
+:mod:`flexhedge.simplex`) and returns an ``LpSolution`` carrying primal values,
+row duals, reduced costs and the final basis.  ``verify_kkt`` recomputes
+optimality residuals from the program and the solution alone, independent of
+any solver state.
 
 Sign convention for duals (fixed across the whole package):
 for a *maximize* problem, duals of ``<=`` rows are >= 0, duals of ``>=`` rows
@@ -59,7 +62,8 @@ class _Row:
 
 
 class LinearProgram:
-    """A bounded-variable LP built incrementally through ``add_column``/``add_row``.
+    """A bounded-variable LP, built incrementally through ``add_column``/``add_row``
+    or given whole as arrays over a column layout (``arrays``).
 
     The objective carries an optional constant term so fixed cost/utility
     offsets shift the objective value without touching the optimizer.
@@ -68,8 +72,14 @@ class LinearProgram:
     start; it never changes the program, so ``validate``, ``to_lp_format``
     and ``dual_program`` ignore it.  ``layout``, if set, is the read-only
     record of the program's column layout (``simplex.Layout``: its dense
-    matrix, names and crash basis) that programs of one layout share, so the
-    simplex need not build it; edits drop it.
+    matrix, names, rows and crash basis) that programs of one layout share,
+    so the simplex need not build it; edits drop it.
+
+    ``arrays``, if set, is ``(layout, b, lo, up, c)``: the program as the
+    right-hand sides of ``layout``'s rows and the bounds and costs of its
+    ``[A | I]`` columns, which a solve reads and nothing writes.  The first
+    read of ``columns`` or ``rows`` builds them from it and clears it; from
+    then on the dicts are the program, so an edit reaches the next solve.
     """
 
     def __init__(self, sense: str = "maximize", name: str = "lp"):
@@ -77,11 +87,32 @@ class LinearProgram:
             raise MalformedProgramError(f"sense must be maximize|minimize, got {sense!r}")
         self.sense = sense
         self.name = name
-        self.columns: dict[str, _Column] = {}
-        self.rows: dict[str, _Row] = {}
+        self._columns: dict[str, _Column] = {}
+        self._rows: dict[str, _Row] = {}
         self.constant = 0.0
         self.start: tuple[tuple[str, ...], tuple[str, ...]] | None = None
         self.layout = None
+        self.arrays = None
+
+    @property
+    def columns(self) -> dict[str, _Column]:
+        if self.arrays is not None:
+            self._read_arrays()
+        return self._columns
+
+    @property
+    def rows(self) -> dict[str, _Row]:
+        if self.arrays is not None:
+            self._read_arrays()
+        return self._rows
+
+    def _read_arrays(self) -> None:
+        layout, b, lo, up, c = self.arrays  # zip stops at the columns, before the slacks
+        self._columns = {name: _Column(name, lower, upper, cost) for name, lower, upper, cost
+                         in zip(layout.columns, lo.tolist(), up.tolist(), c.tolist())}
+        self._rows = {name: _Row(name, dict(coeffs), relation, rhs)
+                      for (name, coeffs, relation), rhs in zip(layout.specs, b.tolist())}
+        self.arrays = None
 
     def add_column(self, name: str, lower: float = 0.0, upper: float = INF,
                    objective: float = 0.0) -> None:

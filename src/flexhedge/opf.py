@@ -16,14 +16,15 @@ hours or returns each hour as a ``ValidHour``, the one hour type, which
 ``build_opf``, ``capped_dual`` and ``solve_opf_hour`` take unchecked, and whose
 program a solve hands to ``simplex.solve_program`` with no re-check.  The
 grid compiles, once per study, every name and row an hour needs and, per
-column layout (the buses of an hour's offers, utilities and caps), its column
-names, balance rows and ``simplex.Layout`` (``Grid.template``): the dense
-matrix, names and crash basis, whose inverse the first solve on that basis
-computes for every later start on it.  So ``build_opf`` only adds the hour's
-columns and copies the compiled rows through ``LinearProgram.add_column``
-and ``add_row``, and starts the program at that crash basis
-(``LinearProgram.start``); ``solve_opf_hour`` reads each value by a compiled
-name, and a solve reads only the hour's right-hand sides, bounds and costs.
+column layout (the buses of an hour's offers, utilities and caps), a
+``_Template`` (``Grid.template``): its ``simplex.Layout`` (the dense matrix,
+names, rows and crash basis, whose inverse the first solve on that basis
+computes for every later start on it), the arrays every hour of the layout
+shares and the position of each offer, utility and flexibility column.  So
+``build_opf`` only copies the bounds and costs, fills in the hour's own by
+position and hands them over as ``LinearProgram.arrays``, which a solve reads
+as they are; the program's name dicts are built only if something reads
+them.  ``solve_opf_hour`` reads each value by its position in the layout.
 
 ``capped_dual`` builds the paper's side of the same hour: the dual of the
 program without flexibility, with the price at each capped bus bounded.
@@ -83,9 +84,11 @@ class Grid:
     ``problems`` and, if valid, every name and row an hour needs.  Per bus, in
     bus order, its angle column (``theta``), its balance row (``balance``) and
     the angle terms of that row (accumulated in line order); the angle
-    reference row; the line-limit rows; and per line a readout record
-    (``lines``: key, end buses, reactance and its limit rows' names, or None).
-    ``layouts`` holds each column layout's ``_Template`` (``template``)."""
+    reference row; the line-limit rows (``limits``: the pair of names, their
+    coefficients and the limit); and per line a readout record (``lines``:
+    key, end buses, reactance and the position of its ``flow_hi`` row in every
+    layout's rows, ``flow_lo`` next, or None).  ``layouts`` holds each column
+    layout's ``_Template`` (``template``)."""
 
     def __init__(self, net: Network):
         self.net, self.problems = net, validate_network(net)
@@ -103,12 +106,13 @@ class Grid:
                 coeffs = self.terms[theta_i]
                 coeffs[theta_i] = coeffs.get(theta_i, 0.0) - b
                 coeffs[theta_j] = coeffs.get(theta_j, 0.0) + b
-            rows = None
+            hi = None
             if line.flow_limit_mw != INF:
                 key = f"{line.from_bus}_{line.to_bus}"
-                rows = f"flow_hi_{key}", f"flow_lo_{key}"
-                self.limits.append((*rows, {theta_from: b, theta_to: -b}, line.flow_limit_mw))
-            self.lines.append((line.key, line.from_bus, line.to_bus, line.reactance_pu, rows))
+                hi = len(net.buses) + 1 + 2 * len(self.limits)  # past balance and reference rows
+                self.limits.append((f"flow_hi_{key}", f"flow_lo_{key}",
+                                    {theta_from: b, theta_to: -b}, line.flow_limit_mw))
+            self.lines.append((line.key, line.from_bus, line.to_bus, line.reactance_pu, hi))
         self.angle_ref = {self.theta[net.slack_bus()]: 1.0}
         self.slacks = tuple(f"slack:{row}" for hi, lo, _, _ in self.limits for row in (hi, lo))
 
@@ -146,24 +150,30 @@ class Grid:
 
 
 class _Template:
-    """One column layout of a grid: the names of its offer, utility and
-    flexibility columns (``pg``, ``pl``, ``pflex``), each bus's balance row
-    with its coefficients (``rows``), the ``simplex.Layout`` its first program
-    sets (``layout``) and its crash basis (Bixby 1992) as a ``LinearProgram.start``
-    (``crash``): every angle and the slack bus's import column (else the first
-    offer's) span the balance and reference rows, because the reduced
-    susceptance matrix of a connected network is nonsingular; each limit row
-    keeps its slack.  None without offers."""
+    """One column layout of a grid.  Its ``simplex.Layout`` (``layout``) has
+    the angle columns, then the offer, utility and flexibility columns of the
+    buses ``offers``, ``utilities`` and ``caps`` (at the slices ``pg``, ``pl``
+    and ``pflex``, together ``hour``), and the rows: each bus's balance, the
+    angle reference and the limit pairs.  The read-only arrays every hour of
+    the layout shares: the right-hand sides ``b``, and ``lo``, ``up`` and
+    ``c`` over ``[A | I]``, the angles free at no cost and the slacks at their
+    bounds, the ``hour`` entries each hour fills in.  Its crash basis (Bixby
+    1992) as a ``LinearProgram.start`` (``crash``): every angle and the slack
+    bus's import column (else the first offer's) span the balance and
+    reference rows, because the reduced susceptance matrix of a connected
+    network is nonsingular; each limit row keeps its slack.  None without
+    offers."""
 
     def __init__(self, grid: Grid, offers, utilities, caps):
+        import numpy as np  # numpy, like lp.solve, loads with a first layout
+
+        from .simplex import Layout
         slack = grid.net.slack_bus()
         self.crash = (tuple(grid.theta.values()) +
                       (_column("pg", slack if slack in offers else offers[0]),) +
                       grid.slacks, ()) if offers else None
-        self.pg = tuple(_column("pg", bus) for bus in offers)
-        self.pl = tuple(_column("pl", bus) for bus in utilities)
-        self.pflex = tuple(_column("pflex", bus) for bus in caps)
-        self.rows = []
+        self.offers, self.utilities, self.caps = offers, utilities, caps
+        specs = []
         for bus, row in grid.balance.items():
             coeffs: dict[str, float] = {}
             if bus in offers:
@@ -173,8 +183,26 @@ class _Template:
             if bus in caps:
                 coeffs[_column("pflex", bus)] = 1.0
             coeffs.update(grid.terms[grid.theta[bus]])
-            self.rows.append((row, coeffs))
-        self.layout = None
+            specs.append((row, coeffs, "="))
+        specs.append(("angle_ref", grid.angle_ref, "="))
+        for hi, lo, coeffs, _ in grid.limits:
+            specs += [(hi, coeffs, "<="), (lo, coeffs, ">=")]
+        self.layout = Layout([*grid.theta.values(), *(_column("pg", bus) for bus in offers),
+                              *(_column("pl", bus) for bus in utilities),
+                              *(_column("pflex", bus) for bus in caps)], specs, self.crash)
+
+        n_theta = len(grid.theta)
+        self.pg = slice(n_theta, n_theta + len(offers))
+        self.pl = slice(self.pg.stop, self.pg.stop + len(utilities))
+        self.pflex = slice(self.pl.stop, self.pl.stop + len(caps))
+        self.hour = slice(n_theta, self.pflex.stop)
+        self.b = np.array([0.0] * (n_theta + 1) +
+                          [rhs for _, _, _, limit in grid.limits for rhs in (limit, -limit)])
+        self.lo, self.up = self.layout.lo.copy(), self.layout.up.copy()
+        self.lo[:n_theta], self.up[:n_theta] = -INF, INF
+        self.c = np.zeros(len(self.layout.names))
+        for array in (self.b, self.lo, self.up, self.c):
+            array.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -187,40 +215,33 @@ class ValidHour:
 
 
 def build_opf(hour: ValidHour) -> LinearProgram:
-    """Assemble the hour's LP: balance rows, angle reference, line-limit pairs,
-    copied from its grid's compiled rows, over the record of its column
-    layout (``Grid.template``), started at that layout's crash basis
-    (``LinearProgram.start``).  From the slack basis a one-bus hour can end
-    with the angle reference's slack basic at zero and report a degenerate
-    optimum that is not one; the crash basis holds the angles basic."""
-    grid, data = hour.grid, hour.data
-    template = grid.template(hour)
-    prog = LinearProgram("maximize", name=f"opf_h{data.hour}")
+    """The hour's LP as arrays over its column layout (``Grid.template``,
+    ``LinearProgram.arrays``): balance rows, angle reference and line-limit
+    pairs as compiled once per layout, and the bounds and costs of the hour's
+    offer, utility and flexibility columns filled in by position; started at
+    that layout's crash basis (``LinearProgram.start``).  From the slack
+    basis a one-bus hour can end with the angle reference's slack basic at
+    zero and report a degenerate optimum that is not one; the crash basis
+    holds the angles basic."""
+    data, template = hour.data, hour.grid.template(hour)
+    offers, utilities = data.offers, data.utilities
+    flex = [-cap.cap_for_hour(data.hour) for cap in hour.caps]
+    lo, up, c = template.lo.copy(), template.up.copy(), template.c.copy()
+    lo[template.hour] = [0.0] * len(offers) + [util.p_min_mw for util in utilities] + \
+        [0.0] * len(flex)
+    up[template.hour] = [offer.capacity_mw for offer in offers] + \
+        [util.p_max_mw for util in utilities] + [INF] * len(flex)
+    c[template.hour] = [-offer.marginal_cost for offer in offers] + \
+        [util.marginal_utility for util in utilities] + flex
     constant = 0.0
-
-    for name in grid.theta.values():
-        prog.add_column(name, -INF, INF)
-    for name, offer in zip(template.pg, data.offers):
-        prog.add_column(name, 0.0, offer.capacity_mw, objective=-offer.marginal_cost)
+    for offer in offers:
         constant -= offer.constant_cost
-    for name, util in zip(template.pl, data.utilities):
-        prog.add_column(name, util.p_min_mw, util.p_max_mw, objective=util.marginal_utility)
+    for util in utilities:
         constant += util.constant_utility
-    for name, cap in zip(template.pflex, hour.caps):
-        prog.add_column(name, 0.0, INF, objective=-cap.cap_for_hour(data.hour))
 
-    for name, coeffs in template.rows:
-        prog.add_row(name, coeffs, "=", 0.0)
-    prog.add_row("angle_ref", grid.angle_ref, "=", 0.0)
-    for hi, lo, coeffs, limit in grid.limits:
-        prog.add_row(hi, coeffs, "<=", limit)
-        prog.add_row(lo, coeffs, ">=", -limit)
-
-    prog.constant = constant
-    if template.layout is None:
-        from .simplex import Layout  # numpy, like lp.solve, loads on a first solve
-        template.layout = Layout(prog, template.crash)
-    prog.layout, prog.start = template.layout, template.crash
+    prog = LinearProgram("maximize", name=f"opf_h{data.hour}")
+    prog.layout, prog.start, prog.constant = template.layout, template.crash, constant
+    prog.arrays = (template.layout, template.b, lo, up, c)
     return prog
 
 
@@ -251,23 +272,23 @@ def solve_opf_hour(hour: ValidHour, start=None) -> DispatchResult | None:
     if sol.status != "optimal":
         raise ValueError(f"hour {hour.data.hour}: solver returned {sol.status}")
 
-    grid, data, primal, duals = hour.grid, hour.data, sol.primal, sol.duals
-    template = grid.template(hour)
-    theta = {bus: primal[name] for bus, name in grid.theta.items()}
+    grid, data, template = hour.grid, hour.data, hour.grid.template(hour)
+    x, y = list(sol.primal.values()), list(sol.duals.values())  # in the layout's order
+    theta = dict(zip(grid.theta, x))
     flows, congestion = {}, {}
-    for key, from_bus, to_bus, reactance, rows in grid.lines:
+    for key, from_bus, to_bus, reactance, hi in grid.lines:
         flows[key] = (theta[from_bus] - theta[to_bus]) / reactance
-        congestion[key] = 0.0 if rows is None else duals[rows[0]] - duals[rows[1]]
+        congestion[key] = 0.0 if hi is None else y[hi] - y[hi + 1]
 
     return DispatchResult(
         hour=data.hour,
-        p_g_mw={offer.bus: primal[name] for offer, name in zip(data.offers, template.pg)},
-        p_l_mw={util.bus: primal[name] for util, name in zip(data.utilities, template.pl)},
+        p_g_mw=dict(zip(template.offers, x[template.pg])),
+        p_l_mw=dict(zip(template.utilities, x[template.pl])),
         theta_rad=theta,
-        lmp_eur_mwh={bus: price_paid_by_load(sol, row) for bus, row in grid.balance.items()},
+        lmp_eur_mwh={bus: -dual for bus, dual in zip(grid.balance, y)},  # price_paid_by_load
         flow_mw=flows,
         congestion_dual_eur_mwh=congestion,
-        p_flexreq_mw={cap.bus: primal[name] for cap, name in zip(hour.caps, template.pflex)},
+        p_flexreq_mw=dict(zip(template.caps, x[template.pflex])),
         objective_eur=sol.objective_value,
         basis=(sol.basis, sol.nonbasic_at_upper),
         degenerate=sol.degenerate,

@@ -94,10 +94,13 @@ class ScenarioSpec:
     line_limit_case: str = "infinite"
 
     def validate(self) -> list[str]:
+        problems = []
+        if not 0 <= self.seed <= _MASK64:  # SplitMix64 would fold it onto another seed
+            problems.append(f"seed must be in 0..{_MASK64}, got {self.seed}")
         if self.line_limit_case not in LINE_LIMIT_CASES:
-            return [f"line_limit_case must be {'|'.join(LINE_LIMIT_CASES)}, "
-                    f"got {self.line_limit_case!r}"]
-        return []
+            problems.append(f"line_limit_case must be {'|'.join(LINE_LIMIT_CASES)}, "
+                            f"got {self.line_limit_case!r}")
+        return problems
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,11 @@ with individual bounds on all columns (``<=`` rows get slack bounds [0, inf),
 ``>=`` rows (-inf, 0], equalities [0, 0]).  ``[A | I]``, the names and the
 slack bounds are read from the program's column layout, a read-only
 ``Layout`` that ``opf`` shares across an hour layout
-(``LinearProgram.layout``), else one built for the solve; right-hand sides
-and the columns' bounds and costs are read at each solve into its one
-``_State``, which ``solution_from_basis`` and ``cost_range`` build too.
+(``LinearProgram.layout``), else one built for the solve (``Layout.of``).
+Right-hand sides, bounds and costs come in by one path (``_arrays``): the
+program's own arrays (``LinearProgram.arrays``, as ``opf.build_opf`` gives
+each hour), else arrays computed from its dicts.  Each solve reads them into
+its one ``_State``, which ``solution_from_basis`` and ``cost_range`` build too.
 
 Every solve starts from a named basis, the program's ``LinearProgram.start``
 if it has one, else the slack basis ``(slack names, ())``, and one rule rests
@@ -107,31 +109,38 @@ def _inverse(B: np.ndarray) -> np.ndarray:
 
 
 class Layout:
-    """A column layout's read-only solve data: the slack-augmented ``[A | I]``
-    of a program's rows, every column and slack name with its index, the
-    slack half of the bounds (``lo``, ``up``, whose column half each solve's
-    ``_State`` fills in; a slack costs nothing), and a crash basis ``crash``
-    (a ``LinearProgram.start``, or None) whose ``B^-1`` ``crash_inverse``
-    inverts on first use.
+    """A column layout's read-only solve data: its column names (``columns``),
+    its rows as ``(name, coeffs, relation)`` specs (``specs``) and their names
+    (``rows``), the slack-augmented ``[A | I]`` of those rows, every column
+    and slack name with its index, the slack half of the bounds (``lo``,
+    ``up``, whose column half a program's arrays fill in; a slack costs
+    nothing), and a crash basis ``crash`` (a ``LinearProgram.start``, or None)
+    whose ``B^-1`` ``crash_inverse`` inverts on first use.
     ``opf.Grid`` builds one per layout and study (``LinearProgram.layout``); a
-    program without one gets its own at each solve."""
+    program without one gets its own (``Layout.of``) at each solve."""
 
-    def __init__(self, lp: LinearProgram, crash=None):
-        self.columns, self.rows = list(lp.columns), list(lp.rows)
+    def __init__(self, columns, specs, crash=None):
+        self.columns, self.specs = list(columns), list(specs)
+        self.rows = [name for name, _, _ in self.specs]
         n, m = len(self.columns), len(self.rows)
         self.names = self.columns + [f"slack:{r}" for r in self.rows]
         self.index = {name: j for j, name in enumerate(self.names)}
         col_index = {name: j for j, name in enumerate(self.columns)}
         A = np.zeros((m, n + m))
         self.lo, self.up = np.zeros(n + m), np.zeros(n + m)
-        for i, row in enumerate(lp.rows.values()):
-            for cname, coef in row.coeffs.items():
+        for i, (_, coeffs, relation) in enumerate(self.specs):
+            for cname, coef in coeffs.items():
                 A[i, col_index[cname]] += coef
             A[i, n + i] = 1.0
-            self.lo[n + i], self.up[n + i] = _SLACK_BOUNDS[row.relation]
+            self.lo[n + i], self.up[n + i] = _SLACK_BOUNDS[relation]
         for array in (A, self.lo, self.up):
             array.flags.writeable = False
         self.A, self.crash = A, crash
+
+    @classmethod
+    def of(cls, lp: LinearProgram) -> Layout:
+        """The layout of ``lp``'s own columns and rows."""
+        return cls(lp.columns, [(row.name, row.coeffs, row.relation) for row in lp.rows.values()])
 
     @cached_property
     def crash_inverse(self) -> np.ndarray | None:
@@ -147,14 +156,31 @@ class Layout:
         return Binv
 
 
+def _arrays(lp: LinearProgram, layout: Layout):
+    """``(b, lo, up, c)``: ``lp``'s right-hand sides and the bounds and costs
+    of ``layout``'s ``[A | I]`` columns (minimize or maximize as ``lp`` is).
+    They are ``lp.arrays`` if the program was given as arrays over ``layout``
+    and not read since, else computed from its dicts."""
+    if lp.arrays is not None and lp.arrays[0] is layout:
+        return lp.arrays[1:]
+    n = len(layout.columns)
+    columns = lp.columns.values()
+    b = np.array([row.rhs for row in lp.rows.values()], dtype=float)
+    lo, up, c = layout.lo.copy(), layout.up.copy(), np.zeros(len(layout.names))
+    lo[:n] = [col.lower for col in columns]
+    up[:n] = [col.upper for col in columns]
+    c[:n] = [col.objective for col in columns]
+    return b, lo, up, c
+
+
 class _State:
-    """One solve's working state: ``lp``'s right-hand sides and its columns'
-    bounds and costs over its layout's ``[A | I]`` and slack bounds (minimize
-    form), and a basis, named by ``start`` as ``LinearProgram.start`` does
-    (KeyError for a name the layout lacks) or else the slack basis, with every
-    other column resting by the module's one rule.  Each nonbasic column
-    rests in ``x`` from here on: ``_start``, ``_iterate`` and
-    ``_expel_artificials`` rest each column they move off the basis or flip."""
+    """One solve's working state: ``lp``'s arrays over ``layout`` (``_arrays``,
+    read, never written), in minimize form, and a basis, named by ``start``
+    as ``LinearProgram.start`` does (KeyError for a name the layout lacks) or
+    else the slack basis, with every other column resting by the module's
+    one rule.  Each nonbasic column rests in ``x`` from here on: ``_start``,
+    ``_iterate`` and ``_expel_artificials`` rest each column they move off the
+    basis or flip."""
 
     def __init__(self, lp: LinearProgram, layout: Layout,
                  start: tuple[tuple[str, ...], tuple[str, ...]] | None = None):
@@ -163,12 +189,7 @@ class _State:
         self.n_struct = n = len(layout.columns)
         self.n_rows = m = len(layout.rows)
         self.A = layout.A
-        columns = lp.columns.values()
-        self.b = np.array([row.rhs for row in lp.rows.values()], dtype=float)
-        self.lo, self.up, self.c_ext = layout.lo.copy(), layout.up.copy(), np.zeros(n + m)
-        self.lo[:n] = [col.lower for col in columns]
-        self.up[:n] = [col.upper for col in columns]
-        self.c_ext[:n] = [col.objective for col in columns]
+        self.b, self.lo, self.up, self.c_ext = _arrays(lp, layout)
         # always minimized; _start extends it by a zero per artificial
         self.c_int = -self.c_ext if self.maximizing else self.c_ext
         self.constant = lp.constant
@@ -474,7 +495,7 @@ def _solve_from(st: _State) -> LpSolution:
 
 @np.errstate(over="ignore", invalid="ignore")
 def solve_program(lp: LinearProgram) -> LpSolution:
-    layout = lp.layout or Layout(lp)
+    layout = lp.layout or Layout.of(lp)
     if lp.start is not None:
         try:
             st = _State(lp, layout, lp.start)
@@ -498,7 +519,7 @@ def solve_program(lp: LinearProgram) -> LpSolution:
 def solution_from_basis(lp: LinearProgram, basis: tuple[str, ...],
                         nonbasic_at_upper: tuple[str, ...]) -> LpSolution:
     """Rebuild the solution a given basis identifies; audits solver output."""
-    return _extract(_State(lp, lp.layout or Layout(lp), (basis, nonbasic_at_upper)), "optimal")
+    return _extract(_State(lp, lp.layout or Layout.of(lp), (basis, nonbasic_at_upper)), "optimal")
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -510,11 +531,12 @@ def cost_range(lp: LinearProgram, sol: LpSolution, column: str) -> tuple[float, 
     cost (from ``sol``'s duals) by -delta*(B^-1 A)_{r,j}.  Empty, ``(c, c)`` at
     the coefficient ``c``, where ``sol`` is degenerate (a start from it falls
     back) or a column that can move prices out at zero (a tie)."""
-    c = lp.columns[column].objective
+    layout = lp.layout or Layout.of(lp)
+    q = layout.index[column]
+    c = float(_arrays(lp, layout)[3][q])
     if sol.degenerate:
         return c, c
-    st = _State(lp, lp.layout or Layout(lp), (sol.basis, sol.nonbasic_at_upper))
-    q = st.layout.index[column]
+    st = _State(lp, layout, (sol.basis, sol.nonbasic_at_upper))
     if q not in st.basis:
         raise ValueError(f"column {column!r} is not basic")
     e = np.zeros(st.n_rows)

@@ -73,10 +73,26 @@ def test_run_formats_are_stripped_and_checked(tmp_path, capsys):
     assert capsys.readouterr().err == "error: unknown format 'xml'; expected csv|json\n"
     assert main(args + ["--formats", "csv,", "--out", str(tmp_path / "bad")]) == 1
     assert capsys.readouterr().err == "error: unknown format ''; expected csv|json\n"
+    # each unknown format is stated once, in the order given
+    assert main(args + ["--formats", ",", "--out", str(tmp_path / "bad")]) == 1
+    assert capsys.readouterr().err == "error: unknown format ''; expected csv|json\n"
+    assert main(args + ["--formats", "xml,csv,xml,,", "--out", str(tmp_path / "bad")]) == 1
+    assert capsys.readouterr().err == ("error: unknown format 'xml'; expected csv|json\n"
+                                       "error: unknown format ''; expected csv|json\n")
     assert not (tmp_path / "bad").exists()
     assert main(args + ["--formats", "csv, json", "--out", str(tmp_path / "out")]) == 0
     for name in ARTIFACTS:
         assert (tmp_path / "out" / name).exists(), name
+
+
+@pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+def test_run_rejects_a_seed_outside_64_bits(tmp_path, capsys, seed):
+    # a seed past either end of 0..2**64-1 would repeat another seed's scenario
+    args = ["run", "--preset", "paper-3bus", f"--seed={seed}", "--out", str(tmp_path / "out")]
+    assert main(args) == 1
+    assert capsys.readouterr().err == \
+        f"error: seed must be in 0..18446744073709551615, got {seed}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_byte_identical_for_same_config(tmp_path):

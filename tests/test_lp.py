@@ -549,14 +549,14 @@ def test_shared_layout_slack_bounds_match_each_programs_own():
         programs += [build_opf(hour) for caps in ((), (cap,)) for hour in grid.hours(hours, caps)]
     assert len({id(lp.layout) for lp in programs}) < len(programs) / 10
     for lp in programs:
-        shared, own = simplex._State(lp, lp.layout), simplex._State(lp, simplex.Layout(lp))
+        shared, own = simplex._State(lp, lp.layout), simplex._State(lp, simplex.Layout.of(lp))
         for name in ("lo", "up", "c_ext", "b"):
             assert getattr(shared, name).tobytes() == getattr(own, name).tobytes(), (lp.name, name)
     lp = LinearProgram("minimize")
     lp.add_column("x", 0.0, 1.0, objective=1.0)
     for relation in ("<=", ">=", "="):
         lp.add_row(relation, {"x": 1.0}, relation, 0.5)
-    st = simplex._State(lp, simplex.Layout(lp))
+    st = simplex._State(lp, simplex.Layout.of(lp))
     assert st.lo.tolist() == [0.0, 0.0, -INF, 0.0]
     assert st.up.tolist() == [1.0, INF, 0.0, 0.0]
 

@@ -10,8 +10,8 @@ import pytest
 
 from flexhedge import opf, simplex
 from flexhedge.economic_dispatch import EdInstance, solve_ed_chain
-from flexhedge.hedging import run_hedge
-from flexhedge.lp import solve, to_lp_format, verify_kkt
+from flexhedge.hedging import run_hedge, sweep_pi_des
+from flexhedge.lp import LinearProgram, solve, to_lp_format, verify_kkt
 from flexhedge.model import (
     Bus,
     GenOffer,
@@ -354,7 +354,7 @@ def grid_programs(net, series, caps=()):
 
 def dense_form(prog):
     """The arrays a solve of ``prog`` works on: A, b, bounds and costs."""
-    st = simplex._State(prog, prog.layout or simplex.Layout(prog))
+    st = simplex._State(prog, prog.layout or simplex.Layout.of(prog))
     return [a.tobytes() for a in (st.A, st.b, st.lo, st.up, st.c_ext)]
 
 
@@ -363,7 +363,7 @@ def check_blocks(progs):
     ``simplex.Layout`` makes of its own rows and columns, and the solve works
     on the same arrays as without it."""
     for prog in progs:
-        own = simplex.Layout(prog)
+        own = simplex.Layout.of(prog)
         assert prog.layout.A.tobytes() == own.A.tobytes()
         assert (prog.layout.names, prog.layout.index) == (own.names, own.index)
         assert simplex._State(prog, prog.layout).A is prog.layout.A
@@ -454,16 +454,38 @@ def test_build_opf_matches_the_reference_builder(name):
     grid = Grid(net)
     for pair in zip(grid.hours(series), grid.hours(series, caps)):
         for hour in pair:
-            assert program_parts(build_opf(hour)) == program_parts(reference_opf(hour)), \
-                (hour.data.hour, hour.caps)
+            built, reference = build_opf(hour), reference_opf(hour)
+            # a solve reads the built arrays as they are, then the dicts read from them
+            arrays = dense_form(built)
+            assert built.arrays is not None
+            assert arrays == dense_form(reference), (hour.data.hour, hour.caps)
+            assert program_parts(built) == program_parts(reference), (hour.data.hour, hour.caps)
+            assert built.arrays is None and built.layout is not None
+            assert dense_form(built) == arrays, (hour.data.hour, hour.caps)
 
 
 def test_built_programs_stay_independent():
     scenario = generate_scenario(ScenarioSpec(seed=7, line_limit_case="finite"))
-    progs = grid_programs(scenario.network, scenario.hours, (PriceCap(3, 70.0),))
-    edited, other = progs[16], progs[17]
-    assert edited.layout is other.layout
+    hours = Grid(scenario.network).hours(scenario.hours, (PriceCap(3, 70.0),))
+    progs = [build_opf(hour) for hour in hours]
+    edited, other, tight, unread = progs[16], progs[17], progs[18], progs[19]
+    assert edited.layout is other.layout is tight.layout is unread.layout
     text, block, solved = to_lp_format(other), other.layout.A.tobytes(), solve(other)
+    unread_solved, before = simplex.solve_program(unread), solve(tight)
+    # an edit in place after the dicts are read keeps the layout and reaches
+    # the next solve, as in a program built the plain way; no sibling sees it
+    reference = reference_opf(hours[18])
+    for prog in (tight, reference):
+        prog.rows["flow_hi_2_3"].rhs = 0.25
+        prog.columns["pg_2"].upper = 0.2
+    assert tight.layout is other.layout and tight.arrays is None
+    sol = solve(tight)
+    assert sol.primal != before.primal and sol.primal["pg_2"] == pytest.approx(0.2)
+    assert sol.primal == pytest.approx(solve(reference).primal)
+    assert verify_kkt(tight, sol).within(1e-6)
+    assert to_lp_format(other) == text and solve(other) == solved
+    assert simplex.solve_program(unread) == unread_solved and unread.arrays is not None
+    assert to_lp_format(build_opf(hours[18])) != to_lp_format(tight)
     # the perturbation oracles.oracle_row_dual makes, then a row and a column
     edited.rows["flow_hi_2_3"].rhs += 1e-5
     edited.add_column("pg_extra", 0.0, 0.5, objective=-20.0)
@@ -640,18 +662,34 @@ End
     assert prog.constant == 1.0 - 2.0
 
 
-def test_compiled_rows_are_checked_once_per_network():
-    # a program on its layout skips the rows' coefficients, which a Grid
-    # compiled from a checked network; an edit drops the layout and with it
-    # that skip
+def test_built_hour_validates_clean_once_read_and_names_an_added_bad_row():
+    # validate reads a built hour's dicts, which find nothing in an hour that
+    # Grid.hours accepted; a bad row added after that is named, and the edit
+    # drops the layout
     scenario = generate_scenario(ScenarioSpec(seed=1))
     prog = build_opf(valid_hour(scenario.network, scenario.hours[0]))
-    assert prog.layout is not None and prog.validate() == []
+    assert prog.validate() == [] and prog.arrays is None and prog.layout is not None
     prog.add_row("extra", {"theta_2": math.nan, "ghost": 1.0}, "<=", 1.0)
     assert prog.layout is None
     assert prog.validate() == [
         "row 'extra': non-finite coefficient nan on column 'theta_2'",
         "row 'extra' references unknown column 'ghost'"]
+
+
+def test_solving_built_hours_reads_no_dicts(monkeypatch):
+    # a study's solves, readouts and cost ranging work on each hour's arrays:
+    # no program's columns or rows are built from them
+    read = []
+    monkeypatch.setattr(LinearProgram, "_read_arrays", lambda prog: read.append(prog.name))
+    scenario = generate_scenario(ScenarioSpec(seed=7, line_limit_case="finite"))
+    run = run_hedge(scenario.network, scenario.hours, PriceCap(3, 70.0))
+    assert run.report.hours_active > 0
+    sweep = sweep_pi_des(scenario.network, scenario.hours, 3, [60.0, 70.0, 80.0],
+                         {"finite": None})
+    assert sweep.rows[0].total_revenue_eur > 0
+    prog = build_opf(Grid(scenario.network).hours(scenario.hours)[0])
+    assert simplex.solve_program(prog).status == "optimal"
+    assert read == [] and prog.arrays is not None
 
 
 def checked_input(name):

@@ -90,6 +90,19 @@ def test_spec_validation():
         generate_scenario(ScenarioSpec(line_limit_case="tight"))
 
 
+def test_seed_outside_64_bits_is_rejected():
+    # SplitMix64 masks its seed to 64 bits, so a seed past either end would
+    # silently repeat another seed's scenario
+    assert ScenarioSpec(seed=0).validate() == ScenarioSpec(seed=2**64 - 1).validate() == []
+    for seed in (-1, 2**64, 2**64 + 7):
+        assert ScenarioSpec(seed=seed).validate() == \
+            [f"seed must be in 0..18446744073709551615, got {seed}"]
+    with pytest.raises(ScenarioError) as error:
+        generate_scenario(ScenarioSpec(seed=-1, line_limit_case="tight"))
+    assert error.value.args == ("seed must be in 0..18446744073709551615, got -1",
+                                "line_limit_case must be infinite|finite, got 'tight'")
+
+
 def test_preset_networks():
     buses = [Bus(1, is_slack=True), Bus(2), Bus(3, price_constrained=True)]
     assert build_3bus_network("infinite") == Network(
