@@ -10,16 +10,17 @@ the dispatch with a flexibility injection priced at the cap
 ``solve_ed_chain`` solves all three and reports the pairwise objective gaps:
 the capped dual and the flexibility primal agree to solver precision always,
 and both collapse onto the unconstrained dispatch exactly when the cap is not
-binding.  Load prices follow ``opf.price_paid_by_load``.
+binding.  The dispatch and the flexibility primal are solved as any OPF hour
+(``opf.solve_opf_hour``); the load's bound prices come from its utility less the LMP.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .lp import LinearProgram, LpSolution, solve
+from .lp import LinearProgram, solve
 from .model import Bus, GenOffer, HourlyMarketData, LoadUtility, Network, PriceCap
-from .opf import Grid, ValidHour, build_opf, capped_dual, price_paid_by_load
+from .opf import DispatchResult, Grid, ValidHour, build_opf, capped_dual, solve_opf_hour
 
 SINGLE_BUS = Network([Bus(1, is_slack=True, price_constrained=True)])
 PRICE_TIE_TOL = 1e-9
@@ -87,50 +88,45 @@ def build_ed_dual(inst: EdInstance) -> LinearProgram:
 
 
 def build_ed_flex_primal(inst: EdInstance) -> LinearProgram:
-    """Dispatch with a flexibility injection ``pflex_1`` priced at the cap."""
+    """Dispatch with a flexibility injection at bus 1 priced at the cap."""
     if inst.cap is None:
         raise ValueError("the flexibility primal needs a price cap")
     return build_opf(_hour(inst))
 
 
-def _result_from(sol: LpSolution) -> EdResult:
-    d_load = sol.reduced_costs["pl_1"]
-    return EdResult(
-        p_g_mw=sol.primal["pg_1"],
-        p_l_mw=sol.primal["pl_1"],
-        p_flexreq_mw=sol.primal.get("pflex_1", 0.0),
-        lmp_eur_mwh=price_paid_by_load(sol, "balance_1"),
-        mu_lower=max(0.0, -d_load),
-        mu_upper=max(0.0, d_load),
-        objective_eur=sol.objective_value,
-    )
+def _result_from(res: DispatchResult, inst: EdInstance) -> EdResult:
+    lmp = res.lmp_eur_mwh[1]
+    d_load = inst.utility.marginal_utility - lmp  # the load's reduced cost
+    return EdResult(p_g_mw=res.p_g_mw[1], p_l_mw=res.p_l_mw[1],
+                    p_flexreq_mw=res.p_flexreq_mw.get(1, 0.0), lmp_eur_mwh=lmp,
+                    mu_lower=max(0.0, -d_load), mu_upper=max(0.0, d_load),
+                    objective_eur=res.objective_eur)
 
 
 def solve_ed_chain(inst: EdInstance) -> EdChainReport:
     """Solve the unconstrained dispatch, the capped dual, and the flex primal."""
     hour = _hour(inst)  # the three programs share its checks
-    primal_sol = solve(build_opf(replace(hour, caps=())))
-    if primal_sol.status != "optimal":
-        raise ValueError(f"unconstrained dispatch is {primal_sol.status}")
-    lmp_unconstrained = price_paid_by_load(primal_sol, "balance_1")
+    primal = solve_opf_hour(replace(hour, caps=()))
+    if primal is None:
+        raise ValueError("unconstrained dispatch is infeasible")
+    lmp_unconstrained = primal.lmp_eur_mwh[1]
 
     if inst.cap is None:
-        obj = primal_sol.objective_value
-        return EdChainReport(_result_from(primal_sol), obj, obj, obj, lmp_unconstrained,
-                             degenerate=primal_sol.degenerate)
+        obj = primal.objective_eur
+        return EdChainReport(_result_from(primal, inst), obj, obj, obj, lmp_unconstrained,
+                             degenerate=primal.degenerate)
 
     dual_sol = solve(capped_dual(hour))
-    flex_sol = solve(build_opf(hour))
-    if dual_sol.status != "optimal" or flex_sol.status != "optimal":
-        raise ValueError(
-            f"capped chain failed: dual {dual_sol.status}, flex {flex_sol.status}")
+    if dual_sol.status != "optimal":
+        raise ValueError(f"capped dual is {dual_sol.status}")
+    flex = solve_opf_hour(hour)  # feasible: the flexibility can serve the whole load
 
     tie = abs(lmp_unconstrained - inst.cap) <= PRICE_TIE_TOL
     return EdChainReport(
-        result=_result_from(flex_sol),
-        objective_unconstrained=primal_sol.objective_value,
+        result=_result_from(flex, inst),
+        objective_unconstrained=primal.objective_eur,
         objective_capped_dual=dual_sol.objective_value,
-        objective_with_flex=flex_sol.objective_value,
+        objective_with_flex=flex.objective_eur,
         lmp_unconstrained=lmp_unconstrained,
-        degenerate=flex_sol.degenerate or tie,
+        degenerate=flex.degenerate or tie,
     )

@@ -70,16 +70,16 @@ class LinearProgram:
     ``start``, if set, is a ``(basis, nonbasic_at_upper)`` pair of name tuples,
     as an ``LpSolution`` reports them, that the simplex tries before a cold
     start; it never changes the program, so ``validate``, ``to_lp_format``
-    and ``dual_program`` ignore it.  ``layout``, if set, is the read-only
-    record of the program's column layout (``simplex.Layout``: its dense
-    matrix, names, rows and crash basis) that programs of one layout share,
-    so the simplex need not build it; edits drop it.
+    and ``dual_program`` ignore it.
 
     ``arrays``, if set, is ``(layout, b, lo, up, c)``: the program as the
-    right-hand sides of ``layout``'s rows and the bounds and costs of its
+    read-only record of a column layout (``simplex.Layout``: its dense
+    matrix, names, rows and crash basis), which programs of one layout
+    share, the right-hand sides of its rows and the bounds and costs of its
     ``[A | I]`` columns, which a solve reads and nothing writes.  The first
     read of ``columns`` or ``rows`` builds them from it and clears it; from
-    then on the dicts are the program, so an edit reaches the next solve.
+    then on the dicts are the program, which each solve compiles afresh, so
+    an edit in place reaches the next solve.
     """
 
     def __init__(self, sense: str = "maximize", name: str = "lp"):
@@ -91,7 +91,6 @@ class LinearProgram:
         self._rows: dict[str, _Row] = {}
         self.constant = 0.0
         self.start: tuple[tuple[str, ...], tuple[str, ...]] | None = None
-        self.layout = None
         self.arrays = None
 
     @property
@@ -118,7 +117,6 @@ class LinearProgram:
                    objective: float = 0.0) -> None:
         if name in self.columns:
             raise MalformedProgramError(f"duplicate column name {name!r}")
-        self.layout = None
         self.columns[name] = _Column(name, float(lower), float(upper), float(objective))
 
     def add_row(self, name: str, coeffs: dict[str, float], relation: str,
@@ -127,7 +125,6 @@ class LinearProgram:
             raise MalformedProgramError(f"duplicate row name {name!r}")
         if relation not in RELATIONS:
             raise MalformedProgramError(f"relation must be one of {RELATIONS}, got {relation!r}")
-        self.layout = None
         self.rows[name] = _Row(name, dict(coeffs), relation, float(rhs))
 
     def validate(self) -> list[str]:

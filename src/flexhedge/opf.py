@@ -17,14 +17,15 @@ hours or returns each hour as a ``ValidHour``, the one hour type, which
 program a solve hands to ``simplex.solve_program`` with no re-check.  The
 grid compiles, once per study, every name and row an hour needs and, per
 column layout (the buses of an hour's offers, utilities and caps), a
-``_Template`` (``Grid.template``): its ``simplex.Layout`` (the dense matrix,
-names, rows and crash basis, whose inverse the first solve on that basis
-computes for every later start on it), the arrays every hour of the layout
-shares and the position of each offer, utility and flexibility column.  So
-``build_opf`` only copies the bounds and costs, fills in the hour's own by
-position and hands them over as ``LinearProgram.arrays``, which a solve reads
-as they are; the program's name dicts are built only if something reads
-them.  ``solve_opf_hour`` reads each value by its position in the layout.
+``_Template`` (``Grid.template``, which each ``ValidHour`` looks up once):
+its ``simplex.Layout`` (the dense matrix, names, rows and crash basis, whose
+inverse the first solve on that basis computes for every later start on
+it), the arrays every hour of the layout shares and the position of each
+offer, utility and flexibility column.  So ``build_opf`` only copies the
+bounds and costs, fills in the hour's own by position and hands them over,
+with the layout, as ``LinearProgram.arrays``, which a solve reads as they
+are; the program's name dicts are built only if something reads them, and a
+solve then compiles them afresh.  ``solve_opf_hour`` reads by layout position.
 
 ``capped_dual`` builds the paper's side of the same hour: the dual of the
 program without flexibility, with the price at each capped bus bounded.
@@ -35,6 +36,7 @@ from __future__ import annotations
 import csv
 from collections import Counter
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from .lp import INF, LinearProgram, LpSolution, dual_of, dual_program
 from .model import (
@@ -213,6 +215,11 @@ class ValidHour:
     data: HourlyMarketData
     caps: tuple[PriceCap, ...] = ()
 
+    @cached_property
+    def template(self) -> _Template:
+        """Its ``Grid.template``, looked up once for a solve's build and readout."""
+        return self.grid.template(self)
+
 
 def build_opf(hour: ValidHour) -> LinearProgram:
     """The hour's LP as arrays over its column layout (``Grid.template``,
@@ -223,7 +230,7 @@ def build_opf(hour: ValidHour) -> LinearProgram:
     basis a one-bus hour can end with the angle reference's slack basic at
     zero and report a degenerate optimum that is not one; the crash basis
     holds the angles basic."""
-    data, template = hour.data, hour.grid.template(hour)
+    data, template = hour.data, hour.template
     offers, utilities = data.offers, data.utilities
     flex = [-cap.cap_for_hour(data.hour) for cap in hour.caps]
     lo, up, c = template.lo.copy(), template.up.copy(), template.c.copy()
@@ -240,7 +247,7 @@ def build_opf(hour: ValidHour) -> LinearProgram:
         constant += util.constant_utility
 
     prog = LinearProgram("maximize", name=f"opf_h{data.hour}")
-    prog.layout, prog.start, prog.constant = template.layout, template.crash, constant
+    prog.start, prog.constant = template.crash, constant
     prog.arrays = (template.layout, template.b, lo, up, c)
     return prog
 
@@ -272,7 +279,7 @@ def solve_opf_hour(hour: ValidHour, start=None) -> DispatchResult | None:
     if sol.status != "optimal":
         raise ValueError(f"hour {hour.data.hour}: solver returned {sol.status}")
 
-    grid, data, template = hour.grid, hour.data, hour.grid.template(hour)
+    grid, data, template = hour.grid, hour.data, hour.template
     x, y = list(sol.primal.values()), list(sol.duals.values())  # in the layout's order
     theta = dict(zip(grid.theta, x))
     flows, congestion = {}, {}

@@ -3,14 +3,15 @@
 The solver works on an internal minimize form: one slack column per row turns
 every relation into an equality, so the working system is ``[A | I] x = b``
 with individual bounds on all columns (``<=`` rows get slack bounds [0, inf),
-``>=`` rows (-inf, 0], equalities [0, 0]).  ``[A | I]``, the names and the
-slack bounds are read from the program's column layout, a read-only
-``Layout`` that ``opf`` shares across an hour layout
-(``LinearProgram.layout``), else one built for the solve (``Layout.of``).
-Right-hand sides, bounds and costs come in by one path (``_arrays``): the
-program's own arrays (``LinearProgram.arrays``, as ``opf.build_opf`` gives
-each hour), else arrays computed from its dicts.  Each solve reads them into
-its one ``_State``, which ``solution_from_basis`` and ``cost_range`` build too.
+``>=`` rows (-inf, 0], equalities [0, 0]).  A solve reads a program by one
+path (``program_arrays``): its column layout, a read-only ``Layout`` that
+holds ``[A | I]``, the names and the slack bounds, and the right-hand sides,
+bounds and costs over it.  They are the program's own arrays
+(``LinearProgram.arrays``, as ``opf.build_opf`` gives each hour over a layout
+its hours share) while it is still given as arrays, else its dicts compiled
+afresh, so a solve always sees the program as it stands.  Each solve reads
+them into its one ``_State``, which ``solution_from_basis`` and
+``cost_range`` build too.
 
 Every solve starts from a named basis, the program's ``LinearProgram.start``
 if it has one, else the slack basis ``(slack names, ())``, and one rule rests
@@ -116,8 +117,9 @@ class Layout:
     ``up``, whose column half a program's arrays fill in; a slack costs
     nothing), and a crash basis ``crash`` (a ``LinearProgram.start``, or None)
     whose ``B^-1`` ``crash_inverse`` inverts on first use.
-    ``opf.Grid`` builds one per layout and study (``LinearProgram.layout``); a
-    program without one gets its own (``Layout.of``) at each solve."""
+    ``opf.Grid`` builds one per layout and study, which its hours'
+    ``LinearProgram.arrays`` carry; ``program_arrays`` compiles one for a
+    program given as dicts at each solve."""
 
     def __init__(self, columns, specs, crash=None):
         self.columns, self.specs = list(columns), list(specs)
@@ -137,11 +139,6 @@ class Layout:
             array.flags.writeable = False
         self.A, self.crash = A, crash
 
-    @classmethod
-    def of(cls, lp: LinearProgram) -> Layout:
-        """The layout of ``lp``'s own columns and rows."""
-        return cls(lp.columns, [(row.name, row.coeffs, row.relation) for row in lp.rows.values()])
-
     @cached_property
     def crash_inverse(self) -> np.ndarray | None:
         """Read-only ``B^-1`` of the crash basis in its row order; None without
@@ -156,25 +153,27 @@ class Layout:
         return Binv
 
 
-def _arrays(lp: LinearProgram, layout: Layout):
-    """``(b, lo, up, c)``: ``lp``'s right-hand sides and the bounds and costs
-    of ``layout``'s ``[A | I]`` columns (minimize or maximize as ``lp`` is).
-    They are ``lp.arrays`` if the program was given as arrays over ``layout``
-    and not read since, else computed from its dicts."""
-    if lp.arrays is not None and lp.arrays[0] is layout:
-        return lp.arrays[1:]
+def program_arrays(lp: LinearProgram):
+    """``(layout, b, lo, up, c)``, as ``LinearProgram.arrays`` holds them:
+    ``lp``'s column layout, its right-hand sides and the bounds and costs of
+    the layout's ``[A | I]`` columns (minimize or maximize as ``lp`` is).
+    They are ``lp.arrays`` while the program is still given as arrays, else
+    its dicts compiled into a fresh ``Layout``, which has no crash basis."""
+    if lp.arrays is not None:
+        return lp.arrays
+    rows, columns = lp.rows.values(), lp.columns.values()
+    layout = Layout(lp.columns, [(row.name, row.coeffs, row.relation) for row in rows])
     n = len(layout.columns)
-    columns = lp.columns.values()
-    b = np.array([row.rhs for row in lp.rows.values()], dtype=float)
+    b = np.array([row.rhs for row in rows], dtype=float)
     lo, up, c = layout.lo.copy(), layout.up.copy(), np.zeros(len(layout.names))
     lo[:n] = [col.lower for col in columns]
     up[:n] = [col.upper for col in columns]
     c[:n] = [col.objective for col in columns]
-    return b, lo, up, c
+    return layout, b, lo, up, c
 
 
 class _State:
-    """One solve's working state: ``lp``'s arrays over ``layout`` (``_arrays``,
+    """One solve's working state: ``lp``'s ``arrays`` (``program_arrays``,
     read, never written), in minimize form, and a basis, named by ``start``
     as ``LinearProgram.start`` does (KeyError for a name the layout lacks) or
     else the slack basis, with every other column resting by the module's
@@ -182,24 +181,23 @@ class _State:
     ``_iterate`` and ``_expel_artificials`` rest each column they move off the
     basis or flip."""
 
-    def __init__(self, lp: LinearProgram, layout: Layout,
+    def __init__(self, lp: LinearProgram, arrays,
                  start: tuple[tuple[str, ...], tuple[str, ...]] | None = None):
-        self.layout = layout
+        self.layout, self.b, self.lo, self.up, self.c_ext = arrays
         self.maximizing = lp.sense == "maximize"
-        self.n_struct = n = len(layout.columns)
-        self.n_rows = m = len(layout.rows)
-        self.A = layout.A
-        self.b, self.lo, self.up, self.c_ext = _arrays(lp, layout)
+        self.n_struct = n = len(self.layout.columns)
+        self.n_rows = m = len(self.layout.rows)
+        self.A = self.layout.A
         # always minimized; _start extends it by a zero per artificial
         self.c_int = -self.c_ext if self.maximizing else self.c_ext
         self.constant = lp.constant
 
         self.n_total = n + m
-        basis, nonbasic_at_upper = start or (layout.names[n:], ())
-        self.basis = [layout.index[name] for name in basis]
+        basis, nonbasic_at_upper = start or (self.layout.names[n:], ())
+        self.basis = [self.layout.index[name] for name in basis]
         self.at_upper = (self.lo == -INF) & (self.up < INF)  # its only finite bound
         if nonbasic_at_upper:
-            self.at_upper[[layout.index[name] for name in nonbasic_at_upper]] = True
+            self.at_upper[[self.layout.index[name] for name in nonbasic_at_upper]] = True
         self.in_basis = np.zeros(n + m, dtype=bool)
         self.in_basis[self.basis] = True
         self.x = np.where(self.at_upper, self.up, np.where(self.lo > -INF, self.lo, 0.0))
@@ -495,10 +493,11 @@ def _solve_from(st: _State) -> LpSolution:
 
 @np.errstate(over="ignore", invalid="ignore")
 def solve_program(lp: LinearProgram) -> LpSolution:
-    layout = lp.layout or Layout.of(lp)
+    arrays = program_arrays(lp)
+    layout = arrays[0]
     if lp.start is not None:
         try:
-            st = _State(lp, layout, lp.start)
+            st = _State(lp, arrays, lp.start)
         except KeyError:  # unknown column or slack, artificials included
             st = None
         else:
@@ -509,7 +508,7 @@ def solve_program(lp: LinearProgram) -> LpSolution:
             sol = _solve_from(st)
             if sol.status == "optimal" and not sol.degenerate:
                 return sol
-    st = _start(_State(lp, layout))
+    st = _start(_State(lp, arrays))
     if st is None:  # the slack basis is the identity: only a non-finite value ends here
         raise SolverFailureError("non-finite value at the slack-basis start")
     return _solve_from(st)
@@ -519,7 +518,7 @@ def solve_program(lp: LinearProgram) -> LpSolution:
 def solution_from_basis(lp: LinearProgram, basis: tuple[str, ...],
                         nonbasic_at_upper: tuple[str, ...]) -> LpSolution:
     """Rebuild the solution a given basis identifies; audits solver output."""
-    return _extract(_State(lp, lp.layout or Layout.of(lp), (basis, nonbasic_at_upper)), "optimal")
+    return _extract(_State(lp, program_arrays(lp), (basis, nonbasic_at_upper)), "optimal")
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -531,12 +530,12 @@ def cost_range(lp: LinearProgram, sol: LpSolution, column: str) -> tuple[float, 
     cost (from ``sol``'s duals) by -delta*(B^-1 A)_{r,j}.  Empty, ``(c, c)`` at
     the coefficient ``c``, where ``sol`` is degenerate (a start from it falls
     back) or a column that can move prices out at zero (a tie)."""
-    layout = lp.layout or Layout.of(lp)
-    q = layout.index[column]
-    c = float(_arrays(lp, layout)[3][q])
+    arrays = program_arrays(lp)
+    q = arrays[0].index[column]
+    c = float(arrays[4][q])
     if sol.degenerate:
         return c, c
-    st = _State(lp, layout, (sol.basis, sol.nonbasic_at_upper))
+    st = _State(lp, arrays, (sol.basis, sol.nonbasic_at_upper))
     if q not in st.basis:
         raise ValueError(f"column {column!r} is not basic")
     e = np.zeros(st.n_rows)

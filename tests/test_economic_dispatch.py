@@ -6,15 +6,17 @@ import re
 
 import pytest
 
-from flexhedge import opf
+from flexhedge import opf, simplex
 from flexhedge.economic_dispatch import (
+    PRICE_TIE_TOL,
     EdInstance,
+    EdResult,
     build_ed_dual,
     build_ed_flex_primal,
     build_ed_primal,
     solve_ed_chain,
 )
-from flexhedge.lp import solve, verify_kkt
+from flexhedge.lp import LinearProgram, solve, verify_kkt
 from flexhedge.model import GenOffer, LoadUtility, validate_market_data
 from flexhedge.opf import price_paid_by_load
 
@@ -255,6 +257,38 @@ def test_chain_solves_pass_kkt():
             sol = solve(lp)
             assert sol.status == "optimal"
             assert verify_kkt(lp, sol).within(1e-6), f"seed {seed}, {build.__name__}"
+
+
+def test_chain_equals_a_direct_solve_of_each_program(monkeypatch):
+    # the chain solves the dispatch and the flexibility primal through
+    # solve_opf_hour, from their arrays and unchecked; lp.solve checks each
+    # program's dicts first, and the two give the same values bit for bit
+    validated, read, solved = [], [], []
+    validate, read_arrays = LinearProgram.validate, LinearProgram._read_arrays
+    solve_program = simplex.solve_program
+    monkeypatch.setattr(LinearProgram, "validate",
+                        lambda lp: validated.append(lp) or validate(lp))
+    monkeypatch.setattr(LinearProgram, "_read_arrays", lambda lp: read.append(lp) or read_arrays(lp))
+    monkeypatch.setattr(simplex, "solve_program", lambda lp: solved.append(lp) or solve_program(lp))
+    for seed in range(100):
+        for with_cap in (False, True):
+            inst = random_instance(random.Random(7000 + seed), with_cap)
+            validated.clear(), read.clear(), solved.clear()
+            chain = solve_ed_chain(inst)
+            hours = [lp for lp in solved if lp.name == "opf_h1"]
+            assert len(hours) == 1 + with_cap, seed
+            assert not any(lp is other for lp in hours for other in validated + read), seed
+            primal = solve(build_ed_primal(inst))
+            sol = solve(build_ed_flex_primal(inst)) if with_cap else primal
+            d_load = sol.reduced_costs["pl_1"]
+            assert chain.result == EdResult(
+                sol.primal["pg_1"], sol.primal["pl_1"], sol.primal.get("pflex_1", 0.0),
+                -sol.duals["balance_1"], max(0.0, -d_load), max(0.0, d_load),
+                sol.objective_value), seed
+            assert chain.objective_unconstrained == primal.objective_value, seed
+            assert chain.lmp_unconstrained == -primal.duals["balance_1"], seed
+            tie = with_cap and abs(chain.lmp_unconstrained - inst.cap) <= PRICE_TIE_TOL
+            assert chain.degenerate == (sol.degenerate or tie), seed
 
 
 def test_chain_validates_its_hour_once(monkeypatch):

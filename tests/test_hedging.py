@@ -433,6 +433,20 @@ def test_study_builds_once_per_solve_and_validates_once_per_hour(monkeypatch):
     assert len(factored) == 2 * 87 + 39
 
 
+def test_study_looks_up_each_solves_template_once(monkeypatch):
+    # solve_opf_hour's build and readout share their hour's one lookup
+    scenario = generate_scenario(ScenarioSpec(seed=1))
+    solved = count_solves(monkeypatch)
+    looked_up = count_calls(monkeypatch, Grid.template, Grid)
+    sweep_pi_des(scenario.network, scenario.hours, 3, [float(pi) for pi in range(60, 81)],
+                 {"infinite": None, "finite": {(2, 3): FINITE_LIMIT_MW}})
+    assert len(looked_up) == len(solved) == 87
+    solved.clear()
+    looked_up.clear()
+    run_hedge(scenario.network, scenario.hours, PriceCap(3, 70.0))
+    assert len(looked_up) == len(solved) == 38
+
+
 def test_study_solves_its_programs_without_validating_them(monkeypatch):
     # every value of an hour's program comes from an hour Grid.hours checked,
     # so neither pass re-checks it through LinearProgram.validate

@@ -547,16 +547,18 @@ def test_shared_layout_slack_bounds_match_each_programs_own():
                             seeded_mesh(30, 1)):
         grid = Grid(net)
         programs += [build_opf(hour) for caps in ((), (cap,)) for hour in grid.hours(hours, caps)]
-    assert len({id(lp.layout) for lp in programs}) < len(programs) / 10
+    assert len({id(lp.arrays[0]) for lp in programs}) < len(programs) / 10
     for lp in programs:
-        shared, own = simplex._State(lp, lp.layout), simplex._State(lp, simplex.Layout.of(lp))
+        shared = simplex._State(lp, simplex.program_arrays(lp))
+        lp.rows  # from here on a solve compiles the program's dicts
+        own = simplex._State(lp, simplex.program_arrays(lp))
         for name in ("lo", "up", "c_ext", "b"):
             assert getattr(shared, name).tobytes() == getattr(own, name).tobytes(), (lp.name, name)
     lp = LinearProgram("minimize")
     lp.add_column("x", 0.0, 1.0, objective=1.0)
     for relation in ("<=", ">=", "="):
         lp.add_row(relation, {"x": 1.0}, relation, 0.5)
-    st = simplex._State(lp, simplex.Layout.of(lp))
+    st = simplex._State(lp, simplex.program_arrays(lp))
     assert st.lo.tolist() == [0.0, 0.0, -INF, 0.0]
     assert st.up.tolist() == [1.0, INF, 0.0, 0.0]
 

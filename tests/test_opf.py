@@ -354,7 +354,7 @@ def grid_programs(net, series, caps=()):
 
 def dense_form(prog):
     """The arrays a solve of ``prog`` works on: A, b, bounds and costs."""
-    st = simplex._State(prog, prog.layout or simplex.Layout.of(prog))
+    st = simplex._State(prog, simplex.program_arrays(prog))
     return [a.tobytes() for a in (st.A, st.b, st.lo, st.up, st.c_ext)]
 
 
@@ -363,14 +363,14 @@ def check_blocks(progs):
     ``simplex.Layout`` makes of its own rows and columns, and the solve works
     on the same arrays as without it."""
     for prog in progs:
-        own = simplex.Layout.of(prog)
-        assert prog.layout.A.tobytes() == own.A.tobytes()
-        assert (prog.layout.names, prog.layout.index) == (own.names, own.index)
-        assert simplex._State(prog, prog.layout).A is prog.layout.A
+        layout = prog.arrays[0]
+        assert simplex._State(prog, simplex.program_arrays(prog)).A is layout.A
         carried = dense_form(prog)
-        layout, prog.layout = prog.layout, None
+        prog.rows  # from here on a solve compiles the program's dicts
+        own = simplex.program_arrays(prog)[0]
+        assert layout.A.tobytes() == own.A.tobytes()
+        assert (layout.names, layout.index) == (own.names, own.index)
         assert dense_form(prog) == carried
-        prog.layout = layout
 
 
 def layout_cases():
@@ -397,15 +397,16 @@ def layout_cases():
 def test_block_equals_each_programs_own_densify(name):
     net, series, caps = layout_cases()[name]
     progs = grid_programs(net, series, caps)
+    layouts = [prog.arrays[0] for prog in progs]
     check_blocks(progs)
     if name == "layouts":  # three column layouts, three blocks
-        assert len({id(prog.layout) for prog in progs}) == 3
-        assert progs[0].layout.crash is None
+        assert len({id(layout) for layout in layouts}) == 3
+        assert layouts[0].crash is None
         # line 2-3 carries two thirds of bus 3's export to bus 2 and binds at 0.6
         loads = [solve_opf_hour(valid_hour(net, data)).p_l_mw for data in series]
         assert loads == [{3: 0.0}, {3: 1.0}, {2: pytest.approx(0.9)}]
     else:  # every hour of a series shares its layout's block
-        assert all(prog.layout is progs[0].layout for prog in progs)
+        assert all(layout is layouts[0] for layout in layouts)
 
 
 def test_template_crash_basis_is_angles_an_import_and_limit_slacks():
@@ -460,7 +461,7 @@ def test_build_opf_matches_the_reference_builder(name):
             assert built.arrays is not None
             assert arrays == dense_form(reference), (hour.data.hour, hour.caps)
             assert program_parts(built) == program_parts(reference), (hour.data.hour, hour.caps)
-            assert built.arrays is None and built.layout is not None
+            assert built.arrays is None
             assert dense_form(built) == arrays, (hour.data.hour, hour.caps)
 
 
@@ -469,16 +470,17 @@ def test_built_programs_stay_independent():
     hours = Grid(scenario.network).hours(scenario.hours, (PriceCap(3, 70.0),))
     progs = [build_opf(hour) for hour in hours]
     edited, other, tight, unread = progs[16], progs[17], progs[18], progs[19]
-    assert edited.layout is other.layout is tight.layout is unread.layout
-    text, block, solved = to_lp_format(other), other.layout.A.tobytes(), solve(other)
+    layout = edited.arrays[0]
+    assert layout is other.arrays[0] is tight.arrays[0] is unread.arrays[0]
+    text, block, solved = to_lp_format(other), layout.A.tobytes(), solve(other)
     unread_solved, before = simplex.solve_program(unread), solve(tight)
-    # an edit in place after the dicts are read keeps the layout and reaches
-    # the next solve, as in a program built the plain way; no sibling sees it
+    # an edit in place after the dicts are read reaches the next solve, as
+    # in a program built the plain way; no sibling sees it
     reference = reference_opf(hours[18])
     for prog in (tight, reference):
         prog.rows["flow_hi_2_3"].rhs = 0.25
         prog.columns["pg_2"].upper = 0.2
-    assert tight.layout is other.layout and tight.arrays is None
+    assert tight.arrays is None
     sol = solve(tight)
     assert sol.primal != before.primal and sol.primal["pg_2"] == pytest.approx(0.2)
     assert sol.primal == pytest.approx(solve(reference).primal)
@@ -490,10 +492,9 @@ def test_built_programs_stay_independent():
     edited.rows["flow_hi_2_3"].rhs += 1e-5
     edited.add_column("pg_extra", 0.0, 0.5, objective=-20.0)
     edited.add_row("extra_at_3", {"pg_extra": 1.0, "pflex_3": 1.0}, "<=", 0.4)
-    assert edited.layout is None
     edited.rows["balance_3"].coeffs["pg_extra"] = 1.0
     assert to_lp_format(other) == text
-    assert other.layout.A.tobytes() == block
+    assert layout.A.tobytes() == block
     assert solve(other) == solved
     sol = solve(edited)
     assert sol.status == "optimal" and sol.primal["pg_extra"] == pytest.approx(0.4)
@@ -501,6 +502,19 @@ def test_built_programs_stay_independent():
     rebuilt = simplex.solution_from_basis(edited, sol.basis, sol.nonbasic_at_upper)
     assert rebuilt.primal == sol.primal
     assert rebuilt.duals == sol.duals
+
+
+def test_a_coefficient_edited_in_place_reaches_the_next_solve():
+    # a solve compiles a read program's dicts afresh, so an edited row never
+    # meets the matrix of the layout the program was built over
+    scenario = generate_scenario(ScenarioSpec(seed=7, line_limit_case="finite"))
+    hour = Grid(scenario.network).hours(scenario.hours)[16]
+    prog, reference = build_opf(hour), reference_opf(hour)
+    for edited in (prog, reference):
+        edited.rows["flow_hi_2_3"].coeffs["theta_2"] *= 0.5
+    sol = solve(prog)
+    assert sol.objective_value == solve(reference).objective_value
+    assert verify_kkt(prog, sol).within(1e-6)
 
 
 def test_network_validated_once_per_run(monkeypatch):
@@ -536,11 +550,11 @@ def test_crash_basis_inverted_once_per_layout_per_run(monkeypatch):
     cap = PriceCap(3, 70.0)
     first = run_hedge(scenario.network, scenario.hours, cap)
     pass1, pass2 = solved[:24], solved[24:]
-    layout = pass1[0][0].layout
+    layout = pass1[0][0].arrays[0]
     crash = layout.A[:, [layout.index[name] for name in layout.crash[0]]].tobytes()
     assert [made for _, made in pass1] == [[crash]] + [[]] * 23
-    assert all(prog.layout is layout and prog.start == layout.crash for prog, _ in pass1)
-    assert pass2 and all(prog.start != prog.layout.crash for prog, _ in pass2)  # warm starts
+    assert all(prog.arrays[0] is layout and prog.start == layout.crash for prog, _ in pass1)
+    assert pass2 and all(prog.start != prog.arrays[0].crash for prog, _ in pass2)  # warm starts
     # each run compiles its own grid: nothing is kept between runs
     solved.clear()
     assert run_hedge(scenario.network, scenario.hours, cap) == first
@@ -556,7 +570,7 @@ def test_crash_inverse_serves_every_start_on_the_crash_basis(monkeypatch):
     inverse = simplex._inverse
     monkeypatch.setattr(simplex, "_inverse", lambda B: inverted.append(B.tobytes()) or inverse(B))
     run_hedge(scenario.network, scenario.hours, PriceCap(3, 70.0))
-    layout = build_opf(Grid(scenario.network).hours(scenario.hours)[0]).layout
+    layout = build_opf(Grid(scenario.network).hours(scenario.hours)[0]).arrays[0]
     crash = layout.A[:, [layout.index[name] for name in layout.crash[0]]].tobytes()
     assert inverted.count(crash) == 2
 
@@ -571,13 +585,13 @@ def test_a_crash_started_program_given_another_start_solves_as_a_fresh_one(n_bus
     grid = Grid(net)
     for hour in grid.hours(hours):
         prog = build_opf(hour)
-        prog.start = prog.layout.crash
-        crashed = solve(prog)
+        prog.start = prog.arrays[0].crash
+        crashed = simplex.solve_program(prog)
         prog.start = (crashed.basis, crashed.nonbasic_at_upper)
         fresh = build_opf(hour)
-        fresh.start, fresh.layout = prog.start, None  # that start alone
-        sol = solve(prog)
-        assert sol == solve(fresh), hour.data.hour
+        fresh.start = prog.start
+        sol = simplex.solve_program(prog)
+        assert sol == solve(fresh), hour.data.hour  # its dicts read: that start alone
         assert verify_kkt(prog, sol).within(1e-6), hour.data.hour
 
 
@@ -617,7 +631,7 @@ def test_artificial_of_sign_minus_one_negates_its_row_of_the_inverse(monkeypatch
     for hour in grid.hours(hours, (cap,)):
         prog = build_opf(hour)
         prog.start = grid.template(hour).crash
-        assert solve(prog).status == "optimal"
+        assert simplex.solve_program(prog).status == "optimal"
     assert negated.count(True) == 24
 
 
@@ -664,13 +678,11 @@ End
 
 def test_built_hour_validates_clean_once_read_and_names_an_added_bad_row():
     # validate reads a built hour's dicts, which find nothing in an hour that
-    # Grid.hours accepted; a bad row added after that is named, and the edit
-    # drops the layout
+    # Grid.hours accepted; a bad row added after that is named
     scenario = generate_scenario(ScenarioSpec(seed=1))
     prog = build_opf(valid_hour(scenario.network, scenario.hours[0]))
-    assert prog.validate() == [] and prog.arrays is None and prog.layout is not None
+    assert prog.validate() == [] and prog.arrays is None
     prog.add_row("extra", {"theta_2": math.nan, "ghost": 1.0}, "<=", 1.0)
-    assert prog.layout is None
     assert prog.validate() == [
         "row 'extra': non-finite coefficient nan on column 'theta_2'",
         "row 'extra' references unknown column 'ghost'"]
@@ -731,7 +743,7 @@ def test_every_checked_hour_builds_a_well_formed_program(name):
     for caps in ((), (cap,)):
         for hour in grid.hours(series, caps):
             prog = build_opf(hour)
-            assert prog.layout is not None and prog.validate() == [], (hour.data.hour, caps)
+            assert prog.arrays is not None and prog.validate() == [], (hour.data.hour, caps)
 
 
 def test_overflowing_susceptance_sum_is_still_named():
