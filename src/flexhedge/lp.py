@@ -72,14 +72,14 @@ class LinearProgram:
     start; it never changes the program, so ``validate``, ``to_lp_format``
     and ``dual_program`` ignore it.
 
-    ``arrays``, if set, is ``(layout, b, lo, up, c)``: the program as the
+    ``arrays``, if set, is ``(layout, lo, up, c)``: the program as the
     read-only record of a column layout (``simplex.Layout``: its dense
-    matrix, names, rows and crash basis), which programs of one layout
-    share, the right-hand sides of its rows and the bounds and costs of its
-    ``[A | I]`` columns, which a solve reads and nothing writes.  The first
-    read of ``columns`` or ``rows`` builds them from it and clears it; from
-    then on the dicts are the program, which each solve compiles afresh, so
-    an edit in place reaches the next solve.
+    matrix, names, rows with their right-hand sides and crash basis), which
+    programs of one layout share, and the bounds and costs of its ``[A | I]``
+    columns, which a solve reads and nothing writes.  The first read of
+    ``columns`` or ``rows`` builds them from it and clears it; from then on
+    the dicts are the program, which each solve compiles afresh, so an edit
+    in place reaches the next solve.
     """
 
     def __init__(self, sense: str = "maximize", name: str = "lp"):
@@ -106,11 +106,11 @@ class LinearProgram:
         return self._rows
 
     def _read_arrays(self) -> None:
-        layout, b, lo, up, c = self.arrays  # zip stops at the columns, before the slacks
+        layout, lo, up, c = self.arrays  # zip stops at the columns, before the slacks
         self._columns = {name: _Column(name, lower, upper, cost) for name, lower, upper, cost
                          in zip(layout.columns, lo.tolist(), up.tolist(), c.tolist())}
-        self._rows = {name: _Row(name, dict(coeffs), relation, rhs)
-                      for (name, coeffs, relation), rhs in zip(layout.specs, b.tolist())}
+        self._rows = {name: _Row(name, dict(coeffs), relation, float(rhs))
+                      for name, coeffs, relation, rhs in layout.specs}
         self.arrays = None
 
     def add_column(self, name: str, lower: float = 0.0, upper: float = INF,

@@ -16,16 +16,16 @@ hours or returns each hour as a ``ValidHour``, the one hour type, which
 ``build_opf``, ``capped_dual`` and ``solve_opf_hour`` take unchecked, and whose
 program a solve hands to ``simplex.solve_program`` with no re-check.  The
 grid compiles, once per study, every name and row an hour needs and, per
-column layout (the buses of an hour's offers, utilities and caps), a
-``_Template`` (``Grid.template``, which each ``ValidHour`` looks up once):
-its ``simplex.Layout`` (the dense matrix, names, rows and crash basis, whose
-inverse the first solve on that basis computes for every later start on
-it), the arrays every hour of the layout shares and the position of each
-offer, utility and flexibility column.  So ``build_opf`` only copies the
-bounds and costs, fills in the hour's own by position and hands them over,
-with the layout, as ``LinearProgram.arrays``, which a solve reads as they
-are; the program's name dicts are built only if something reads them, and a
-solve then compiles them afresh.  ``solve_opf_hour`` reads by layout position.
+column layout (the buses of an hour's offers, utilities and caps), its one
+record, a ``simplex.Layout`` (``Grid.layout``, which each ``ValidHour``
+looks up once): the dense matrix, names, rows and crash basis, whose inverse
+the first solve on that basis computes for every later start on it, and the
+arrays every hour of the layout starts from.  So ``build_opf`` only copies
+the bounds and costs, fills in the hour's own columns after the angles and
+hands them over, with the layout, as ``LinearProgram.arrays``, which a solve
+reads as they are; the program's name dicts are built only if something
+reads them, and a solve then compiles them afresh.  ``solve_opf_hour`` reads
+by layout position.
 
 ``capped_dual`` builds the paper's side of the same hour: the dual of the
 program without flexibility, with the price at each capped bus bounded.
@@ -86,15 +86,15 @@ class Grid:
     ``problems`` and, if valid, every name and row an hour needs.  Per bus, in
     bus order, its angle column (``theta``), its balance row (``balance``) and
     the angle terms of that row (accumulated in line order); the angle
-    reference row; the line-limit rows (``limits``: the pair of names, their
-    coefficients and the limit); and per line a readout record (``lines``:
-    key, end buses, reactance and the position of its ``flow_hi`` row in every
-    layout's rows, ``flow_lo`` next, or None).  ``layouts`` holds each column
-    layout's ``_Template`` (``template``)."""
+    reference row; the line-limit rows (``limits``: each bounded line's
+    ``flow_hi`` and ``flow_lo`` row specs); and per line a readout record
+    (``lines``: key, end buses, reactance and the position of its ``flow_hi``
+    row in every layout's rows, ``flow_lo`` next, or None).  ``layouts``
+    holds each column layout's ``simplex.Layout`` (``layout``)."""
 
     def __init__(self, net: Network):
         self.net, self.problems = net, validate_network(net)
-        self.layouts: dict[tuple, _Template] = {}
+        self.layouts: dict[tuple, Layout] = {}
         if self.problems:
             return
         self.theta = {b.id: _column("theta", b.id) for b in net.buses}
@@ -110,13 +110,13 @@ class Grid:
                 coeffs[theta_j] = coeffs.get(theta_j, 0.0) + b
             hi = None
             if line.flow_limit_mw != INF:
-                key = f"{line.from_bus}_{line.to_bus}"
-                hi = len(net.buses) + 1 + 2 * len(self.limits)  # past balance and reference rows
-                self.limits.append((f"flow_hi_{key}", f"flow_lo_{key}",
-                                    {theta_from: b, theta_to: -b}, line.flow_limit_mw))
+                key, flow = f"{line.from_bus}_{line.to_bus}", {theta_from: b, theta_to: -b}
+                hi = len(net.buses) + 1 + len(self.limits)  # past balance and reference rows
+                self.limits += [(f"flow_hi_{key}", flow, "<=", line.flow_limit_mw),
+                                (f"flow_lo_{key}", flow, ">=", -line.flow_limit_mw)]
             self.lines.append((line.key, line.from_bus, line.to_bus, line.reactance_pu, hi))
         self.angle_ref = {self.theta[net.slack_bus()]: 1.0}
-        self.slacks = tuple(f"slack:{row}" for hi, lo, _, _ in self.limits for row in (hi, lo))
+        self.slacks = tuple(f"slack:{spec[0]}" for spec in self.limits)
 
     def problems_of(self, series, caps=()) -> list[str]:
         """Every problem of the network, of each cap on its own and of each
@@ -140,43 +140,30 @@ class Grid:
             raise ScenarioError(*problems)
         return [ValidHour(self, data, caps) for data in series]
 
-    def template(self, hour: ValidHour) -> _Template:
-        """The ``_Template`` of ``hour``'s column layout, set by the buses of
-        its offers, utilities and caps; compiled on first use."""
+    def layout(self, hour: ValidHour) -> Layout:
+        """The ``simplex.Layout`` of ``hour``'s column layout, set by the buses
+        of its offers, utilities and caps; compiled on first use.  Its columns
+        are the angles, free at no cost, then the offer, utility and
+        flexibility columns of those buses, in that order, whose bounds and
+        costs each hour fills in; its rows each bus's balance, the angle
+        reference and the limit pairs.  Its crash basis (Bixby 1992), as a
+        ``LinearProgram.start``: every angle and the slack bus's import column
+        (else the first offer's) span the balance and reference rows, because
+        the reduced susceptance matrix of a connected network is nonsingular;
+        each limit row keeps its slack.  None without offers."""
         key = (tuple(offer.bus for offer in hour.data.offers),
                tuple(util.bus for util in hour.data.utilities),
                tuple(cap.bus for cap in hour.caps))
-        if key not in self.layouts:
-            self.layouts[key] = _Template(self, *key)
-        return self.layouts[key]
-
-
-class _Template:
-    """One column layout of a grid.  Its ``simplex.Layout`` (``layout``) has
-    the angle columns, then the offer, utility and flexibility columns of the
-    buses ``offers``, ``utilities`` and ``caps`` (at the slices ``pg``, ``pl``
-    and ``pflex``, together ``hour``), and the rows: each bus's balance, the
-    angle reference and the limit pairs.  The read-only arrays every hour of
-    the layout shares: the right-hand sides ``b``, and ``lo``, ``up`` and
-    ``c`` over ``[A | I]``, the angles free at no cost and the slacks at their
-    bounds, the ``hour`` entries each hour fills in.  Its crash basis (Bixby
-    1992) as a ``LinearProgram.start`` (``crash``): every angle and the slack
-    bus's import column (else the first offer's) span the balance and
-    reference rows, because the reduced susceptance matrix of a connected
-    network is nonsingular; each limit row keeps its slack.  None without
-    offers."""
-
-    def __init__(self, grid: Grid, offers, utilities, caps):
-        import numpy as np  # numpy, like lp.solve, loads with a first layout
-
-        from .simplex import Layout
-        slack = grid.net.slack_bus()
-        self.crash = (tuple(grid.theta.values()) +
-                      (_column("pg", slack if slack in offers else offers[0]),) +
-                      grid.slacks, ()) if offers else None
-        self.offers, self.utilities, self.caps = offers, utilities, caps
+        if key in self.layouts:
+            return self.layouts[key]
+        from .simplex import Layout  # numpy, like lp.solve, loads with a first layout
+        offers, utilities, caps = key
+        slack = self.net.slack_bus()
+        crash = (tuple(self.theta.values()) +
+                 (_column("pg", slack if slack in offers else offers[0]),) +
+                 self.slacks, ()) if offers else None
         specs = []
-        for bus, row in grid.balance.items():
+        for bus, row in self.balance.items():
             coeffs: dict[str, float] = {}
             if bus in offers:
                 coeffs[_column("pg", bus)] = 1.0
@@ -184,27 +171,15 @@ class _Template:
                 coeffs[_column("pl", bus)] = -1.0
             if bus in caps:
                 coeffs[_column("pflex", bus)] = 1.0
-            coeffs.update(grid.terms[grid.theta[bus]])
-            specs.append((row, coeffs, "="))
-        specs.append(("angle_ref", grid.angle_ref, "="))
-        for hi, lo, coeffs, _ in grid.limits:
-            specs += [(hi, coeffs, "<="), (lo, coeffs, ">=")]
-        self.layout = Layout([*grid.theta.values(), *(_column("pg", bus) for bus in offers),
-                              *(_column("pl", bus) for bus in utilities),
-                              *(_column("pflex", bus) for bus in caps)], specs, self.crash)
-
-        n_theta = len(grid.theta)
-        self.pg = slice(n_theta, n_theta + len(offers))
-        self.pl = slice(self.pg.stop, self.pg.stop + len(utilities))
-        self.pflex = slice(self.pl.stop, self.pl.stop + len(caps))
-        self.hour = slice(n_theta, self.pflex.stop)
-        self.b = np.array([0.0] * (n_theta + 1) +
-                          [rhs for _, _, _, limit in grid.limits for rhs in (limit, -limit)])
-        self.lo, self.up = self.layout.lo.copy(), self.layout.up.copy()
-        self.lo[:n_theta], self.up[:n_theta] = -INF, INF
-        self.c = np.zeros(len(self.layout.names))
-        for array in (self.b, self.lo, self.up, self.c):
-            array.flags.writeable = False
+            coeffs.update(self.terms[self.theta[bus]])
+            specs.append((row, coeffs, "=", 0.0))
+        specs += [("angle_ref", self.angle_ref, "=", 0.0), *self.limits]
+        columns = [*self.theta.values(), *(_column("pg", bus) for bus in offers),
+                   *(_column("pl", bus) for bus in utilities),
+                   *(_column("pflex", bus) for bus in caps)]
+        n = len(columns)
+        self.layouts[key] = Layout(columns, specs, [-INF] * n, [INF] * n, [0.0] * n, crash)
+        return self.layouts[key]
 
 
 @dataclass(frozen=True)
@@ -216,29 +191,29 @@ class ValidHour:
     caps: tuple[PriceCap, ...] = ()
 
     @cached_property
-    def template(self) -> _Template:
-        """Its ``Grid.template``, looked up once for a solve's build and readout."""
-        return self.grid.template(self)
+    def layout(self) -> Layout:
+        """Its ``Grid.layout``, looked up once for a solve's build and readout."""
+        return self.grid.layout(self)
 
 
 def build_opf(hour: ValidHour) -> LinearProgram:
-    """The hour's LP as arrays over its column layout (``Grid.template``,
+    """The hour's LP as arrays over its column layout (``Grid.layout``,
     ``LinearProgram.arrays``): balance rows, angle reference and line-limit
     pairs as compiled once per layout, and the bounds and costs of the hour's
-    offer, utility and flexibility columns filled in by position; started at
-    that layout's crash basis (``LinearProgram.start``).  From the slack
-    basis a one-bus hour can end with the angle reference's slack basic at
-    zero and report a degenerate optimum that is not one; the crash basis
-    holds the angles basic."""
-    data, template = hour.data, hour.template
+    offer, utility and flexibility columns filled in after the angles;
+    started at that layout's crash basis (``LinearProgram.start``).  From the
+    slack basis a one-bus hour can end with the angle reference's slack
+    basic at zero and report a degenerate optimum that is not one; the crash
+    basis holds the angles basic."""
+    data, layout = hour.data, hour.layout
     offers, utilities = data.offers, data.utilities
     flex = [-cap.cap_for_hour(data.hour) for cap in hour.caps]
-    lo, up, c = template.lo.copy(), template.up.copy(), template.c.copy()
-    lo[template.hour] = [0.0] * len(offers) + [util.p_min_mw for util in utilities] + \
-        [0.0] * len(flex)
-    up[template.hour] = [offer.capacity_mw for offer in offers] + \
+    own = slice(len(hour.grid.theta), len(layout.columns))  # the hour's columns
+    lo, up, c = layout.lo.copy(), layout.up.copy(), layout.c.copy()
+    lo[own] = [0.0] * len(offers) + [util.p_min_mw for util in utilities] + [0.0] * len(flex)
+    up[own] = [offer.capacity_mw for offer in offers] + \
         [util.p_max_mw for util in utilities] + [INF] * len(flex)
-    c[template.hour] = [-offer.marginal_cost for offer in offers] + \
+    c[own] = [-offer.marginal_cost for offer in offers] + \
         [util.marginal_utility for util in utilities] + flex
     constant = 0.0
     for offer in offers:
@@ -247,8 +222,8 @@ def build_opf(hour: ValidHour) -> LinearProgram:
         constant += util.constant_utility
 
     prog = LinearProgram("maximize", name=f"opf_h{data.hour}")
-    prog.start, prog.constant = template.crash, constant
-    prog.arrays = (template.layout, template.b, lo, up, c)
+    prog.start, prog.constant = layout.crash, constant
+    prog.arrays = (layout, lo, up, c)
     return prog
 
 
@@ -279,9 +254,12 @@ def solve_opf_hour(hour: ValidHour, start=None) -> DispatchResult | None:
     if sol.status != "optimal":
         raise ValueError(f"hour {hour.data.hour}: solver returned {sol.status}")
 
-    grid, data, template = hour.grid, hour.data, hour.template
+    grid, data = hour.grid, hour.data
     x, y = list(sol.primal.values()), list(sol.duals.values())  # in the layout's order
     theta = dict(zip(grid.theta, x))
+    own = iter(x[len(theta):])  # the offer, utility and cap columns, in that order
+    p_g, p_l, flex = [{item.bus: next(own) for item in items}
+                      for items in (data.offers, data.utilities, hour.caps)]
     flows, congestion = {}, {}
     for key, from_bus, to_bus, reactance, hi in grid.lines:
         flows[key] = (theta[from_bus] - theta[to_bus]) / reactance
@@ -289,13 +267,13 @@ def solve_opf_hour(hour: ValidHour, start=None) -> DispatchResult | None:
 
     return DispatchResult(
         hour=data.hour,
-        p_g_mw=dict(zip(template.offers, x[template.pg])),
-        p_l_mw=dict(zip(template.utilities, x[template.pl])),
+        p_g_mw=p_g,
+        p_l_mw=p_l,
         theta_rad=theta,
         lmp_eur_mwh={bus: -dual for bus, dual in zip(grid.balance, y)},  # price_paid_by_load
         flow_mw=flows,
         congestion_dual_eur_mwh=congestion,
-        p_flexreq_mw=dict(zip(template.caps, x[template.pflex])),
+        p_flexreq_mw=flex,
         objective_eur=sol.objective_value,
         basis=(sol.basis, sol.nonbasic_at_upper),
         degenerate=sol.degenerate,

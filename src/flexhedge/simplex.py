@@ -5,11 +5,12 @@ every relation into an equality, so the working system is ``[A | I] x = b``
 with individual bounds on all columns (``<=`` rows get slack bounds [0, inf),
 ``>=`` rows (-inf, 0], equalities [0, 0]).  A solve reads a program by one
 path (``program_arrays``): its column layout, a read-only ``Layout`` that
-holds ``[A | I]``, the names and the slack bounds, and the right-hand sides,
-bounds and costs over it.  They are the program's own arrays
-(``LinearProgram.arrays``, as ``opf.build_opf`` gives each hour over a layout
-its hours share) while it is still given as arrays, else its dicts compiled
-afresh, so a solve always sees the program as it stands.  Each solve reads
+holds ``[A | I]``, the names, the right-hand sides and the bounds and costs
+its programs start from, and the program's bounds and costs over it.  They
+are the program's own arrays (``LinearProgram.arrays``, as ``opf.build_opf``
+gives each hour over a layout its hours share) while it is still given as
+arrays, else its dicts compiled afresh into a layout and that layout's own
+arrays, so a solve always sees the program as it stands.  Each solve reads
 them into its one ``_State``, which ``solution_from_basis`` and
 ``cost_range`` build too.
 
@@ -34,7 +35,8 @@ at an infinite bound or puts a basic structural column out of bounds; and
 also when it ends anywhere but on a non-degenerate optimum, so a program
 whose duals are not unique reports the slack-basis solve's vertex.  An
 ``opf.build_opf`` program starts at its layout's crash basis
-(``opf._Template.crash``) unless an earlier optimal basis replaces it.
+(``Layout.crash``, which ``opf.Grid.layout`` sets) unless an earlier optimal
+basis replaces it.
 
 The entering column is the eligible one with the largest reduced cost in
 absolute value (Dantzig), ties going to the lowest index.  Eligible means a
@@ -110,32 +112,34 @@ def _inverse(B: np.ndarray) -> np.ndarray:
 
 
 class Layout:
-    """A column layout's read-only solve data: its column names (``columns``),
-    its rows as ``(name, coeffs, relation)`` specs (``specs``) and their names
-    (``rows``), the slack-augmented ``[A | I]`` of those rows, every column
-    and slack name with its index, the slack half of the bounds (``lo``,
-    ``up``, whose column half a program's arrays fill in; a slack costs
-    nothing), and a crash basis ``crash`` (a ``LinearProgram.start``, or None)
-    whose ``B^-1`` ``crash_inverse`` inverts on first use.
-    ``opf.Grid`` builds one per layout and study, which its hours'
-    ``LinearProgram.arrays`` carry; ``program_arrays`` compiles one for a
-    program given as dicts at each solve."""
+    """A column layout's read-only record, which every program over it starts
+    from: its column names (``columns``), its rows as ``(name, coeffs,
+    relation, rhs)`` specs (``specs``) and their names (``rows``), the
+    slack-augmented ``[A | I]`` of those rows, every column and slack name
+    with its index, the right-hand sides ``b``, and ``lo``, ``up`` and ``c``
+    over ``[A | I]``: the column half as given, the slack half set by each
+    row's relation (a slack costs nothing).  Its crash basis ``crash`` (a
+    ``LinearProgram.start``, or None) has a ``B^-1`` that ``crash_inverse``
+    inverts on first use.  ``opf.Grid`` builds one per layout and study,
+    which its hours' ``LinearProgram.arrays`` carry; ``program_arrays``
+    compiles one for a program given as dicts at each solve."""
 
-    def __init__(self, columns, specs, crash=None):
+    def __init__(self, columns, specs, lo, up, c, crash=None):
         self.columns, self.specs = list(columns), list(specs)
-        self.rows = [name for name, _, _ in self.specs]
+        self.rows = [spec[0] for spec in self.specs]
         n, m = len(self.columns), len(self.rows)
         self.names = self.columns + [f"slack:{r}" for r in self.rows]
         self.index = {name: j for j, name in enumerate(self.names)}
         col_index = {name: j for j, name in enumerate(self.columns)}
-        A = np.zeros((m, n + m))
-        self.lo, self.up = np.zeros(n + m), np.zeros(n + m)
-        for i, (_, coeffs, relation) in enumerate(self.specs):
+        A, self.b = np.zeros((m, n + m)), np.zeros(m)
+        self.lo, self.up, self.c = np.zeros(n + m), np.zeros(n + m), np.zeros(n + m)
+        self.lo[:n], self.up[:n], self.c[:n] = lo, up, c
+        for i, (_, coeffs, relation, rhs) in enumerate(self.specs):
             for cname, coef in coeffs.items():
                 A[i, col_index[cname]] += coef
-            A[i, n + i] = 1.0
+            A[i, n + i], self.b[i] = 1.0, rhs
             self.lo[n + i], self.up[n + i] = _SLACK_BOUNDS[relation]
-        for array in (A, self.lo, self.up):
+        for array in (A, self.b, self.lo, self.up, self.c):
             array.flags.writeable = False
         self.A, self.crash = A, crash
 
@@ -154,36 +158,35 @@ class Layout:
 
 
 def program_arrays(lp: LinearProgram):
-    """``(layout, b, lo, up, c)``, as ``LinearProgram.arrays`` holds them:
-    ``lp``'s column layout, its right-hand sides and the bounds and costs of
-    the layout's ``[A | I]`` columns (minimize or maximize as ``lp`` is).
-    They are ``lp.arrays`` while the program is still given as arrays, else
-    its dicts compiled into a fresh ``Layout``, which has no crash basis."""
+    """``(layout, lo, up, c)``, as ``LinearProgram.arrays`` holds them:
+    ``lp``'s column layout and the bounds and costs of the layout's
+    ``[A | I]`` columns (minimize or maximize as ``lp`` is).  They are
+    ``lp.arrays`` while the program is still given as arrays, else its dicts
+    compiled into a fresh ``Layout``, which has no crash basis, and that
+    layout's own arrays."""
     if lp.arrays is not None:
         return lp.arrays
-    rows, columns = lp.rows.values(), lp.columns.values()
-    layout = Layout(lp.columns, [(row.name, row.coeffs, row.relation) for row in rows])
-    n = len(layout.columns)
-    b = np.array([row.rhs for row in rows], dtype=float)
-    lo, up, c = layout.lo.copy(), layout.up.copy(), np.zeros(len(layout.names))
-    lo[:n] = [col.lower for col in columns]
-    up[:n] = [col.upper for col in columns]
-    c[:n] = [col.objective for col in columns]
-    return layout, b, lo, up, c
+    columns = lp.columns.values()
+    layout = Layout(lp.columns, [(row.name, row.coeffs, row.relation, row.rhs)
+                                 for row in lp.rows.values()],
+                    [col.lower for col in columns], [col.upper for col in columns],
+                    [col.objective for col in columns])
+    return layout, layout.lo, layout.up, layout.c
 
 
 class _State:
     """One solve's working state: ``lp``'s ``arrays`` (``program_arrays``,
-    read, never written), in minimize form, and a basis, named by ``start``
-    as ``LinearProgram.start`` does (KeyError for a name the layout lacks) or
-    else the slack basis, with every other column resting by the module's
+    read, never written) and its layout's right-hand sides, in minimize
+    form, and a basis, named by ``start`` as ``LinearProgram.start`` does
+    (KeyError for a name the layout lacks) or else the slack basis, with every other column resting by the module's
     one rule.  Each nonbasic column rests in ``x`` from here on: ``_start``,
     ``_iterate`` and ``_expel_artificials`` rest each column they move off the
     basis or flip."""
 
     def __init__(self, lp: LinearProgram, arrays,
                  start: tuple[tuple[str, ...], tuple[str, ...]] | None = None):
-        self.layout, self.b, self.lo, self.up, self.c_ext = arrays
+        self.layout, self.lo, self.up, self.c_ext = arrays
+        self.b = self.layout.b
         self.maximizing = lp.sense == "maximize"
         self.n_struct = n = len(self.layout.columns)
         self.n_rows = m = len(self.layout.rows)
@@ -532,7 +535,7 @@ def cost_range(lp: LinearProgram, sol: LpSolution, column: str) -> tuple[float, 
     back) or a column that can move prices out at zero (a tie)."""
     arrays = program_arrays(lp)
     q = arrays[0].index[column]
-    c = float(arrays[4][q])
+    c = float(arrays[3][q])
     if sol.degenerate:
         return c, c
     st = _State(lp, arrays, (sol.basis, sol.nonbasic_at_upper))

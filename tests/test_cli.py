@@ -206,6 +206,34 @@ def test_total_line_counts_only_the_hours_it_sums(tmp_path, capsys):
     assert json.loads((out / "hedge_report.json").read_text())["totals"]["hours_active"] == 24
 
 
+def test_run_prints_each_settlement_note_and_exits_0(tmp_path, capsys):
+    # a note is information, never a reason to fail the run
+    from test_mesh_oracle import seeded_mesh
+
+    net, hours, _ = seeded_mesh(10, 1)
+    path = tmp_path / "mesh10.txt"
+    with open(path, "w") as fobj:
+        write_scenario_file(net, hours, fobj)
+    assert main(["run", "--input", str(path), "--bus", "10", "--pi-des", "59.48",
+                 "--out", str(tmp_path / "out")]) == 0
+    notes = [line for line in capsys.readouterr().out.splitlines() if line.startswith("info: ")]
+    assert len(notes) == 14
+    assert notes[0] == ("info: hour 9: settlement 25.246426 EUR exceeds the "
+                        "competing-supply ceiling 17.123084 EUR")
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("item", ["1-x=3", "1-2", "2-3=x"])
+def test_bad_line_limit_is_one_error_line(tmp_path, capsys, command, item):
+    cap = ["--pi-des", "70"] if command == "run" else ["--pi", "70"]
+    assert main([command, "--preset", "paper-3bus", *cap, "--line-limit", item,
+                 "--out", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: bad --line-limit {item!r}; expected FROM-TO=MW\n"
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_nan_cap_is_an_error(tmp_path, capsys):
     rc = main(["run", "--preset", "paper-3bus", "--pi-des", "nan",
                "--out", str(tmp_path / "out")])
@@ -511,6 +539,21 @@ def test_duality_demo(capsys):
     out = capsys.readouterr().out
     assert "flex primal objective" in out
     assert "p_flexreq=1.0" in out
+
+
+@pytest.mark.parametrize("flags, status, line", [
+    ("--gen-capacity 0.5 --gen-cost 80 --utility 75 --load-min 1 --load-max 1", 1,
+     "error: unconstrained dispatch is infeasible"),
+    ("--gen-cost 50 --utility 90 --load-min 0.2 --load-max 1 --cap 50", 0,
+     "note: degenerate optimum; prices are one valid choice among several"),
+], ids=["infeasible", "cap-equals-price"])
+def test_duality_demo_states_an_infeasible_or_degenerate_dispatch(capsys, flags, status, line):
+    assert main(["duality-demo", *flags.split()]) == status
+    captured = capsys.readouterr()
+    if status:
+        assert (captured.out, captured.err) == ("", line + "\n")
+    else:
+        assert captured.out.splitlines()[-1] == line and captured.err == ""
 
 
 def test_pi_des_24_vector(tmp_path):

@@ -137,6 +137,19 @@ def test_revenue_upper_bound_is_bus_load():
     assert settlement_bound_notes(run.report, scenario.hours) == []
 
 
+def test_settlements_above_the_competing_supply_ceiling_are_noted():
+    # a cap at 0.8 of the 10-bus mesh's median price settles 14 hours above
+    # what a competing supplier at the cap would have earned
+    from test_mesh_oracle import seeded_mesh  # it imports this module
+
+    net, hours, cap = seeded_mesh(10, 1)
+    assert cap == PriceCap(10, 74.35)
+    notes = settlement_bound_notes(run_hedge(net, hours, PriceCap(10, 59.48)).report, hours)
+    assert len(notes) == 14
+    assert notes[0] == ("hour 9: settlement 25.246426 EUR exceeds the "
+                        "competing-supply ceiling 17.123084 EUR")
+
+
 def test_paper_study_pivot_path_is_pinned(monkeypatch):
     # a change in a pivot rule or in the basis arithmetic shows up here first
     programs, solutions = [], []
@@ -155,7 +168,7 @@ def test_paper_study_pivot_path_is_pinned(monkeypatch):
     assert len(solutions) == 24 + 14
     # pass 1 starts each hour from the network's crash basis
     grid = Grid(scenario.network)
-    assert all(p.start == grid.template(hour).crash
+    assert all(p.start == grid.layout(hour).crash
                for p, hour in zip(programs[:24], grid.hours(scenario.hours)))
     assert sum(s.iterations for s in solutions[:24]) == 48
     # pass 2 starts each hour it solves from pass 1's optimal basis
@@ -433,11 +446,11 @@ def test_study_builds_once_per_solve_and_validates_once_per_hour(monkeypatch):
     assert len(factored) == 2 * 87 + 39
 
 
-def test_study_looks_up_each_solves_template_once(monkeypatch):
+def test_study_looks_up_each_solves_layout_once(monkeypatch):
     # solve_opf_hour's build and readout share their hour's one lookup
     scenario = generate_scenario(ScenarioSpec(seed=1))
     solved = count_solves(monkeypatch)
-    looked_up = count_calls(monkeypatch, Grid.template, Grid)
+    looked_up = count_calls(monkeypatch, Grid.layout, Grid)
     sweep_pi_des(scenario.network, scenario.hours, 3, [float(pi) for pi in range(60, 81)],
                  {"infinite": None, "finite": {(2, 3): FINITE_LIMIT_MW}})
     assert len(looked_up) == len(solved) == 87

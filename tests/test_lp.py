@@ -162,6 +162,28 @@ def test_dual_of_unknown_row():
         dual_of(sol, "nope")
 
 
+def test_unknown_sense_is_malformed():
+    with pytest.raises(MalformedProgramError) as exc:
+        LinearProgram("sideways")
+    assert str(exc.value) == "sense must be maximize|minimize, got 'sideways'"
+
+
+def test_validate_names_a_nan_bound():
+    lp = LinearProgram("maximize")
+    lp.add_column("x", float("nan"), 1.0, objective=1.0)
+    assert lp.validate() == ["column 'x': lower nan > upper 1.0", "column 'x': NaN in bounds"]
+
+
+def test_duals_of_an_infeasible_solution_are_undefined():
+    lp = simple_cap_lp()
+    lp.add_row("floor", {"x": 1.0}, ">=", 6.0)
+    sol = solve(lp)
+    assert sol.status == "infeasible"
+    with pytest.raises(ValueError) as exc:
+        dual_of(sol, "cap")
+    assert str(exc.value) == "duals undefined for status 'infeasible'"
+
+
 def test_malformed_program_rejected():
     lp = LinearProgram("maximize")
     lp.add_column("x", 2.0, 1.0, objective=1.0)

@@ -170,7 +170,7 @@ def test_mesh_day_matches_highs_and_cold_solves(monkeypatch, n_buses, seed):
     # one start per solve: the given start was used, the slack basis never
     assert [n_starts for _, _, n_starts in solved] == [1] * 48
     grid = Grid(net)
-    assert [prog.start for prog, _, _ in solved[:24]] == [grid.template(h).crash
+    assert [prog.start for prog, _, _ in solved[:24]] == [grid.layout(h).crash
                                                          for h in grid.hours(hours)]
 
     for prog, sol, _ in solved:

@@ -129,6 +129,12 @@ def test_market_data_validation():
         "hour 4: offer at bus 2 has NaN capacity"]
 
 
+def test_negative_offer_capacity_is_named():
+    negative = HourlyMarketData(6, offers=[GenOffer(2, 50.0, 0.0, -1.0)])
+    assert validate_market_data(triangle(), negative) == [
+        "hour 6: offer at bus 2 has negative capacity"]
+
+
 def test_price_cap_validation():
     net = triangle()
     assert validate_price_cap(net, PriceCap(3, 70.0)) == []

@@ -409,7 +409,7 @@ def test_block_equals_each_programs_own_densify(name):
         assert all(layout is layouts[0] for layout in layouts)
 
 
-def test_template_crash_basis_is_angles_an_import_and_limit_slacks():
+def test_layout_crash_basis_is_angles_an_import_and_limit_slacks():
     # every angle and the slack bus's import column (else the first offer's)
     # span the balance and reference rows; each limit row keeps its slack
     net, series, _ = layout_cases()["layouts"]
@@ -417,7 +417,7 @@ def test_template_crash_basis_is_angles_an_import_and_limit_slacks():
     angles = ("theta_1", "theta_2", "theta_3")
     limits = tuple(f"slack:flow_{side}_{line}" for line in ("1_2", "1_3", "2_3")
                    for side in ("hi", "lo"))
-    assert [grid.template(hour).crash for hour in grid.hours(series)] == [
+    assert [grid.layout(hour).crash for hour in grid.hours(series)] == [
         None,  # no offers
         (angles + ("pg_1",) + limits, ()),  # offers at the slack bus 1 and at bus 2
         (angles + ("pg_3",) + limits, ()),  # one offer, at bus 3
@@ -630,7 +630,7 @@ def test_artificial_of_sign_minus_one_negates_its_row_of_the_inverse(monkeypatch
     grid = Grid(net)
     for hour in grid.hours(hours, (cap,)):
         prog = build_opf(hour)
-        prog.start = grid.template(hour).crash
+        prog.start = grid.layout(hour).crash
         assert simplex.solve_program(prog).status == "optimal"
     assert negated.count(True) == 24
 
