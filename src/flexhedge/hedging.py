@@ -39,7 +39,7 @@ from decimal import ROUND_HALF_UP, Context, Decimal
 
 from .lp import INF
 from .model import Network, PriceCap
-from .opf import DispatchResult, Grid, ValidHour, build_opf, solve_opf_hour
+from .opf import DispatchResult, Grid, ValidHour, solve_opf_hour, solve_opf_program
 from .scenario import ScenarioError, apply_line_limits
 
 ACTIVE_TOL = 1e-9
@@ -251,7 +251,7 @@ def _sweep_totals(hours: list[ValidHour], bus: int, pi_values: list[float]) -> l
     solve, from pass 1's basis as in ``run_hedge``, holds at each later cap
     inside the interval of pi where its basis stays optimal: none at a tie or
     a degenerate optimum, where a run alone may reach another vertex."""
-    from .simplex import cost_range, solve_program  # numpy loads on a first solve
+    from .simplex import cost_range  # numpy loads on a first solve
     revenues: list[list[float]] = [[] for _ in pi_values]  # included hours, in hour order
     for hour, unc in zip(hours, [solve_opf_hour(h) for h in hours]):  # pass 1 in full first
         if unc is None:  # excluded at every cap
@@ -259,11 +259,8 @@ def _sweep_totals(hours: list[ValidHour], bus: int, pi_values: list[float]) -> l
         lam_unc, flex, lo, hi = unc.lmp_eur_mwh[bus], 0.0, INF, -INF
         for pi, included in zip(pi_values, revenues):
             if lam_unc > pi and not lo + RANGE_TOL < pi < hi - RANGE_TOL:
-                prog = build_opf(replace(hour, caps=(PriceCap(bus, pi),)))
-                prog.start = unc.basis  # pass 1's vertex with pflex at 0 is feasible
-                hed = solve_program(prog)  # a checked hour's program, as in solve_opf_hour
-                if hed.status != "optimal":
-                    raise ValueError(f"hour {hour.data.hour}: solver returned {hed.status}")
+                # pass 1's vertex with pflex at 0 is feasible, so the solve is optimal
+                prog, hed = solve_opf_program(replace(hour, caps=(PriceCap(bus, pi),)), unc.basis)
                 c_lo, c_hi = cost_range(prog, hed, f"pflex_{bus}")  # pflex's objective is -pi
                 flex, lo, hi = hed.primal[f"pflex_{bus}"], -c_hi, -c_lo
             included.append(hourly_revenue(lam_unc, pi, flex))

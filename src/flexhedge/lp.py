@@ -345,10 +345,9 @@ def to_lp_format(lp: LinearProgram) -> str:
     lines.append(" obj: " + body([(c.objective, c.name) for c in lp.columns.values()
                                   if c.objective != 0.0]))
     lines.append("Subject To")
-    rel_txt = {"<=": "<=", "=": "=", ">=": ">="}
     for row in lp.rows.values():
         terms = [(c, n) for n, c in row.coeffs.items() if c != 0.0]
-        lines.append(f" {row.name}: {body(terms)} {rel_txt[row.relation]} {num(row.rhs)}")
+        lines.append(f" {row.name}: {body(terms)} {row.relation} {num(row.rhs)}")
     lines.append("Bounds")
     for col in lp.columns.values():
         lo, up = col.lower, col.upper

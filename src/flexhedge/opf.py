@@ -12,20 +12,20 @@ sheds firm load, because a shedding variable would change the prices.
 
 A study compiles its network once into a ``Grid``, the one place an input is
 checked: ``Grid.hours`` raises every problem of the network, the caps and the
-hours or returns each hour as a ``ValidHour``, the one hour type, which
-``build_opf``, ``capped_dual`` and ``solve_opf_hour`` take unchecked, and whose
-program a solve hands to ``simplex.solve_program`` with no re-check.  The
-grid compiles, once per study, every name and row an hour needs and, per
-column layout (the buses of an hour's offers, utilities and caps), its one
-record, a ``simplex.Layout`` (``Grid.layout``, which each ``ValidHour``
-looks up once): the dense matrix, names, rows and crash basis, whose inverse
-the first solve on that basis computes for every later start on it, and the
-arrays every hour of the layout starts from.  So ``build_opf`` only copies
-the bounds and costs, fills in the hour's own columns after the angles and
-hands them over, with the layout, as ``LinearProgram.arrays``, which a solve
-reads as they are; the program's name dicts are built only if something
-reads them, and a solve then compiles them afresh.  ``solve_opf_hour`` reads
-by layout position.
+hours or returns each hour as a ``ValidHour``, the one hour type, which the
+functions below take unchecked.  ``solve_opf_program`` is the one path from
+a ``ValidHour`` to its solution: it builds the program and hands it to
+``simplex.solve_program`` with no re-check.  The grid compiles, once per
+study, every name and row an hour needs and, per column layout (the buses of
+an hour's offers, utilities and caps), its one record, a ``simplex.Layout``
+(``Grid.layout``, which ``build_opf`` looks up): the dense matrix, names,
+rows and crash basis, whose inverse the first solve on that basis computes
+for every later start on it, and the arrays every hour of the layout starts
+from.  So ``build_opf`` only copies the bounds and costs, fills in the hour's
+own columns after the angles and hands them over, with the layout, as
+``LinearProgram.arrays``, which a solve reads as they are; the program's name
+dicts are built only if something reads them, and a solve then compiles them
+afresh.  ``solve_opf_hour`` reads that solution by layout position.
 
 ``capped_dual`` builds the paper's side of the same hour: the dual of the
 program without flexibility, with the price at each capped bus bounded.
@@ -36,7 +36,6 @@ from __future__ import annotations
 import csv
 from collections import Counter
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 from .lp import INF, LinearProgram, LpSolution, dual_of, dual_program
 from .model import (
@@ -190,11 +189,6 @@ class ValidHour:
     data: HourlyMarketData
     caps: tuple[PriceCap, ...] = ()
 
-    @cached_property
-    def layout(self) -> Layout:
-        """Its ``Grid.layout``, looked up once for a solve's build and readout."""
-        return self.grid.layout(self)
-
 
 def build_opf(hour: ValidHour) -> LinearProgram:
     """The hour's LP as arrays over its column layout (``Grid.layout``,
@@ -205,7 +199,7 @@ def build_opf(hour: ValidHour) -> LinearProgram:
     slack basis a one-bus hour can end with the angle reference's slack
     basic at zero and report a degenerate optimum that is not one; the crash
     basis holds the angles basic."""
-    data, layout = hour.data, hour.layout
+    data, layout = hour.data, hour.grid.layout(hour)
     offers, utilities = data.offers, data.utilities
     flex = [-cap.cap_for_hour(data.hour) for cap in hour.caps]
     own = slice(len(hour.grid.theta), len(layout.columns))  # the hour's columns
@@ -239,20 +233,28 @@ def capped_dual(hour: ValidHour) -> LinearProgram:
     return dual
 
 
-def solve_opf_hour(hour: ValidHour, start=None) -> DispatchResult | None:
-    """Solve one hour, with flexibility at each of ``hour.caps``; None if its
-    load bounds are unreachable under the line limits.  ``start`` is an
-    optional ``(basis, nonbasic_at_upper)`` pair the simplex tries first
-    (``LinearProgram.start``), its layout's crash basis by default; the
-    result's ``basis`` is the optimal pair in the same form."""
+def solve_opf_program(hour: ValidHour, start=None) -> tuple[LinearProgram, LpSolution]:
+    """The hour's program (``build_opf``) and its optimal or infeasible
+    solution; raises on any other status.  ``start`` is an optional
+    ``(basis, nonbasic_at_upper)`` pair the simplex tries first
+    (``LinearProgram.start``), its layout's crash basis by default."""
     from .simplex import solve_program  # at call time, as in lp.solve: numpy loads late
     prog = build_opf(hour)
     prog.start = start or prog.start
     sol = solve_program(prog)
+    if sol.status not in ("optimal", "infeasible"):
+        raise ValueError(f"hour {hour.data.hour}: solver returned {sol.status}")
+    return prog, sol
+
+
+def solve_opf_hour(hour: ValidHour, start=None) -> DispatchResult | None:
+    """Solve one hour (``solve_opf_program``), with flexibility at each of
+    ``hour.caps``, and read its solution by layout position; None if its load
+    bounds are unreachable under the line limits.  The result's ``basis`` is
+    the optimal pair in ``start``'s form."""
+    sol = solve_opf_program(hour, start)[1]
     if sol.status == "infeasible":
         return None
-    if sol.status != "optimal":
-        raise ValueError(f"hour {hour.data.hour}: solver returned {sol.status}")
 
     grid, data = hour.grid, hour.data
     x, y = list(sol.primal.values()), list(sol.duals.values())  # in the layout's order

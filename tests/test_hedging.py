@@ -25,7 +25,8 @@ from flexhedge.hedging import (
     sweep_pi_des,
     write_hedge_csv,
 )
-from flexhedge.lp import LinearProgram
+from flexhedge.economic_dispatch import EdInstance, solve_ed_chain
+from flexhedge.lp import LinearProgram, solve
 from flexhedge.model import (
     Bus,
     GenOffer,
@@ -436,7 +437,7 @@ def test_study_builds_once_per_solve_and_validates_once_per_hour(monkeypatch):
     # and ranges the program it solved from that solve's duals: two fresh
     # solves per optimum, and one per ranging of its 39 pass-2 solves
     solved = count_solves(monkeypatch)
-    built = count_calls(monkeypatch, build_opf, opf, hedging)
+    built = count_calls(monkeypatch, build_opf, opf)
     factored = count_calls(monkeypatch, simplex._solve, simplex)
     validated.clear()
     sweep_pi_des(net, hours, 3, [float(pi) for pi in range(60, 81)],
@@ -458,6 +459,27 @@ def test_study_looks_up_each_solves_layout_once(monkeypatch):
     looked_up.clear()
     run_hedge(scenario.network, scenario.hours, PriceCap(3, 70.0))
     assert len(looked_up) == len(solved) == 38
+
+
+def test_every_opf_solve_goes_through_solve_opf_program(monkeypatch):
+    # both passes of a run and of a sweep solve an hour by one path; only the
+    # duality chain's capped dual, a hand-built program, goes through lp.solve
+    scenario = generate_scenario(ScenarioSpec(seed=1))
+    net, hours = scenario.network, scenario.hours
+    solved = count_solves(monkeypatch)
+    through_opf = count_calls(monkeypatch, opf.solve_opf_program, opf, hedging)
+    run_hedge(net, hours, PriceCap(3, 70.0))
+    assert len(through_opf) == len(solved) == 38
+    solved.clear()
+    through_opf.clear()
+    sweep_pi_des(net, hours, 3, [float(pi) for pi in range(60, 81)],
+                 {"infinite": None, "finite": {(2, 3): FINITE_LIMIT_MW}})
+    assert len(through_opf) == len(solved) == 87
+    solved.clear()
+    through_opf.clear()
+    solve_ed_chain(EdInstance(GenOffer(1, 80.0, 0.0, 5.0), LoadUtility(1, 90.0, 0.0, 1.0, 1.0),
+                              cap=70.0))
+    assert (len(through_opf), len(solved)) == (2, 3)
 
 
 def test_study_solves_its_programs_without_validating_them(monkeypatch):
@@ -517,6 +539,22 @@ def test_sweep_over_ties_equals_runs_alone(monkeypatch):
     near = [math.nextafter(60.0 + h / 2, to) for h in range(1, 25) for to in (0.0, math.inf)]
     for caps in ([69.5, 70.0], sorted([60.0 + 0.5 * k for k in range(41)] + near)):
         check_sweep_equals_runs_alone(monkeypatch, net, series, 3, caps, cases)
+
+
+@pytest.mark.parametrize("case", ["infinite", "finite"])
+def test_a_tie_reports_the_least_optimal_flexibility_unflagged(case):
+    # at a cap equal to hour h's offer cost, every flexibility in [1, 2] MW is
+    # optimal; the run reports 1 MW, its least, and flags no degenerate optimum
+    net, series = build_3bus_network(case), tie_hours()
+    for data in series:
+        cap = PriceCap(3, 60.0 + data.hour / 2)
+        run = run_hedge(net, series, cap)
+        reported, hedged = run.report.hours[data.hour - 1], run.hedged[data.hour - 1]
+        assert (reported.p_flexreq_mw, reported.revenue_eur) == (1.0, 85.0 - cap.cap_eur_per_mwh)
+        assert not hedged.degenerate
+        prog = build_opf(valid_hour(net, data, (cap,)))
+        prog.columns["pflex_3"].lower = prog.columns["pflex_3"].upper = 2.0
+        assert solve(prog).objective_value == hedged.objective_eur
 
 
 def test_each_study_solves_its_own_pass1(monkeypatch):
