@@ -217,7 +217,7 @@ def cmd_sweep(args) -> int:
     _atomic_write(out_dir / "sweep.csv", _render(write_sweep_csv, result))
 
     for row in result.rows:
-        print(f"pi_des={row.pi_des:g} case={row.scenario} "
+        print(f"pi_des={row.pi_des!r} case={row.scenario} "
               f"revenue={format_eur(row.total_revenue_eur)} EUR")
     for warning in result.monotonicity_warnings:
         print(f"warning: {warning}", file=sys.stderr)

@@ -24,9 +24,11 @@ The first pass does not depend on the cap, and in the second the cap is only
 over an interval of pi (Gass & Saaty 1955), and so does its flexibility.
 ``sweep_pi_des`` therefore solves the first pass once per line-limit case
 and reads each hour's flexibility at a cap from the interval of the previous
-cap that solved it (``simplex.cost_range``); it solves the hour, from its
-first-pass basis as a run alone does, only where the cap leaves that
-interval or comes near one of its ends.
+cap that solved it; it solves the hour, from its first-pass basis as a run
+alone does, only where the cap leaves that interval or comes near one of its
+ends.  It does so one round at a time: each round solves every hour due a
+solve at its next cap and ranges those solves in one call
+(``simplex.cost_ranges``).
 """
 
 from __future__ import annotations
@@ -37,9 +39,9 @@ import math
 from dataclasses import dataclass, replace
 from decimal import ROUND_HALF_UP, Context, Decimal
 
-from .lp import INF
 from .model import Network, PriceCap
-from .opf import DispatchResult, Grid, ValidHour, solve_opf_hour, solve_opf_program
+from .opf import (DispatchResult, Grid, ValidHour, price_paid_by_load, solve_opf_hour,
+                  solve_opf_program)
 from .scenario import ScenarioError, apply_line_limits
 
 ACTIVE_TOL = 1e-9
@@ -250,21 +252,40 @@ def _sweep_totals(hours: list[ValidHour], bus: int, pi_values: list[float]) -> l
     """``run_hedge``'s total revenue at each of the ascending caps.  A pass-2
     solve, from pass 1's basis as in ``run_hedge``, holds at each later cap
     inside the interval of pi where its basis stays optimal: none at a tie or
-    a degenerate optimum, where a run alone may reach another vertex."""
-    from .simplex import cost_range  # numpy loads on a first solve
-    revenues: list[list[float]] = [[] for _ in pi_values]  # included hours, in hour order
-    for hour, unc in zip(hours, [solve_opf_hour(h) for h in hours]):  # pass 1 in full first
-        if unc is None:  # excluded at every cap
+    a degenerate optimum, where a run alone may reach another vertex.  Pass 2
+    runs in rounds: each solves every hour due a solve at its next cap, ranges
+    them in one call and moves each hour past the caps its interval covers."""
+    from .simplex import cost_ranges  # numpy loads on a first solve
+    column = f"pflex_{bus}"
+    revenues: list[list[float]] = []  # each included hour's revenue at every cap
+    due = []  # (hour, lam_unc, pass 1's basis, its revenues, the cap to solve at)
+    for hour in hours:  # pass 1 in full first
+        unc = solve_opf_program(hour)[1]
+        if unc.status == "infeasible":  # excluded at every cap
             continue
-        lam_unc, flex, lo, hi = unc.lmp_eur_mwh[bus], 0.0, INF, -INF
-        for pi, included in zip(pi_values, revenues):
-            if lam_unc > pi and not lo + RANGE_TOL < pi < hi - RANGE_TOL:
-                # pass 1's vertex with pflex at 0 is feasible, so the solve is optimal
-                prog, hed = solve_opf_program(replace(hour, caps=(PriceCap(bus, pi),)), unc.basis)
-                c_lo, c_hi = cost_range(prog, hed, f"pflex_{bus}")  # pflex's objective is -pi
-                flex, lo, hi = hed.primal[f"pflex_{bus}"], -c_hi, -c_lo
-            included.append(hourly_revenue(lam_unc, pi, flex))
-    return [sum(included, 0.0) for included in revenues]
+        revenues.append([0.0] * len(pi_values))  # hourly_revenue where pi >= lam_unc
+        lam_unc = price_paid_by_load(unc, hour.grid.balance[bus])
+        if lam_unc > pi_values[0]:
+            due.append((hour, lam_unc, (unc.basis, unc.nonbasic_at_upper), revenues[-1], 0))
+    while due:
+        # pass 1's vertex with pflex at 0 is feasible, so each solve is optimal
+        solved = [solve_opf_program(replace(hour, caps=(PriceCap(bus, pi_values[i]),)), start)
+                  for hour, _, start, _, i in due]
+        later = []
+        for (hour, lam_unc, start, included, i), (_, hed), (c_lo, c_hi) in zip(
+                due, solved, cost_ranges(solved, column)):
+            flex, lo, hi = hed.primal[column], -c_hi, -c_lo  # pflex's objective is -pi
+            included[i] = hourly_revenue(lam_unc, pi_values[i], flex)
+            for i in range(i + 1, len(pi_values)):
+                pi = pi_values[i]
+                if not lam_unc > pi:
+                    break
+                if not lo + RANGE_TOL < pi < hi - RANGE_TOL:
+                    later.append((hour, lam_unc, start, included, i))
+                    break
+                included[i] = hourly_revenue(lam_unc, pi, flex)
+        due = later
+    return [sum((included[i] for included in revenues), 0.0) for i in range(len(pi_values))]
 
 
 # ---------------------------------------------------------------------------

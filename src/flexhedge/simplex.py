@@ -11,8 +11,8 @@ are the program's own arrays (``LinearProgram.arrays``, as ``opf.build_opf``
 gives each hour over a layout its hours share) while it is still given as
 arrays, else its dicts compiled afresh into a layout and that layout's own
 arrays, so a solve always sees the program as it stands.  Each solve reads
-them into its one ``_State``, which ``solution_from_basis`` and
-``cost_range`` build too.
+them into its one ``_State``, which ``solution_from_basis`` builds too;
+``cost_ranges`` reads them with the same rest rule (``_resting_at_upper``).
 
 Every solve starts from a named basis, the program's ``LinearProgram.start``
 if it has one, else the slack basis ``(slack names, ())``, and one rule rests
@@ -71,7 +71,8 @@ can differ in the last few ulps.  A phase that stops on a non-finite reduced
 cost, or a non-finite reported value, raises ``SolverFailureError``; the entry
 points silence numpy's overflow warnings, so that error reports it alone.
 
-``cost_range`` ranges a basic column's cost at a solve's optimum, from its duals.
+``cost_ranges`` ranges a basic column's cost at each of many solves' optima,
+from their duals, with one stacked linear solve per column layout.
 """
 
 from __future__ import annotations
@@ -174,6 +175,17 @@ def program_arrays(lp: LinearProgram):
     return layout, layout.lo, layout.up, layout.c
 
 
+def _resting_at_upper(layout: Layout, lo: np.ndarray, up: np.ndarray,
+                      nonbasic_at_upper) -> np.ndarray:
+    """The module's one rule for the nonbasic columns that rest at their upper
+    bound: each that ``nonbasic_at_upper`` names (KeyError for a name the
+    layout lacks) and each whose upper bound is its only finite one."""
+    at_upper = (lo == -INF) & (up < INF)
+    if nonbasic_at_upper:
+        at_upper[[layout.index[name] for name in nonbasic_at_upper]] = True
+    return at_upper
+
+
 class _State:
     """One solve's working state: ``lp``'s ``arrays`` (``program_arrays``,
     read, never written) and its layout's right-hand sides, in minimize
@@ -198,9 +210,7 @@ class _State:
         self.n_total = n + m
         basis, nonbasic_at_upper = start or (self.layout.names[n:], ())
         self.basis = [self.layout.index[name] for name in basis]
-        self.at_upper = (self.lo == -INF) & (self.up < INF)  # its only finite bound
-        if nonbasic_at_upper:
-            self.at_upper[[self.layout.index[name] for name in nonbasic_at_upper]] = True
+        self.at_upper = _resting_at_upper(self.layout, self.lo, self.up, nonbasic_at_upper)
         self.in_basis = np.zeros(n + m, dtype=bool)
         self.in_basis[self.basis] = True
         self.x = np.where(self.at_upper, self.up, np.where(self.lo > -INF, self.lo, 0.0))
@@ -524,36 +534,58 @@ def solution_from_basis(lp: LinearProgram, basis: tuple[str, ...],
     return _extract(_State(lp, program_arrays(lp), (basis, nonbasic_at_upper)), "optimal")
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def cost_range(lp: LinearProgram, sol: LpSolution, column: str) -> tuple[float, float]:
-    """Open interval of a basic ``column``'s objective coefficient over which
-    the basis of ``lp``'s optimum ``sol`` stays optimal with every nonbasic
-    column that can move priced strictly out (cost ranging): with ``column``
-    basic in row r, changing its minimize-form cost by delta moves each reduced
-    cost (from ``sol``'s duals) by -delta*(B^-1 A)_{r,j}.  Empty, ``(c, c)`` at
-    the coefficient ``c``, where ``sol`` is degenerate (a start from it falls
-    back) or a column that can move prices out at zero (a tie)."""
-    arrays = program_arrays(lp)
-    q = arrays[0].index[column]
-    c = float(arrays[3][q])
-    if sol.degenerate:
-        return c, c
-    st = _State(lp, arrays, (sol.basis, sol.nonbasic_at_upper))
-    if q not in st.basis:
-        raise ValueError(f"column {column!r} is not basic")
-    e = np.zeros(st.n_rows)
-    e[st.basis.index(q)] = 1.0
-    alpha = _solve(st.A[:, st.basis].T, e) @ st.A
-    y = np.array([sol.duals[row] for row in st.layout.rows])
-    d = st.c_int - (-y if st.maximizing else y) @ st.A
-    # a column at its lower bound prices out with d > 0, one at its upper with d < 0
-    movable = ~st.in_basis & (st.lo < st.up)
-    side = np.where(st.at_upper, -1.0, 1.0)[movable]
-    d, alpha = side * d[movable], side * alpha[movable]
-    if (d <= PIVOT_TOL).any():
-        return c, c
-    # side * (d - delta * alpha) > 0, for delta on the internal minimize cost
-    rising, falling = alpha > 0, alpha < 0
-    above = float(np.min(d[rising] / alpha[rising], initial=INF))
-    below = float(np.max(d[falling] / alpha[falling], initial=-INF))
-    return (c - above, c - below) if st.maximizing else (c + below, c + above)
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def cost_ranges(pairs, column: str) -> list[tuple[float, float]]:
+    """For each ``(lp, sol)`` of ``pairs``, the open interval of the basic
+    ``column``'s objective coefficient over which the basis of ``lp``'s optimum
+    ``sol`` stays optimal with every nonbasic column that can move priced
+    strictly out (cost ranging): with ``column`` basic in row r, changing its
+    minimize-form cost by delta moves each reduced cost (from ``sol``'s duals)
+    by -delta*(B^-1 A)_{r,j}.  Empty, ``(c, c)`` at the coefficient ``c``, where
+    ``sol`` is degenerate (a start from it falls back) or a column that can
+    move prices out at zero (a tie); ValueError where ``column`` is not basic.
+
+    The pairs of one layout share its ``[A | I]``, so each group solves its
+    stacked ``B^T u = e_r`` in one call and forms every ``u [A | I]`` and
+    ``y [A | I]`` as a stack of row-vector products, each the bits of that
+    pair's own product; an interval's ends are a min and a max along its row."""
+    ranges: list = [None] * len(pairs)
+    groups: dict[Layout, list] = {}
+    for i, (lp, sol) in enumerate(pairs):
+        layout, lo, up, c = program_arrays(lp)
+        cost = float(c[layout.index[column]])
+        if sol.degenerate:
+            ranges[i] = (cost, cost)
+            continue
+        sign = -1.0 if lp.sense == "maximize" else 1.0  # to the minimize form
+        groups.setdefault(layout, []).append((
+            i, cost, sign, [layout.index[name] for name in sol.basis], sign * c,
+            [sign * sol.duals[row] for row in layout.rows], lo < up,
+            _resting_at_upper(layout, lo, up, sol.nonbasic_at_upper)))
+    for layout, members in groups.items():
+        index, cost, sign, basis, c_int, y, bounded, at_upper = zip(*members)
+        q, A = layout.index[column], layout.A
+        if any(q not in b for b in basis):
+            raise ValueError(f"column {column!r} is not basic")
+        k = len(members)
+        e = np.zeros((k, len(layout.rows), 1))
+        e[np.arange(k), [b.index(q) for b in basis], 0] = 1.0
+        basis = np.array(basis, dtype=np.intp)
+        u = _solve(A.T[basis], e)[:, :, 0]
+        alpha = np.matmul(u[:, None, :], A)[:, 0]
+        d = np.array(c_int) - np.matmul(np.array(y)[:, None, :], A)[:, 0]
+        # a column at its lower bound prices out with d > 0, one at its upper with d < 0
+        nonbasic = np.ones(alpha.shape, dtype=bool)
+        nonbasic[np.arange(k)[:, None], basis] = False
+        movable = nonbasic & np.array(bounded)
+        side = np.where(np.array(at_upper), -1.0, 1.0)
+        d, alpha = side * d, side * alpha
+        tied = (movable & (d <= PIVOT_TOL)).any(axis=1)
+        # side * (d - delta * alpha) > 0, for delta on the internal minimize cost
+        ratio = d / alpha
+        above = np.where(movable & (alpha > 0), ratio, INF).min(axis=1).tolist()
+        below = np.where(movable & (alpha < 0), ratio, -INF).max(axis=1).tolist()
+        for i, c, s, tie, up_by, down_by in zip(index, cost, sign, tied.tolist(), above, below):
+            ranges[i] = (c, c) if tie else \
+                (c - up_by, c - down_by) if s < 0 else (c + down_by, c + up_by)
+    return ranges

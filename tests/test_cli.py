@@ -297,6 +297,18 @@ def test_sweep_table(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_sweep_prints_each_cap_as_sweep_csv_writes_it(tmp_path, capsys):
+    # two caps one ulp apart, and a cap with more digits than %g keeps
+    close = math.nextafter(70.5, math.inf)
+    rc = main(["sweep", "--preset", "paper-3bus", "--pi", f"70.5,{close!r},123456789",
+               "--cases", "infinite", "--seed", "7", "--out", str(tmp_path / "out")])
+    assert rc == 0
+    rows = list(csv.reader((tmp_path / "out" / "sweep.csv").open()))[1:]
+    assert [row[0] for row in rows] == ["70.5", "70.50000000000001", "123456789.0"]
+    assert capsys.readouterr().out.splitlines() == [
+        f"pi_des={cap} case={case} revenue={display} EUR" for cap, case, _, display in rows]
+
+
 @pytest.mark.parametrize("line", ["2-3", "3-2"])
 def test_sweep_applies_line_limit_after_each_case(tmp_path, line):
     rc = main(["sweep", "--preset", "paper-3bus", "--seed", "7", "--pi", "70",

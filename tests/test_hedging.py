@@ -44,6 +44,7 @@ from flexhedge.scenario import (
     apply_line_limits,
     build_3bus_network,
     generate_scenario,
+    preset_spec,
 )
 
 from oracles import valid_hour
@@ -434,8 +435,10 @@ def test_study_builds_once_per_solve_and_validates_once_per_hour(monkeypatch):
     run_hedge(net, hours, PriceCap(3, 70.0))
     assert len(validated) == 24
     # a sweep checks each hour once per study, builds one program per solve
-    # and ranges the program it solved from that solve's duals: two fresh
-    # solves per optimum, and one per ranging of its 39 pass-2 solves
+    # and ranges the programs it solved from those solves' duals: two fresh
+    # solves per optimum, and one stacked solve per round and layout that
+    # ranges its 39 pass-2 solves (one round of 15 in the infinite case,
+    # rounds of 15 and 9 in the finite one, each of one layout)
     solved = count_solves(monkeypatch)
     built = count_calls(monkeypatch, build_opf, opf)
     factored = count_calls(monkeypatch, simplex._solve, simplex)
@@ -444,7 +447,7 @@ def test_study_builds_once_per_solve_and_validates_once_per_hour(monkeypatch):
                  {"infinite": None, "finite": {(2, 3): FINITE_LIMIT_MW}})
     assert len(validated) == 24
     assert len(built) == len(solved) == 87
-    assert len(factored) == 2 * 87 + 39
+    assert len(factored) == 2 * 87 + 3
 
 
 def test_study_looks_up_each_solves_layout_once(monkeypatch):
@@ -539,6 +542,32 @@ def test_sweep_over_ties_equals_runs_alone(monkeypatch):
     near = [math.nextafter(60.0 + h / 2, to) for h in range(1, 25) for to in (0.0, math.inf)]
     for caps in ([69.5, 70.0], sorted([60.0 + 0.5 * k for k in range(41)] + near)):
         check_sweep_equals_runs_alone(monkeypatch, net, series, 3, caps, cases)
+
+
+def two_layout_day():
+    """The ``paper-3bus`` day of seed 7, finite case, without the bus-2 offer
+    in hours 9-14: each pass compiles two column layouts, and at 70 EUR/MWh
+    both capped ones buy flexibility."""
+    scenario = generate_scenario(preset_spec("paper-3bus", case="finite", seed=7))
+    return scenario.network, [
+        replace(data, offers=[o for o in data.offers if o.bus != 2]) if 9 <= data.hour <= 14
+        else data for data in scenario.hours]
+
+
+def test_two_layout_sweep_equals_runs_alone(monkeypatch):
+    # hours 9-14 solve over a layout of their own, so a round ranges the
+    # programs of two layouts in one call
+    net, series = two_layout_day()
+    layouts, cost_ranges = [], simplex.cost_ranges
+
+    def recording(pairs, column):
+        layouts.append(len({simplex.program_arrays(prog)[0] for prog, _ in pairs}))
+        return cost_ranges(pairs, column)
+
+    monkeypatch.setattr(simplex, "cost_ranges", recording)
+    check_sweep_equals_runs_alone(monkeypatch, net, series, 3, [float(pi) for pi in range(60, 81)],
+                                  {"infinite": None})
+    assert max(layouts) == 2
 
 
 @pytest.mark.parametrize("case", ["infinite", "finite"])

@@ -20,10 +20,12 @@ from flexhedge.lp import (
     verify_kkt,
 )
 from flexhedge.model import PriceCap
-from flexhedge.opf import Grid, build_opf
-from flexhedge.scenario import FINITE_LIMIT_MW, generate_scenario, preset_spec
+from flexhedge.opf import Grid, build_opf, solve_opf_hour, solve_opf_program
+from flexhedge.scenario import (FINITE_LIMIT_MW, build_3bus_network, generate_scenario,
+                                preset_spec)
 
 from oracles import brute_force_optimum, enumerate_optima, oracle_row_dual, valid_hour
+from test_hedging import tie_hours, two_layout_day
 from test_mesh_oracle import seeded_mesh
 
 
@@ -56,14 +58,14 @@ def test_cost_range_of_a_tie_is_empty():
     lp = ed_lp(a=75.0, b=75.0, p_min=0.2)
     sol = solve(lp)
     assert sol.basis == ("p_g",) and not sol.degenerate
-    assert simplex.cost_range(lp, sol, "p_g") == (-75.0, -75.0)
+    assert simplex.cost_ranges([(lp, sol)], "p_g")[0] == (-75.0, -75.0)
     # otherwise the basis holds until the load's worth prices generation in
     lp = ed_lp(a=50.0, b=90.0)
     sol = solve(lp)
     assert sol.basis == ("p_g",) and sol.nonbasic_at_upper == ("p_l",)
-    assert simplex.cost_range(lp, sol, "p_g") == (-90.0, INF)
+    assert simplex.cost_ranges([(lp, sol)], "p_g")[0] == (-90.0, INF)
     with pytest.raises(ValueError, match="not basic"):
-        simplex.cost_range(lp, sol, "p_l")
+        simplex.cost_ranges([(lp, sol)], "p_l")
 
 
 def test_cost_range_of_a_degenerate_optimum_is_empty():
@@ -76,7 +78,50 @@ def test_cost_range_of_a_degenerate_optimum_is_empty():
     lp.add_row("balance", {"p_g": 1.0, "p_l": -1.0}, "=", 0.0)
     sol = solve(lp)
     assert sol.degenerate and sol.basis == ("p_l",) and sol.reduced_costs["p_g"] == 40.0
-    assert simplex.cost_range(lp, sol, "p_l") == (90.0, 90.0)
+    assert simplex.cost_ranges([(lp, sol)], "p_l")[0] == (90.0, 90.0)
+
+
+def flex_lp(flex_cost, flex_max=INF):
+    # bus 3's 1 MW load, served by an import at 80 or by flexibility
+    lp = LinearProgram("maximize")
+    lp.add_column("pg_1", 0.0, INF, objective=-80.0)
+    lp.add_column("pflex_3", 0.0, flex_max, objective=-flex_cost)
+    lp.add_column("pl_3", 1.0, 1.0, objective=100.0)
+    lp.add_row("balance_3", {"pg_1": 1.0, "pflex_3": 1.0, "pl_3": -1.0}, "=", 0.0)
+    return lp, solve(lp)
+
+
+def capped_solves(net, series, pi):
+    """Each hour priced above ``pi`` at bus 3, solved with flexibility there
+    from its pass-1 basis, as a sweep solves it; one grid, so hours of one
+    column layout share it."""
+    pairs = []
+    for hour in Grid(net).hours(series, (PriceCap(3, pi),)):
+        unc = solve_opf_hour(dataclasses.replace(hour, caps=()))
+        if unc.lmp_eur_mwh[3] > pi:
+            pairs.append(solve_opf_program(hour, unc.basis))
+    return pairs
+
+
+def test_cost_ranges_of_a_mixed_batch_are_each_pairs_own():
+    two_layouts = capped_solves(*two_layout_day(), 70.0)
+    assert len({simplex.program_arrays(prog)[0] for prog, _ in two_layouts}) == 2
+    ties = capped_solves(build_3bus_network("infinite"), tie_hours(), 70.0)
+    degenerate = flex_lp(70.0, flex_max=1.0)  # pflex_3 basic at its upper bound
+    hand_built = flex_lp(70.0)
+    assert degenerate[1].degenerate and hand_built[1].basis == ("pflex_3",)
+    pairs = two_layouts + ties + [degenerate, hand_built]
+    ranges = simplex.cost_ranges(pairs, "pflex_3")
+    assert ranges == [simplex.cost_ranges([pair], "pflex_3")[0] for pair in pairs]
+    # hour 20's local offer costs the cap: a tie, not a degenerate optimum
+    tie = [prog.name for prog, _ in ties].index("opf_h20")
+    assert ranges[len(two_layouts) + tie] == (-70.0, -70.0) and not ties[tie][1].degenerate
+    assert ranges[-2:] == [(-70.0, -70.0), (-80.0, INF)]
+    assert all(lo < hi for lo, hi in ranges[:len(two_layouts)])
+    nonbasic = flex_lp(90.0)
+    assert "pflex_3" not in nonbasic[1].basis
+    with pytest.raises(ValueError, match="not basic"):
+        simplex.cost_ranges(pairs + [nonbasic], "pflex_3")
 
 
 def test_unbounded():

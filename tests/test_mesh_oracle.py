@@ -263,7 +263,7 @@ def test_cost_range_ends_where_a_re_solve_changes_basis(n_buses, seed):
         prog.start = hed.basis  # the optimum the sweep ranges, solved again
         sol = solve(prog)
         assert (sol.basis, sol.nonbasic_at_upper) == hed.basis, data.hour
-        c_lo, c_hi = simplex.cost_range(prog, sol, f"pflex_{cap.bus}")
+        c_lo, c_hi = simplex.cost_ranges([(prog, sol)], f"pflex_{cap.bus}")[0]
         assert -c_hi < pi < -c_lo, data.hour
         for end, inward in ((-c_hi, 1.0), (-c_lo, -1.0)):
             if not step < end < INF:
