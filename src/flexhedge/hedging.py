@@ -33,7 +33,6 @@ solve at its next cap and ranges those solves in one call
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, replace
@@ -41,7 +40,7 @@ from decimal import ROUND_HALF_UP, Context, Decimal
 
 from .model import Network, PriceCap
 from .opf import (DispatchResult, Grid, ValidHour, price_paid_by_load, solve_opf_hour,
-                  solve_opf_program)
+                  solve_opf_program, write_csv)
 from .scenario import ScenarioError, apply_line_limits
 
 ACTIVE_TOL = 1e-9
@@ -359,18 +358,14 @@ HEDGE_CSV_COLUMNS = [
 ]
 
 
+def _hour_row(h: HedgeHour) -> tuple:
+    """One hour's values in ``HEDGE_CSV_COLUMNS`` order: a CSV row, and the JSON's."""
+    return (h.hour, h.lambda_unconstrained, h.lambda_hedged, h.p_flexreq_mw, h.revenue_eur,
+            None if h.revenue_eur is None else format_eur(h.revenue_eur))
+
+
 def write_hedge_csv(report: HedgeReport, fobj) -> None:
-    writer = csv.writer(fobj, lineterminator="\n")
-    writer.writerow(HEDGE_CSV_COLUMNS)
-    for h in report.hours:
-        writer.writerow([
-            h.hour,
-            "" if h.lambda_unconstrained is None else repr(h.lambda_unconstrained),
-            "" if h.lambda_hedged is None else repr(h.lambda_hedged),
-            repr(h.p_flexreq_mw),
-            "" if h.revenue_eur is None else repr(h.revenue_eur),
-            "" if h.revenue_eur is None else format_eur(h.revenue_eur),
-        ])
+    write_csv(fobj, HEDGE_CSV_COLUMNS, map(_hour_row, report.hours))
 
 
 def hedge_report_json(report: HedgeReport) -> str:
@@ -378,26 +373,15 @@ def hedge_report_json(report: HedgeReport) -> str:
     doc = {
         "schema": "flexhedge/hedge-report/1",
         "bus": report.bus,
-        "pi_des_eur_mwh": list(report.pi_des) if isinstance(report.pi_des, tuple)
-                          else report.pi_des,
-        "hours": [
-            {
-                "hour": h.hour,
-                "lambda_unconstrained_eur_mwh": h.lambda_unconstrained,
-                "lambda_hedged_eur_mwh": h.lambda_hedged,
-                "p_flexreq_mw": h.p_flexreq_mw,
-                "revenue_eur": h.revenue_eur,
-                "revenue_display": None if h.revenue_eur is None else format_eur(h.revenue_eur),
-                "included": h.included,
-            }
-            for h in report.hours
-        ],
+        "pi_des_eur_mwh": report.pi_des,
+        "hours": [{**dict(zip(HEDGE_CSV_COLUMNS, _hour_row(h))), "included": h.included}
+                  for h in report.hours],
         "totals": {
             "total_revenue_eur": report.total_revenue_eur,
             "total_revenue_display": format_eur(report.total_revenue_eur),
             "hours_active": report.hours_active,
             "max_price_reduction_eur_mwh": report.max_price_reduction_eur_mwh,
-            "excluded_hours": list(report.excluded_hours),
+            "excluded_hours": report.excluded_hours,
         },
     }
     return json.dumps(doc, indent=2) + "\n"
@@ -407,8 +391,6 @@ SWEEP_CSV_COLUMNS = ["pi_des_eur_mwh", "scenario", "total_revenue_eur", "total_r
 
 
 def write_sweep_csv(result: SweepResult, fobj) -> None:
-    writer = csv.writer(fobj, lineterminator="\n")
-    writer.writerow(SWEEP_CSV_COLUMNS)
-    for row in result.rows:
-        writer.writerow([repr(row.pi_des), row.scenario,
-                         repr(row.total_revenue_eur), format_eur(row.total_revenue_eur)])
+    write_csv(fobj, SWEEP_CSV_COLUMNS, (
+        (row.pi_des, row.scenario, row.total_revenue_eur, format_eur(row.total_revenue_eur))
+        for row in result.rows))

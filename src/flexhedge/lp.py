@@ -229,10 +229,8 @@ def verify_kkt(lp: LinearProgram, sol: LpSolution) -> KktReport:
     dual = 0.0
     comp = 0.0
 
-    activity = {}
     for row in lp.rows.values():
         ax = sum(c * x[n] for n, c in row.coeffs.items())
-        activity[row.name] = ax
         if row.relation == "<=":
             primal = max(primal, ax - row.rhs)
             dual = max(dual, -sign * y[row.name])

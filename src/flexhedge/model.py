@@ -169,6 +169,8 @@ def validate_network(net: Network) -> list[str]:
         seen_pairs.add(pair)
         if not line.reactance_pu > 0:
             problems.append(f"{tag}: reactance_pu must be > 0, got {line.reactance_pu}")
+        elif not math.isfinite(line.reactance_pu):  # no susceptance: its far end is islanded
+            problems.append(f"{tag}: reactance_pu must be finite, got {line.reactance_pu}")
         elif not math.isfinite(1.0 / line.reactance_pu):
             problems.append(f"{tag}: reactance_pu {line.reactance_pu} is so small that "
                             f"its susceptance overflows")

@@ -77,7 +77,7 @@ def price_paid_by_load(sol: LpSolution, balance_row: str) -> float:
     the sign here: a balance row reads generation - load = 0 in a maximize
     program, so its raw dual is the welfare change per MW of forced extra
     generation, and the price charged to load is its negation."""
-    return -dual_of(sol, balance_row)
+    return 0.0 - dual_of(sol, balance_row)  # a zero dual is a price of 0.0, not -0.0
 
 
 class Grid:
@@ -272,7 +272,7 @@ def solve_opf_hour(hour: ValidHour, start=None) -> DispatchResult | None:
         p_g_mw=p_g,
         p_l_mw=p_l,
         theta_rad=theta,
-        lmp_eur_mwh={bus: -dual for bus, dual in zip(grid.balance, y)},  # price_paid_by_load
+        lmp_eur_mwh={bus: 0.0 - dual for bus, dual in zip(grid.balance, y)},  # price_paid_by_load
         flow_mw=flows,
         congestion_dual_eur_mwh=congestion,
         p_flexreq_mw=flex,
@@ -295,31 +295,24 @@ DISPATCH_CSV_COLUMNS = [
 ]
 
 
-def _fmt(value: float | None) -> str:
-    return "" if value is None else repr(float(value))
+def write_csv(fobj, columns, rows) -> None:
+    """The one CSV writer: a header of ``columns``, then ``rows`` of Python
+    ints, floats, strings and ``None``s, which the csv module writes as each
+    value's ``str`` (a float's is its ``repr``) and ``None`` as an empty cell."""
+    writer = csv.writer(fobj, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows(rows)
 
 
 def write_dispatch_csv(results: list[DispatchResult | None], fobj) -> None:
     """One row per (hour, bus) then one per (hour, line); skips infeasible hours."""
-    writer = csv.writer(fobj, lineterminator="\n")
-    writer.writerow(DISPATCH_CSV_COLUMNS)
-    for res in results:
-        if res is None:
-            continue
-        for bus in sorted(res.lmp_eur_mwh):
-            writer.writerow([
-                res.hour, "bus", bus, "", "",
-                _fmt(res.lmp_eur_mwh[bus]),
-                _fmt(res.p_g_mw.get(bus, 0.0)),
-                _fmt(res.p_l_mw.get(bus, 0.0)),
-                _fmt(res.p_flexreq_mw.get(bus, 0.0)),
-                "", "",
-            ])
-        for key in res.flow_mw:
-            writer.writerow([
-                res.hour, "line", "", key[0], key[1],
-                "", "", "", "",
-                _fmt(res.flow_mw[key]),
-                _fmt(res.congestion_dual_eur_mwh[key]),
-            ])
-
+    def rows():
+        for res in filter(None, results):  # an infeasible hour is None
+            for bus in sorted(res.lmp_eur_mwh):
+                yield (res.hour, "bus", bus, None, None, res.lmp_eur_mwh[bus],
+                       res.p_g_mw.get(bus, 0.0), res.p_l_mw.get(bus, 0.0),
+                       res.p_flexreq_mw.get(bus, 0.0), None, None)
+            for key, flow in res.flow_mw.items():
+                yield (res.hour, "line", None, *key, None, None, None, None,
+                       flow, res.congestion_dual_eur_mwh[key])
+    write_csv(fobj, DISPATCH_CSV_COLUMNS, rows())

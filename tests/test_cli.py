@@ -618,6 +618,15 @@ def test_overflowing_susceptance_sum_is_a_violation(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {problem}\n"
 
 
+def test_infinite_reactance_is_a_violation(tmp_path, capsys):
+    path = tmp_path / "bad.txt"
+    write_preset_file(path)
+    rewrite_field(path, "[lines]", 1, 2, "inf")
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr().err == \
+        "error: line 1-3: reactance_pu must be finite, got inf\n1 violation(s)\n"
+
+
 def write_overflow_file(path, cost):
     """paper-3bus seed 1 with unlimited lines, every offer at ``cost`` EUR/MWh
     without a capacity limit, and a firm load of 1e8 MW."""
@@ -712,3 +721,62 @@ def test_library_states_the_problems_the_cli_prints(tmp_path, capsys, name):
             study()
         assert str(error.value) == "; ".join(line[len("error: "):] for line in printed)
     assert not (tmp_path / "out").exists()
+
+
+def cell(value):
+    """The text every CSV artifact writes for ``value``: empty for None, the
+    string itself, ``str`` of an int and ``repr`` of a float; any other type,
+    such as a numpy scalar, is an error."""
+    if value is None or type(value) is str:
+        return value or ""
+    assert type(value) in (int, float), f"{value!r} is a {type(value).__name__}"
+    return str(value) if type(value) is int else repr(float(value))
+
+
+def test_every_artifact_cell_follows_one_rule(tmp_path):
+    # 12 hours infeasible under the extra limit, and one cap per hour
+    caps = tuple(60.0 + h for h in range(24))
+    out = tmp_path / "run"
+    assert main(["run", "--preset", "paper-3bus", "--seed", "7", "--case", "finite",
+                 "--pi-des", ",".join(map(repr, caps)), "--line-limit", "3-2=0.3",
+                 "--allow-infeasible", "--out", str(out)]) == 0
+    scenario = generate_scenario(ScenarioSpec(seed=7, line_limit_case="finite"))
+    run = run_hedge(apply_line_limits(scenario.network, {(2, 3): 0.3}), scenario.hours,
+                    PriceCap(3, caps))
+    report = run.report
+    assert len(report.excluded_hours) == 12
+
+    def rows(name):
+        with open(out / name, newline="") as fobj:
+            return list(csv.reader(fobj))[1:]
+
+    assert rows("hedge_report.csv") == [
+        [cell(v) for v in (h.hour, h.lambda_unconstrained, h.lambda_hedged, h.p_flexreq_mw,
+                           h.revenue_eur, None if h.revenue_eur is None
+                           else flexhedge.format_eur(h.revenue_eur))]
+        for h in report.hours]
+    for name, results in (("dispatch_unconstrained.csv", run.unconstrained),
+                          ("dispatch_hedged.csv", run.hedged)):
+        expected = []
+        for res in filter(None, results):
+            expected += [[cell(v) for v in (
+                res.hour, "bus", bus, None, None, res.lmp_eur_mwh[bus], res.p_g_mw.get(bus, 0.0),
+                res.p_l_mw.get(bus, 0.0), res.p_flexreq_mw.get(bus, 0.0), None, None)]
+                for bus in sorted(res.lmp_eur_mwh)]
+            expected += [[cell(v) for v in (
+                res.hour, "line", None, *key, None, None, None, None,
+                res.flow_mw[key], res.congestion_dual_eur_mwh[key])] for key in res.flow_mw]
+        assert rows(name) == expected, name
+    doc = json.loads((out / "hedge_report.json").read_text())
+    assert doc["pi_des_eur_mwh"] == list(caps)
+    assert doc["totals"]["excluded_hours"] == list(report.excluded_hours)
+
+    pi = [60.0, 70.5, 80.0]
+    assert main(["sweep", "--preset", "paper-3bus", "--seed", "7", "--pi", "60,70.5,80",
+                 "--cases", "infinite,finite", "--out", str(out)]) == 0
+    preset = generate_scenario(ScenarioSpec(seed=7))  # a sweep reads the infinite case
+    result = sweep_pi_des(preset.network, preset.hours, 3, pi, LINE_LIMIT_CASES)
+    assert rows("sweep.csv") == [
+        [cell(v) for v in (row.pi_des, row.scenario, row.total_revenue_eur,
+                           flexhedge.format_eur(row.total_revenue_eur))]
+        for row in result.rows]

@@ -303,3 +303,13 @@ def test_chain_validates_its_hour_once(monkeypatch):
     # the primal, the capped dual and the flexibility primal share one check
     assert len(calls) == 1
     assert report.result.p_flexreq_mw == pytest.approx(1.0)
+
+
+def test_a_zero_price_is_positive_zero():
+    # a zero-cost offer at the margin: the balance dual is +0.0, whose plain
+    # negation made every reported price -0.0
+    inst = make_instance(a=0.0, b=90.0, p_min=1.0, p_max=1.0)
+    chain = solve_ed_chain(inst)
+    prices = (chain.result.lmp_eur_mwh, chain.lmp_unconstrained,
+              price_paid_by_load(solve(build_ed_primal(inst)), "balance_1"))
+    assert [math.copysign(1.0, price) for price in prices] == [1.0, 1.0, 1.0]

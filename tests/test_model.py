@@ -185,3 +185,9 @@ def test_scenario_file_round_trip_unlimited_line():
     net2, _ = load_scenario_file(buf)
     assert net2.lines[0].flow_limit_mw == math.inf
     assert net2 == net
+
+
+def test_infinite_reactance_is_a_violation():
+    # 1 / inf is 0.0, finite: the line passed with no susceptance, islanding bus 2
+    net = Network(buses=[Bus(1, is_slack=True), Bus(2)], lines=[Line(1, 2, math.inf)])
+    assert validate_network(net) == ["line 1-2: reactance_pu must be finite, got inf"]
