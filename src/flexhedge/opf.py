@@ -13,19 +13,19 @@ sheds firm load, because a shedding variable would change the prices.
 A study compiles its network once into a ``Grid``, the one place an input is
 checked: ``Grid.hours`` raises every problem of the network, the caps and the
 hours or returns each hour as a ``ValidHour``, the one hour type, which the
-functions below take unchecked.  ``solve_opf_program`` is the one path from
-a ``ValidHour`` to its solution: it builds the program and hands it to
+functions below take unchecked.  ``solve_opf_program`` is the one path from a
+``ValidHour`` to its solution: it builds the program and hands it to
 ``simplex.solve_program`` with no re-check.  The grid compiles, once per
 study, every name and row an hour needs and, per column layout (the buses of
 an hour's offers, utilities and caps), its one record, a ``simplex.Layout``
 (``Grid.layout``, which ``build_opf`` looks up): the dense matrix, names,
-rows and crash basis, whose inverse the first solve on that basis computes
-for every later start on it, and the arrays every hour of the layout starts
-from.  So ``build_opf`` only copies the bounds and costs, fills in the hour's
-own columns after the angles and hands them over, with the layout, as
-``LinearProgram.arrays``, which a solve reads as they are; the program's name
-dicts are built only if something reads them, and a solve then compiles them
-afresh.  ``solve_opf_hour`` reads that solution by layout position.
+rows, crash basis, the arrays every hour of the layout starts from and the
+inverse of each start basis, which the first start on that basis computes for
+every later one.  So ``build_opf`` only copies the bounds and costs, fills in
+the hour's own columns after the angles and hands them over, with the layout,
+as ``LinearProgram.arrays``, which a solve reads as they are; the program's
+name dicts are built only if something reads them, and a solve then compiles
+them afresh.  ``solve_opf_hour`` reads that solution by layout position.
 
 ``capped_dual`` builds the paper's side of the same hour: the dual of the
 program without flexibility, with the price at each capped bus bounded.
@@ -37,7 +37,7 @@ import csv
 from collections import Counter
 from dataclasses import dataclass, replace
 
-from .lp import INF, LinearProgram, LpSolution, dual_of, dual_program
+from .lp import INF, LinearProgram, LpSolution, SolverFailureError, dual_of, dual_program
 from .model import (
     HourlyMarketData,
     Network,
@@ -241,7 +241,10 @@ def solve_opf_program(hour: ValidHour, start=None) -> tuple[LinearProgram, LpSol
     from .simplex import solve_program  # at call time, as in lp.solve: numpy loads late
     prog = build_opf(hour)
     prog.start = start or prog.start
-    sol = solve_program(prog)
+    try:
+        sol = solve_program(prog)
+    except SolverFailureError as exc:
+        raise SolverFailureError(f"hour {hour.data.hour}: {exc}") from None
     if sol.status not in ("optimal", "infeasible"):
         raise ValueError(f"hour {hour.data.hour}: solver returned {sol.status}")
     return prog, sol

@@ -14,29 +14,27 @@ arrays, so a solve always sees the program as it stands.  Each solve reads
 them into its one ``_State``, which ``solution_from_basis`` builds too;
 ``cost_ranges`` reads them with the same rest rule (``_resting_at_upper``).
 
-Every solve starts from a named basis, the program's ``LinearProgram.start``
-if it has one, else the slack basis ``(slack names, ())``, and one rule rests
-every other column: at its upper bound where the start's
-``nonbasic_at_upper`` names it or that is its only finite bound, at 0 where it
-has no finite bound, else at its lower bound.  ``_State`` rests each nonbasic
-column once, and each pivot or flip rests the column it moves, so the
-basics' right-hand side is ``b - A_N x_N`` as it stands.  One routine (``_start``) inverts
-the basis, unless the start's basis is its layout's crash basis
-(``Layout.crash``), whose inverse the layout keeps for any start on that
-basis, whatever columns rest at their upper bound, and computes the basic
-values as ``B^-1`` times the right-hand side; each basic slack that breaks
-its bounds rests at the violated bound instead and a signed artificial
-column carries the gap in its row, one of sign -1 negating that row of
-``B^-1``.  A first phase minimizes the artificials' sum; the second phase
-optimizes the true objective from the feasible basis.  A start falls back to the slack basis
-when it names a column or slack the program lacks (an ``artificial:`` entry
-included), is singular (a basis of the wrong size included), rests a column
-at an infinite bound or puts a basic structural column out of bounds; and
-also when it ends anywhere but on a non-degenerate optimum, so a program
-whose duals are not unique reports the slack-basis solve's vertex.  An
-``opf.build_opf`` program starts at its layout's crash basis
-(``Layout.crash``, which ``opf.Grid.layout`` sets) unless an earlier optimal
-basis replaces it.
+A solve tries the program's own start (``LinearProgram.start``), then the
+slack basis ``(slack names, ())``, in one loop with one rule: it passes over
+a start that names a column or slack the program lacks (an ``artificial:``
+entry included), is singular (a basis of the wrong size included), rests a
+column at an infinite bound or puts a basic structural column out of bounds;
+it keeps a start's result only if that is a non-degenerate optimum, and the
+slack basis's whatever it is, so a program whose duals are not unique reports
+the slack-basis solve's vertex.  One rule rests every nonbasic column: at its
+upper bound where the start's ``nonbasic_at_upper`` names it or that is its
+only finite bound, at 0 where it has no finite bound, else at its lower
+bound.  ``_State`` rests each nonbasic column once, and each pivot or flip
+rests the column it moves, so the basics' right-hand side is ``b - A_N x_N``
+as it stands.  ``_start`` takes ``B^-1`` from its layout, which inverts each
+start basis once (``Layout.inverse``), and computes the basic values as
+``B^-1`` times the right-hand side; each basic slack that breaks its bounds
+rests at the violated bound instead and a signed artificial column carries
+the gap in its row, one of sign -1 negating that row of ``B^-1``.  A first
+phase minimizes the artificials' sum; the second phase optimizes the true
+objective from the feasible basis.  An ``opf.build_opf`` program starts at
+its layout's crash basis (``Layout.crash``, which ``opf.Grid.layout`` sets)
+unless an earlier optimal basis replaces it.
 
 The entering column is the eligible one with the largest reduced cost in
 absolute value (Dantzig), ties going to the lowest index.  Eligible means a
@@ -52,7 +50,7 @@ gap over ``|delta|`` bit for bit, and breaks ties by the lowest basic column
 index.  A bound flip keeps the basis, so it keeps the reduced costs too: only
 the flipped column's merit changes sign.
 
-Each solve inverts its start basis once; phase 2 continues phase 1's
+Each solve starts from its layout's ``B^-1``; phase 2 continues phase 1's
 ``B^-1`` (inverting afresh only where phase 1's end swapped an artificial
 out), and a rank-1 product-form update per pivot (Bartels-Golub;
 Forrest-Tomlin 1972) keeps it current, so a pivot costs O(m*n) array work
@@ -78,7 +76,6 @@ from their duals, with one stacked linear solve per column layout.
 from __future__ import annotations
 
 import math
-from functools import cached_property
 
 import numpy as np
 
@@ -119,11 +116,11 @@ class Layout:
     slack-augmented ``[A | I]`` of those rows, every column and slack name
     with its index, the right-hand sides ``b``, and ``lo``, ``up`` and ``c``
     over ``[A | I]``: the column half as given, the slack half set by each
-    row's relation (a slack costs nothing).  Its crash basis ``crash`` (a
-    ``LinearProgram.start``, or None) has a ``B^-1`` that ``crash_inverse``
-    inverts on first use.  ``opf.Grid`` builds one per layout and study,
-    which its hours' ``LinearProgram.arrays`` carry; ``program_arrays``
-    compiles one for a program given as dicts at each solve."""
+    row's relation (a slack costs nothing).  Its crash basis ``crash`` is a
+    ``LinearProgram.start`` or None, and it keeps each start basis's ``B^-1``
+    (``inverse``).  ``opf.Grid`` builds one per layout and study, which its
+    hours' ``LinearProgram.arrays`` carry; ``program_arrays`` compiles one
+    for a program given as dicts at each solve."""
 
     def __init__(self, columns, specs, lo, up, c, crash=None):
         self.columns, self.specs = list(columns), list(specs)
@@ -143,19 +140,21 @@ class Layout:
         for array in (A, self.b, self.lo, self.up, self.c):
             array.flags.writeable = False
         self.A, self.crash = A, crash
+        self._inverses: dict[tuple[int, ...], np.ndarray | None] = {}  # read-only, by basis
 
-    @cached_property
-    def crash_inverse(self) -> np.ndarray | None:
-        """Read-only ``B^-1`` of the crash basis in its row order; None without
-        one, or where it is singular."""
-        if self.crash is None:
-            return None
-        try:
-            Binv = _inverse(self.A[:, [self.index[name] for name in self.crash[0]]])
-        except SolverFailureError:
-            return None
-        Binv.flags.writeable = False
-        return Binv
+    def inverse(self, basis: list[int]) -> np.ndarray | None:
+        """A copy, for a start to write, of ``B^-1`` for the column indices
+        ``basis`` in their order; None where it is singular (or not square).
+        Each basis is inverted once, whatever columns rest at their upper bound."""
+        key = tuple(basis)
+        if key not in self._inverses:
+            try:
+                self._inverses[key] = _inverse(self.A[:, basis])
+                self._inverses[key].flags.writeable = False
+            except SolverFailureError:
+                self._inverses[key] = None
+        Binv = self._inverses[key]
+        return None if Binv is None else Binv.copy()
 
 
 def program_arrays(lp: LinearProgram):
@@ -243,16 +242,14 @@ class _State:
 def _start(st: _State) -> _State | None:
     """Basic values of a resting state, and one signed phase-1 artificial per
     row whose basic slack breaks its bounds (the slack rests at the violated
-    bound).  The basis is inverted here unless the state already carries its
-    ``B^-1``; an artificial of sign -1 in a slack's place negates that row of
-    it.  None where the basis is singular or a value is infinite or a basic
-    structural column is out of bounds."""
+    bound).  ``B^-1`` is the layout's copy (``Layout.inverse``); an artificial
+    of sign -1 in a slack's place negates that row of it.  None where the
+    basis is singular or a value is infinite or a basic structural column is
+    out of bounds."""
     n, m = st.n_struct, st.n_rows
+    st.Binv = st.layout.inverse(st.basis)
     if st.Binv is None:
-        try:
-            st.Binv = _inverse(st.A[:, st.basis])
-        except SolverFailureError:  # singular, or not one basic column per row
-            return None
+        return None
     st.x[st.basis] = st.Binv @ st.resting_rhs()
     if not np.isfinite(st.x).all():
         return None
@@ -507,24 +504,17 @@ def _solve_from(st: _State) -> LpSolution:
 @np.errstate(over="ignore", invalid="ignore")
 def solve_program(lp: LinearProgram) -> LpSolution:
     arrays = program_arrays(lp)
-    layout = arrays[0]
-    if lp.start is not None:
+    for start in (lp.start, None):  # its own start, then the slack basis (None)
         try:
-            st = _State(lp, arrays, lp.start)
+            st = _start(_State(lp, arrays, start))
         except KeyError:  # unknown column or slack, artificials included
-            st = None
-        else:
-            if layout.crash and lp.start[0] == layout.crash[0] and layout.crash_inverse is not None:
-                st.Binv = layout.crash_inverse.copy()  # B^-1 depends on the basis alone
-            st = _start(st)
+            continue
         if st is not None:
             sol = _solve_from(st)
-            if sol.status == "optimal" and not sol.degenerate:
+            if start is None or sol.status == "optimal" and not sol.degenerate:
                 return sol
-    st = _start(_State(lp, arrays))
-    if st is None:  # the slack basis is the identity: only a non-finite value ends here
-        raise SolverFailureError("non-finite value at the slack-basis start")
-    return _solve_from(st)
+        elif start is None:  # the slack basis is the identity: only a non-finite value ends here
+            raise SolverFailureError("non-finite value at the slack-basis start")
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -662,7 +662,7 @@ def test_overflowing_solution_is_an_error_line(tmp_path, capsys):
     write_overflow_file(path, 1e307)
     for argv in (["run", "--pi-des", "70"], ["sweep", "--pi", "60,70", "--cases", "infinite"]):
         assert main(argv + ["--input", str(path), "--out", str(out)]) == 1
-        assert capsys.readouterr().err == "error: non-finite value in the optimal solution\n"
+        assert capsys.readouterr().err == "error: hour 1: non-finite value in the optimal solution\n"
     assert not out.exists()
 
 
@@ -676,7 +676,7 @@ def test_overflowing_solution_is_one_stderr_line_in_a_fresh_process(tmp_path):
                            "--pi-des", "70", "--out", str(tmp_path / "out")],
                           env=env, capture_output=True, text=True)
     assert done.returncode == 1
-    assert done.stderr == "error: non-finite value in the optimal solution\n"
+    assert done.stderr == "error: hour 1: non-finite value in the optimal solution\n"
 
 
 def malformed_inputs():

@@ -30,7 +30,8 @@ from flexhedge.opf import (
     solve_opf_series,
     write_dispatch_csv,
 )
-from flexhedge.scenario import ScenarioSpec, build_3bus_network, generate_scenario
+from flexhedge.scenario import (LINE_LIMIT_CASES, ScenarioSpec, build_3bus_network,
+                                generate_scenario)
 
 from oracles import brute_force_optimum, oracle_row_dual, reference_opf, valid_hour
 
@@ -535,6 +536,8 @@ def test_network_validated_once_per_run(monkeypatch):
 
 
 def test_crash_basis_inverted_once_per_layout_per_run(monkeypatch):
+    # and no solve inverts a matrix its layout inverted before: a start basis
+    # repeated across hours or sweep rounds takes its layout's stored B^-1
     scenario = generate_scenario(ScenarioSpec(seed=7, line_limit_case="finite"))
     inverted, solved = [], []
     inverse, solve_program = simplex._inverse, simplex.solve_program
@@ -546,9 +549,18 @@ def test_crash_basis_inverted_once_per_layout_per_run(monkeypatch):
         solved.append((prog, inverted[before:]))  # the matrices this solve inverted
         return sol
 
+    def inverted_again():
+        seen = set()
+        for prog, made in solved:
+            for matrix in made:
+                assert (prog.arrays[0], matrix) not in seen, prog.name
+                seen.add((prog.arrays[0], matrix))
+        return len(seen)
+
     monkeypatch.setattr(simplex, "solve_program", recording)
     cap = PriceCap(3, 70.0)
     first = run_hedge(scenario.network, scenario.hours, cap)
+    assert inverted_again() == 3
     pass1, pass2 = solved[:24], solved[24:]
     layout = pass1[0][0].arrays[0]
     crash = layout.A[:, [layout.index[name] for name in layout.crash[0]]].tobytes()
@@ -559,6 +571,12 @@ def test_crash_basis_inverted_once_per_layout_per_run(monkeypatch):
     solved.clear()
     assert run_hedge(scenario.network, scenario.hours, cap) == first
     assert [made for _, made in solved[:24]] == [[crash]] + [[]] * 23
+    # a sweep of 161 caps from 40 to 120: 7 inversions of 3 distinct matrices
+    solved.clear()
+    preset = generate_scenario(ScenarioSpec(seed=7))  # a sweep reads the infinite case
+    sweep_pi_des(preset.network, preset.hours, 3, [40 + k / 2 for k in range(161)],
+                 LINE_LIMIT_CASES)
+    assert inverted_again() == 7
 
 
 def test_crash_inverse_serves_every_start_on_the_crash_basis(monkeypatch):
@@ -577,8 +595,8 @@ def test_crash_inverse_serves_every_start_on_the_crash_basis(monkeypatch):
 
 @pytest.mark.parametrize("n_buses", [10, 30])
 def test_a_crash_started_program_given_another_start_solves_as_a_fresh_one(n_buses):
-    # the layout's crash B^-1 serves a start only while it is the crash basis:
-    # a program moved from it to its hour's optimal basis inverts that basis
+    # a layout's B^-1 of a basis serves only starts on that basis: a program
+    # moved from the crash basis to its hour's optimal basis takes that one's
     from test_mesh_oracle import seeded_mesh  # it imports test_hedging
 
     net, hours, _ = seeded_mesh(n_buses, 1)
@@ -613,26 +631,40 @@ def tight_cases():
 @pytest.mark.parametrize("name", list(tight_cases()))
 def test_artificial_of_sign_minus_one_negates_its_row_of_the_inverse(monkeypatch, name):
     # an artificial of sign -1 in a flow_hi slack's place negates that row of
-    # the shared crash B^-1; bit for bit, that is the new basis's inverse
+    # the layout's copy of the crash B^-1; bit for bit, that is the new
+    # basis's inverse, and the layout's stored B^-1 stays as it was inverted
     net, hours, cap = tight_cases()[name]
     negated = []
     start = simplex._start
 
     def checking(st):
-        crash = st.Binv is not None
+        crash = st.basis == crash_basis(st.layout)
         st = start(st)
         if st is not None and (st.A[:, st.artificial_from:] < 0).any():
             assert np.array_equal(st.Binv, np.linalg.inv(st.A[:, st.basis]))
             negated.append(crash)
         return st
 
+    def crash_basis(layout):
+        return [layout.index[name] for name in layout.crash[0]]
+
     monkeypatch.setattr(simplex, "_start", checking)
     grid = Grid(net)
-    for hour in grid.hours(hours, (cap,)):
+    hours, solved = grid.hours(hours, (cap,)), []
+    for hour in hours:
         prog = build_opf(hour)
         prog.start = grid.layout(hour).crash
-        assert simplex.solve_program(prog).status == "optimal"
+        solved.append(simplex.solve_program(prog))
+        assert solved[-1].status == "optimal"
     assert negated.count(True) == 24
+    for layout in {grid.layout(hour) for hour in hours}:
+        basis = crash_basis(layout)
+        stored = layout._inverses[tuple(basis)]
+        assert stored.tobytes() == np.linalg.inv(layout.A[:, basis]).tobytes()
+    for hour, first in zip(hours, solved):
+        prog = build_opf(hour)
+        prog.start = grid.layout(hour).crash
+        assert simplex.solve_program(prog) == first, hour.data.hour
 
 
 def test_mesh_program_text_is_pinned():

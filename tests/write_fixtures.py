@@ -3,7 +3,7 @@
     PYTHONPATH=src python tests/write_fixtures.py OUTDIR
 
 The files come from this tree's tests, so a guard that runs two trees on
-them gives both the same input:
+them (``tests/guard_cases.sh``) gives both the same input:
 
 - ``ties.txt``: the tie-hours day (``test_hedging.tie_hours``);
 - ``mesh30.txt``, ``mesh60.txt``: seeded 30- and 60-bus meshes
