@@ -19,8 +19,8 @@ slack basis ``(slack names, ())``, in one loop with one rule: it passes over
 a start that names a column or slack the program lacks (an ``artificial:``
 entry included), is singular (a basis of the wrong size included), rests a
 column at an infinite bound or puts a basic structural column out of bounds;
-it keeps a start's result only if that is a non-degenerate optimum, and the
-slack basis's whatever it is, so a program whose duals are not unique reports
+it keeps a start's result, infeasible or unbounded included, unless that is
+a degenerate optimum, whose duals may not be unique and which gives way to
 the slack-basis solve's vertex.  One rule rests every nonbasic column: at its
 upper bound where the start's ``nonbasic_at_upper`` names it or that is its
 only finite bound, at 0 where it has no finite bound, else at its lower
@@ -511,7 +511,7 @@ def solve_program(lp: LinearProgram) -> LpSolution:
             continue
         if st is not None:
             sol = _solve_from(st)
-            if start is None or sol.status == "optimal" and not sol.degenerate:
+            if start is None or not sol.degenerate:
                 return sol
         elif start is None:  # the slack basis is the identity: only a non-finite value ends here
             raise SolverFailureError("non-finite value at the slack-basis start")

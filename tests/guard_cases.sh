@@ -61,6 +61,11 @@ PYTHONPATH="$1/src" python -m flexhedge.cli run --preset paper-3bus --case finit
 PYTHONPATH="$1/src" python -m flexhedge.cli sweep --preset paper-3bus --seed 7 \
   --pi "$(seq -s, 60 80)" --cases infinite,finite --line-limit 1-3=0.5 \
   --out "$2/sweep-limit-7"
+# the run's 3-2 limit swept over 21 caps: pass 1 of hours 11-22 ends
+# infeasible in both cases, and the sweep leaves them out at every cap
+PYTHONPATH="$1/src" python -m flexhedge.cli sweep --preset paper-3bus --seed 7 \
+  --pi "$(seq -s, 60 80)" --cases infinite,finite --line-limit 3-2=0.3 \
+  --out "$2/sweep-limit-infeasible-7"
 # the single-bus duality chain: the defaults, the README example, a
 # dispatch that is infeasible without flexibility, which exits 1, and
 # a cap equal to the price, which prints the degenerate-optimum note

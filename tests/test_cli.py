@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import flexhedge
-from flexhedge import opf
+from flexhedge import hedging, opf
 from flexhedge.cli import main
 from flexhedge.hedging import run_hedge, sweep_pi_des
 from flexhedge.model import Bus, LoadUtility, PriceCap, validate_market_data
@@ -307,6 +307,15 @@ def test_sweep_prints_each_cap_as_sweep_csv_writes_it(tmp_path, capsys):
     assert [row[0] for row in rows] == ["70.5", "70.50000000000001", "123456789.0"]
     assert capsys.readouterr().out.splitlines() == [
         f"pi_des={cap} case={case} revenue={display} EUR" for cap, case, _, display in rows]
+
+
+def test_sweep_prints_each_monotonicity_warning_and_exits_0(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(hedging, "_sweep_totals", lambda hours, bus, caps: [1.5, 2.5])
+    rc = main(["sweep", "--preset", "paper-3bus", "--pi", "60,70", "--cases", "infinite",
+               "--seed", "7", "--out", str(tmp_path / "out")])
+    assert rc == 0
+    assert capsys.readouterr().err == ("warning: scenario 'infinite': revenue rose from 1.5 "
+                                       "to 2.5 as the cap increased to 70.0\n")
 
 
 @pytest.mark.parametrize("line", ["2-3", "3-2"])

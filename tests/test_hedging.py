@@ -47,7 +47,7 @@ from flexhedge.scenario import (
     preset_spec,
 )
 
-from oracles import valid_hour
+from oracles import brute_force_optimum, valid_hour
 
 
 def firm_hour(hour, a_trans, a_dist=29.0, dist_cap=0.85, load=1.0):
@@ -296,6 +296,32 @@ def test_degenerate_first_pass_hour_is_solved(monkeypatch):
     assert pass2_solved(monkeypatch, net, series, PriceCap(3, 70.0)) == ["opf_h1"]
 
 
+def test_an_infeasible_hour_is_solved_once(monkeypatch):
+    # line 2-3 at 0.3 MW leaves hours 11-22 with no vertex before flexibility;
+    # a start's infeasible verdict stands, and only hour 10's degenerate
+    # pass-1 optimum is solved again from the slack basis
+    scenario = generate_scenario(preset_spec("paper-3bus", case="finite", seed=7))
+    net = apply_line_limits(scenario.network, {(2, 3): 0.3})
+    runs = count_calls(monkeypatch, simplex._solve_from, simplex)
+    solved = []  # (program, solution, its _solve_from runs) per solve
+    original = simplex.solve_program
+
+    def solving(lp):
+        before = len(runs)
+        sol = original(lp)
+        solved.append((lp, sol, len(runs) - before))
+        return sol
+
+    monkeypatch.setattr(simplex, "solve_program", solving)
+    run_hedge(net, scenario.hours, PriceCap(3, 70.0))
+    assert (len(solved), len(runs)) == (42, 43)
+    infeasible = [lp for lp, sol, _ in solved[:24] if sol.status == "infeasible"]
+    assert [lp.name for lp in infeasible] == [f"opf_h{h}" for h in range(11, 23)]
+    assert [(lp.name, sol.degenerate) for lp, sol, n in solved if n != 1] == [("opf_h10", True)]
+    for lp in infeasible:
+        assert brute_force_optimum(lp) == (None, None), lp.name
+
+
 # ---------------------------------------------------------------------------
 # Coordination trace
 
@@ -351,6 +377,16 @@ def test_sweep_shape_and_ordering():
         assert revenues == sorted(revenues, reverse=True), label
     for a, b in zip(by_label["uncongested"], by_label["congested"]):
         assert b >= a  # congestion spikes can only add revenue
+
+
+def test_sweep_warns_where_revenue_rises_with_the_cap(monkeypatch):
+    # revenue never rises with the cap on a valid study, so force one that does
+    monkeypatch.setattr(hedging, "_sweep_totals", lambda hours, bus, caps: [1.5, 2.5])
+    scenario = generate_scenario(ScenarioSpec(seed=7))
+    result = sweep_pi_des(scenario.network, scenario.hours, 3, [60.0, 70.0], {"base": None})
+    assert [row.total_revenue_eur for row in result.rows] == [1.5, 2.5]
+    assert result.monotonicity_warnings == (
+        "scenario 'base': revenue rose from 1.5 to 2.5 as the cap increased to 70.0",)
 
 
 def test_sweep_rejects_bad_pi_lists():

@@ -25,7 +25,7 @@ from flexhedge.scenario import (FINITE_LIMIT_MW, build_3bus_network, generate_sc
                                 preset_spec)
 
 from oracles import brute_force_optimum, enumerate_optima, oracle_row_dual, valid_hour
-from test_hedging import tie_hours, two_layout_day
+from test_hedging import count_calls, tie_hours, two_layout_day
 from test_mesh_oracle import seeded_mesh
 
 
@@ -474,6 +474,39 @@ def test_degenerate_fallback_is_not_the_warm_vertex():
     cold = solve(lp)
     assert cold.degenerate and cold.basis == ("x", "slack:r2")
     assert cold.iterations > 1
+
+
+def _needs_three_lp():
+    # x + y <= 1 and x + y >= 3 over x, y in [0, 1]: no point is feasible
+    lp = LinearProgram("maximize")
+    lp.add_column("x", 0.0, 1.0, objective=1.0)
+    lp.add_column("y", 0.0, 1.0, objective=1.0)
+    lp.add_row("cap", {"x": 1.0, "y": 1.0}, "<=", 1.0)
+    lp.add_row("need", {"x": 1.0, "y": 1.0}, ">=", 3.0)
+    return lp
+
+
+def _ray_lp():
+    # maximize x with x >= 0, y in [0, 1] and -x + y <= 1: x rises without end
+    lp = LinearProgram("maximize")
+    lp.add_column("x", 0.0, INF, objective=1.0)
+    lp.add_column("y", 0.0, 1.0, objective=0.0)
+    lp.add_row("r", {"x": -1.0, "y": 1.0}, "<=", 1.0)
+    return lp
+
+
+@pytest.mark.parametrize("make, start, status", [
+    (_needs_three_lp, (("x", "slack:need"), ()), "infeasible"),  # phase 1 from an artificial
+    (_ray_lp, (("y",), ()), "unbounded"),
+], ids=["infeasible", "unbounded"])
+def test_a_starts_verdict_stands_without_a_slack_basis_solve(monkeypatch, make, start, status):
+    # neither verdict depends on the start, so the slack basis is not tried
+    cold = solve(make())
+    lp = make()
+    lp.start = start
+    runs = count_calls(monkeypatch, simplex._solve_from, simplex)
+    assert solve(lp).status == cold.status == status
+    assert len(runs) == 1
 
 
 def test_optimal_start_takes_one_iteration():
