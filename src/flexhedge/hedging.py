@@ -15,9 +15,9 @@ an hour's optimal first-pass basis stays optimal exactly when the column's
 reduced cost lambda_unc - pi is not positive (the test for adding a variable
 to a solved LP).  Where the first-pass price is at or below the cap, the
 second pass therefore keeps that hour's vertex with zero flexibility and
-solves nothing; only the hours priced above the cap are solved, each warm
-from its first-pass basis.  Degenerate and infeasible first-pass hours are
-solved too, because a warm start from them does not end on that vertex.
+solves nothing, degenerate or not.  It solves the hours priced above the cap,
+each warm from its first-pass basis, and the infeasible first-pass hours, from
+the crash basis, and no others.
 
 The first pass does not depend on the cap, and in the second the cap is only
 ``pflex``'s objective, so an hour's optimal second-pass basis stays optimal
@@ -115,22 +115,15 @@ class HedgeRun:
     hedged: tuple[DispatchResult | None, ...]
 
 
-def _keeps_vertex(unc: DispatchResult | None, cap: PriceCap) -> bool:
-    """Whether pass 1's optimal basis stays optimal once pass 2 adds ``pflex``:
-    the hour has a non-degenerate basis (a degenerate warm start falls back to
-    the slack basis) and the column's reduced cost lambda_unc - pi is not
-    positive, so the first pricing step of a warm start would reject it."""
-    return unc is not None and not unc.degenerate and \
-        unc.lmp_eur_mwh[cap.bus] <= cap.cap_for_hour(unc.hour)
-
-
 def run_hedge(net: Network, series, cap: PriceCap) -> HedgeRun:
     series = list(series)
     capped = Grid(net).hours(series, (cap,))
     pass1 = tuple(solve_opf_hour(replace(hour, caps=())) for hour in capped)
-    # pass 1's optimal basis, with pflex nonbasic at 0, is feasible for pass 2
-    pass2 = tuple(replace(unc, p_flexreq_mw={cap.bus: 0.0}) if _keeps_vertex(unc, cap)
-                  else solve_opf_hour(hour, None if unc is None else unc.basis)
+    # pass 1's optimal basis, with pflex nonbasic at 0, is feasible for pass 2,
+    # and optimal unless pflex's reduced cost lambda_unc - pi is positive
+    pass2 = tuple(solve_opf_hour(hour, None if unc is None else unc.basis)
+                  if unc is None or unc.lmp_eur_mwh[cap.bus] > cap.cap_for_hour(unc.hour)
+                  else replace(unc, p_flexreq_mw={cap.bus: 0.0})
                   for hour, unc in zip(capped, pass1))
 
     hours = []

@@ -19,9 +19,8 @@ slack basis ``(slack names, ())``, in one loop with one rule: it passes over
 a start that names a column or slack the program lacks (an ``artificial:``
 entry included), is singular (a basis of the wrong size included), rests a
 column at an infinite bound or puts a basic structural column out of bounds;
-it keeps a start's result, infeasible or unbounded included, unless that is
-a degenerate optimum, whose duals may not be unique and which gives way to
-the slack-basis solve's vertex.  One rule rests every nonbasic column: at its
+it keeps the first usable start's result, whatever it is, so a degenerate
+optimum is solved once, flagged.  One rule rests every nonbasic column: at its
 upper bound where the start's ``nonbasic_at_upper`` names it or that is its
 only finite bound, at 0 where it has no finite bound, else at its lower
 bound.  ``_State`` rests each nonbasic column once, and each pivot or flip
@@ -510,11 +509,9 @@ def solve_program(lp: LinearProgram) -> LpSolution:
         except KeyError:  # unknown column or slack, artificials included
             continue
         if st is not None:
-            sol = _solve_from(st)
-            if start is None or not sol.degenerate:
-                return sol
-        elif start is None:  # the slack basis is the identity: only a non-finite value ends here
-            raise SolverFailureError("non-finite value at the slack-basis start")
+            return _solve_from(st)
+    # the slack basis is the identity: only a non-finite value leaves it unusable
+    raise SolverFailureError("non-finite value at the slack-basis start")
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -532,7 +529,7 @@ def cost_ranges(pairs, column: str) -> list[tuple[float, float]]:
     strictly out (cost ranging): with ``column`` basic in row r, changing its
     minimize-form cost by delta moves each reduced cost (from ``sol``'s duals)
     by -delta*(B^-1 A)_{r,j}.  Empty, ``(c, c)`` at the coefficient ``c``, where
-    ``sol`` is degenerate (a start from it falls back) or a column that can
+    ``sol`` is degenerate (its vertex may have other bases) or a column that can
     move prices out at zero (a tie); ValueError where ``column`` is not basic.
 
     The pairs of one layout share its ``[A | I]``, so each group solves its

@@ -50,6 +50,12 @@ PYTHONPATH="$1/src" python -m flexhedge.cli run --input "$3/two-layouts.txt" \
   --pi-des 70 --out "$2/run-two-layouts"
 PYTHONPATH="$1/src" python -m flexhedge.cli sweep --input "$3/two-layouts.txt" \
   --pi "$(seq -s, 60 80)" --cases infinite --out "$2/sweep-two-layouts"
+# a day of degenerate first-pass hours priced below the cap, which
+# keep their first-pass vertex in a run and in a sweep
+PYTHONPATH="$1/src" python -m flexhedge.cli run --input "$3/degenerate.txt" \
+  --pi-des 70 --out "$2/run-degenerate"
+PYTHONPATH="$1/src" python -m flexhedge.cli sweep --input "$3/degenerate.txt" \
+  --pi "$(seq -s, 30 0.5 80)" --cases infinite --out "$2/sweep-degenerate"
 # one cap per hour, 60 to 83 EUR/MWh: a run that buys flexibility in
 # 14 hours and whose trace lists all 24 caps
 PYTHONPATH="$1/src" python -m flexhedge.cli run --preset paper-3bus --seed 1 \

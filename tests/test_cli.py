@@ -562,19 +562,24 @@ def test_duality_demo(capsys):
     assert "p_flexreq=1.0" in out
 
 
-@pytest.mark.parametrize("flags, status, line", [
+DEGENERATE_NOTE = "note: degenerate optimum; prices are one valid choice among several"
+
+
+@pytest.mark.parametrize("flags, status, lines", [
     ("--gen-capacity 0.5 --gen-cost 80 --utility 75 --load-min 1 --load-max 1", 1,
      "error: unconstrained dispatch is infeasible"),
-    ("--gen-cost 50 --utility 90 --load-min 0.2 --load-max 1 --cap 50", 0,
-     "note: degenerate optimum; prices are one valid choice among several"),
-], ids=["infeasible", "cap-equals-price"])
-def test_duality_demo_states_an_infeasible_or_degenerate_dispatch(capsys, flags, status, line):
+    ("--gen-cost 50 --utility 90 --load-min 0.2 --load-max 1 --cap 50", 0, DEGENERATE_NOTE),
+    # cost 80, utility 75, load 0-1: no trade, and every price in [75, 80] is
+    # optimal; the price is the one the solve's start reaches
+    ("", 0, "price: lmp=80.0 EUR/MWh  (unconstrained 80.0)\n" + DEGENERATE_NOTE),
+], ids=["infeasible", "cap-equals-price", "default"])
+def test_duality_demo_states_an_infeasible_or_degenerate_dispatch(capsys, flags, status, lines):
     assert main(["duality-demo", *flags.split()]) == status
     captured = capsys.readouterr()
     if status:
-        assert (captured.out, captured.err) == ("", line + "\n")
+        assert (captured.out, captured.err) == ("", lines + "\n")
     else:
-        assert captured.out.splitlines()[-1] == line and captured.err == ""
+        assert captured.out.endswith("\n" + lines + "\n") and captured.err == ""
 
 
 def test_pi_des_24_vector(tmp_path):

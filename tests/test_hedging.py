@@ -26,7 +26,7 @@ from flexhedge.hedging import (
     write_hedge_csv,
 )
 from flexhedge.economic_dispatch import EdInstance, solve_ed_chain
-from flexhedge.lp import LinearProgram, solve
+from flexhedge.lp import LinearProgram, solve, verify_kkt
 from flexhedge.model import (
     Bus,
     GenOffer,
@@ -286,40 +286,71 @@ def test_cap_at_the_unconstrained_price(monkeypatch):
         [f"opf_h{h}" for h in range(1, 25, 2)]
 
 
-def test_degenerate_first_pass_hour_is_solved(monkeypatch):
+def test_degenerate_first_pass_hour_keeps_its_vertex(monkeypatch):
     # hour 1: the cheap source exactly covers the firm load, so pg_1 is basic at 0
     series = [firm_hour(1, a_trans=50.0, dist_cap=1.0), firm_hour(2, a_trans=50.0)]
     net = build_3bus_network("infinite")
     pass1 = solve_opf_series(net, series)
     assert [r.degenerate for r in pass1] == [True, False]
     assert all(r.lmp_eur_mwh[3] <= 70.0 for r in pass1)
-    assert pass2_solved(monkeypatch, net, series, PriceCap(3, 70.0)) == ["opf_h1"]
+    assert pass2_solved(monkeypatch, net, series, PriceCap(3, 70.0)) == []
+
+
+def record_solves(monkeypatch) -> tuple[list, list]:
+    """Record each ``simplex.solve_program`` call's program and solution, and
+    each ``simplex._solve_from`` run, until ``monkeypatch`` is undone."""
+    runs = count_calls(monkeypatch, simplex._solve_from, simplex)
+    solved = []
+    original = simplex.solve_program
+
+    def solving(lp):
+        solved.append((lp, original(lp)))
+        return solved[-1][1]
+
+    monkeypatch.setattr(simplex, "solve_program", solving)
+    return solved, runs
 
 
 def test_an_infeasible_hour_is_solved_once(monkeypatch):
     # line 2-3 at 0.3 MW leaves hours 11-22 with no vertex before flexibility;
-    # a start's infeasible verdict stands, and only hour 10's degenerate
-    # pass-1 optimum is solved again from the slack basis
+    # a start's result stands, infeasible or degenerate, so each solve is one run
     scenario = generate_scenario(preset_spec("paper-3bus", case="finite", seed=7))
     net = apply_line_limits(scenario.network, {(2, 3): 0.3})
-    runs = count_calls(monkeypatch, simplex._solve_from, simplex)
-    solved = []  # (program, solution, its _solve_from runs) per solve
-    original = simplex.solve_program
-
-    def solving(lp):
-        before = len(runs)
-        sol = original(lp)
-        solved.append((lp, sol, len(runs) - before))
-        return sol
-
-    monkeypatch.setattr(simplex, "solve_program", solving)
+    solved, runs = record_solves(monkeypatch)
     run_hedge(net, scenario.hours, PriceCap(3, 70.0))
-    assert (len(solved), len(runs)) == (42, 43)
-    infeasible = [lp for lp, sol, _ in solved[:24] if sol.status == "infeasible"]
+    assert (len(solved), len(runs)) == (42, 42)
+    infeasible = [lp for lp, sol in solved[:24] if sol.status == "infeasible"]
     assert [lp.name for lp in infeasible] == [f"opf_h{h}" for h in range(11, 23)]
-    assert [(lp.name, sol.degenerate) for lp, sol, n in solved if n != 1] == [("opf_h10", True)]
+    assert solved[9][0].name == "opf_h10" and solved[9][1].degenerate
     for lp in infeasible:
         assert brute_force_optimum(lp) == (None, None), lp.name
+
+
+def degenerate_day():
+    """In each odd hour the local offer exactly covers the 1 MW firm load, so
+    pg_1 is basic at 0 and pass 1's optimum is degenerate; each even hour h
+    imports at 50 + h EUR/MWh."""
+    return build_3bus_network("infinite"), [
+        firm_hour(h, a_trans=50.0, dist_cap=1.0) if h % 2 else firm_hour(h, a_trans=50.0 + h)
+        for h in range(1, 25)]
+
+
+def test_a_day_of_degenerate_hours_solves_each_once(monkeypatch):
+    # pass 1 solves 24 hours, pass 2 only hours 22 and 24, priced above the cap;
+    # each degenerate hour keeps its first-pass vertex and is not solved again
+    net, series = degenerate_day()
+    solved, runs = record_solves(monkeypatch)
+    report = run_hedge(net, series, PriceCap(3, 70.0)).report
+    monkeypatch.undo()
+    assert (len(solved), len(runs)) == (26, 26)
+    assert (report.total_revenue_eur, report.hours_active) == (0.9000000000000001, 2)
+    for lp, sol in solved[:24:2]:
+        assert sol.degenerate, lp.name
+        assert sol.objective_value == brute_force_optimum(lp)[0], lp.name
+        assert verify_kkt(lp, sol).within(1e-9), lp.name
+    cases = {"infinite": None, "finite": {(2, 3): FINITE_LIMIT_MW}}
+    check_sweep_equals_runs_alone(monkeypatch, net, series, 3,
+                                  [30.0 + 0.5 * k for k in range(81)], cases)
 
 
 # ---------------------------------------------------------------------------

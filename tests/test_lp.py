@@ -70,8 +70,8 @@ def test_cost_range_of_a_tie_is_empty():
 
 def test_cost_range_of_a_degenerate_optimum_is_empty():
     # p_l is basic at its upper bound; its basis alone would range p_l's cost
-    # over (50, inf), but a start from a degenerate optimum falls back to the
-    # slack basis, which may end elsewhere
+    # over (50, inf), but its vertex has other bases, and a solve at another
+    # cost may end on one of them
     lp = LinearProgram("maximize")
     lp.add_column("p_g", 0.0, 1.0, objective=-50.0)
     lp.add_column("p_l", 0.0, 1.0, objective=90.0)
@@ -458,9 +458,8 @@ def _degenerate_lp():
     (_bounded_x_lp, (("slack:r",), ("y",))),             # y rests at an infinite bound
     (_bounded_x_lp, (("x",), ())),                       # x = 5 > 3: primal-infeasible
     (_singular_lp, (("x", "y"), ())),                    # singular
-    (_degenerate_lp, (("x", "slack:r2"), ())),           # degenerate warm optimum
 ], ids=["unknown-column", "unknown-slack", "artificial", "basis-size", "infinite-bound",
-        "infeasible", "singular", "degenerate"])
+        "infeasible", "singular"])
 def test_unusable_warm_start_falls_back_to_cold(make, start):
     cold = solve(make())
     warm_lp = make()
@@ -468,12 +467,20 @@ def test_unusable_warm_start_falls_back_to_cold(make, start):
     assert solve(warm_lp) == cold
 
 
-def test_degenerate_fallback_is_not_the_warm_vertex():
-    # without the fallback this start would be accepted after one pricing pass
+def test_a_degenerate_warm_optimum_stands(monkeypatch):
+    # the cold solve's own degenerate optimum, as a start, is kept after one
+    # pricing pass: it is flagged, not solved again from the slack basis
     lp = _degenerate_lp()
     cold = solve(lp)
-    assert cold.degenerate and cold.basis == ("x", "slack:r2")
-    assert cold.iterations > 1
+    assert cold.degenerate and cold.basis == ("x", "slack:r2") and cold.iterations == 2
+    lp.start = (("x", "slack:r2"), ())
+    runs = count_calls(monkeypatch, simplex._solve_from, simplex)
+    warm = solve(lp)
+    assert len(runs) == 1 and warm.iterations == 1 and warm.degenerate
+    assert (warm.primal, warm.duals) == (cold.primal, cold.duals)
+    rebuilt = simplex.solution_from_basis(lp, warm.basis, warm.nonbasic_at_upper)
+    assert rebuilt.iterations == 0
+    assert (warm.primal, warm.duals, warm.basis) == (rebuilt.primal, rebuilt.duals, rebuilt.basis)
 
 
 def _needs_three_lp():
@@ -581,8 +588,6 @@ def test_start_at_the_optimum_reports_its_basis_without_a_pivot(monkeypatch, sou
         assert cold.iterations > 1, lp.name
         rebuilt = simplex.solution_from_basis(lp, cold.basis, cold.nonbasic_at_upper)
         assert cold == dataclasses.replace(rebuilt, iterations=cold.iterations), lp.name
-        if cold.degenerate:  # the start would fall back to the slack basis
-            continue
         lp.start = (cold.basis, cold.nonbasic_at_upper)
         calls.clear()
         warm = solve(lp)

@@ -11,7 +11,9 @@ them (``tests/guard_cases.sh``) gives both the same input:
 - ``bad.txt``: paper-3bus seed 7 with a negative reactance and inverted load
   bounds in hours 3 and 9;
 - ``two-layouts.txt``: seed 7's finite day with the bus-2 offer dropped in
-  hours 9-14 (``test_hedging.two_layout_day``).
+  hours 9-14 (``test_hedging.two_layout_day``);
+- ``degenerate.txt``: a day whose odd hours have a degenerate first-pass
+  optimum (``test_hedging.degenerate_day``).
 """
 
 import sys
@@ -19,7 +21,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from flexhedge import scenario
-from test_hedging import tie_hours, two_layout_day
+from test_hedging import degenerate_day, tie_hours, two_layout_day
 from test_mesh_oracle import seeded_mesh
 
 
@@ -39,6 +41,7 @@ def main(out: Path) -> None:
         "mesh60.txt": seeded_mesh(60, 1)[:2],
         "bad.txt": bad_day(),
         "two-layouts.txt": two_layout_day(),
+        "degenerate.txt": degenerate_day(),
     }
     for name, (net, hours) in fixtures.items():
         with open(out / name, "w") as fobj:
