@@ -483,6 +483,16 @@ def test_a_degenerate_warm_optimum_stands(monkeypatch):
     assert (warm.primal, warm.duals, warm.basis) == (rebuilt.primal, rebuilt.duals, rebuilt.basis)
 
 
+def test_a_degenerate_warm_start_differs_from_the_cold_solve_only_in_iterations():
+    # the start is not solved again, so only the pivot count tells it apart
+    cold = solve(_degenerate_lp())
+    warm_lp = _degenerate_lp()
+    warm_lp.start = (("x", "slack:r2"), ())
+    warm = solve(warm_lp)
+    assert (warm.iterations, cold.iterations) == (1, 2)
+    assert dataclasses.replace(warm, iterations=cold.iterations) == cold
+
+
 def _needs_three_lp():
     # x + y <= 1 and x + y >= 3 over x, y in [0, 1]: no point is feasible
     lp = LinearProgram("maximize")
