@@ -107,21 +107,22 @@ def _load_config_file(path: str) -> dict[str, dict[str, str]]:
 
 
 def _apply_config_defaults(args: argparse.Namespace) -> None:
-    """Fill each option the command line left unset from the command's section
-    of the config file.  Its keys are the command's options that default to
-    None, or False for a switch; any other key is an error."""
+    """Fill each option the command line left at its default (by identity, so
+    an explicit 0 is set) from the command's section of the config file.  Its
+    keys are the options that default to None, or False for a switch; any
+    other key is an error."""
     if not getattr(args, "config", None):
         return
     section = args.command
     options = {action.dest: action for action in args.parser._actions
-               if action.default in (None, False) and action.dest != "config"}
+               if (action.default is None or action.default is False) and action.dest != "config"}
     for key, raw in _load_config_file(args.config).get(section, {}).items():
         if key not in options:
             raise ScenarioError(f"config: unknown key {key!r} in [{section}]")
         action = options[key]
         convert = (lambda text: text.lower() in ("1", "true", "yes")) \
             if action.nargs == 0 else action.type or str  # a switch takes no value
-        if getattr(args, key) in (None, False):
+        if getattr(args, key) is action.default:
             try:
                 setattr(args, key, convert(raw))
             except ValueError:

@@ -11,34 +11,34 @@ are the program's own arrays (``LinearProgram.arrays``, as ``opf.build_opf``
 gives each hour over a layout its hours share) while it is still given as
 arrays, else its dicts compiled afresh into a layout and that layout's own
 arrays, so a solve always sees the program as it stands.  Each solve reads
-them into its one ``_State``, which ``solution_from_basis`` builds too;
-``cost_ranges`` reads them with the same rest rule (``_resting_at_upper``).
+them into its one ``_State``, which ``solution_from_basis`` builds too.
 
 A solve tries the program's own start (``LinearProgram.start``), then the
-slack basis ``(slack names, ())``, in one loop with one rule: it passes over
-a start that names a column or slack the program lacks (an ``artificial:``
-entry included), is singular (a basis of the wrong size included), rests a
-column at an infinite bound or puts a basic structural column out of bounds;
-it keeps the first usable start's result, whatever it is, so a degenerate
-optimum is solved once, flagged.  One rule rests every nonbasic column: at its
-upper bound where the start's ``nonbasic_at_upper`` names it or that is its
-only finite bound, at 0 where it has no finite bound, else at its lower
-bound.  ``_State`` rests each nonbasic column once, and each pivot or flip
-rests the column it moves, so the basics' right-hand side is ``b - A_N x_N``
-as it stands.  ``_start`` takes ``B^-1`` from its layout, which inverts each
-start basis once (``Layout.inverse``), and computes the basic values as
-``B^-1`` times the right-hand side; each basic slack that breaks its bounds
-rests at the violated bound instead and a signed artificial column carries
-the gap in its row, one of sign -1 negating that row of ``B^-1``.  A first
-phase minimizes the artificials' sum; the second phase optimizes the true
-objective from the feasible basis.  An ``opf.build_opf`` program starts at
-its layout's crash basis (``Layout.crash``, which ``opf.Grid.layout`` sets)
-unless an earlier optimal basis replaces it.
+slack basis ``(slack names, ())``, in one loop with one rule: it passes over a
+start that names a column or slack the program lacks (an ``artificial:`` entry
+included), is singular (a basis of the wrong size included), rests a column at
+an infinite bound or puts a basic structural column out of bounds; it keeps
+the first usable start's result, whatever it is, so a degenerate optimum is
+solved once, flagged.  Where each column rests is one record per solve,
+``_State.sign``: 0 for a basic or fixed column, +1 for a nonbasic one at its
+upper bound (where the start's ``nonbasic_at_upper`` names it or that is its
+only finite bound), else -1, at its lower bound or, free, at 0
+(``_rest_sign``, the rule ``cost_ranges`` reads too).  Each pivot, flip or fix
+sets the sign of each column it moves and rests it in ``x`` by it, so the
+basics' right-hand side is ``b - A_N x_N`` as it stands, and a solution's
+``nonbasic_at_upper`` is the columns of sign +1.  ``_start`` takes ``B^-1``
+from its layout, which inverts each start basis once (``Layout.inverse``), and
+computes the basic values as ``B^-1`` times the right-hand side; each basic
+slack that breaks its bounds rests at the violated bound instead and a signed
+artificial column carries the gap in its row, one of sign -1 negating that row
+of ``B^-1``.  A first phase minimizes the artificials' sum; the second phase
+optimizes the true objective from the feasible basis.  An ``opf.build_opf``
+program starts at its layout's crash basis (``Layout.crash``, which
+``opf.Grid.layout`` sets) unless an earlier optimal basis replaces it.
 
 The entering column is the eligible one with the largest reduced cost in
 absolute value (Dantzig), ties going to the lowest index.  Eligible means a
-merit above ``PIVOT_TOL``: the reduced cost times a sign kept current per
-pivot (-1 at a lower bound, +1 at an upper, 0 basic or fixed), or its
+merit above ``PIVOT_TOL``: the reduced cost times the column's sign, or its
 magnitude for a free nonbasic column.  Dantzig's rule alone can cycle on
 degenerate pivots, so after ``_BLAND_AFTER`` consecutive pivots that leave
 the basic values where they were, pricing turns to the lowest eligible index
@@ -173,25 +173,29 @@ def program_arrays(lp: LinearProgram):
     return layout, layout.lo, layout.up, layout.c
 
 
-def _resting_at_upper(layout: Layout, lo: np.ndarray, up: np.ndarray,
-                      nonbasic_at_upper) -> np.ndarray:
-    """The module's one rule for the nonbasic columns that rest at their upper
-    bound: each that ``nonbasic_at_upper`` names (KeyError for a name the
-    layout lacks) and each whose upper bound is its only finite one."""
-    at_upper = (lo == -INF) & (up < INF)
+def _rest_sign(layout: Layout, lo: np.ndarray, up: np.ndarray, basis: list[int],
+               nonbasic_at_upper) -> np.ndarray:
+    """The module's one rule for where each column rests, as a sign: 0 for a
+    column of ``basis`` or a fixed one, +1 for a nonbasic column at its upper
+    bound (each that ``nonbasic_at_upper`` names, KeyError for a name the
+    layout lacks, and each whose upper bound is its only finite one), -1 for
+    the others, at their lower bound or, free, at 0."""
+    sign = np.where((lo == -INF) & (up < INF), 1.0, -1.0)
     if nonbasic_at_upper:
-        at_upper[[layout.index[name] for name in nonbasic_at_upper]] = True
-    return at_upper
+        sign[[layout.index[name] for name in nonbasic_at_upper]] = 1.0
+    sign[lo == up] = 0.0
+    sign[basis] = 0.0
+    return sign
 
 
 class _State:
     """One solve's working state: ``lp``'s ``arrays`` (``program_arrays``,
     read, never written) and its layout's right-hand sides, in minimize
     form, and a basis, named by ``start`` as ``LinearProgram.start`` does
-    (KeyError for a name the layout lacks) or else the slack basis, with every other column resting by the module's
-    one rule.  Each nonbasic column rests in ``x`` from here on: ``_start``,
-    ``_iterate`` and ``_expel_artificials`` rest each column they move off the
-    basis or flip."""
+    (KeyError for a name the layout lacks) or else the slack basis.  ``sign``
+    records where every column rests (``_rest_sign``) and ``x`` rests each
+    nonbasic column by it; each step that moves, flips or fixes a column sets
+    its sign and rests it."""
 
     def __init__(self, lp: LinearProgram, arrays,
                  start: tuple[tuple[str, ...], tuple[str, ...]] | None = None):
@@ -208,10 +212,10 @@ class _State:
         self.n_total = n + m
         basis, nonbasic_at_upper = start or (self.layout.names[n:], ())
         self.basis = [self.layout.index[name] for name in basis]
-        self.at_upper = _resting_at_upper(self.layout, self.lo, self.up, nonbasic_at_upper)
+        self.sign = _rest_sign(self.layout, self.lo, self.up, self.basis, nonbasic_at_upper)
         self.in_basis = np.zeros(n + m, dtype=bool)
         self.in_basis[self.basis] = True
-        self.x = np.where(self.at_upper, self.up, np.where(self.lo > -INF, self.lo, 0.0))
+        self.x = np.where(self.sign > 0, self.up, np.where(self.lo > -INF, self.lo, 0.0))
         self.artificial_from = n + m  # columns >= this index are artificial
         self.art_rows = np.zeros(0, dtype=np.intp)  # the row each artificial serves
         self.iterations = 0
@@ -219,7 +223,7 @@ class _State:
         self.pivots = 0  # pivots since B^-1 was last inverted afresh
 
     def nonbasic_value(self, j: int) -> float:
-        if self.at_upper[j]:
+        if self.sign[j] > 0:
             return self.up[j]
         if self.lo[j] > -INF:
             return self.lo[j]
@@ -261,7 +265,7 @@ def _start(st: _State) -> _State | None:
         block = np.zeros((m, k))
         for t, i in enumerate(art_rows.tolist()):
             s = n + i
-            st.at_upper[s] = st.x[s] > st.up[s]
+            st.sign[s] = (1.0 if st.x[s] > st.up[s] else -1.0) if st.lo[s] < st.up[s] else 0.0
             block[i, t] = 1.0 if st.x[s] > st.nonbasic_value(s) else -1.0
             st.x[s] = st.nonbasic_value(s)
             pos = st.basis.index(s)
@@ -272,7 +276,7 @@ def _start(st: _State) -> _State | None:
         st.up = np.concatenate([st.up, np.full(k, INF)])
         st.c_int = np.concatenate([st.c_int, np.zeros(k)])  # phase 2 prices artificials at 0
         st.x = np.concatenate([st.x, np.zeros(k)])
-        st.at_upper = np.concatenate([st.at_upper, np.zeros(k, dtype=bool)])
+        st.sign = np.concatenate([st.sign, np.zeros(k)])  # basic, at 0
         st.artificial_from = st.n_total
         st.art_rows = art_rows
         st.n_total += k
@@ -291,23 +295,21 @@ def _iterate(st: _State, cost: np.ndarray) -> str:
     between, each pivot applies a rank-1 update and basic values move by the
     step taken.  The basic columns' costs, bounds, finite-bound masks and
     values ``x_B`` follow each pivot in basis order; ``x_B`` is written back
-    to ``st.x`` before each return, raise and inversion.  ``sign`` prices
-    each column and follows each pivot and bound flip: -1 for a nonbasic
-    column at its lower bound, +1 at its upper, 0 for basic and fixed ones.
-    A column improves where ``d * sign`` exceeds ``PIVOT_TOL``; the free
-    nonbasic columns, ``free``, price by ``|d|`` and leave that list when
-    they enter.  A bound flip leaves the basis, ``c_B`` and ``B^-1`` as they
-    were, so ``d`` and the merits stand, the flipped column's merit negated
-    with its sign.
+    to ``st.x`` before each return, raise and inversion.  A column improves
+    where ``d * st.sign`` exceeds ``PIVOT_TOL``; the free nonbasic columns,
+    ``free``, price by ``|d|`` and leave that list when they enter.  A pivot
+    gives the leaving column the sign of the bound it reaches (0 if fixed)
+    and the entering column 0.  A bound flip negates the column's sign and
+    leaves the basis, ``c_B`` and ``B^-1`` as they were, so ``d`` and the
+    merits stand, the flipped column's merit negated with its sign.
     """
     A, lo, up = st.A, st.lo, st.up
     basis = np.array(st.basis, dtype=np.intp)
     c_B, lo_B, up_B, x_B = cost[basis], lo[basis], up[basis], st.x[basis]
     has_lo, has_up, movable = lo > -INF, up < INF, lo != up
     has_lo_B, has_up_B = has_lo[basis], has_up[basis]
-    nonbasic = ~st.in_basis
-    sign = np.where(st.at_upper, 1.0, -1.0) * (movable & nonbasic)
-    free = (~has_lo & ~has_up & nonbasic).nonzero()[0]
+    sign = st.sign
+    free = (~has_lo & ~has_up & (sign != 0)).nonzero()[0]
     stalled = 0  # consecutive pivots that left the basic values where they were
     d = None  # the reduced costs, None once a pivot changes the basis
     while True:
@@ -369,9 +371,8 @@ def _iterate(st: _State, cost: np.ndarray) -> str:
 
         if t_flip <= t_best:  # the basis stays, and so do its prices
             x_B -= t_flip * delta
-            st.at_upper[entering] = not st.at_upper[entering]
-            st.x[entering] = st.nonbasic_value(entering)
             sign[entering] = -sign[entering]
+            st.x[entering] = st.nonbasic_value(entering)
             merit[entering] = -merit[entering]
             stalled = 0
             continue
@@ -380,7 +381,9 @@ def _iterate(st: _State, cost: np.ndarray) -> str:
         x_B -= t_best * delta
         x_B[leave_pos] = st.nonbasic_value(entering) + direction * t_best
         bi = st.basis[leave_pos]
-        st.at_upper[bi] = delta[leave_pos] < 0  # increased to its upper bound
+        # increased to its upper bound where delta < 0
+        sign[bi] = (1.0 if delta[leave_pos] < 0 else -1.0) if movable[bi] else 0.0
+        sign[entering] = 0.0
         st.in_basis[bi] = False
         st.x[bi] = st.nonbasic_value(bi)
         st.basis[leave_pos] = entering
@@ -388,8 +391,6 @@ def _iterate(st: _State, cost: np.ndarray) -> str:
         st.in_basis[entering] = True
         c_B[leave_pos], lo_B[leave_pos], up_B[leave_pos] = cost[entering], lo[entering], up[entering]
         has_lo_B[leave_pos], has_up_B[leave_pos] = has_lo[entering], has_up[entering]
-        sign[bi] = (1.0 if st.at_upper[bi] else -1.0) if movable[bi] else 0.0
-        sign[entering] = 0.0
         if free.size:
             free = free[free != entering]
 
@@ -422,10 +423,10 @@ def _expel_artificials(st: _State) -> bool:
                 break
         if replacement >= 0:
             st.in_basis[bi] = False
-            st.at_upper[bi] = False
             st.x[bi] = 0.0  # an artificial's bounds are [0, 0] after phase 1
             st.basis[pos] = replacement
             st.in_basis[replacement] = True
+            st.sign[replacement] = 0.0  # the artificial's is 0 since phase 1 fixed it
             swapped = True
     return swapped
 
@@ -464,10 +465,6 @@ def _extract(st: _State, status: str) -> LpSolution:
         else f"artificial:{layout.rows[st.art_rows[bi - st.artificial_from]]}"
         for bi in st.basis
     )
-    lo, up = st.lo[: n + m], st.up[: n + m]  # fixed columns rest at either bound
-    resting_up = ~st.in_basis[: n + m] & st.at_upper[: n + m] & (lo < up)
-    at_upper = tuple(names[j] for j in resting_up.nonzero()[0].tolist())
-
     return LpSolution(
         status="optimal",
         primal=dict(zip(layout.columns, (x_struct + 0.0).tolist())),
@@ -475,7 +472,7 @@ def _extract(st: _State, status: str) -> LpSolution:
         reduced_costs=dict(zip(layout.columns, (reduced_ext + 0.0).tolist())),
         objective_value=objective,
         basis=basis_names,
-        nonbasic_at_upper=at_upper,
+        nonbasic_at_upper=tuple(names[j] for j in (st.sign[: n + m] > 0).nonzero()[0].tolist()),
         degenerate=degenerate,
         iterations=st.iterations,
     )
@@ -494,6 +491,7 @@ def _solve_from(st: _State) -> LpSolution:
             return _extract(st, "infeasible")
         st.lo[st.artificial_from:] = 0.0
         st.up[st.artificial_from:] = 0.0
+        st.sign[st.artificial_from:] = 0.0  # fixed, basic or not
         if _expel_artificials(st):
             st.reinvert()
 
@@ -544,13 +542,13 @@ def cost_ranges(pairs, column: str) -> list[tuple[float, float]]:
         if sol.degenerate:
             ranges[i] = (cost, cost)
             continue
-        sign = -1.0 if lp.sense == "maximize" else 1.0  # to the minimize form
+        flip = -1.0 if lp.sense == "maximize" else 1.0  # to the minimize form
+        basis = [layout.index[name] for name in sol.basis]
         groups.setdefault(layout, []).append((
-            i, cost, sign, [layout.index[name] for name in sol.basis], sign * c,
-            [sign * sol.duals[row] for row in layout.rows], lo < up,
-            _resting_at_upper(layout, lo, up, sol.nonbasic_at_upper)))
+            i, cost, flip, basis, flip * c, [flip * sol.duals[row] for row in layout.rows],
+            _rest_sign(layout, lo, up, basis, sol.nonbasic_at_upper)))
     for layout, members in groups.items():
-        index, cost, sign, basis, c_int, y, bounded, at_upper = zip(*members)
+        index, cost, flip, basis, c_int, y, sign = zip(*members)
         q, A = layout.index[column], layout.A
         if any(q not in b for b in basis):
             raise ValueError(f"column {column!r} is not basic")
@@ -562,17 +560,15 @@ def cost_ranges(pairs, column: str) -> list[tuple[float, float]]:
         alpha = np.matmul(u[:, None, :], A)[:, 0]
         d = np.array(c_int) - np.matmul(np.array(y)[:, None, :], A)[:, 0]
         # a column at its lower bound prices out with d > 0, one at its upper with d < 0
-        nonbasic = np.ones(alpha.shape, dtype=bool)
-        nonbasic[np.arange(k)[:, None], basis] = False
-        movable = nonbasic & np.array(bounded)
-        side = np.where(np.array(at_upper), -1.0, 1.0)
+        sign = np.array(sign)
+        movable, side = sign != 0, -sign
         d, alpha = side * d, side * alpha
         tied = (movable & (d <= PIVOT_TOL)).any(axis=1)
         # side * (d - delta * alpha) > 0, for delta on the internal minimize cost
         ratio = d / alpha
         above = np.where(movable & (alpha > 0), ratio, INF).min(axis=1).tolist()
         below = np.where(movable & (alpha < 0), ratio, -INF).max(axis=1).tolist()
-        for i, c, s, tie, up_by, down_by in zip(index, cost, sign, tied.tolist(), above, below):
+        for i, c, s, tie, up_by, down_by in zip(index, cost, flip, tied.tolist(), above, below):
             ranges[i] = (c, c) if tie else \
                 (c - up_by, c - down_by) if s < 0 else (c + down_by, c + up_by)
     return ranges

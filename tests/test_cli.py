@@ -286,6 +286,24 @@ def test_run_with_config_file(tmp_path):
         (tmp_path / "cfg-out" / "hedge_report.csv").read_text()
 
 
+def test_an_explicit_zero_wins_over_the_config_file(tmp_path, capsys):
+    # 0 == False, yet --seed 0 and --bus 0 are set, so the config's seed and bus
+    # must not replace them
+    config = tmp_path / "study.cfg"
+    config.write_text("[run]\nseed = 7\nbus = 3\n")
+    reports = {}
+    for name, flags in (("zero", ["--seed", "0", "--config", str(config)]),
+                        ("plain", ["--seed", "0"]), ("seven", ["--seed", "7"])):
+        assert main(["run", "--preset", "paper-3bus", "--out", str(tmp_path / name)] + flags) == 0
+        reports[name] = (tmp_path / name / "hedge_report.csv").read_text()
+    assert reports["zero"] == reports["plain"] != reports["seven"]
+    capsys.readouterr()
+    rc = main(["run", "--preset", "paper-3bus", "--bus", "0", "--config", str(config),
+               "--out", str(tmp_path / "bus0")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: price cap references unknown bus 0\n"
+
+
 def test_sweep_table(tmp_path, capsys):
     rc = main(["sweep", "--preset", "paper-3bus", "--pi", "68,70,72",
                "--cases", "infinite,finite", "--seed", "7",

@@ -24,6 +24,7 @@ from flexhedge.opf import Grid, build_opf, solve_opf_hour, solve_opf_program
 from flexhedge.scenario import (FINITE_LIMIT_MW, build_3bus_network, generate_scenario,
                                 preset_spec)
 
+from exact import certify
 from oracles import brute_force_optimum, enumerate_optima, oracle_row_dual, valid_hour
 from test_hedging import count_calls, tie_hours, two_layout_day
 from test_mesh_oracle import seeded_mesh
@@ -79,6 +80,53 @@ def test_cost_range_of_a_degenerate_optimum_is_empty():
     sol = solve(lp)
     assert sol.degenerate and sol.basis == ("p_l",) and sol.reduced_costs["p_g"] == 40.0
     assert simplex.cost_ranges([(lp, sol)], "p_l")[0] == (90.0, 90.0)
+
+
+def rested_lp(sense, x_cost, free_pair=False):
+    """x fills what u, the cheapest column, leaves of 6 at its upper bound 2,
+    until w costs less; with ``free_pair``, a free column f and a bounded g
+    fill a second row at no cost, so f rests nonbasic at 0 priced at zero."""
+    to_sense = 1.0 if sense == "minimize" else -1.0
+    lp = LinearProgram(sense)
+    lp.add_column("x", 0.0, 10.0, objective=x_cost)
+    lp.add_column("w", 0.0, 10.0, objective=to_sense * 1.0)
+    lp.add_column("u", 0.0, 2.0, objective=to_sense * -5.0)
+    lp.add_row("fill", {"x": 1.0, "w": 1.0, "u": 1.0}, "=", 6.0)
+    if free_pair:
+        lp.add_column("g", 0.0, 5.0)
+        lp.add_column("f", -INF, INF)
+        lp.add_row("pair", {"g": 1.0, "f": 1.0}, "=", 1.0)
+    return lp
+
+
+@pytest.mark.parametrize("sense, ends", [("minimize", (-5.0, 1.0)), ("maximize", (-1.0, 5.0))])
+def test_cost_range_of_a_hand_built_program_ends_where_a_re_solve_changes_basis(sense, ends):
+    # u at its upper bound ends x's interval on one side, w at its lower on the other
+    lp = rested_lp(sense, 0.0)
+    sol = solve(lp)
+    assert (sol.basis, sol.nonbasic_at_upper, sol.degenerate) == (("x",), ("u",), False)
+    certify(lp, sol)
+    assert simplex.cost_ranges([(lp, sol)], "x") == [ends]
+
+    def rest(x_cost):
+        resolved = solve(rested_lp(sense, x_cost))
+        return resolved.basis, resolved.nonbasic_at_upper
+
+    for end, inward in zip(ends, (1.0, -1.0)):
+        assert rest(end + inward * 1e-6) == (("x",), ("u",)), end
+        assert rest(end - inward * 1e-6) != (("x",), ("u",)), end
+
+
+@pytest.mark.parametrize("sense", ["minimize", "maximize"])
+def test_cost_range_with_a_free_nonbasic_column_priced_at_zero_is_empty(sense):
+    # f could enter at no cost, so the optimum is not unique, though no basic
+    # column sits at a bound
+    lp = rested_lp(sense, 0.0, free_pair=True)
+    sol = solve(lp)
+    assert (sol.basis, sol.nonbasic_at_upper, sol.degenerate) == (("x", "g"), ("u",), False)
+    assert sol.reduced_costs["f"] == 0.0
+    certify(lp, sol)
+    assert simplex.cost_ranges([(lp, sol)], "x") == [(0.0, 0.0)]
 
 
 def flex_lp(flex_cost, flex_max=INF):
