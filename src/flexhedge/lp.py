@@ -134,6 +134,8 @@ class LinearProgram:
         for col in self.columns.values():
             if not col.lower <= col.upper:
                 problems.append(f"column {col.name!r}: lower {col.lower} > upper {col.upper}")
+            elif col.lower == INF or col.upper == -INF:
+                problems.append(f"column {col.name!r}: fixed at non-finite {col.lower}")
             if math.isnan(col.lower) or math.isnan(col.upper):
                 problems.append(f"column {col.name!r}: NaN in bounds")
             if not math.isfinite(col.objective):

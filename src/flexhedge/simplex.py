@@ -26,13 +26,15 @@ only finite bound), else -1, at its lower bound or, free, at 0
 (``_rest_sign``, the rule ``cost_ranges`` reads too).  Each pivot, flip or fix
 sets the sign of each column it moves and rests it in ``x`` by it, so the
 basics' right-hand side is ``b - A_N x_N`` as it stands, and a solution's
-``nonbasic_at_upper`` is the columns of sign +1.  ``_start`` takes ``B^-1``
-from its layout, which inverts each start basis once (``Layout.inverse``), and
-computes the basic values as ``B^-1`` times the right-hand side; each basic
-slack that breaks its bounds rests at the violated bound instead and a signed
-artificial column carries the gap in its row, one of sign -1 negating that row
-of ``B^-1``.  A first phase minimizes the artificials' sum; the second phase
-optimizes the true objective from the feasible basis.  An ``opf.build_opf``
+``nonbasic_at_upper`` is the columns of sign +1.  The basis is one record per
+solve too, ``_State.basis``, each row's basic column, written in place.
+``_start`` takes ``B^-1`` from its layout, which inverts each start basis once
+(``Layout.inverse``), and computes the basic values as ``B^-1`` times the
+right-hand side; each basic slack that breaks its bounds rests at the violated
+bound instead and a signed artificial column, past the layout's ``n + m``,
+carries the gap in its row, one of sign -1 negating that row of ``B^-1``.  A
+first phase minimizes the artificials' sum; the second phase optimizes the
+true objective from the feasible basis.  An ``opf.build_opf``
 program starts at its layout's crash basis (``Layout.crash``, which
 ``opf.Grid.layout`` sets) unless an earlier optimal basis replaces it.
 
@@ -141,11 +143,11 @@ class Layout:
         self.A, self.crash = A, crash
         self._inverses: dict[tuple[int, ...], np.ndarray | None] = {}  # read-only, by basis
 
-    def inverse(self, basis: list[int]) -> np.ndarray | None:
+    def inverse(self, basis: np.ndarray) -> np.ndarray | None:
         """A copy, for a start to write, of ``B^-1`` for the column indices
         ``basis`` in their order; None where it is singular (or not square).
         Each basis is inverted once, whatever columns rest at their upper bound."""
-        key = tuple(basis)
+        key = tuple(basis.tolist())
         if key not in self._inverses:
             try:
                 self._inverses[key] = _inverse(self.A[:, basis])
@@ -173,7 +175,7 @@ def program_arrays(lp: LinearProgram):
     return layout, layout.lo, layout.up, layout.c
 
 
-def _rest_sign(layout: Layout, lo: np.ndarray, up: np.ndarray, basis: list[int],
+def _rest_sign(layout: Layout, lo: np.ndarray, up: np.ndarray, basis,
                nonbasic_at_upper) -> np.ndarray:
     """The module's one rule for where each column rests, as a sign: 0 for a
     column of ``basis`` or a fixed one, +1 for a nonbasic column at its upper
@@ -191,11 +193,13 @@ def _rest_sign(layout: Layout, lo: np.ndarray, up: np.ndarray, basis: list[int],
 class _State:
     """One solve's working state: ``lp``'s ``arrays`` (``program_arrays``,
     read, never written) and its layout's right-hand sides, in minimize
-    form, and a basis, named by ``start`` as ``LinearProgram.start`` does
-    (KeyError for a name the layout lacks) or else the slack basis.  ``sign``
-    records where every column rests (``_rest_sign``) and ``x`` rests each
-    nonbasic column by it; each step that moves, flips or fixes a column sets
-    its sign and rests it."""
+    form, and ``basis``, its one record of each row's basic column, named by
+    ``start`` as ``LinearProgram.start`` does (KeyError for a name the layout
+    lacks) or else the slack basis; each step writes it in place, and index
+    ``n + m + t``, past the layout's columns, is row ``art_rows[t]``'s artificial.
+    ``sign`` records where every column rests (``_rest_sign``) and ``x`` rests
+    each nonbasic column by it; each step that moves, flips or fixes a column
+    sets its sign and rests it."""
 
     def __init__(self, lp: LinearProgram, arrays,
                  start: tuple[tuple[str, ...], tuple[str, ...]] | None = None):
@@ -203,20 +207,16 @@ class _State:
         self.b = self.layout.b
         self.maximizing = lp.sense == "maximize"
         self.n_struct = n = len(self.layout.columns)
-        self.n_rows = m = len(self.layout.rows)
+        self.n_rows = len(self.layout.rows)
         self.A = self.layout.A
         # always minimized; _start extends it by a zero per artificial
         self.c_int = -self.c_ext if self.maximizing else self.c_ext
         self.constant = lp.constant
 
-        self.n_total = n + m
         basis, nonbasic_at_upper = start or (self.layout.names[n:], ())
-        self.basis = [self.layout.index[name] for name in basis]
+        self.basis = np.array([self.layout.index[name] for name in basis], dtype=np.intp)
         self.sign = _rest_sign(self.layout, self.lo, self.up, self.basis, nonbasic_at_upper)
-        self.in_basis = np.zeros(n + m, dtype=bool)
-        self.in_basis[self.basis] = True
         self.x = np.where(self.sign > 0, self.up, np.where(self.lo > -INF, self.lo, 0.0))
-        self.artificial_from = n + m  # columns >= this index are artificial
         self.art_rows = np.zeros(0, dtype=np.intp)  # the row each artificial serves
         self.iterations = 0
         self.Binv: np.ndarray | None = None  # B^-1 in basis order; _start sets it
@@ -231,7 +231,8 @@ class _State:
 
     def resting_rhs(self) -> np.ndarray:
         """The rhs the basic columns must meet, with the others at rest."""
-        nonbasic = ~self.in_basis
+        nonbasic = np.ones(self.x.size, dtype=bool)
+        nonbasic[self.basis] = False
         return self.b - self.A[:, nonbasic] @ self.x[nonbasic]
 
     def reinvert(self) -> None:
@@ -245,10 +246,11 @@ class _State:
 def _start(st: _State) -> _State | None:
     """Basic values of a resting state, and one signed phase-1 artificial per
     row whose basic slack breaks its bounds (the slack rests at the violated
-    bound).  ``B^-1`` is the layout's copy (``Layout.inverse``); an artificial
-    of sign -1 in a slack's place negates that row of it.  None where the
-    basis is singular or a value is infinite or a basic structural column is
-    out of bounds."""
+    bound): artificial ``t`` is column ``n + m + t``, which takes the slack's
+    place in ``st.basis``.  ``B^-1`` is the layout's copy (``Layout.inverse``);
+    an artificial of sign -1 negates that row of it.  None where the basis is
+    singular or a value is infinite or a basic structural column is out of
+    bounds."""
     n, m = st.n_struct, st.n_rows
     st.Binv = st.layout.inverse(st.basis)
     if st.Binv is None:
@@ -268,20 +270,16 @@ def _start(st: _State) -> _State | None:
             st.sign[s] = (1.0 if st.x[s] > st.up[s] else -1.0) if st.lo[s] < st.up[s] else 0.0
             block[i, t] = 1.0 if st.x[s] > st.nonbasic_value(s) else -1.0
             st.x[s] = st.nonbasic_value(s)
-            pos = st.basis.index(s)
+            pos = int((st.basis == s).argmax())
             st.Binv[pos] *= block[i, t]  # exact: B' = B with column pos scaled by it
-            st.basis[pos] = st.n_total + t
+            st.basis[pos] = n + m + t
         st.A = np.hstack([st.A, block])
         st.lo = np.concatenate([st.lo, np.zeros(k)])
         st.up = np.concatenate([st.up, np.full(k, INF)])
         st.c_int = np.concatenate([st.c_int, np.zeros(k)])  # phase 2 prices artificials at 0
         st.x = np.concatenate([st.x, np.zeros(k)])
         st.sign = np.concatenate([st.sign, np.zeros(k)])  # basic, at 0
-        st.artificial_from = st.n_total
         st.art_rows = art_rows
-        st.n_total += k
-        st.in_basis = np.zeros(st.n_total, dtype=bool)
-        st.in_basis[st.basis] = True
         st.x[st.basis] = st.Binv @ st.resting_rhs()
     return st
 
@@ -293,18 +291,18 @@ def _iterate(st: _State, cost: np.ndarray) -> str:
     on with phase 1's ``B^-1``.  ``B^-1`` is inverted afresh (and basic values
     recomputed in full) once ``st.pivots`` reaches ``_REFACTOR_EVERY``; in
     between, each pivot applies a rank-1 update and basic values move by the
-    step taken.  The basic columns' costs, bounds, finite-bound masks and
-    values ``x_B`` follow each pivot in basis order; ``x_B`` is written back
-    to ``st.x`` before each return, raise and inversion.  A column improves
-    where ``d * st.sign`` exceeds ``PIVOT_TOL``; the free nonbasic columns,
-    ``free``, price by ``|d|`` and leave that list when they enter.  A pivot
+    step taken.  Each pivot writes the entering column into ``st.basis`` in
+    place; the basic columns' costs, bounds, finite-bound masks and values
+    ``x_B`` follow it in basis order, and ``x_B`` is written back to ``st.x``
+    before each return, raise and inversion.  A column improves where ``d *
+    st.sign`` exceeds ``PIVOT_TOL``; the free nonbasic columns, ``free``,
+    price by ``|d|`` and leave that list when they enter.  A pivot
     gives the leaving column the sign of the bound it reaches (0 if fixed)
     and the entering column 0.  A bound flip negates the column's sign and
     leaves the basis, ``c_B`` and ``B^-1`` as they were, so ``d`` and the
     merits stand, the flipped column's merit negated with its sign.
     """
-    A, lo, up = st.A, st.lo, st.up
-    basis = np.array(st.basis, dtype=np.intp)
+    A, lo, up, basis = st.A, st.lo, st.up, st.basis
     c_B, lo_B, up_B, x_B = cost[basis], lo[basis], up[basis], st.x[basis]
     has_lo, has_up, movable = lo > -INF, up < INF, lo != up
     has_lo_B, has_up_B = has_lo[basis], has_up[basis]
@@ -362,7 +360,7 @@ def _iterate(st: _State, cost: np.ndarray) -> str:
         for pos, t in zip(candidates.tolist(), steps.tolist()):
             if t < t_best - _RATIO_TIE:
                 t_best, leave_pos = t, pos
-            elif t <= t_best + _RATIO_TIE and (leave_pos < 0 or st.basis[pos] < st.basis[leave_pos]):
+            elif t <= t_best + _RATIO_TIE and (leave_pos < 0 or basis[pos] < basis[leave_pos]):
                 t_best, leave_pos = min(t, t_best), pos
 
         if t_flip == INF and t_best == INF:
@@ -380,15 +378,12 @@ def _iterate(st: _State, cost: np.ndarray) -> str:
         stalled = stalled + 1 if t_best == 0.0 else 0
         x_B -= t_best * delta
         x_B[leave_pos] = st.nonbasic_value(entering) + direction * t_best
-        bi = st.basis[leave_pos]
+        bi = int(basis[leave_pos])
         # increased to its upper bound where delta < 0
         sign[bi] = (1.0 if delta[leave_pos] < 0 else -1.0) if movable[bi] else 0.0
         sign[entering] = 0.0
-        st.in_basis[bi] = False
         st.x[bi] = st.nonbasic_value(bi)
-        st.basis[leave_pos] = entering
         basis[leave_pos] = entering
-        st.in_basis[entering] = True
         c_B[leave_pos], lo_B[leave_pos], up_B[leave_pos] = cost[entering], lo[entering], up[entering]
         has_lo_B[leave_pos], has_up_B[leave_pos] = has_lo[entering], has_up[entering]
         if free.size:
@@ -402,36 +397,33 @@ def _iterate(st: _State, cost: np.ndarray) -> str:
 
 
 def _expel_artificials(st: _State) -> bool:
-    """After phase 1, swap basic artificials for structural/slack columns where
-    possible; True if any was swapped."""
-    m = len(st.basis)
+    """After phase 1, swap basic artificials, past ``n + m``, for nonbasic
+    structural or slack columns where possible; True if any was swapped."""
+    m, n_real = st.n_rows, st.n_struct + st.n_rows
     swapped = False
     for pos in range(m):
         bi = st.basis[pos]
-        if bi < st.artificial_from:
+        if bi < n_real:
             continue
         B = st.A[:, st.basis]
         e = np.zeros(m)
         e[pos] = 1.0
         u = _solve(B.T, e)
         replacement = -1
-        for j in range(st.artificial_from):
-            if st.in_basis[j]:
-                continue
+        for j in np.setdiff1d(np.arange(n_real), st.basis).tolist():
             if abs(u @ st.A[:, j]) > PIVOT_TOL:
                 replacement = j
                 break
         if replacement >= 0:
-            st.in_basis[bi] = False
             st.x[bi] = 0.0  # an artificial's bounds are [0, 0] after phase 1
             st.basis[pos] = replacement
-            st.in_basis[replacement] = True
             st.sign[replacement] = 0.0  # the artificial's is 0 since phase 1 fixed it
             swapped = True
     return swapped
 
 
 def _extract(st: _State, status: str) -> LpSolution:
+    """The solution ``st.basis`` gives; an artificial, past ``n + m``, is ``artificial:<row>``."""
     n, m = st.n_struct, st.n_rows
     layout = st.layout
     names = layout.names
@@ -455,15 +447,14 @@ def _extract(st: _State, status: str) -> LpSolution:
         raise SolverFailureError("non-finite value in the optimal solution")
 
     # a basic column other than an artificial sits at a bound
-    af = st.artificial_from
-    x = st.x[:af]
-    gap = np.minimum(np.abs(x - st.lo[:af]), np.abs(x - st.up[:af]))  # inf at an infinite bound
-    degenerate = bool((gap[st.in_basis[:af]] <= 1e-9).any())
+    real = st.basis[st.basis < n + m]
+    x = st.x[real]
+    gap = np.minimum(np.abs(x - st.lo[real]), np.abs(x - st.up[real]))  # inf at an infinite bound
+    degenerate = bool((gap <= 1e-9).any())
 
     basis_names = tuple(
-        names[bi] if bi < n + m
-        else f"artificial:{layout.rows[st.art_rows[bi - st.artificial_from]]}"
-        for bi in st.basis
+        names[bi] if bi < n + m else f"artificial:{layout.rows[st.art_rows[bi - n - m]]}"
+        for bi in st.basis.tolist()
     )
     return LpSolution(
         status="optimal",
@@ -480,18 +471,15 @@ def _extract(st: _State, status: str) -> LpSolution:
 
 def _solve_from(st: _State) -> LpSolution:
     """Phase 1 if the start needed artificials, then phase 2."""
-    if st.n_total > st.artificial_from:
-        phase1 = np.zeros(st.n_total)
-        phase1[st.artificial_from:] = 1.0
-        outcome = _iterate(st, phase1)
-        if outcome == "unbounded":  # cannot happen: objective bounded below by 0
+    if st.art_rows.size:
+        artificials = slice(st.n_struct + st.n_rows, None)  # the columns past n + m
+        phase1 = np.zeros(st.x.size)
+        phase1[artificials] = 1.0
+        if _iterate(st, phase1) == "unbounded":  # cannot happen: objective bounded below by 0
             raise SolverFailureError("phase 1 reported unbounded")
-        infeasibility = float(st.x[st.artificial_from:].sum())
-        if infeasibility > FEAS_TOL:
+        if st.x[artificials].sum() > FEAS_TOL:
             return _extract(st, "infeasible")
-        st.lo[st.artificial_from:] = 0.0
-        st.up[st.artificial_from:] = 0.0
-        st.sign[st.artificial_from:] = 0.0  # fixed, basic or not
+        st.lo[artificials] = st.up[artificials] = st.sign[artificials] = 0.0  # fixed, basic or not
         if _expel_artificials(st):
             st.reinvert()
 

@@ -17,10 +17,12 @@ column rests at its upper bound if the report names it, else at its lower
 bound, or at 0 if it has no finite bound.
 
 Run as a script, it certifies every solve of ``run_hedge`` over one day of a
-seeded mesh (``test_mesh_oracle.seeded_mesh(BUSES, 1)``) and exits 1 at the
-first solve it cannot certify:
+seeded mesh (``test_mesh_oracle.seeded_mesh(BUSES, 1)``), or, given caps from
+FIRST to LAST by STEP, of ``sweep_pi_des`` over them at the mesh's capped bus
+BUSES with no line-limit override, and exits 1 at the first solve it cannot
+certify:
 
-    PYTHONPATH=src python tests/exact.py BUSES
+    PYTHONPATH=src python tests/exact.py BUSES [FIRST LAST STEP]
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from flexhedge import simplex
-from flexhedge.hedging import run_hedge
+from flexhedge.hedging import run_hedge, sweep_pi_des
 
 _SLACK_BOUNDS = {"<=": (0.0, math.inf), ">=": (-math.inf, 0.0), "=": (0.0, 0.0)}
 
@@ -169,10 +171,9 @@ def certify(lp, sol) -> Certificate:
     )
 
 
-def certify_run(net, series, cap) -> list[tuple]:
-    """``(program, solution, certificate)`` for each solve of ``run_hedge(net,
-    series, cap)``, in solve order; the certificate is None for a solve that
-    is not optimal."""
+def record_solves(study, *args) -> list[tuple]:
+    """``(program, solution)`` for each solve that ``study(*args)`` makes by
+    ``simplex.solve_program``, as every run and sweep solves, in solve order."""
     solved, solve = [], simplex.solve_program
 
     def recording(lp):
@@ -181,28 +182,42 @@ def certify_run(net, series, cap) -> list[tuple]:
 
     simplex.solve_program = recording
     try:
-        run_hedge(net, series, cap)
+        study(*args)
     finally:
         simplex.solve_program = solve
+    return solved
+
+
+def certify_run(*args, study=run_hedge) -> list[tuple]:
+    """``(program, solution, certificate)`` for each solve of ``study(*args)``,
+    by default ``run_hedge(net, series, cap)``, in solve order; the
+    certificate is None for a solve that is not optimal."""
     return [(lp, sol, certify(lp, sol) if sol.status == "optimal" else None)
-            for lp, sol in solved]
+            for lp, sol in record_solves(study, *args)]
 
 
 def main(argv: list[str]) -> int:
     from test_mesh_oracle import seeded_mesh
 
-    if len(argv) != 1 or not argv[0].isdigit():
+    if len(argv) not in (1, 4) or not argv[0].isdigit():
         print(__doc__.rstrip().rsplit("\n", 1)[-1].strip(), file=sys.stderr)
         return 2
     buses = int(argv[0])
+    net, series, cap = seeded_mesh(buses, 1)
+    study, args, name = run_hedge, (net, series, cap), f"seeded_mesh({buses}, 1)"
+    if len(argv) == 4:
+        first, last, step = map(float, argv[1:])
+        caps = [first + step * k for k in range(round((last - first) / step) + 1)]
+        study, args = sweep_pi_des, (net, series, cap.bus, caps, {"infinite": None})
+        name = f"a {len(caps)}-cap sweep of {name}"
     start = time.perf_counter()
     try:
-        results = certify_run(*seeded_mesh(buses, 1))
+        results = certify_run(*args, study=study)
     except CertificateError as exc:
-        print(f"seeded_mesh({buses}, 1): not certified: {exc}", file=sys.stderr)
+        print(f"{name}: not certified: {exc}", file=sys.stderr)
         return 1
     certified = [cert for _, _, cert in results if cert is not None]
-    print(f"seeded_mesh({buses}, 1): {len(certified)} of {len(results)} "
+    print(f"{name}: {len(certified)} of {len(results)} "
           f"solves certified optimal ({len(results) - len(certified)} not optimal), "
           f"{sum(c.degenerate for c in certified)} exactly degenerate; largest primal "
           f"error {max(c.primal_error for c in certified):.3g}, dual error "

@@ -13,11 +13,14 @@ from fractions import Fraction
 
 import pytest
 
+from flexhedge.hedging import run_hedge, sweep_pi_des
 from flexhedge.lp import LinearProgram, solve
 from flexhedge.model import PriceCap
-from flexhedge.scenario import generate_scenario, preset_spec
+from flexhedge.scenario import (FINITE_LIMIT_MW, apply_line_limits, build_3bus_network,
+                                generate_scenario, preset_spec)
 
-from exact import CertificateError, _solve, certify, certify_run
+from exact import CertificateError, _solve, certify, certify_run, record_solves
+from test_hedging import degenerate_day, tie_hours, two_layout_day
 from test_mesh_oracle import seeded_mesh
 
 ROUNDING = 1e-9
@@ -46,6 +49,58 @@ def test_every_solve_of_a_10_bus_mesh_day_is_exactly_optimal():
     results = certify_run(*seeded_mesh(10, 1))
     assert len(results) == 36
     assert_certified(results)
+
+
+CASES = {"infinite": None, "finite": {(2, 3): FINITE_LIMIT_MW}}
+
+
+@pytest.mark.parametrize("seed", [1, 7, 42])
+def test_every_solve_of_a_paper_sweep_is_exactly_optimal(seed):
+    scenario = generate_scenario(preset_spec("paper-3bus", case="infinite", seed=seed))
+    results = certify_run(scenario.network, scenario.hours, 3,
+                          [float(pi) for pi in range(60, 81)], CASES, study=sweep_pi_des)
+    assert len(results) == 87  # each case's 24 pass-1 hours once, and 39 pass-2 solves
+    assert_certified(results)
+
+
+def test_every_solve_over_the_tie_hours_is_exactly_optimal():
+    # each hour capped at its own offer cost, where flexibility and that offer
+    # tie, and a sweep whose caps land on those ties
+    net, series = build_3bus_network("infinite"), tie_hours()
+    results = certify_run(net, series, PriceCap(3, tuple(60.0 + h / 2 for h in range(1, 25))))
+    assert len(results) == 48
+    assert_certified(results)
+    results = certify_run(net, series, 3, [60.0 + 0.5 * k for k in range(25)], CASES,
+                          study=sweep_pi_des)
+    assert len(results) == 190
+    assert_certified(results)
+
+
+def test_every_solve_of_the_degenerate_and_two_layout_days_is_exactly_optimal():
+    results = certify_run(*degenerate_day(), PriceCap(3, 70.0))
+    assert len(results) == 26  # 24 pass-1 hours, 12 of them exactly degenerate, and 2 capped
+    assert sum(cert.degenerate for _, _, cert in results) == 12
+    assert_certified(results)
+    results = certify_run(*two_layout_day(), PriceCap(3, 70.0))
+    assert len(results) == 38
+    assert_certified(results)
+
+
+def test_the_line_limit_day_reports_one_basis_that_is_exactly_infeasible():
+    # paper-3bus seed 7, finite, with line 2-3 limited to 0.3 MW: pass 1 ends
+    # infeasible in hours 11-22, and hour 10's degenerate pass-1 optimum has
+    # pg_2 basic at -5.55e-17 in exact arithmetic, below its lower bound of 0;
+    # every other optimal solve certifies
+    scenario = generate_scenario(preset_spec("paper-3bus", case="finite", seed=7))
+    net = apply_line_limits(scenario.network, {(2, 3): 0.3})
+    solves = record_solves(run_hedge, net, scenario.hours, PriceCap(3, 70.0))
+    optimal = [(lp, sol) for lp, sol in solves if sol.status == "optimal"]
+    assert (len(solves), len(optimal)) == (42, 30)
+    lp, sol = optimal[9]
+    assert (lp.name, sol.degenerate, sol.iterations) == ("opf_h10", True, 2)
+    with pytest.raises(CertificateError, match="'pg_2' = -5.55"):
+        certify(lp, sol)
+    assert_certified([(lp, sol, certify(lp, sol)) for lp, sol in optimal[:9] + optimal[10:]])
 
 
 def paper_solve():

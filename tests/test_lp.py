@@ -267,6 +267,17 @@ def test_validate_names_a_nan_bound():
     assert lp.validate() == ["column 'x': lower nan > upper 1.0", "column 'x': NaN in bounds"]
 
 
+@pytest.mark.parametrize("bound", [-INF, INF])
+def test_a_column_with_no_finite_value_is_malformed(bound):
+    # lower <= upper holds for [-inf, -inf] and [inf, inf]; such a column used
+    # to reach the simplex, whose slack-basis start failed without naming it
+    lp = simple_cap_lp()
+    lp.add_column("z", bound, bound, objective=1.0)
+    with pytest.raises(MalformedProgramError) as exc:
+        solve(lp)
+    assert str(exc.value) == f"column 'z': fixed at non-finite {bound}"
+
+
 def test_duals_of_an_infeasible_solution_are_undefined():
     lp = simple_cap_lp()
     lp.add_row("floor", {"x": 1.0}, ">=", 6.0)
